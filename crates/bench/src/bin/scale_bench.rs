@@ -4,10 +4,13 @@
 //! [`ovlp_machine::replay_scale`] at a ladder of rank counts and
 //! records, per point: ranks, streamed record count, the records
 //! resident high-water mark (the number the whole streaming tentpole
-//! exists to keep flat), events/sec, and the process RSS high-water
-//! mark from `/proc/self/status` (ground truth that the engine-level
-//! counter is honest). The measurements are written to
-//! `BENCH_scale.json` (schema `ovlp.bench_scale.v1`) so the memory
+//! exists to keep flat), the blocked-transfer high-water mark,
+//! events/sec, and the process RSS high-water mark from
+//! `/proc/self/status` (ground truth that the engine-level counter is
+//! honest). The measurements are written to `BENCH_scale.json` (schema
+//! `ovlp.bench_scale.v1`) together with the machine they ran on
+//! (`hardware_threads`, `git describe` of the checkout) and the
+//! events/sec spread across the ladder, so the memory and throughput
 //! trajectory is tracked in-repo; `scripts/check_scale_bench.py`
 //! validates the document and CI's `scale-smoke` job re-runs the quick
 //! ladder under a hard `ulimit -v`.
@@ -28,8 +31,9 @@ use std::time::Instant;
 
 const APP: &str = "ml-allreduce";
 
-/// Full ladder: two orders of magnitude past the thread-per-rank cap.
-const POINTS: &[usize] = &[1_000, 10_000, 100_000];
+/// Full ladder: up to three orders of magnitude past the
+/// thread-per-rank cap.
+const POINTS: &[usize] = &[1_000, 10_000, 100_000, 1_000_000];
 /// CI smoke ladder (the 10k point is the one `scale-smoke` runs under
 /// `ulimit -v`).
 const QUICK_POINTS: &[usize] = &[1_000, 10_000];
@@ -44,6 +48,7 @@ struct Point {
     msg_slots: usize,
     req_slots: usize,
     chan_slots: usize,
+    waiters_peak: usize,
     wall_s: f64,
     events_per_sec: f64,
     sim_runtime_s: f64,
@@ -73,6 +78,19 @@ fn json_opt_u64(v: Option<u64>) -> String {
         Some(n) => n.to_string(),
         None => "null".to_string(),
     }
+}
+
+/// `git describe --always --dirty` of the working directory, so a run
+/// on uncommitted changes says so; `unknown` outside a git checkout.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
@@ -120,15 +138,23 @@ fn main() {
 
     let entry = ovlp_apps::registry::by_name(APP).expect("registry app missing");
     let platform = marenostrum_for(APP);
-    let mut results = Vec::new();
-    for &ranks in &ladder {
+    let replay = |ranks: usize| {
         let source = entry
             .source(ranks)
             .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks: {e}"));
         let t0 = Instant::now();
         let rep = replay_scale(source.as_ref(), &platform)
             .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks: {e}"));
-        let wall = t0.elapsed().as_secs_f64();
+        (rep, t0.elapsed().as_secs_f64())
+    };
+    // One untimed replay of the smallest point first, so the first timed
+    // point does not pay the process's page faults and allocator growth.
+    if let Some(&ranks) = ladder.first() {
+        replay(ranks);
+    }
+    let mut results = Vec::new();
+    for &ranks in &ladder {
+        let (rep, wall) = replay(ranks);
         assert_eq!(rep.nranks, ranks);
         assert!(
             rep.records_peak < rep.records_streamed || rep.records_streamed == 0,
@@ -144,6 +170,7 @@ fn main() {
             msg_slots: rep.msg_slots,
             req_slots: rep.req_slots,
             chan_slots: rep.chan_slots,
+            waiters_peak: rep.waiters_peak,
             wall_s: wall,
             events_per_sec: rep.events_processed as f64 / wall,
             sim_runtime_s: rep.runtime.as_secs(),
@@ -152,11 +179,12 @@ fn main() {
         };
         println!(
             "{APP} {:>8} ranks  {:>11} records ({:>9} resident peak)  {:>11} events  \
-             {:>12.0} events/s  wall {:>8.3} s  rss peak {}",
+             {:>7} blocked peak  {:>12.0} events/s  wall {:>8.3} s  rss peak {}",
             p.ranks,
             p.records_total,
             p.records_peak,
             p.events,
+            p.waiters_peak,
             p.events_per_sec,
             p.wall_s,
             p.rss_peak_bytes
@@ -170,13 +198,26 @@ fn main() {
     s.push_str("{\n  \"schema\": \"ovlp.bench_scale.v1\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"app\": \"{APP}\",\n"));
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    s.push_str(&format!(
+        "  \"machine\": {{\"hardware_threads\": {threads}, \"commit\": \"{}\"}},\n",
+        commit()
+    ));
+    // fastest over slowest point: 1.0 is perfectly flat weak scaling
+    let eps = results.iter().map(|p| p.events_per_sec);
+    let spread = eps.clone().fold(0.0, f64::max) / eps.fold(f64::INFINITY, f64::min);
+    s.push_str(&format!(
+        "  \"events_per_sec_spread\": {},\n",
+        json_f64(spread)
+    ));
     s.push_str("  \"points\": [\n");
     for (i, p) in results.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"ranks\": {}, \"records_total\": {}, \"records_peak\": {}, \
              \"events\": {}, \"transfers\": {}, \"queue_peak\": {}, \"msg_slots\": {}, \
-             \"req_slots\": {}, \"chan_slots\": {}, \"wall_s\": {}, \"events_per_sec\": {}, \
-             \"sim_runtime_s\": {}, \"efficiency\": {}, \"rss_peak_bytes\": {}}}{}",
+             \"req_slots\": {}, \"chan_slots\": {}, \"waiters_peak\": {}, \"wall_s\": {}, \
+             \"events_per_sec\": {}, \"sim_runtime_s\": {}, \"efficiency\": {}, \
+             \"rss_peak_bytes\": {}}}{}",
             p.ranks,
             p.records_total,
             p.records_peak,
@@ -186,6 +227,7 @@ fn main() {
             p.msg_slots,
             p.req_slots,
             p.chan_slots,
+            p.waiters_peak,
             json_f64(p.wall_s),
             json_f64(p.events_per_sec),
             json_f64(p.sim_runtime_s),

@@ -19,8 +19,8 @@
 //!   binomial-tree algorithms selected by the platform.
 //!
 //! The simulator is fully deterministic: simultaneous events are ordered
-//! by insertion sequence, and pending transfers acquire resources in a
-//! deterministic first-fit scan.
+//! by insertion sequence, and blocked transfers acquire resources in
+//! first-fit initiation order.
 //!
 //! Output is a [`SimResult`]: total runtime, a per-rank state
 //! [`Timeline`] (compute / wait-receive / wait-send / collective), and

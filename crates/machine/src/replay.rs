@@ -10,13 +10,17 @@
 //! A point-to-point transfer passes through three phases:
 //!
 //! 1. **Initiation** — the sender executes the send record at its local
-//!    time `t_send`. The message enters the pending queue.
+//!    time `t_send` and tries to start the transfer at once.
 //! 2. **Grant** — the message atomically acquires its resource triple
 //!    (sender output port, receiver input port, one global bus) at
-//!    `t_start ≥ t_send`; grants happen in a deterministic first-fit
-//!    scan of the pending queue. A rendezvous-mode message additionally
+//!    `t_start ≥ t_send`. A rendezvous-mode message additionally
 //!    requires the matching receive to be posted before it can be
-//!    granted.
+//!    granted. Grants follow first-fit semantics: whenever resources
+//!    free up, blocked messages are granted in initiation order, each
+//!    one that fits. A blocked message waits on the resource it failed
+//!    to get (`resources::WaitLists`), so a release re-examines only
+//!    the waiters of what it released — the same grants, in the same
+//!    order, as rescanning every blocked message.
 //! 3. **Delivery** — the transfer occupies its resources for
 //!    `latency + size/bandwidth` and completes at `t_arrive`.
 //!
@@ -34,7 +38,7 @@ use crate::net::flows::{FlowEvent, FlowNet};
 use crate::net::{ContentionModel, LinkGraph, LinkUsage};
 use crate::platform::Platform;
 use crate::probe::{EventKind, NoopSink, ProbeSink, WaitEdge};
-use crate::resources::Resources;
+use crate::resources::{Pool, Resources, Unit, WaitLists};
 use crate::time::Time;
 use crate::timeline::{CommRecord, State, StateTotals, Timeline};
 use ovlp_trace::record::{Record, SendMode};
@@ -404,6 +408,8 @@ pub struct ScaleReport {
     pub req_slots: usize,
     /// Channel-slot high-water mark.
     pub chan_slots: usize,
+    /// High-water mark of transfers blocked on a busy resource at once.
+    pub waiters_peak: usize,
     /// State totals summed across ranks (rank order, deterministic).
     pub totals: StateTotals,
 }
@@ -596,6 +602,18 @@ enum Link {
     Wan,
 }
 
+impl Link {
+    /// The shared pool a transfer over this link draws from, if it
+    /// needs network resources at all.
+    fn pool(self) -> Option<Pool> {
+        match self {
+            Link::Intra => None,
+            Link::Net => Some(Pool::Bus),
+            Link::Wan => Some(Pool::Wan),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Msg {
     src: usize,
@@ -603,6 +621,9 @@ struct Msg {
     tag: Tag,
     bytes: Bytes,
     mode: SendMode,
+    /// Initiation order: the message's position in first-fit grant
+    /// order (slot ids stop being that once summary mode recycles them).
+    seq: u64,
     t_send: Time,
     t_start: Time,
     link: Link,
@@ -654,39 +675,62 @@ enum Blocked {
     Finished,
 }
 
-/// Per-rank registry of outstanding non-blocking requests. Tracers
-/// allocate request ids densely from zero, so lookups are a direct
-/// index into `dense`; ids past [`DENSE_REQ_LIMIT`] (synthetic or
-/// adversarial traces) fall back to a hash map.
+/// Per-rank registry of outstanding non-blocking requests. Tracers and
+/// generators allocate request ids in increasing order and wait them
+/// soon after, so the outstanding ids span a narrow sliding range:
+/// `window` holds ids `base..base + window.len()` by direct index and
+/// drops its leading empty slots as requests complete, so it stays as
+/// short as that span however many requests a rank issues over a run.
+/// Ids out of the window's reach (below `base`, or [`REQ_WINDOW_LIMIT`]
+/// or more past it) fall back to a hash map. An id lives in at most
+/// one of the two, so the table behaves as one map.
 #[derive(Default)]
 struct ReqTable {
-    dense: Vec<Option<ReqHandle>>,
+    base: u64,
+    window: VecDeque<Option<ReqHandle>>,
     sparse: HashMap<u64, ReqHandle, FxBuildHasher>,
 }
 
-/// Bounds `dense` growth to 1 MiB per rank even if a trace uses one
-/// huge request id.
-const DENSE_REQ_LIMIT: u64 = 1 << 16;
+/// Bounds the window to 1 MiB per rank even if a trace leaves a request
+/// outstanding while it issues a huge number of later ones.
+const REQ_WINDOW_LIMIT: u64 = 1 << 16;
 
 impl ReqTable {
     fn insert(&mut self, req: ReqId, h: ReqHandle) {
-        if req.0 < DENSE_REQ_LIMIT {
-            let i = req.0 as usize;
-            if self.dense.len() <= i {
-                self.dense.resize(i + 1, None);
+        if self.window.is_empty() {
+            self.base = req.0;
+        }
+        match req.0.checked_sub(self.base) {
+            Some(i) if i < REQ_WINDOW_LIMIT => {
+                let i = i as usize;
+                if self.window.len() <= i {
+                    self.window.resize(i + 1, None);
+                }
+                self.window[i] = Some(h);
+                // the window may have grown over an id parked in the map
+                if !self.sparse.is_empty() {
+                    self.sparse.remove(&req.0);
+                }
             }
-            self.dense[i] = Some(h);
-        } else {
-            self.sparse.insert(req.0, h);
+            _ => {
+                self.sparse.insert(req.0, h);
+            }
         }
     }
 
     fn remove(&mut self, req: ReqId) -> Option<ReqHandle> {
-        if req.0 < DENSE_REQ_LIMIT {
-            self.dense.get_mut(req.0 as usize).and_then(Option::take)
-        } else {
-            self.sparse.remove(&req.0)
+        let slot = req
+            .0
+            .checked_sub(self.base)
+            .and_then(|i| self.window.get_mut(usize::try_from(i).ok()?));
+        let Some(h) = slot.and_then(Option::take) else {
+            return self.sparse.remove(&req.0);
+        };
+        while matches!(self.window.front(), Some(None)) {
+            self.window.pop_front();
+            self.base += 1;
         }
+        Some(h)
     }
 }
 
@@ -733,8 +777,11 @@ struct Engine<'a, P: ProbeSink, Q: QueueLike> {
     /// already executed and the pair closes now, exactly when the FIFO
     /// front would have matched.
     rec_slot: Vec<Box<[u32]>>,
-    pending: VecDeque<usize>,
     resources: Resources,
+    /// Messages blocked on a busy resource, parked on that resource.
+    /// Rendezvous messages still waiting for their receive are parked
+    /// nowhere: the match itself retries them.
+    waits: WaitLists,
     /// Tag each receive request was posted with (for state labeling).
     recv_req_tags: Vec<Tag>,
     /// Flow-level network state when the platform selected
@@ -813,7 +860,6 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             channels: Vec::new(),
             pair_lut: Vec::new(),
             rec_slot: Vec::new(),
-            pending: VecDeque::new(),
             recv_req_tags: Vec::new(),
             resources: Resources::with_wan(
                 n,
@@ -822,6 +868,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                 platform.output_ports,
                 platform.wan_links,
             ),
+            waits: WaitLists::new(n),
             flownet,
             faults,
             fault_log: Vec::new(),
@@ -1012,6 +1059,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             msg_slots: self.msgs.len(),
             req_slots: self.recv_reqs.len(),
             chan_slots: self.channels.len(),
+            waiters_peak: self.waits.peak(),
             totals,
         })
     }
@@ -1211,7 +1259,10 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             let clock = self.ranks[rank].clock;
             match rec {
                 Record::Marker { marker } => {
-                    self.ranks[rank].markers.push((marker, clock));
+                    // summary mode reports no markers
+                    if !self.recycle {
+                        self.ranks[rank].markers.push((marker, clock));
+                    }
                     self.ranks[rank].pc += 1;
                 }
                 Record::Compute { instr } => {
@@ -1358,7 +1409,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             if self.msgs[mid].mode == SendMode::Rendezvous
                 && self.msgs[mid].state == MsgState::Pending
             {
-                self.try_start_all(now)?;
+                self.try_grant(mid, now)?;
             }
         }
         Ok(idx)
@@ -1390,6 +1441,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             tag,
             bytes,
             mode,
+            seq: self.transfers_total,
             t_send: now,
             t_start: now,
             link,
@@ -1440,8 +1492,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                 ch.unmatched_msgs.push_back(mid);
             }
         }
-        self.pending.push_back(mid);
-        self.try_start_all(now)?;
+        self.try_grant(mid, now)?;
         Ok(mid)
     }
 
@@ -1460,7 +1511,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             self.complete_recv_req(req, t1);
         }
         // rendezvous messages may have been waiting for this match
-        // (grant attempted by the caller via try_start_all where needed)
+        // (grant attempted by the caller via try_grant where needed)
     }
 
     /// Summary mode: recycle a message slot (and its paired receive
@@ -1522,97 +1573,136 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         }
     }
 
-    /// First-fit scan of the pending queue, granting resources to every
-    /// startable transfer at time `now`. Fails only when a killed link
-    /// left a transfer's endpoints disconnected.
-    fn try_start_all(&mut self, now: Time) -> Result<(), SimError> {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let mid = self.pending[i];
-            let (src, dst, mode, paired, bytes, link) = {
-                let m = &self.msgs[mid];
-                (m.src, m.dst, m.mode, m.paired, m.bytes, m.link)
-            };
-            if mode == SendMode::Rendezvous && paired.is_none() {
-                i += 1;
-                continue;
+    /// Start message `mid` at `now` if it can start: unless it is a
+    /// rendezvous message still waiting for its receive, it either gets
+    /// its resources or parks on the one it failed to get.
+    ///
+    /// Called when the message is sent and when its rendezvous match
+    /// arrives. Neither frees a resource, so every other blocked message
+    /// stays blocked: trying this one message makes exactly the grants a
+    /// first-fit rescan of all blocked messages would. Fails only when a
+    /// killed link left the endpoints disconnected.
+    fn try_grant(&mut self, mid: usize, now: Time) -> Result<(), SimError> {
+        let m = &self.msgs[mid];
+        if m.mode == SendMode::Rendezvous && m.paired.is_none() {
+            return Ok(());
+        }
+        if let Some(pool) = m.link.pool() {
+            if let Err(unit) = self.resources.try_acquire(pool, m.src, m.dst) {
+                self.waits.park(unit, m.seq, mid);
+                return Ok(());
             }
-            let granted = match link {
-                Link::Intra => true,
-                Link::Net => self.resources.try_acquire(src, dst),
-                Link::Wan => self.resources.try_acquire_wan(src, dst),
-            };
-            if !granted {
-                i += 1;
-                continue;
-            }
-            self.pending.remove(i);
-            self.msgs[mid].t_start = now;
-            if P::ENABLED {
-                self.probe.on_injected(src, now, bytes.get());
-                if link != Link::Intra {
-                    self.in_flight += 1;
-                    self.probe.on_transfer_start(
-                        now,
-                        self.in_flight,
-                        self.resources.buses_in_use(),
-                        self.resources.ports_in_use(),
-                    );
+        }
+        self.start_transfer(mid, now)
+    }
+
+    /// A transfer released its `pool` unit and the ports `src -> dst`
+    /// at `now`: grant those units' waiters, in initiation order, while
+    /// the units have room.
+    ///
+    /// Only these waiters can have become startable: every waiter is
+    /// parked on a unit that was full, and units gain room only here.
+    /// Grants only take room, so a unit that fills up stays full for the
+    /// rest of the pass, and a waiter that fails re-parks on a full
+    /// unit. Always taking the smallest waiter among the released units
+    /// that still have room therefore visits the startable messages in
+    /// initiation order — the grants, and their order, of a first-fit
+    /// rescan of every blocked message. On return each released unit is
+    /// full or has no waiters, so the invariant holds again.
+    fn regrant(&mut self, pool: Pool, src: usize, dst: usize, now: Time) -> Result<(), SimError> {
+        let units = [Unit::Out(src), Unit::In(dst), Unit::Pool(pool)];
+        loop {
+            let mut next: Option<(u64, Unit)> = None;
+            for unit in units {
+                if !self.resources.has_spare(unit) {
+                    continue;
+                }
+                if let Some(seq) = self.waits.first(unit) {
+                    if next.is_none_or(|(best, _)| seq < best) {
+                        next = Some((seq, unit));
+                    }
                 }
             }
-            let flow_mode = self.flownet.is_some() && link == Link::Net;
-            let t1 = if flow_mode {
-                // flow-level: register the flow; its completion arrives
-                // as an epoch-guarded FlowDone, `t1` is only the current
-                // estimate
-                self.start_flow(mid, src, dst, bytes, now)?
-            } else {
-                let t1 = now
-                    + match link {
-                        Link::Intra => self.platform.intra_transfer_time(bytes),
-                        Link::Net => self.platform.transfer_time(bytes),
-                        Link::Wan => self.platform.wan_transfer_time(bytes),
-                    };
-                self.queue.push(t1, Event::TransferDone { msg: mid });
-                t1
+            let Some((_, unit)) = next else {
+                return Ok(());
             };
-            self.msgs[mid].state = MsgState::Flying { t1 };
-            if P::ENABLED {
-                // the uncontended arrival of a flow-level transfer is
-                // reported by the allocator (`on_flow_path`); closed-form
-                // link classes arrive exactly at `t1`
-                let unc = if flow_mode { None } else { Some(t1) };
-                self.probe
-                    .on_transfer_granted(mid, now, self.injection_latency(link), unc);
+            let mid = self.waits.pop(unit).expect("a waiter was just seen");
+            self.try_grant(mid, now)?;
+        }
+    }
+
+    /// Message `mid` holds its resources: put it in flight at `now` and
+    /// release a sender parked on it if its release time is now known.
+    fn start_transfer(&mut self, mid: usize, now: Time) -> Result<(), SimError> {
+        let (src, dst, mode, bytes, link) = {
+            let m = &self.msgs[mid];
+            (m.src, m.dst, m.mode, m.bytes, m.link)
+        };
+        self.msgs[mid].t_start = now;
+        if P::ENABLED {
+            self.probe.on_injected(src, now, bytes.get());
+            if link != Link::Intra {
+                self.in_flight += 1;
+                self.probe.on_transfer_start(
+                    now,
+                    self.in_flight,
+                    self.resources.buses_in_use(),
+                    self.resources.ports_in_use(),
+                );
             }
-            // a sender parked on this message can now compute its
-            // release time (a rendezvous sender in flow mode cannot:
-            // it stays parked until the actual FlowDone)
-            if let Some(w) = self.msgs[mid].waiter {
-                let resume = match mode {
-                    SendMode::Eager => Some(now + self.injection_latency(link)),
-                    SendMode::Rendezvous if !flow_mode => Some(t1),
-                    SendMode::Rendezvous => None,
+        }
+        let flow_mode = self.flownet.is_some() && link == Link::Net;
+        let t1 = if flow_mode {
+            // flow-level: register the flow; its completion arrives
+            // as an epoch-guarded FlowDone, `t1` is only the current
+            // estimate
+            self.start_flow(mid, src, dst, bytes, now)?
+        } else {
+            let t1 = now
+                + match link {
+                    Link::Intra => self.platform.intra_transfer_time(bytes),
+                    Link::Net => self.platform.transfer_time(bytes),
+                    Link::Wan => self.platform.wan_transfer_time(bytes),
                 };
-                if let Some(resume) = resume {
-                    let since = self.msgs[mid].waiter_since;
-                    if let Blocked::OnMsg { state, .. } = self.ranks[w].blocked {
-                        self.push_state(w, since, resume, state);
-                        if P::ENABLED && resume > since {
-                            let edge = if mode == SendMode::Eager {
-                                WaitEdge::Injection
-                            } else {
-                                WaitEdge::Arrival
-                            };
-                            self.probe.on_wait_edge(w, since, resume, mid, edge);
-                        }
-                        self.queue.push(resume, Event::Resume { rank: w });
-                        self.ranks[w].blocked = Blocked::ResumeScheduled;
-                        self.msgs[mid].waiter = None;
-                        // the parked sender is scheduled and will never
-                        // look at this message again
-                        self.msgs[mid].send_done = true;
+            self.queue.push(t1, Event::TransferDone { msg: mid });
+            t1
+        };
+        self.msgs[mid].state = MsgState::Flying { t1 };
+        if P::ENABLED {
+            // the uncontended arrival of a flow-level transfer is
+            // reported by the allocator (`on_flow_path`); closed-form
+            // link classes arrive exactly at `t1`
+            let unc = if flow_mode { None } else { Some(t1) };
+            self.probe
+                .on_transfer_granted(mid, now, self.injection_latency(link), unc);
+        }
+        // a sender parked on this message can now compute its
+        // release time (a rendezvous sender in flow mode cannot:
+        // it stays parked until the actual FlowDone)
+        if let Some(w) = self.msgs[mid].waiter {
+            let resume = match mode {
+                SendMode::Eager => Some(now + self.injection_latency(link)),
+                SendMode::Rendezvous if !flow_mode => Some(t1),
+                SendMode::Rendezvous => None,
+            };
+            if let Some(resume) = resume {
+                let since = self.msgs[mid].waiter_since;
+                if let Blocked::OnMsg { state, .. } = self.ranks[w].blocked {
+                    self.push_state(w, since, resume, state);
+                    if P::ENABLED && resume > since {
+                        let edge = if mode == SendMode::Eager {
+                            WaitEdge::Injection
+                        } else {
+                            WaitEdge::Arrival
+                        };
+                        self.probe.on_wait_edge(w, since, resume, mid, edge);
                     }
+                    self.queue.push(resume, Event::Resume { rank: w });
+                    self.ranks[w].blocked = Blocked::ResumeScheduled;
+                    self.msgs[mid].waiter = None;
+                    // the parked sender is scheduled and will never
+                    // look at this message again
+                    self.msgs[mid].send_done = true;
                 }
             }
         }
@@ -1726,7 +1816,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         let (src, dst) = (self.msgs[mid].src, self.msgs[mid].dst);
         self.msgs[mid].state = MsgState::Done { t1 };
         self.resources
-            .release(src, dst)
+            .release(Pool::Bus, src, dst)
             .map_err(SimError::Accounting)?;
         if P::ENABLED {
             self.in_flight -= 1;
@@ -1737,7 +1827,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                 self.resources.ports_in_use(),
             );
         }
-        self.try_start_all(t1)?;
+        self.regrant(Pool::Bus, src, dst, t1)?;
         // a rendezvous sender may still be parked on this message
         if let Some(w) = self.msgs[mid].waiter {
             let since = self.msgs[mid].waiter_since;
@@ -1774,22 +1864,21 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
     fn on_transfer_done(&mut self, mid: usize, t1: Time) -> Result<(), SimError> {
         let (src, dst) = (self.msgs[mid].src, self.msgs[mid].dst);
         self.msgs[mid].state = MsgState::Done { t1 };
-        match self.msgs[mid].link {
-            Link::Intra => Ok(()),
-            Link::Net => self.resources.release(src, dst),
-            Link::Wan => self.resources.release_wan(src, dst),
+        if let Some(pool) = self.msgs[mid].link.pool() {
+            self.resources
+                .release(pool, src, dst)
+                .map_err(SimError::Accounting)?;
+            if P::ENABLED {
+                self.in_flight -= 1;
+                self.probe.on_transfer_done(
+                    t1,
+                    self.in_flight,
+                    self.resources.buses_in_use(),
+                    self.resources.ports_in_use(),
+                );
+            }
+            self.regrant(pool, src, dst, t1)?;
         }
-        .map_err(SimError::Accounting)?;
-        if P::ENABLED && self.msgs[mid].link != Link::Intra {
-            self.in_flight -= 1;
-            self.probe.on_transfer_done(
-                t1,
-                self.in_flight,
-                self.resources.buses_in_use(),
-                self.resources.ports_in_use(),
-            );
-        }
-        self.try_start_all(t1)?;
         if let Some(req) = self.msgs[mid].paired {
             if self.recv_reqs[req].complete.is_none() {
                 self.complete_recv_req(req, t1);
@@ -2065,6 +2154,37 @@ mod tests {
         };
         let res2 = simulate(&t, &p).unwrap();
         assert!((res2.runtime() - one).abs() < EPS, "{}", res2.runtime());
+    }
+
+    /// A completed transfer hands what it released to the blocked
+    /// messages in initiation order, each one that fits: 2->1 waits on
+    /// rank 1's input port and 3->4 on the only bus; when 0->1 lands,
+    /// the older 2->1 takes both, and 3->4 waits another round.
+    #[test]
+    fn release_grants_waiters_in_initiation_order() {
+        let bytes = 1_000_000; // 10 ms each
+        let mut t = Trace::new(5);
+        t.rank_mut(Rank(0)).push(send(1, 0, bytes, 0));
+        t.rank_mut(Rank(2)).push(send(1, 1, bytes, 0));
+        t.rank_mut(Rank(3)).push(send(4, 0, bytes, 0));
+        let r1 = t.rank_mut(Rank(1));
+        r1.push(recv(0, 0, bytes, 0));
+        r1.push(recv(2, 1, bytes, 1));
+        t.rank_mut(Rank(4)).push(recv(3, 0, bytes, 0));
+        let res = simulate(&t, &Platform { buses: 1, ..plat() }).unwrap();
+        let one = 0.01 + 10e-6;
+        let starts: Vec<(usize, f64)> = res
+            .comms
+            .iter()
+            .map(|c| (c.src.idx(), c.t_start.as_secs()))
+            .collect();
+        assert_eq!(starts.len(), 3);
+        for ((src, got), (want_src, want)) in
+            starts.into_iter().zip([(0, 0.0), (2, one), (3, 2.0 * one)])
+        {
+            assert_eq!(src, want_src);
+            assert!((got - want).abs() < EPS, "{src}: start {got}, want {want}");
+        }
     }
 
     /// IRecv + overlap: receiver computes while the message flies; the

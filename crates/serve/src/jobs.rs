@@ -491,6 +491,8 @@ fn run_job(
     if let Some(journal) = &journal {
         let _ = journal.record_end(&job.id, end);
     }
+    metrics.jobs_running.fetch_sub(1, Ordering::Relaxed);
+    metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
     {
         let mut state = lock_ok(&job.state);
         state.cache_delta = Some((hits1 - hits0, misses1 - misses0, coalesced1 - coalesced0));
@@ -498,8 +500,6 @@ fn run_job(
         state.report = Some(rendered);
     }
     job.progress.notify_all();
-    metrics.jobs_running.fetch_sub(1, Ordering::Relaxed);
-    metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
     gate.release();
 }
 

@@ -2,16 +2,20 @@
 """Validate an `ovlp.bench_scale.v1` document (stdlib only, no deps).
 
 Checks the weak-scaling trajectory contract emitted by `scale_bench`:
-key presence and types, strictly increasing rank counts, and — the
-point of the streaming work — that the records resident high-water
-mark stays a small fraction of the records streamed at every point
-(sublinear memory: a materialized replay would have the two equal).
+key presence and types, the machine block, strictly increasing rank
+counts, and — the point of the streaming work — that the records
+resident high-water mark stays a small fraction of the records
+streamed at every point (sublinear memory: a materialized replay would
+have the two equal).
 
-Usage: check_scale_bench.py <BENCH_scale.json> [--min-ranks N]
+Usage: check_scale_bench.py <BENCH_scale.json> [--min-ranks N] [--max-spread F]
 
 `--min-ranks N` additionally requires the largest point to reach at
 least N ranks (CI's scale-smoke job pins 10000; the committed document
-carries 100000).
+carries 1000000). `--max-spread F` requires the fastest point's
+events/s to be at most F times the slowest one's: a replay whose work
+per event grows with the rank count shows up as a spread that grows
+with the ladder.
 """
 
 import json
@@ -27,6 +31,7 @@ POINT_KEYS = {
     "msg_slots": int,
     "req_slots": int,
     "chan_slots": int,
+    "waiters_peak": int,
     "wall_s": float,
     "events_per_sec": float,
     "sim_runtime_s": float,
@@ -53,13 +58,18 @@ def is_num(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def check(path, min_ranks):
+def check(path, min_ranks, max_spread):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
 
     expect(doc.get("schema") == "ovlp.bench_scale.v1", path, f"bad schema id {doc.get('schema')!r}")
     expect(isinstance(doc.get("quick"), bool), path, "quick not a bool")
     expect(isinstance(doc.get("app"), str) and doc["app"], path, "app missing")
+    machine = doc.get("machine")
+    expect(isinstance(machine, dict), path, "machine block missing")
+    threads = machine.get("hardware_threads")
+    expect(isinstance(threads, int) and threads >= 1, path, f"bad hardware_threads {threads!r}")
+    expect(isinstance(machine.get("commit"), str) and machine["commit"], path, "commit missing")
     points = doc.get("points")
     expect(isinstance(points, list) and points, path, "points missing or empty")
 
@@ -90,26 +100,48 @@ def check(path, min_ranks):
             path,
             f"largest point is {top} ranks, want >= {min_ranks}",
         )
+    eps = [p["events_per_sec"] for p in points]
+    spread = max(eps) / max(min(eps), 1e-9)
+    recorded = doc.get("events_per_sec_spread")
+    expect(
+        is_num(recorded) and abs(recorded - spread) <= 1e-9 * spread,
+        path,
+        f"events_per_sec_spread {recorded!r} disagrees with the points ({spread})",
+    )
+    if max_spread is not None:
+        expect(
+            spread <= max_spread,
+            path,
+            f"events/s spread {spread:.2f}x across the ladder, want <= {max_spread}x",
+        )
     frac = points[-1]["records_peak"] / max(points[-1]["records_total"], 1)
     print(
         f"{path}: ok ({len(points)} points, top {top} ranks, "
-        f"resident peak {100.0 * frac:.2f}% of streamed records)"
+        f"resident peak {100.0 * frac:.2f}% of streamed records, "
+        f"events/s spread {spread:.2f}x)"
     )
+
+
+def take_flag(args, flag, kind):
+    """Remove `flag VALUE` from `args` and return VALUE as `kind`."""
+    if flag not in args:
+        return None
+    i = args.index(flag)
+    try:
+        value = kind(args[i + 1])
+    except (IndexError, ValueError):
+        print(f"{flag} needs a {kind.__name__}", file=sys.stderr)
+        sys.exit(2)
+    del args[i : i + 2]
+    return value
 
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    min_ranks = None
-    if "--min-ranks" in args:
-        i = args.index("--min-ranks")
-        try:
-            min_ranks = int(args[i + 1])
-        except (IndexError, ValueError):
-            print("--min-ranks needs an integer", file=sys.stderr)
-            sys.exit(2)
-        del args[i : i + 2]
+    min_ranks = take_flag(args, "--min-ranks", int)
+    max_spread = take_flag(args, "--max-spread", float)
     if not args:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
     for p in args:
-        check(p, min_ranks)
+        check(p, min_ranks, max_spread)

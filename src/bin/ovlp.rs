@@ -742,8 +742,13 @@ fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
             );
             println!(
                 "high-water marks: records resident {}  queue {}  msg slots {}  \
-                 req slots {}  chan slots {}",
-                rep.records_peak, rep.queue_peak, rep.msg_slots, rep.req_slots, rep.chan_slots
+                 req slots {}  chan slots {}  blocked transfers {}",
+                rep.records_peak,
+                rep.queue_peak,
+                rep.msg_slots,
+                rep.req_slots,
+                rep.chan_slots,
+                rep.waiters_peak
             );
             println!(
                 "state totals: compute {:.3}s  wait-recv {:.3}s  wait-send {:.3}s  \

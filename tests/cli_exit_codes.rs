@@ -102,6 +102,7 @@ fn streamed_simulate_and_scale_succeed() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("records resident"), "{stdout}");
+    assert!(stdout.contains("blocked transfers"), "{stdout}");
 
     let streamed = ovlp(&["simulate", "ml-allreduce", "--ranks", "16", "--stream"]);
     assert_eq!(streamed.status.code(), Some(0), "{streamed:?}");
