@@ -6,29 +6,34 @@
 //! link at their current rate, subtract their share from the remaining
 //! links, repeat. The result is the unique max-min fair allocation.
 //!
-//! Two implementations share the algorithm:
+//! Three implementations share the algorithm:
 //!
 //! * [`max_min_rates`] — the from-scratch reference: allocates its own
 //!   working vectors and scans *every* link each round. O(links ×
 //!   flows) per bottleneck round and trivially auditable; the replay
 //!   engine keeps it as the debug oracle and as the
 //!   `simulate_reference` validation path.
-//! * [`max_min_rates_active`] — the production solver: reuses a
-//!   [`SolveScratch`], takes paths through an accessor (no intermediate
-//!   `Vec<&[LinkId]>` collect), and scans only the caller-maintained
-//!   set of links currently carrying flows — i.e. only the connected
-//!   component(s) of the flow/link graph actually touched by the
-//!   arrival or departure that triggered the reshare. Zero allocations
-//!   after warm-up.
+//! * [`max_min_rates_active`] — the general production solver: reuses
+//!   a [`SolveScratch`], takes paths through an accessor (no
+//!   intermediate `Vec<&[LinkId]>` collect), and scans only the
+//!   caller-maintained set of links currently carrying flows instead of
+//!   the whole graph. It still solves every active flow, whichever
+//!   arrival or departure triggered the reshare. Zero allocations after
+//!   warm-up.
+//! * [`chain_rates`] — the link-disjoint case, where no link carries two
+//!   flows: the whole water-fill collapses onto the sorted distinct
+//!   bottleneck capacities (see its docs), so the caller solves in
+//!   O(classes²) without touching a single flow or link.
 //!
-//! The two are bit-identical by construction, not merely approximately
-//! equal: a link with no unfrozen flows contributes nothing to any
-//! round's increment and is never written, so restricting every scan to
-//! the active-link superset performs exactly the same float operations
-//! in an order whose variation cannot change the result (a `min` over
-//! floats and independent per-link/per-flow updates). The debug build
-//! asserts this equivalence on every reshare, and the `proptest` suite
-//! checks it on randomized arrival/departure sequences.
+//! All three are bit-identical by construction, not merely
+//! approximately equal. For the active-set solver: a link with no
+//! unfrozen flows contributes nothing to any round's increment and is
+//! never written, so restricting every scan to the active-link superset
+//! performs exactly the same float operations in an order whose
+//! variation cannot change the result (a `min` over floats and
+//! independent per-link/per-flow updates). The debug build asserts this
+//! equivalence on every reshare, and the `proptest` suite checks it on
+//! randomized arrival/departure sequences.
 
 use super::topology::LinkId;
 
@@ -96,24 +101,6 @@ pub(crate) fn max_min_rates_active<'a, F>(
         }
     }
 
-    if s.unfrozen.len() == 1 {
-        // a lone flow freezes in one round at its narrowest link; the
-        // general loop below computes exactly `min(caps over path)`
-        // for it (level = 0.0 + cap/1, residual hits exactly 0.0)
-        let i = s.unfrozen[0] as usize;
-        let mut cap = f64::INFINITY;
-        for l in path_of(i) {
-            let c = caps[l.idx()];
-            if c < cap {
-                cap = c;
-            }
-        }
-        if cap.is_finite() {
-            out[i] = cap;
-        }
-        return;
-    }
-
     let mut level = 0.0f64; // current water level
     while !s.unfrozen.is_empty() {
         // the next link to saturate is the one with the smallest
@@ -168,6 +155,74 @@ pub(crate) fn max_min_rates_active<'a, F>(
         }
         std::mem::swap(&mut s.unfrozen, &mut s.still);
     }
+}
+
+/// The flows of a link-disjoint flow set whose narrowest link has
+/// capacity `cap`: in such a set every flow of a class gets the same
+/// rate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Class {
+    /// Bottleneck capacity shared by the class, finite and positive.
+    pub(crate) cap: f64,
+    /// Active flows in the class (the caller's bookkeeping).
+    pub(crate) flows: u32,
+    /// Max-min rate of each flow in the class; `NAN` until the class
+    /// is first chained.
+    pub(crate) rate: f64,
+}
+
+/// Max-min fair rates of a flow set in which no link carries two
+/// flows, written into each class's `rate`. `classes` must hold the
+/// distinct finite bottleneck capacities in ascending order; a flow
+/// whose path is empty or all-infinite has rate `INFINITY` and belongs
+/// to no class. `rounds` is scratch. Returns whether a class that
+/// already had a rate got a different one (bitwise).
+///
+/// Bit-identical to [`max_min_rates`] over the same flows. With at most
+/// one flow per link every load is 1, so `r/1` and `inc·1` are exact,
+/// and every link's residual after round `j` is `max(r - inc_1 - … -
+/// inc_j, 0)` evaluated left to right: a function of its capacity that
+/// is monotone in it, because rounded subtraction and `max` are. Hence
+///
+/// * a flow's narrowest link always holds its smallest residual, so the
+///   flow freezes in the first round that drives its bottleneck's
+///   residual to 0, and links that are not a bottleneck never matter;
+/// * each round's increment (the smallest residual of an unfrozen
+///   flow) is the residual of the smallest unfrozen class;
+/// * that class's residual becomes exactly `inc - inc = 0`, so some
+///   flow freezes every round and the oracle's rounding-sliver escape
+///   never runs.
+///
+/// Replaying the rounds over the classes is therefore the whole
+/// water-fill. It is *not* the same as "rate = bottleneck capacity":
+/// the level after round `j` is `level_{j-1} + inc_j`, and that sum
+/// can round away from the capacity it rose to (see the tests).
+pub(crate) fn chain_rates(classes: &mut [Class], rounds: &mut Vec<(f64, f64)>) -> bool {
+    // rounds[j] = (increment, water level after the round)
+    rounds.clear();
+    let mut level = 0.0f64;
+    let mut changed = false;
+    for c in classes.iter_mut() {
+        let mut residual = c.cap;
+        let mut rate = None;
+        for &(inc, at) in rounds.iter() {
+            residual = (residual - inc).max(0.0);
+            if residual <= 0.0 {
+                rate = Some(at);
+                break;
+            }
+        }
+        // not frozen by any earlier round: this class is the smallest
+        // unfrozen one, so it sets the next round's increment
+        let rate = rate.unwrap_or_else(|| {
+            level += residual;
+            rounds.push((residual, level));
+            level
+        });
+        changed |= !c.rate.is_nan() && c.rate.to_bits() != rate.to_bits();
+        c.rate = rate;
+    }
+    changed
 }
 
 /// Max-min fair rates (bytes/s) for `flows`, where `flows[i]` is the
@@ -367,6 +422,128 @@ mod tests {
         max_min_rates_active(2, |i| flows[i].as_slice(), &caps, &[0, 2], &mut s, &mut out);
         let oracle = rates(flows.as_ref(), &caps);
         assert_eq!(out, oracle);
+    }
+
+    /// Chain `flows` (link-disjoint) the way `FlowNet` does and compare
+    /// every rate bitwise against the oracle.
+    fn chain_vs_oracle(flows: &[Vec<LinkId>], caps: &[f64]) -> Vec<f64> {
+        let oracle = rates(flows, caps);
+        let bottleneck = |p: &Vec<LinkId>| {
+            p.iter()
+                .map(|l| caps[l.idx()])
+                .fold(f64::INFINITY, f64::min)
+        };
+        let mut classes: Vec<Class> = Vec::new();
+        for b in flows.iter().map(bottleneck).filter(|b| b.is_finite()) {
+            let pos = classes.partition_point(|c| c.cap < b);
+            if classes.get(pos).map(|c| c.cap) != Some(b) {
+                let class = Class {
+                    cap: b,
+                    flows: 1,
+                    rate: f64::NAN,
+                };
+                classes.insert(pos, class);
+            }
+        }
+        let mut rounds = Vec::new();
+        assert!(!chain_rates(&mut classes, &mut rounds), "first chain");
+        for (i, p) in flows.iter().enumerate() {
+            let b = bottleneck(p);
+            let got = classes
+                .iter()
+                .find(|c| c.cap == b)
+                .map_or(f64::INFINITY, |c| c.rate);
+            assert_eq!(
+                got.to_bits(),
+                oracle[i].to_bits(),
+                "flow {i}: {got} vs {}",
+                oracle[i]
+            );
+        }
+        // chaining the same table again changes nothing
+        assert!(!chain_rates(&mut classes, &mut rounds));
+        oracle
+    }
+
+    #[test]
+    fn disjoint_chain_is_not_the_bottleneck_capacity() {
+        // three single-link flows: the third one's level is
+        // 922.27 + (926580.12 - 922.27) + ((8377403.98 - 922.27) - …),
+        // which rounds one ulp above its own capacity
+        let caps = [922.2663739074176, 926580.1171620801, 8377403.9768691035];
+        let r = chain_vs_oracle(&[vec![L(0)], vec![L(1)], vec![L(2)]], &caps);
+        assert_eq!(r[2], 8377403.976869104);
+        assert_ne!(
+            r[2].to_bits(),
+            caps[2].to_bits(),
+            "min-cap shortcut must fail"
+        );
+        // the same chain through longer paths, with non-bottleneck
+        // links, an infinite link, and an empty path
+        let caps = [
+            8377403.9768691035,
+            922.2663739074176,
+            9e9,
+            926580.1171620801,
+            f64::INFINITY,
+            8377403.9768691035,
+        ];
+        let flows = [
+            vec![L(0), L(2)],
+            vec![L(1)],
+            vec![L(3), L(4)],
+            vec![L(5)],
+            vec![],
+        ];
+        let r = chain_vs_oracle(&flows, &caps);
+        assert_eq!(r[0].to_bits(), r[3].to_bits(), "same class, same rate");
+    }
+
+    #[test]
+    fn disjoint_chain_matches_oracle_on_random_capacities() {
+        // splitmix64 stream: deterministic, no dependencies
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut exact = 0;
+        for _ in 0..2000 {
+            let flows = 1 + (next() % 6) as usize;
+            // capacities spread over a few decades, sometimes repeated
+            let mut caps = Vec::new();
+            let mut paths = Vec::new();
+            for _ in 0..flows {
+                let mut path = Vec::new();
+                for _ in 0..1 + next() % 3 {
+                    let cap = if next() % 4 == 0 && !caps.is_empty() {
+                        caps[(next() % caps.len() as u64) as usize]
+                    } else {
+                        (1 + next() % 1_000_000) as f64 * 10f64.powi((next() % 4) as i32) / 7.0
+                    };
+                    path.push(L(caps.len() as u32));
+                    caps.push(cap);
+                }
+                paths.push(path);
+            }
+            let r = chain_vs_oracle(&paths, &caps);
+            let min_cap = |p: &Vec<LinkId>| {
+                p.iter()
+                    .map(|l| caps[l.idx()])
+                    .fold(f64::INFINITY, f64::min)
+            };
+            exact += paths
+                .iter()
+                .zip(&r)
+                .all(|(p, r)| r.to_bits() == min_cap(p).to_bits()) as u32;
+        }
+        assert!(
+            exact < 2000,
+            "some chains must round away from the capacities"
+        );
     }
 
     #[test]

@@ -29,16 +29,34 @@
 //! * routes are interned per `(src, dst)` pair into a shared **path
 //!   arena**, so each distinct pair is routed once per replay;
 //! * per-link active-flow counts double as the membership test for
-//!   `active_links`, the set of links currently carrying flows — the
-//!   connected component(s) the incremental solver
-//!   ([`max_min_rates_active`]) restricts every scan to.
+//!   `active_links`, the set of links currently carrying flows, which
+//!   the general solver ([`max_min_rates_active`]) restricts every scan
+//!   to (it still solves every active flow);
+//! * each flow caches its **bottleneck** (narrowest link capacity) when
+//!   it starts, and `classes` counts the active flows per distinct
+//!   finite bottleneck, in ascending order — updated in O(classes) on
+//!   every start and finish, rebuilt after a fault that touches live
+//!   traffic.
+//!
+//! ## Two solve paths
+//!
+//! While `shared_links` is zero — no link carries two flows, whatever
+//! the capacities — a reshare chains the class table
+//! ([`chain_rates`]) instead of solving: every flow's rate is its
+//! class's. When no class that existed before the change got a new
+//! rate, no existing flow's rate changed either, so a start emits just
+//! the new flow's estimate and a finish emits nothing, without touching
+//! the other flows. Otherwise (or when the flows' rates came from a
+//! general solve or predate a fault) the reshare runs the full
+//! ascending-id emit loop, as the general path always does. Once a link
+//! is shared, [`max_min_rates_active`] solves.
 //!
 //! The from-scratch solver is retained as a debug oracle: debug builds
 //! re-solve every reshare with [`max_min_rates`] and assert bitwise
 //! agreement, and [`FlowNet::with_reference_solver`] switches a net to
 //! the oracle outright so whole replays can be cross-validated.
 
-use super::fairshare::{max_min_rates, max_min_rates_active, SolveScratch};
+use super::fairshare::{chain_rates, max_min_rates, max_min_rates_active, Class, SolveScratch};
 use super::fault::{FaultAction, Partition};
 use super::topology::{Link, LinkGraph, LinkId};
 use super::LinkUsage;
@@ -82,6 +100,9 @@ struct FlowSlot {
     remaining: f64,
     /// Current max-min fair rate, bytes/s (`0.0` until first reshare).
     rate: f64,
+    /// Narrowest link capacity on the path (`INFINITY` when the path is
+    /// empty or all-infinite); recomputed when a fault changes it.
+    bottleneck: f64,
     /// Epoch of the currently scheduled completion (0 = none yet).
     epoch: u64,
 }
@@ -106,12 +127,17 @@ pub struct FlowNet {
     /// compacted when a departure empties a link.
     active_links: Vec<u32>,
     links_dirty: bool,
-    /// Links currently carrying two or more flows. While zero (and the
-    /// graph is capacity-uniform) every flow trivially gets its
-    /// bottleneck capacity and the solve is skipped entirely.
+    /// Links currently carrying two or more flows. While zero, rates
+    /// come from chaining `classes` instead of a solve.
     shared_links: u32,
-    /// The common link capacity if every link has the same finite one.
-    uniform_cap: Option<f64>,
+    /// Active flows per distinct finite bottleneck, ascending by `cap`.
+    classes: Vec<Class>,
+    /// Whether every active flow's `rate` is its class's chained rate,
+    /// so an unchanged chain needs no emit loop. Set by a full
+    /// link-disjoint reshare; cleared by a general solve and by a fault.
+    classes_synced: bool,
+    /// Scratch for [`chain_rates`].
+    rounds: Vec<(f64, f64)>,
     scratch: SolveScratch,
     rates: Vec<f64>,
     /// Solve with the from-scratch oracle instead of the incremental
@@ -148,10 +174,6 @@ impl FlowNet {
     pub fn new_shared(graph: Arc<LinkGraph>) -> FlowNet {
         let n = graph.len();
         let caps: Vec<f64> = graph.links().iter().map(|l| l.capacity).collect();
-        let uniform_cap = match caps.first() {
-            Some(&c) if c.is_finite() && caps.iter().all(|x| x.to_bits() == c.to_bits()) => Some(c),
-            _ => None,
-        };
         FlowNet {
             caps,
             slots: Vec::new(),
@@ -164,7 +186,9 @@ impl FlowNet {
             active_links: Vec::new(),
             links_dirty: false,
             shared_links: 0,
-            uniform_cap,
+            classes: Vec::new(),
+            classes_synced: false,
+            rounds: Vec::new(),
             scratch: SolveScratch::new(n),
             rates: Vec::new(),
             reference: false,
@@ -223,16 +247,13 @@ impl FlowNet {
             self.links_dirty = false;
         }
         let (off, len) = self.route_ref(src_node, dst_node)?;
+        let bottleneck = self.bottleneck(off, len);
         if P::ENABLED {
             // uncontended ETA: alone on this route the flow would run at
             // the bottleneck capacity — same float ops as a lone-flow
             // reshare, so an uncontended transfer's estimate matches the
             // actual arrival bit for bit
-            let min_cap = self.arena[off as usize..(off + len) as usize]
-                .iter()
-                .map(|l| self.caps[l.idx()])
-                .fold(f64::INFINITY, f64::min);
-            probe.on_flow_path(msg, now + Time::secs(latency_s + bytes / min_cap));
+            probe.on_flow_path(msg, now + Time::secs(latency_s + bytes / bottleneck));
         }
         for k in off..off + len {
             let i = self.arena[k as usize].idx();
@@ -260,8 +281,10 @@ impl FlowNet {
             latency_left: latency_s,
             remaining: bytes,
             rate: 0.0,
+            bottleneck,
             epoch: 0,
         };
+        self.join_class(bottleneck);
         if self.slot_of.len() <= msg {
             self.slot_of.resize(msg + 1, 0);
         }
@@ -270,7 +293,7 @@ impl FlowNet {
         let pos = self.active_ids.partition_point(|&m| m < msg as u32);
         self.active_ids.insert(pos, msg as u32);
         self.active_slots.insert(pos, slot);
-        self.reshare(now, out, probe);
+        self.reshare(now, out, probe, Some(msg as u32));
         Ok(())
     }
 
@@ -312,8 +335,9 @@ impl FlowNet {
         self.active_ids.remove(pos);
         self.active_slots.remove(pos);
         self.free.push(slot);
+        self.leave_class(f.bottleneck);
         if !self.active_ids.is_empty() {
-            self.reshare(now, out, probe);
+            self.reshare(now, out, probe, None);
         }
     }
 
@@ -377,21 +401,12 @@ impl FlowNet {
                 needs_reshare |= rerouted_now > 0;
             }
         }
-        // the uniform-capacity fast path must only consider links flows
-        // can still cross
-        let mut alive = self
-            .caps
-            .iter()
-            .zip(&self.dead)
-            .filter(|&(_, &d)| !d)
-            .map(|(&c, _)| c);
-        self.uniform_cap = match alive.next() {
-            Some(c) if c.is_finite() && alive.all(|x| x.to_bits() == c.to_bits()) => Some(c),
-            _ => None,
-        };
         if needs_reshare {
+            // a changed capacity or route can move any live flow's
+            // bottleneck; a fault that needs no reshare touched none
+            self.rebuild_classes();
             self.reroute_reshares += 1;
-            self.reshare(now, out, probe);
+            self.reshare(now, out, probe, None);
         }
         Ok(FaultOutcome {
             rerouted: rerouted_now,
@@ -549,6 +564,67 @@ impl FlowNet {
         Ok((off, len))
     }
 
+    /// Narrowest capacity on the arena path `(off, len)`.
+    fn bottleneck(&self, off: u32, len: u32) -> f64 {
+        self.arena[off as usize..(off + len) as usize]
+            .iter()
+            .map(|l| self.caps[l.idx()])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Count a flow with bottleneck `cap` into its class.
+    fn join_class(&mut self, cap: f64) {
+        if !cap.is_finite() {
+            return; // rate INFINITY in every solve: no class
+        }
+        let pos = self.classes.partition_point(|c| c.cap < cap);
+        match self.classes.get_mut(pos) {
+            Some(c) if c.cap == cap => c.flows += 1,
+            _ => {
+                let class = Class {
+                    cap,
+                    flows: 1,
+                    rate: f64::NAN,
+                };
+                self.classes.insert(pos, class);
+            }
+        }
+    }
+
+    /// Remove a flow with bottleneck `cap` from its class.
+    fn leave_class(&mut self, cap: f64) {
+        if !cap.is_finite() {
+            return;
+        }
+        let pos = self.classes.partition_point(|c| c.cap < cap);
+        debug_assert!(self.classes.get(pos).map(|c| c.cap) == Some(cap));
+        self.classes[pos].flows -= 1;
+        if self.classes[pos].flows == 0 {
+            self.classes.remove(pos);
+        }
+    }
+
+    /// The chained rate of a flow with bottleneck `cap`.
+    fn class_rate(&self, cap: f64) -> f64 {
+        if !cap.is_finite() {
+            return f64::INFINITY;
+        }
+        self.classes[self.classes.partition_point(|c| c.cap < cap)].rate
+    }
+
+    /// Recompute every active flow's bottleneck from its current path
+    /// and capacities, and the class table from those.
+    fn rebuild_classes(&mut self) {
+        self.classes.clear();
+        self.classes_synced = false;
+        for k in 0..self.active_slots.len() {
+            let slot = self.active_slots[k] as usize;
+            let b = self.bottleneck(self.slots[slot].off, self.slots[slot].len);
+            self.slots[slot].bottleneck = b;
+            self.join_class(b);
+        }
+    }
+
     /// Advance all flows from `last` to `now` at their current rates.
     fn settle<P: ProbeSink>(&mut self, now: Time, probe: &mut P) {
         let dt = (now - self.last).as_secs();
@@ -595,22 +671,63 @@ impl FlowNet {
 
     /// Recompute the max-min allocation and re-estimate completions.
     /// Flows whose rate is bitwise unchanged keep their scheduled event.
-    fn reshare<P: ProbeSink>(&mut self, now: Time, out: &mut Vec<FlowEvent>, probe: &mut P) {
+    /// `arrived` names the flow a `start` just registered.
+    fn reshare<P: ProbeSink>(
+        &mut self,
+        now: Time,
+        out: &mut Vec<FlowEvent>,
+        probe: &mut P,
+        arrived: Option<u32>,
+    ) {
         self.reshares += 1;
         if P::ENABLED {
             probe.on_reshare(now, self.active_ids.len());
         }
-        let fast = !self.reference && self.shared_links == 0 && self.uniform_cap.is_some();
-        // the general solver wants the active set compacted; the fast
-        // path never reads it (stale entries stay until the next
-        // arrival or general solve compacts them)
-        if self.links_dirty && !fast {
-            let active = &self.active;
-            self.active_links.retain(|&l| active[l as usize] > 0);
-            self.links_dirty = false;
-        }
+        let disjoint = !self.reference && self.shared_links == 0;
         let n = self.active_ids.len();
-        {
+        if disjoint {
+            // no link carries two flows: every rate is its class's
+            let changed = chain_rates(&mut self.classes, &mut self.rounds);
+            let emit_all = changed || !self.classes_synced;
+            if emit_all || cfg!(debug_assertions) {
+                self.rates.clear();
+                for k in 0..n {
+                    let b = self.slots[self.active_slots[k] as usize].bottleneck;
+                    self.rates.push(self.class_rate(b));
+                }
+                #[cfg(debug_assertions)]
+                self.assert_oracle_agrees();
+            }
+            if !emit_all {
+                // no earlier class moved, so no existing flow's rate
+                // did: only a new flow needs an estimate
+                #[cfg(debug_assertions)]
+                for k in 0..n {
+                    let f = &self.slots[self.active_slots[k] as usize];
+                    debug_assert!(
+                        Some(self.active_ids[k]) == arrived
+                            || (f.epoch != 0 && f.rate.to_bits() == self.rates[k].to_bits()),
+                        "flow {} changed rate under an unchanged chain",
+                        self.active_ids[k]
+                    );
+                }
+                if let Some(msg) = arrived {
+                    let slot = self.slot_of[msg as usize] - 1;
+                    let rate = self.class_rate(self.slots[slot as usize].bottleneck);
+                    self.estimate(msg, slot, rate, now, out);
+                }
+                return;
+            }
+            self.classes_synced = true;
+        } else {
+            // the general solver wants the active set compacted; the
+            // disjoint path never reads it (stale entries stay until the
+            // next arrival or general solve compacts them)
+            if self.links_dirty {
+                let active = &self.active;
+                self.active_links.retain(|&l| active[l as usize] > 0);
+                self.links_dirty = false;
+            }
             let (slots, arena, active_slots) = (&self.slots, &self.arena, &self.active_slots);
             let path_of = |k: usize| -> &[LinkId] {
                 let f = &slots[active_slots[k] as usize];
@@ -620,67 +737,68 @@ impl FlowNet {
                 let paths: Vec<&[LinkId]> = (0..n).map(path_of).collect();
                 self.rates = max_min_rates(&paths, &self.caps);
             } else {
-                if fast {
-                    // no link carries two flows and every capacity is
-                    // the same finite `c`: the water-fill's first round
-                    // raises the level by min(residual/load) = c/1 and
-                    // saturates every loaded link at once, freezing all
-                    // flows at exactly `0.0 + c == c`. Assigning `c`
-                    // directly is the identical result without the solve
-                    let c = self.uniform_cap.unwrap();
-                    self.rates.clear();
-                    self.rates.extend((0..n).map(|k| {
-                        if slots[active_slots[k] as usize].len == 0 {
-                            f64::INFINITY
-                        } else {
-                            c
-                        }
-                    }));
-                } else {
-                    max_min_rates_active(
-                        n,
-                        path_of,
-                        &self.caps,
-                        &self.active_links,
-                        &mut self.scratch,
-                        &mut self.rates,
-                    );
-                }
+                max_min_rates_active(
+                    n,
+                    path_of,
+                    &self.caps,
+                    &self.active_links,
+                    &mut self.scratch,
+                    &mut self.rates,
+                );
                 #[cfg(debug_assertions)]
-                {
-                    // debug oracle: the incremental solve must agree
-                    // with the from-scratch one to the last bit
-                    let paths: Vec<&[LinkId]> = (0..n).map(path_of).collect();
-                    let oracle = max_min_rates(&paths, &self.caps);
-                    for (k, (a, b)) in oracle.iter().zip(&self.rates).enumerate() {
-                        debug_assert!(
-                            a.to_bits() == b.to_bits(),
-                            "solver divergence on flow {}: oracle {a} vs incremental {b}",
-                            self.active_ids[k]
-                        );
-                    }
-                }
+                self.assert_oracle_agrees();
             }
+            self.classes_synced = false;
         }
         for k in 0..n {
             let rate = self.rates[k];
-            let f = &mut self.slots[self.active_slots[k] as usize];
+            let slot = self.active_slots[k];
+            let f = &self.slots[slot as usize];
             if f.epoch != 0 && rate.to_bits() == f.rate.to_bits() {
                 continue;
             }
-            f.rate = rate;
-            // rate is either +inf (remaining/rate == 0) or > 0, so the
-            // estimate is always finite; for an uncontended flow at its
-            // start this is exactly `now + (latency + size/capacity)`,
-            // the same float ops as the bus model's transfer_time
-            let eta = now + Time::secs(f.latency_left + f.remaining / f.rate);
-            f.epoch = self.next_epoch;
-            self.next_epoch += 1;
-            out.push(FlowEvent {
-                msg: self.active_ids[k] as usize,
-                at: eta,
-                epoch: f.epoch,
-            });
+            self.estimate(self.active_ids[k], slot, rate, now, out);
+        }
+    }
+
+    /// Set the flow's rate and schedule its completion under a fresh
+    /// epoch.
+    fn estimate(&mut self, msg: u32, slot: u32, rate: f64, now: Time, out: &mut Vec<FlowEvent>) {
+        let f = &mut self.slots[slot as usize];
+        f.rate = rate;
+        // rate is either +inf (remaining/rate == 0) or > 0, so the
+        // estimate is always finite; for an uncontended flow at its
+        // start this is exactly `now + (latency + size/capacity)`, the
+        // same float ops as the bus model's transfer_time
+        let eta = now + Time::secs(f.latency_left + f.remaining / f.rate);
+        f.epoch = self.next_epoch;
+        self.next_epoch += 1;
+        out.push(FlowEvent {
+            msg: msg as usize,
+            at: eta,
+            epoch: f.epoch,
+        });
+    }
+
+    /// Debug oracle: `rates` must agree with the from-scratch solve to
+    /// the last bit.
+    #[cfg(debug_assertions)]
+    fn assert_oracle_agrees(&self) {
+        let paths: Vec<&[LinkId]> = self
+            .active_slots
+            .iter()
+            .map(|&s| {
+                let f = &self.slots[s as usize];
+                &self.arena[f.off as usize..(f.off + f.len) as usize]
+            })
+            .collect();
+        let oracle = max_min_rates(&paths, &self.caps);
+        for (k, (a, b)) in oracle.iter().zip(&self.rates).enumerate() {
+            debug_assert!(
+                a.to_bits() == b.to_bits(),
+                "solver divergence on flow {}: oracle {a} vs incremental {b}",
+                self.active_ids[k]
+            );
         }
     }
 }
@@ -1062,6 +1180,46 @@ mod tests {
         assert_eq!(o.rerouted, 0);
         assert_eq!(n.reshares(), reshares_before);
         assert_eq!(n.debug_rates()[0].1, 100e6);
+    }
+
+    #[test]
+    fn narrower_class_arrival_re_estimates_a_wider_one() {
+        // fabric links run at a third of the host capacity, and at
+        // 57/7 MB/s the chain's second level, f + (h - f), rounds one
+        // ulp above the host capacity h
+        let run = |reference: bool| {
+            let topo = Topology::FatTree {
+                radix: 4,
+                oversubscription: 3,
+            };
+            let g = LinkGraph::build(&topo, 16, 57.0 / 7.0).unwrap();
+            let mut n = FlowNet::new(g);
+            if reference {
+                n = n.with_reference_solver();
+            }
+            let mut steps = Vec::new();
+            let mut out = Vec::new();
+            // host links only (both hosts under edge switch e0)
+            n.start(0, 0, 1, 1e6, 1e-5, Time::ZERO, &mut out, &mut NoopSink)
+                .unwrap();
+            steps.push(std::mem::take(&mut out));
+            // cross-pod: bottlenecked by the fabric, disjoint from flow 0
+            let t = Time::secs(1e-4);
+            n.start(1, 2, 4, 1e5, 1e-5, t, &mut out, &mut NoopSink)
+                .unwrap();
+            steps.push(std::mem::take(&mut out));
+            n.finish(1, Time::secs(2e-4), &mut out, &mut NoopSink);
+            steps.push(std::mem::take(&mut out));
+            let peak = n.usage().iter().map(|u| u.peak_flows).max();
+            assert_eq!(peak, Some(1), "no link may carry two flows");
+            (steps, n.debug_rates())
+        };
+        let (steps, rates) = run(false);
+        assert_eq!((steps.clone(), rates.clone()), run(true));
+        let msgs = |k: usize| steps[k].iter().map(|e| e.msg).collect::<Vec<_>>();
+        assert_eq!(msgs(1), vec![0, 1], "the arrival moves flow 0's rate");
+        assert_eq!(msgs(2), vec![0], "the departure moves it back");
+        assert_eq!(rates[0].1, 57.0 / 7.0 * 1e6);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Off by default; run with `cargo test --features proptest-tests`.
 #![cfg(feature = "proptest-tests")]
 
-use ovlp_machine::net::{max_min_rates, FlowNet, LinkGraph, LinkId};
+use ovlp_machine::net::{max_min_rates, FaultAction, FlowNet, LinkGraph, LinkId};
 use ovlp_machine::{simulate, NoopSink, Platform, Time, Topology};
 use ovlp_trace::record::{Record, SendMode};
 use ovlp_trace::{Bytes, Instructions, Rank, Tag, Trace, TransferId};
@@ -259,6 +259,123 @@ proptest! {
                     msg, next_msg, r, w
                 );
             }
+        }
+    }
+}
+
+/// A fabric whose links end up with mixed capacities: an oversubscribed
+/// fat-tree (fabric links at `host / oversub`), or a crossbar or torus
+/// that only the degrade faults make non-uniform. Returns the topology
+/// and its node count.
+fn mixed_arena(pick: usize, oversub: u32) -> (Topology, usize) {
+    match pick % 3 {
+        0 => (
+            Topology::FatTree {
+                radix: 4,
+                oversubscription: oversub,
+            },
+            16,
+        ),
+        1 => (Topology::Crossbar, 8),
+        _ => (Topology::Torus { dims: vec![3, 3] }, 9),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    /// The production net and a `with_reference_solver()` net, driven
+    /// through the same churn on mixed-capacity fabrics, must emit the
+    /// same completion events and hold the same rates after every step.
+    /// Phases of eight steps alternate between arrivals on unused
+    /// endpoints (host links stay disjoint, so the class chain solves)
+    /// and arrivals on random pairs (links get shared, so the general
+    /// solver does), interleaved with degrade, kill and restore. The
+    /// bandwidths include ones whose chained levels round away from the
+    /// capacities, so changed class rates force the full emit loop.
+    #[test]
+    fn production_net_matches_reference_net_on_mixed_capacities(
+        pick in 0usize..3,
+        oversub in 2u32..8,
+        bw in 0usize..4,
+        ops in proptest::collection::vec(
+            (0u8..16, 0usize..64, 0usize..64, 1u64..2_000, 1u32..1001), 1..64),
+    ) {
+        let (topo, nodes) = mixed_arena(pick, oversub);
+        let mbs = [100.0, 57.0 / 7.0, 29.0 / 7.0, 1000.0 / 3.0][bw];
+        let graph = LinkGraph::build(&topo, nodes, mbs).unwrap();
+        let nlinks = graph.len();
+        let mut net = FlowNet::new(graph.clone());
+        let mut reference = FlowNet::new(graph.clone()).with_reference_solver();
+        let mut active: Vec<(usize, usize, usize)> = Vec::new(); // (msg, src, dst)
+        let mut next_msg = 0usize;
+        let mut now = 0.0f64;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (step, &(op, a, b, kb, factor)) in ops.iter().enumerate() {
+            now += kb as f64 * 1e-6; // strictly increasing settle points
+            let t = Time::secs(now);
+            got.clear();
+            want.clear();
+            let disjoint_phase = (step / 8) % 2 == 0;
+            match op {
+                0..=4 if !active.is_empty() => {
+                    let (msg, _, _) = active.remove(a % active.len());
+                    net.finish(msg, t, &mut got, &mut NoopSink);
+                    reference.finish(msg, t, &mut want, &mut NoopSink);
+                }
+                12..=15 => {
+                    // mostly a link some active flow's nominal route
+                    // crosses, so the fault touches live traffic
+                    let link = match active.get(b % (active.len() + 1)) {
+                        Some(&(_, s, d)) => {
+                            let route = graph.route(s, d);
+                            route[a % route.len()]
+                        }
+                        None => LinkId((a * 7919 % nlinks) as u32),
+                    };
+                    let action = match op {
+                        12 | 13 => FaultAction::Degrade { factor: factor as f64 / 1000.0 },
+                        14 => FaultAction::Kill,
+                        _ => FaultAction::Restore,
+                    };
+                    let x = net.apply_fault(&action, &[link], t, &mut got, &mut NoopSink);
+                    let y = reference.apply_fault(&action, &[link], t, &mut want, &mut NoopSink);
+                    prop_assert_eq!(format!("{x:?}"), format!("{y:?}"));
+                    if x.is_err() {
+                        return Ok(()); // partitioned: the replay would stop here
+                    }
+                }
+                _ => {
+                    let pair = if disjoint_phase {
+                        // endpoints no active flow uses
+                        let src = (0..nodes)
+                            .map(|k| (a + k) % nodes)
+                            .find(|&s| active.iter().all(|f| f.1 != s));
+                        let dst = (0..nodes)
+                            .map(|k| (b + k) % nodes)
+                            .find(|&d| Some(d) != src && active.iter().all(|f| f.2 != d));
+                        src.zip(dst)
+                    } else {
+                        let src = a % nodes;
+                        Some((src, (src + 1 + b % (nodes - 1)) % nodes))
+                    };
+                    let Some((src, dst)) = pair else { continue };
+                    let msg = next_msg;
+                    next_msg += 1;
+                    let bytes = kb as f64 * 1024.0;
+                    let x = net.start(msg, src, dst, bytes, 1e-5, t, &mut got, &mut NoopSink);
+                    let y = reference.start(msg, src, dst, bytes, 1e-5, t, &mut want, &mut NoopSink);
+                    prop_assert_eq!(format!("{x:?}"), format!("{y:?}"));
+                    if x.is_ok() {
+                        active.push((msg, src, dst));
+                    }
+                }
+            }
+            prop_assert_eq!(&got, &want, "events after step {}", step);
+            let rates = |n: &FlowNet| -> Vec<(usize, u64)> {
+                n.debug_rates().iter().map(|&(m, r)| (m, r.to_bits())).collect()
+            };
+            prop_assert_eq!(rates(&net), rates(&reference), "rates after step {}", step);
         }
     }
 }

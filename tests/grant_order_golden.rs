@@ -12,7 +12,9 @@
 //!
 //! The digests were recorded from the engine that rescanned every
 //! blocked transfer on each release; the wait-list engine reproduces
-//! them bit for bit. To re-bless after a deliberate model change, run
+//! them bit for bit. The three mixed-capacity fat-tree cases were
+//! recorded from the solver that ran the full water-fill whenever link
+//! capacities differed; the class-chain reshare reproduces them. To re-bless after a deliberate model change, run
 //! `OVLP_BLESS=1 cargo test --test grant_order_golden -- --nocapture`
 //! and paste the printed table.
 
@@ -121,6 +123,33 @@ fn cases() -> Vec<(String, String)> {
             out.push((name, render_exact(&simulate_source(&ml, &p))));
         }
     }
+    // mixed-capacity fabrics whose flows seldom share a link: the
+    // oversubscribed tree's fabric links run at a fraction of the host
+    // links' capacity, and the degrade schedule halves the uplinks
+    // mid-replay and restores them
+    let ft16 = Platform::default().with_topology(Topology::FatTree {
+        radix: 16,
+        oversubscription: 4,
+    });
+    for ranks in [64usize, 128] {
+        let ml = MlAllreduce::new(MlConfig::new(ranks, 7).unwrap());
+        let name = format!("ml{ranks}@fat-tree:16:4");
+        out.push((name, render_exact(&simulate_source(&ml, &ft16))));
+    }
+    let degraded = Platform::default()
+        .with_topology(Topology::FatTree {
+            radix: 8,
+            oversubscription: 2,
+        })
+        .with_faults(
+            "degrade=0.5@30us:uplink:*;restore@120us:uplink:*"
+                .parse()
+                .unwrap(),
+        );
+    out.push((
+        "nas_cg_8r@fat-tree:8:2+degrade".to_string(),
+        render_exact(&simulate(&fixture("nas_cg_8r.trf"), &degraded)),
+    ));
     for buses in [1u32, 4] {
         let ml = MlAllreduce::new(MlConfig::new(256, 3).unwrap());
         let r = replay_scale(&ml, &Platform::default().with_buses(buses)).unwrap();
@@ -224,6 +253,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("synth9@torus-rdv4k", 0xe09a6a6c9ae9823f),
     ("synth10@torus-rdv4k", 0x25eb073cae811eab),
     ("synth11@torus-rdv4k", 0xf4a6756ac857735d),
+    ("ml64@fat-tree:16:4", 0x3f82add34ee08b26),
+    ("ml128@fat-tree:16:4", 0xb4053bb0f1999cff),
+    ("nas_cg_8r@fat-tree:8:2+degrade", 0x73c602adfc24f7c3),
     ("scale256@bus1", 0x5a19702ef6629bae),
     ("scale256@bus4", 0x54cda1b763e1c3e2),
 ];
