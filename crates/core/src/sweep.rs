@@ -37,7 +37,7 @@ use ovlp_trace::record::SendMode;
 use ovlp_trace::text;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -207,12 +207,20 @@ pub fn point_key(trace_fp: u64, platform: &Platform, policy: &ChunkPolicy) -> Po
 // ---------------------------------------------------------------------
 
 /// One traced application entering a sweep. The trace fingerprint is
-/// computed once at construction (it is the expensive part of cache
-/// keying) and shared by every grid point of this app.
+/// known at construction (it is the expensive part of cache keying)
+/// and shared by every grid point of this app.
+///
+/// An app is either *eager* ([`SweepApp::new`]: the run is held from
+/// the start) or *deferred* ([`SweepApp::deferred`]: only the
+/// fingerprint is known, and the run is re-traced the first time a
+/// point misses the cache). Point keys need only the fingerprint, so a
+/// sweep whose every point hits never traces a deferred app.
 #[derive(Debug, Clone)]
 pub struct SweepApp {
     pub name: String,
-    pub run: Arc<TraceRun>,
+    /// The traced run; derefs to the [`TraceRun`], materializing a
+    /// deferred app on first access.
+    pub run: Arc<AppRun>,
     fingerprint: u64,
 }
 
@@ -221,13 +229,100 @@ impl SweepApp {
         let fingerprint = trace_fingerprint(&run);
         SweepApp {
             name: name.into(),
-            run: Arc::new(run),
+            run: Arc::new(AppRun {
+                run: OnceLock::from(Ok(run)),
+                retrace: None,
+            }),
+            fingerprint,
+        }
+    }
+
+    /// An app whose trace fingerprint is already known. `retrace`
+    /// reproduces the run; it is called at most once, and only when a
+    /// point needs a replay. Its output must fingerprint to
+    /// `fingerprint`, or every point that needs it fails with a
+    /// [`FailKind::Transform`] error (so a result is never stored
+    /// under a key that does not hash the trace it came from).
+    pub fn deferred(
+        name: impl Into<String>,
+        fingerprint: u64,
+        retrace: impl Fn() -> Result<TraceRun, String> + Send + Sync + 'static,
+    ) -> SweepApp {
+        SweepApp {
+            name: name.into(),
+            run: Arc::new(AppRun {
+                run: OnceLock::new(),
+                retrace: Some((fingerprint, Box::new(retrace))),
+            }),
             fingerprint,
         }
     }
 
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+}
+
+type Retrace = Box<dyn Fn() -> Result<TraceRun, String> + Send + Sync>;
+
+/// The run behind a [`SweepApp`]: held from construction, or re-traced
+/// once on first use and checked against the expected fingerprint.
+pub struct AppRun {
+    run: OnceLock<Result<TraceRun, String>>,
+    /// Deferred apps only: the fingerprint the re-trace must reproduce,
+    /// and how to re-trace.
+    retrace: Option<(u64, Retrace)>,
+}
+
+impl AppRun {
+    /// The materialized run. A deferred run is re-traced on the first
+    /// call (concurrent callers wait for it) and never again; a failed
+    /// or mismatching re-trace is remembered as the error.
+    pub(crate) fn get(&self) -> Result<&TraceRun, &str> {
+        self.run
+            .get_or_init(|| {
+                let (expected, retrace) = self
+                    .retrace
+                    .as_ref()
+                    .expect("an eager run is set at construction");
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(retrace))
+                    .map_err(|p| format!("re-trace panicked: {}", panic_message(p)))??;
+                let got = trace_fingerprint(&run);
+                if got != *expected {
+                    return Err(format!(
+                        "trace fingerprint mismatch: expected {expected:016x}, re-trace gave {got:016x}"
+                    ));
+                }
+                Ok(run)
+            })
+            .as_ref()
+            .map_err(String::as_str)
+    }
+
+    /// For a deferred run whose re-trace was attempted, its outcome;
+    /// `None` for an eager run or one never needed.
+    pub fn retraced(&self) -> Option<Result<(), &str>> {
+        self.retrace.as_ref()?;
+        let outcome = self.run.get()?;
+        Some(outcome.as_ref().map(|_| ()).map_err(String::as_str))
+    }
+}
+
+impl std::ops::Deref for AppRun {
+    type Target = TraceRun;
+
+    fn deref(&self) -> &TraceRun {
+        self.get()
+            .unwrap_or_else(|e| panic!("deferred trace unavailable: {e}"))
+    }
+}
+
+impl std::fmt::Debug for AppRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AppRun")
+            .field("deferred", &self.retrace.is_some())
+            .field("materialized", &self.run.get().map(Result::is_ok))
+            .finish()
     }
 }
 
@@ -697,6 +792,10 @@ pub struct SweepReport {
     pub cache_hits: u64,
     /// Cache misses (points actually simulated) during this sweep.
     pub cache_misses: u64,
+    /// Variant bundles built during this sweep: at most one per
+    /// `(app, policy)` combination, none for a combination whose every
+    /// point hit the cache.
+    pub bundles_built: u64,
     /// Wall-clock duration of the grid evaluation.
     pub elapsed: Duration,
 }
@@ -931,17 +1030,18 @@ fn fmt_buses(buses: u32) -> String {
     }
 }
 
-/// Evaluate every grid point.
+/// Evaluate every grid point on the [`scheduler`] pool, honouring
+/// `cache` (hit ⇒ no simulation).
 ///
-/// Runs in two pooled stages, both on the [`scheduler`]:
+/// The [`VariantBundle`] of each `(app, policy)` combination is built
+/// once, by the first point of that combination that misses the cache
+/// (platform sweeps share it), and a deferred [`SweepApp`] is re-traced
+/// only then. A sweep whose every point hits builds no bundle and
+/// traces nothing.
 ///
-/// 1. **Transform** — build the [`VariantBundle`] for each
-///    `(app, policy)` combination once (platform sweeps share it);
-/// 2. **Replay** — simulate the three variants of each point, honouring
-///    `cache` (hit ⇒ no simulation).
-///
-/// Failures (platform validation, simulation errors, worker panics) are
-/// per-point [`PointError`]s; the report always covers the whole grid.
+/// Failures (platform validation, transform failures, simulation
+/// errors, worker panics) are per-point [`PointError`]s; the report
+/// always covers the whole grid.
 pub fn sweep(grid: &SweepGrid, config: &SweepConfig, cache: &SweepCache) -> SweepReport {
     sweep_observed(grid, config, cache, &|_, _| {})
 }
@@ -959,20 +1059,8 @@ pub fn sweep_observed(
 ) -> SweepReport {
     let started = std::time::Instant::now();
     let (hits0, misses0) = cache.stats();
+    let bundles = LazyBundles::new(grid);
 
-    // Stage 1: one variant bundle per (app, policy) combination.
-    let combos: Vec<(usize, usize)> = (0..grid.apps.len())
-        .flat_map(|a| (0..grid.policies.len()).map(move |p| (a, p)))
-        .collect();
-    let bundles: Vec<Result<Arc<VariantBundle>, String>> =
-        scheduler::run_indexed(combos, config.jobs, config.queue_depth, |_i, (a, p)| {
-            Arc::new(build_variants(&grid.apps[a].run, &grid.policies[p]))
-        });
-    let bundle_for = |point: &SweepPoint| -> &Result<Arc<VariantBundle>, String> {
-        &bundles[point.app * grid.policies.len() + point.policy]
-    };
-
-    // Stage 2: replay each point (or hit the cache).
     let points = grid.points();
     let outcomes: Vec<PointOutcome> = scheduler::run_indexed(
         points.clone(),
@@ -990,7 +1078,7 @@ pub fn sweep_observed(
                     message: "job cancelled before this point ran".to_string(),
                 })
             } else {
-                evaluate_point(grid, &point, i, bundle_for(&point), cache, config)
+                evaluate_point(grid, &point, i, &bundles, cache, config)
             };
             observe(i, &outcome);
             outcome
@@ -1002,9 +1090,9 @@ pub fn sweep_observed(
     .map(|(i, (slot, &point))| match slot {
         Ok(outcome) => outcome,
         // A panic that escaped evaluate_point (possible only outside
-        // the per-attempt catch_unwind, e.g. in cache claiming):
-        // report it on the point. The observer never heard about this
-        // point from a worker, so tell it here.
+        // the per-attempt and per-bundle catch_unwind, e.g. in cache
+        // claiming): report it on the point. The observer never heard
+        // about this point from a worker, so tell it here.
         Err(message) => {
             let outcome = Err(PointError {
                 point,
@@ -1022,7 +1110,49 @@ pub fn sweep_observed(
         outcomes,
         cache_hits: hits1 - hits0,
         cache_misses: misses1 - misses0,
+        bundles_built: bundles.built.into_inner(),
         elapsed: started.elapsed(),
+    }
+}
+
+/// The variant bundles of one sweep, one slot per `(app, policy)`
+/// combination, each filled by the first point of its combination that
+/// needs a replay. Concurrent points of the same combination wait for
+/// that one build instead of repeating it.
+struct LazyBundles<'g> {
+    grid: &'g SweepGrid,
+    slots: Vec<OnceLock<Result<Arc<VariantBundle>, String>>>,
+    built: AtomicU64,
+}
+
+impl<'g> LazyBundles<'g> {
+    fn new(grid: &'g SweepGrid) -> LazyBundles<'g> {
+        LazyBundles {
+            grid,
+            slots: (0..grid.apps.len() * grid.policies.len())
+                .map(|_| OnceLock::new())
+                .collect(),
+            built: AtomicU64::new(0),
+        }
+    }
+
+    /// The bundle for `point`'s combination, building it (and
+    /// re-tracing a deferred app) on first use. A panic in either is
+    /// caught here and fails only this combination's points.
+    fn get(&self, point: &SweepPoint) -> Result<&Arc<VariantBundle>, &str> {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        self.slots[point.app * self.grid.policies.len() + point.policy]
+            .get_or_init(|| {
+                let run = self.grid.apps[point.app].run.get()?;
+                let policy = &self.grid.policies[point.policy];
+                let bundle =
+                    catch_unwind(AssertUnwindSafe(|| Arc::new(build_variants(run, policy))))
+                        .map_err(|p| format!("transform panicked: {}", panic_message(p)))?;
+                self.built.fetch_add(1, Ordering::Relaxed);
+                Ok(bundle)
+            })
+            .as_ref()
+            .map_err(String::as_str)
     }
 }
 
@@ -1030,7 +1160,7 @@ fn evaluate_point(
     grid: &SweepGrid,
     point: &SweepPoint,
     index: usize,
-    bundle: &Result<Arc<VariantBundle>, String>,
+    bundles: &LazyBundles,
     cache: &SweepCache,
     config: &SweepConfig,
 ) -> PointOutcome {
@@ -1076,8 +1206,10 @@ fn evaluate_point(
     platform
         .check()
         .map_err(|e| fail(FailKind::Platform, format!("invalid platform: {e}")))?;
-    let bundle = bundle
-        .as_ref()
+    // Built outside the attempt loop, so neither the transform nor a
+    // deferred re-trace counts against the per-attempt deadline.
+    let bundle = bundles
+        .get(point)
         .map_err(|e| fail(FailKind::Transform, format!("transform failed: {e}")))?;
 
     let (max_attempts, deadline) = match config.guard.as_deref() {
@@ -1283,15 +1415,25 @@ mod tests {
     use ovlp_apps::synthetic::{Consumption, PatternApp, Production};
     use ovlp_instr::trace_app;
 
-    fn tiny_app() -> SweepApp {
-        let app = PatternApp {
+    fn pattern(iters: u32) -> PatternApp {
+        PatternApp {
             elems: 200,
-            iters: 2,
+            iters,
             phase_instr: 50_000,
             production: Production::Linear,
             consumption: Consumption::Linear,
-        };
-        SweepApp::new("pattern-linear", trace_app(&app, 4).unwrap())
+        }
+    }
+
+    fn tiny_app() -> SweepApp {
+        SweepApp::new("pattern-linear", trace_app(&pattern(2), 4).unwrap())
+    }
+
+    /// `tiny_app` deferred: same fingerprint, re-traced by `retrace`.
+    fn deferred_tiny(
+        retrace: impl Fn() -> Result<TraceRun, String> + Send + Sync + 'static,
+    ) -> SweepApp {
+        SweepApp::deferred("pattern-linear", tiny_app().fingerprint(), retrace)
     }
 
     fn tiny_grid() -> SweepGrid {
@@ -1635,6 +1777,154 @@ mod tests {
         assert_eq!(third.cache_hits, grid.len() as u64);
         assert_eq!(healed.disk().unwrap().stats().corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_cache_serves_a_deferred_app_without_tracing() {
+        let grid = tiny_grid();
+        let cache = SweepCache::new();
+        let cold = sweep(&grid, &SweepConfig::with_jobs(2), &cache);
+        assert_eq!(cold.err_count(), 0, "{:?}", cold.outcomes);
+        assert_eq!(cold.bundles_built, grid.policies.len() as u64);
+
+        let deferred = SweepGrid {
+            apps: vec![deferred_tiny(|| {
+                panic!("an all-hit sweep must not re-trace")
+            })],
+            ..grid.clone()
+        };
+        let warm = sweep(&deferred, &SweepConfig::with_jobs(2), &cache);
+        assert_eq!(warm.outcomes, cold.outcomes);
+        assert_eq!(warm.cache_hits, grid.len() as u64);
+        assert_eq!(warm.bundles_built, 0);
+        assert!(deferred.apps[0].run.retraced().is_none(), "maker never ran");
+    }
+
+    #[test]
+    fn cold_deferred_app_is_traced_once_and_each_bundle_built_once() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&calls);
+        let grid = SweepGrid {
+            apps: vec![deferred_tiny(move || {
+                counted.fetch_add(1, Ordering::SeqCst);
+                trace_app(&pattern(2), 4).map_err(|e| e.to_string())
+            })],
+            platforms: vec![
+                Platform::marenostrum(0),
+                Platform::marenostrum(2),
+                Platform::marenostrum(4),
+                Platform::marenostrum(8),
+            ],
+            ..tiny_grid()
+        };
+        let r = sweep(&grid, &SweepConfig::with_jobs(4), &SweepCache::new());
+        assert_eq!(r.err_count(), 0, "{:?}", r.outcomes);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(r.bundles_built, grid.policies.len() as u64);
+        assert_eq!(grid.apps[0].run.retraced(), Some(Ok(())));
+
+        // bit-identical to the same grid with the eager app
+        let eager = SweepGrid {
+            apps: vec![tiny_app()],
+            ..grid.clone()
+        };
+        let base = sweep(&eager, &SweepConfig::with_jobs(1), &SweepCache::new());
+        assert_eq!(r.outcomes, base.outcomes);
+        assert_eq!(r.render(&grid), base.render(&eager));
+    }
+
+    #[test]
+    fn mismatching_retrace_fails_miss_points_and_stores_nothing() {
+        let grid = SweepGrid {
+            apps: vec![deferred_tiny(|| {
+                trace_app(&pattern(3), 4).map_err(|e| e.to_string())
+            })],
+            ..tiny_grid()
+        };
+        let cache = SweepCache::new();
+        let r = sweep(&grid, &SweepConfig::with_jobs(2), &cache);
+        assert_eq!(r.err_count(), grid.len());
+        for o in &r.outcomes {
+            let e = o.as_ref().unwrap_err();
+            assert_eq!(e.kind, FailKind::Transform);
+            assert!(e.message.contains("fingerprint mismatch"), "{}", e.message);
+        }
+        assert!(cache.is_empty(), "no result stored under a wrong key");
+        assert_eq!(r.bundles_built, 0);
+        assert!(matches!(
+            grid.apps[0].run.retraced(),
+            Some(Err(m)) if m.contains("fingerprint mismatch")
+        ));
+    }
+
+    #[test]
+    fn transform_panic_fails_only_its_own_combinations() {
+        // An access log whose production intervals start after the
+        // sends makes the measured-pattern transform panic.
+        let mut run = trace_app(&pattern(2), 4).unwrap();
+        for rank in &mut run.access.ranks {
+            for p in rank.productions.values_mut() {
+                p.interval_start = ovlp_trace::Instructions(u64::MAX);
+            }
+        }
+        let grid = SweepGrid {
+            apps: vec![SweepApp::new("broken", run), tiny_app()],
+            ..tiny_grid()
+        };
+        let r = sweep(&grid, &SweepConfig::with_jobs(2), &SweepCache::new());
+        let good = sweep(&tiny_grid(), &SweepConfig::with_jobs(1), &SweepCache::new());
+        for (i, o) in r.outcomes.iter().enumerate() {
+            match o {
+                Err(e) => {
+                    assert_eq!(e.point.app, 0, "{e:?}");
+                    assert_eq!(e.kind, FailKind::Transform);
+                    assert!(e.message.contains("transform panicked"), "{}", e.message);
+                }
+                Ok(p) => {
+                    assert_eq!(p.point.app, 1);
+                    let base = good.outcomes[i - grid.len() / 2].as_ref().unwrap();
+                    assert_eq!(p.result_hash(), base.result_hash());
+                }
+            }
+        }
+        assert_eq!(r.err_count(), grid.len() / 2);
+        assert_eq!(r.bundles_built, grid.policies.len() as u64);
+    }
+
+    #[test]
+    fn cancelled_and_quarantined_points_build_nothing() {
+        let never = || deferred_tiny(|| panic!("no point may re-trace"));
+        let grid = SweepGrid {
+            apps: vec![never()],
+            ..tiny_grid()
+        };
+        let mut config = SweepConfig::with_jobs(2);
+        config.cancel = Some(Arc::new(AtomicBool::new(true)));
+        let r = sweep(&grid, &config, &SweepCache::new());
+        assert!(r
+            .outcomes
+            .iter()
+            .all(|o| o.as_ref().unwrap_err().kind == FailKind::Cancelled));
+        assert_eq!(r.bundles_built, 0);
+
+        let guard = Arc::new(guard::PointGuard::default());
+        for point in grid.points() {
+            let key = point_key(
+                grid.apps[0].fingerprint(),
+                &grid.platforms[point.platform],
+                &grid.policies[point.policy],
+            );
+            guard.quarantine(key);
+        }
+        let mut config = SweepConfig::with_jobs(2);
+        config.guard = Some(guard);
+        let r = sweep(&grid, &config, &SweepCache::new());
+        assert!(r
+            .outcomes
+            .iter()
+            .all(|o| o.as_ref().unwrap_err().kind == FailKind::Quarantined));
+        assert_eq!(r.bundles_built, 0);
+        assert!(grid.apps[0].run.retraced().is_none());
     }
 
     #[test]

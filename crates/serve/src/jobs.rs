@@ -13,12 +13,19 @@
 //! [`SweepCache`]: completed points are served from the store forever,
 //! and identical points of *concurrently running* jobs coalesce onto a
 //! single in-flight computation.
+//!
+//! The registry also remembers each trace's fingerprint: the first job
+//! for an `(app, ranks)` pair traces at submission, and later jobs for
+//! it get a deferred app ([`SweepSpec::build_deferred`]) that is
+//! re-traced inside the gated runner only if one of its points misses
+//! the cache. A job whose every point is stored therefore costs no
+//! trace and no transform.
 
 use crate::journal::{JobEnd, Journal};
 use crate::json::{Obj, Value};
-use crate::spec::{SpecError, SweepSpec};
+use crate::spec::{SpecError, SweepSpec, TraceKey};
 use ovlp_core::sweep::guard::PointGuard;
-use ovlp_core::sweep::{sweep_observed, PointOutcome, SweepCache, SweepGrid};
+use ovlp_core::sweep::{sweep_observed, PointOutcome, SweepCache, SweepConfig, SweepGrid};
 use ovlp_machine::Blame;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -281,7 +288,22 @@ pub struct DaemonMetrics {
     pub journal_points_replayed: AtomicU64,
     pub client_disconnects: AtomicU64,
     pub jobs_rejected_draining: AtomicU64,
+    /// Trace supplies (instrumented runs or generator
+    /// materializations), at submission or deferred into a runner.
+    pub traces: AtomicU64,
+    /// Submissions that reused a memoized trace fingerprint instead of
+    /// tracing.
+    pub trace_memo_hits: AtomicU64,
+    /// Variant bundles built by job sweeps.
+    pub variant_bundles_built: AtomicU64,
 }
+
+/// Trace fingerprints of every `(app, ranks)` pair this daemon traced
+/// successfully. One `u64` per validated pair, so the memo is bounded
+/// by the app pool times the rank caps (`TRACED_RANK_CAP`,
+/// `GENERATED_MATERIALIZE_CAP`) and needs no eviction. Traces
+/// themselves are never kept: they are tens of MB at 32 ranks.
+type TraceMemo = Mutex<HashMap<TraceKey, u64>>;
 
 /// The daemon's job table: submission, lookup, bounded execution.
 pub struct Registry {
@@ -294,6 +316,7 @@ pub struct Registry {
     guard: Arc<PointGuard>,
     journal: Option<Arc<Journal>>,
     draining: AtomicBool,
+    trace_memo: Arc<TraceMemo>,
 }
 
 impl Registry {
@@ -310,6 +333,7 @@ impl Registry {
             guard: Arc::new(PointGuard::default()),
             journal: None,
             draining: AtomicBool::new(false),
+            trace_memo: Arc::default(),
         }
     }
 
@@ -412,10 +436,34 @@ impl Registry {
         (resumed, replayed)
     }
 
+    /// Validate `spec` and build its grid. A spec whose trace key is
+    /// memoized gets a deferred app and is not traced here; otherwise
+    /// the app is traced now (a failure is the caller's HTTP 500) and
+    /// its fingerprint memoized.
+    fn build(&self, spec: &SweepSpec) -> Result<(SweepGrid, SweepConfig), SpecError> {
+        let key = spec.trace_key();
+        let memoized = key.and_then(|k| lock_ok(&self.trace_memo).get(&k).copied());
+        if let Some(fingerprint) = memoized {
+            let built = spec.build_deferred(fingerprint)?;
+            self.metrics.trace_memo_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(built);
+        }
+        let built = spec.build();
+        if matches!(built, Ok(_) | Err(SpecError::Trace(_))) {
+            self.metrics.traces.fetch_add(1, Ordering::Relaxed);
+        }
+        let (grid, config) = built?;
+        if let Some(key) = key {
+            lock_ok(&self.trace_memo).insert(key, grid.apps[0].fingerprint());
+        }
+        Ok((grid, config))
+    }
+
     fn register(&self, spec: SweepSpec, resume_id: Option<String>) -> Result<Arc<Job>, SpecError> {
-        // Build eagerly so malformed jobs are rejected at submission
-        // (HTTP 400) instead of surfacing asynchronously.
-        let (grid, mut config) = spec.build()?;
+        // Validate (and, without a memoized fingerprint, trace) before
+        // the 202, so malformed jobs are rejected at submission (HTTP
+        // 400) instead of surfacing asynchronously.
+        let (grid, mut config) = self.build(&spec)?;
         let cancel = Arc::new(AtomicBool::new(false));
         config.guard = Some(Arc::clone(&self.guard));
         config.cancel = Some(Arc::clone(&cancel));
@@ -442,25 +490,36 @@ impl Registry {
         lock_ok(&self.order).push(id);
         self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
 
-        let cache = Arc::clone(&self.cache);
-        let gate = Arc::clone(&self.gate);
-        let metrics = Arc::clone(&self.metrics);
-        let journal = self.journal.clone();
-        let runner = Arc::clone(&job);
-        std::thread::spawn(move || run_job(runner, grid, config, cache, gate, metrics, journal));
+        let runner = Runner {
+            cache: Arc::clone(&self.cache),
+            gate: Arc::clone(&self.gate),
+            metrics: Arc::clone(&self.metrics),
+            journal: self.journal.clone(),
+            memo: Arc::clone(&self.trace_memo),
+        };
+        let running = Arc::clone(&job);
+        std::thread::spawn(move || run_job(running, grid, config, runner));
         Ok(job)
     }
 }
 
-fn run_job(
-    job: Arc<Job>,
-    grid: SweepGrid,
-    config: ovlp_core::sweep::SweepConfig,
+/// What a job's runner thread shares with the registry.
+struct Runner {
     cache: Arc<SweepCache>,
     gate: Arc<Gate>,
     metrics: Arc<DaemonMetrics>,
     journal: Option<Arc<Journal>>,
-) {
+    memo: Arc<TraceMemo>,
+}
+
+fn run_job(job: Arc<Job>, grid: SweepGrid, config: SweepConfig, runner: Runner) {
+    let Runner {
+        cache,
+        gate,
+        metrics,
+        journal,
+        memo,
+    } = runner;
     gate.acquire();
     metrics.jobs_running.fetch_add(1, Ordering::Relaxed);
     let (hits0, misses0) = cache.stats();
@@ -478,6 +537,26 @@ fn run_job(
     });
     let (hits1, misses1) = cache.stats();
     let coalesced1 = cache.coalesced();
+    metrics
+        .variant_bundles_built
+        .fetch_add(report.bundles_built, Ordering::Relaxed);
+    for app in &grid.apps {
+        let Some(retraced) = app.run.retraced() else {
+            continue;
+        };
+        metrics.traces.fetch_add(1, Ordering::Relaxed);
+        if retraced.is_err() {
+            // The re-trace failed or no longer matches the memoized
+            // fingerprint (its points failed, nothing was stored):
+            // forget it, so the next submission traces afresh.
+            if let Some(key) = job.spec.trace_key() {
+                let mut memo = lock_ok(&memo);
+                if memo.get(&key) == Some(&app.fingerprint()) {
+                    memo.remove(&key);
+                }
+            }
+        }
+    }
     let rendered = report.render_full(&grid);
     // Seal the journal and counters *before* publishing the report:
     // anyone woken by `done` (summaries, drains, tests) then sees the
@@ -560,6 +639,56 @@ mod tests {
                 point_line(i, &second.wait_point(i))
             );
         }
+    }
+
+    #[test]
+    fn memoized_fingerprint_skips_the_trace_until_a_point_misses() {
+        let registry = Registry::new(Arc::new(SweepCache::new()), 2);
+        let m = Arc::clone(registry.metrics());
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let first = registry.submit(quick_spec()).unwrap();
+        let report1 = first.wait_report();
+        assert_eq!(load(&m.traces), 1);
+        assert_eq!(load(&m.trace_memo_hits), 0);
+        assert_eq!(load(&m.variant_bundles_built), 2);
+
+        // all hits: no trace, no bundle
+        let second = registry.submit(quick_spec()).unwrap();
+        assert_eq!(second.wait_report(), report1);
+        assert_eq!(load(&m.traces), 1);
+        assert_eq!(load(&m.trace_memo_hits), 1);
+        assert_eq!(load(&m.variant_bundles_built), 2);
+
+        // a new policy misses: the deferred trace runs in the runner
+        let mut wider = quick_spec();
+        wider.chunks = vec![1, 2, 4];
+        let third = registry.submit(wider).unwrap();
+        assert!(third.wait_report().contains("3 points (3 ok, 0 failed)"));
+        assert_eq!(load(&m.traces), 2);
+        assert_eq!(load(&m.trace_memo_hits), 2);
+        assert_eq!(load(&m.variant_bundles_built), 3);
+    }
+
+    #[test]
+    fn mismatching_memo_entry_fails_its_misses_and_is_dropped() {
+        let registry = Registry::new(Arc::new(SweepCache::new()), 2);
+        let key = quick_spec().trace_key().unwrap();
+        lock_ok(&registry.trace_memo).insert(key, 0xdead_beef);
+        let job = registry.submit(quick_spec()).unwrap();
+        for i in 0..job.points() {
+            let e = job.wait_point(i).unwrap_err();
+            assert_eq!(e.kind, ovlp_core::sweep::FailKind::Transform);
+            assert!(e.message.contains("fingerprint mismatch"), "{}", e.message);
+        }
+        job.wait_report();
+        assert!(registry.cache().is_empty(), "nothing stored");
+        assert!(!lock_ok(&registry.trace_memo).contains_key(&key));
+
+        // the next submission traces afresh and succeeds
+        let again = registry.submit(quick_spec()).unwrap();
+        assert!(again.wait_report().contains("2 points (2 ok, 0 failed)"));
+        assert_eq!(registry.metrics().traces.load(Ordering::Relaxed), 2);
+        assert_ne!(lock_ok(&registry.trace_memo).get(&key), Some(&0xdead_beef));
     }
 
     #[test]

@@ -547,6 +547,24 @@ pub fn prometheus_metrics(registry: &Registry) -> String {
             load(&m.journal_points_replayed),
         ),
         (
+            "ovlp_traces_total",
+            "counter",
+            "Trace supplies (instrumented runs or generator materializations), at submission or deferred.",
+            load(&m.traces),
+        ),
+        (
+            "ovlp_trace_memo_hits_total",
+            "counter",
+            "Submissions that reused a memoized trace fingerprint instead of tracing.",
+            load(&m.trace_memo_hits),
+        ),
+        (
+            "ovlp_variant_bundles_built_total",
+            "counter",
+            "Variant bundles (overlap transforms) built by job sweeps.",
+            load(&m.variant_bundles_built),
+        ),
+        (
             "ovlp_points_retried_total",
             "counter",
             "Point attempts re-run after a transient failure.",

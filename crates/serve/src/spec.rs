@@ -10,11 +10,15 @@
 //! `docs/serving.md`); the CLI form is the `ovlp sweep` flag set.
 
 use crate::json::{self, Obj, Value};
+use ovlp_apps::registry::AppEntry;
 use ovlp_core::chunk::ChunkPolicy;
 use ovlp_core::presets::marenostrum_for;
 use ovlp_core::sweep::{SweepApp, SweepConfig, SweepGrid};
 use ovlp_machine::{ContentionModel, FaultSchedule, ReplayEngine};
 use ovlp_trace::Tag;
+
+/// What determines a spec's trace: `(canonical app name, ranks)`.
+pub type TraceKey = (&'static str, usize);
 
 /// Wire schema identifier of the request document.
 pub const JOB_SCHEMA: &str = "ovlp.sweep-job.v1";
@@ -202,11 +206,47 @@ impl SweepSpec {
         Value::Obj(o).to_string()
     }
 
+    /// The fields of this spec that determine its trace: the canonical
+    /// app name and the rank count (`None` for an unknown app). Two
+    /// specs with the same key trace to the same run, which is what
+    /// lets the daemon memoize trace fingerprints under this key; a
+    /// field that ever changes the traced run must join the key.
+    pub fn trace_key(&self) -> Option<TraceKey> {
+        let entry = ovlp_apps::registry::by_name(&self.app)?;
+        Some((entry.name, self.ranks))
+    }
+
     /// Validate the spec, trace the application, and build the grid in
     /// canonical order: platforms are `bw × buses × topology`, each
     /// expanded as (fault-free baseline, then one platform per fault
     /// scenario); policies follow the chunk list as given.
     pub fn build(&self) -> Result<(SweepGrid, SweepConfig), SpecError> {
+        self.build_with(|entry| {
+            let run = entry.trace_run(self.ranks).map_err(SpecError::Trace)?;
+            Ok(SweepApp::new(entry.name, run))
+        })
+    }
+
+    /// [`SweepSpec::build`] for a spec whose trace fingerprint is
+    /// already known: the same validation and the same grid, but the
+    /// app enters it deferred ([`SweepApp::deferred`]) and is traced
+    /// only if some point misses the result cache.
+    pub fn build_deferred(&self, fingerprint: u64) -> Result<(SweepGrid, SweepConfig), SpecError> {
+        let ranks = self.ranks;
+        self.build_with(|entry| {
+            let name = entry.name;
+            Ok(SweepApp::deferred(name, fingerprint, move || {
+                ovlp_apps::registry::by_name(name)
+                    .expect("a canonical app name resolves")
+                    .trace_run(ranks)
+            }))
+        })
+    }
+
+    fn build_with(
+        &self,
+        app: impl FnOnce(&AppEntry) -> Result<SweepApp, SpecError>,
+    ) -> Result<(SweepGrid, SweepConfig), SpecError> {
         if self.ranks == 0 {
             return Err(usage("bad rank count: must be at least 1"));
         }
@@ -273,9 +313,8 @@ impl SweepSpec {
         }
 
         entry.validate_ranks(self.ranks).map_err(usage)?;
-        let run = entry.trace_run(self.ranks).map_err(SpecError::Trace)?;
         let grid = SweepGrid {
-            apps: vec![SweepApp::new(entry.name, run)],
+            apps: vec![app(&entry)?],
             platforms: bandwidths
                 .iter()
                 .flat_map(|&bw| {
@@ -430,6 +469,33 @@ mod tests {
         let mut s = SweepSpec::new("nas-cg", 8);
         s.topologies = vec!["torus:2x2".parse().unwrap()];
         assert!(s.build().unwrap_err().to_string().contains("endpoints"));
+    }
+
+    #[test]
+    fn deferred_build_validates_and_keys_like_build() {
+        let spec = SweepSpec::from_json(
+            r#"{"schema":"ovlp.sweep-job.v1","app":"cg","ranks":4,"chunks":[1,4],"bw":[100,250]}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.trace_key(), Some(("nas-cg", 4)));
+        let (eager, _) = spec.build().unwrap();
+        let fp = eager.apps[0].fingerprint();
+        let (deferred, _) = spec.build_deferred(fp).unwrap();
+        assert_eq!(deferred.apps[0].fingerprint(), fp);
+        assert_eq!(deferred.apps[0].name, eager.apps[0].name);
+        assert_eq!(deferred.points(), eager.points());
+        assert!(deferred.apps[0].run.retraced().is_none(), "not traced");
+        // the re-trace reproduces the eager run
+        assert_eq!(deferred.apps[0].run.trace, eager.apps[0].run.trace);
+        assert_eq!(deferred.apps[0].run.retraced(), Some(Ok(())));
+
+        let mut bad = spec.clone();
+        bad.chunks = vec![0];
+        assert_eq!(
+            bad.build_deferred(fp).unwrap_err(),
+            bad.build().unwrap_err()
+        );
+        assert_eq!(SweepSpec::new("no-such-app", 4).trace_key(), None);
     }
 
     #[test]

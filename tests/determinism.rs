@@ -17,6 +17,28 @@ fn tracing_is_deterministic_across_runs() {
     assert_eq!(a.access, b.access);
 }
 
+/// The daemon memoizes `trace_fingerprint` per `(app, ranks)` and
+/// serves later jobs from the store without re-tracing, which is only
+/// correct if `AppEntry::trace_run` is a pure function of its inputs.
+#[test]
+fn trace_run_is_a_pure_function_of_app_and_ranks() {
+    use overlap_sim::core::sweep::trace_fingerprint;
+    for entry in overlap_sim::apps::registry::paper_pool() {
+        let ranks: &[usize] = if entry.is_generated() { &[8] } else { &[4, 8] };
+        for &n in ranks {
+            let a = entry.trace_run(n).unwrap();
+            let b = entry.trace_run(n).unwrap();
+            assert_eq!(a.trace, b.trace, "{} at {n} ranks", entry.name);
+            assert_eq!(
+                trace_fingerprint(&a),
+                trace_fingerprint(&b),
+                "{} at {n} ranks",
+                entry.name
+            );
+        }
+    }
+}
+
 #[test]
 fn transform_and_simulation_are_deterministic() {
     let app = overlap_sim::apps::nas_cg::NasCgApp::quick();

@@ -311,6 +311,42 @@ fn metrics_endpoint_exposes_daemon_counters() {
 }
 
 #[test]
+fn resubmission_reuses_the_trace_fingerprint_and_builds_nothing() {
+    // The first job traces at submission and builds one variant bundle
+    // per chunk policy; the identical second job is all cache hits, so
+    // it neither traces nor transforms, and streams the same bytes.
+    let (addr, handle) = start(None, 2);
+    let scrape = || http(addr, "GET", "/metrics", "").1;
+    let counts = |body: &str| {
+        [
+            "ovlp_traces_total",
+            "ovlp_trace_memo_hits_total",
+            "ovlp_variant_bundles_built_total",
+        ]
+        .map(|name| metric(body, name))
+    };
+    assert_eq!(counts(&scrape()), [0, 0, 0]);
+
+    let first = submit(addr);
+    wait_summary(addr, &first);
+    let (_, first_stream) = http(addr, "GET", &format!("/v1/sweeps/{first}"), "");
+    assert_eq!(counts(&scrape()), [1, 0, 4]);
+
+    let second = submit(addr);
+    let summary = wait_summary(addr, &second);
+    assert_eq!(json_u64(&summary, "store_hits"), JOB_POINTS);
+    let (_, second_stream) = http(addr, "GET", &format!("/v1/sweeps/{second}"), "");
+    assert_eq!(
+        counts(&scrape()),
+        [1, 1, 4],
+        "0 traces, 1 memo hit, 0 bundles"
+    );
+    assert_eq!(first_stream, second_stream);
+
+    handle.shutdown();
+}
+
+#[test]
 fn critpath_jobs_stream_deterministic_blame_attribution() {
     let (addr, handle) = start(None, 2);
     let job_doc = r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"jobs":2,"chunks":[1,4],"critpath":true}"#;
