@@ -3,7 +3,7 @@
 //!
 //! Each entry carries its **kind**: [`AppKind::Traced`] applications
 //! are instrumented [`MpiApp`]s executed thread-per-rank by
-//! `ovlp_instr::trace_app` (materialized traces, access logs, the full
+//! `ovlp_instr::trace_app_with` (materialized traces, access logs, the full
 //! transform pipeline); [`AppKind::Generated`] applications synthesize
 //! per-rank record streams directly as a
 //! [`TraceSource`](ovlp_trace::TraceSource), which is what makes
@@ -16,7 +16,7 @@
 //! panicking mid-trace.
 
 use crate::{alya, nas_bt, nas_cg, pop, specfem3d, sweep3d};
-use ovlp_instr::{trace_app, MpiApp, TraceRun};
+use ovlp_instr::{trace_app_with, MpiApp, TraceOptions, TraceRun};
 use ovlp_trace::mlgen::{MlAllreduce, MlConfig};
 use ovlp_trace::{AccessDb, TraceSource};
 
@@ -122,28 +122,35 @@ impl AppEntry {
     /// A lazily-evaluated record source for `ranks` ranks.
     ///
     /// Generated entries stream natively; traced entries run the
-    /// instrumented app (materialized — tracing is inherently eager)
-    /// and wrap the resulting trace.
+    /// instrumented app lean (materialized — tracing is inherently
+    /// eager) and wrap the resulting trace.
     pub fn source(&self, ranks: usize) -> Result<Box<dyn TraceSource>, String> {
         self.validate_ranks(ranks)?;
         match &self.kind {
             AppKind::Generated { make } => make(ranks),
-            AppKind::Traced { app, .. } => {
-                let run = trace_app(app.as_ref(), ranks).map_err(|e| e.to_string())?;
-                Ok(Box::new(run.trace))
-            }
+            AppKind::Traced { .. } => Ok(Box::new(self.trace_run(ranks)?.trace)),
         }
     }
 
     /// Trace (or materialize) the app at `ranks` for the eager
-    /// pipeline. Generated apps come back with an empty access log —
-    /// they already encode their overlap explicitly, so the
-    /// measured-pattern transforms are identity on them.
+    /// pipeline. Traced apps run lean: the access log holds the
+    /// per-element summaries the transforms read, but no Figure-5
+    /// scatter (use [`AppEntry::trace_run_with`] to capture it).
+    /// Generated apps come back with an empty access log — they
+    /// already encode their overlap explicitly, so the measured-pattern
+    /// transforms are identity on them.
     pub fn trace_run(&self, ranks: usize) -> Result<TraceRun, String> {
+        self.trace_run_with(ranks, &lean())
+    }
+
+    /// [`AppEntry::trace_run`] with explicit tracing options, for the
+    /// callers that read the access scatter (`events`). The options do
+    /// not apply to generated apps.
+    pub fn trace_run_with(&self, ranks: usize, opts: &TraceOptions) -> Result<TraceRun, String> {
         self.validate_ranks(ranks)?;
         match &self.kind {
             AppKind::Traced { app, .. } => {
-                trace_app(app.as_ref(), ranks).map_err(|e| e.to_string())
+                trace_app_with(app.as_ref(), ranks, opts).map_err(|e| e.to_string())
             }
             AppKind::Generated { make } => {
                 if ranks > GENERATED_MATERIALIZE_CAP {
@@ -161,6 +168,14 @@ impl AppEntry {
                 })
             }
         }
+    }
+}
+
+/// Tracing options for replay-only callers: no access scatter.
+fn lean() -> TraceOptions {
+    TraceOptions {
+        scatter: false,
+        ..TraceOptions::default()
     }
 }
 

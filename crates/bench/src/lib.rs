@@ -15,7 +15,7 @@ use ovlp_core::chunk::ChunkPolicy;
 use ovlp_core::pipeline::{build_variants, VariantBundle};
 use ovlp_core::presets::marenostrum_for;
 use ovlp_core::sweep::scheduler;
-use ovlp_instr::{trace_app, TraceRun};
+use ovlp_instr::{trace_app, TraceOptions, TraceRun};
 use ovlp_machine::Platform;
 
 pub mod timing;
@@ -92,8 +92,9 @@ fn prepare_app(name: &str, quick: bool) -> PreparedApp {
         let entry =
             ovlp_apps::registry::by_name(name).unwrap_or_else(|| panic!("unknown app {name}"));
         let ranks = entry.ranks;
+        // fig5 plots the access scatter, so the figures trace with it
         let run = entry
-            .trace_run(ranks)
+            .trace_run_with(ranks, &TraceOptions::default())
             .unwrap_or_else(|e| panic!("tracing {name} failed: {e}"));
         (run, ranks)
     };

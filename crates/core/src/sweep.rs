@@ -98,7 +98,9 @@ impl Fnv {
 /// Content fingerprint of one traced run: the canonical text emission
 /// of the trace plus every access log in sorted-transfer order (the
 /// access DB is hash-map backed, so its iteration order must not leak
-/// into the fingerprint).
+/// into the fingerprint). Each element contributes its packed
+/// [`Stamp`](ovlp_trace::Stamp) word. Scatter events are not hashed, so
+/// a lean trace and a scatter-capturing one share a fingerprint.
 pub fn trace_fingerprint(run: &TraceRun) -> u64 {
     // The rank count is hashed explicitly (it is also inside the text
     // emission, but the weak-scaling axis makes it a first-class sweep
@@ -119,7 +121,7 @@ pub fn trace_fingerprint(run: &TraceRun) -> u64 {
                 .u64(p.interval_start.0)
                 .u64(p.interval_end.0);
             for s in &p.last_store {
-                h = h.u64(s.map(|i| i.0 + 1).unwrap_or(0));
+                h = h.u64(s.bits());
             }
         }
         let mut cons: Vec<_> = rank.consumptions.values().collect();
@@ -132,7 +134,7 @@ pub fn trace_fingerprint(run: &TraceRun) -> u64 {
                 .u64(c.interval_start.0)
                 .u64(c.interval_end.0);
             for l in &c.first_load {
-                h = h.u64(l.map(|i| i.0 + 1).unwrap_or(0));
+                h = h.u64(l.bits());
             }
         }
     }

@@ -18,7 +18,7 @@
 //!   against the open consumption interval.
 
 use crate::cost::CostModel;
-use ovlp_trace::access::{AccessEvent, ConsumptionLog, ProductionLog};
+use ovlp_trace::access::{AccessEvent, ConsumptionLog, ProductionLog, Stamp};
 use ovlp_trace::{Instructions, TransferId};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -57,11 +57,12 @@ pub struct TrackedBuf {
     pub(crate) data: Vec<f64>,
     shared: Rc<RankShared>,
     // --- production tracking (stores since last send) ---
-    last_store: Vec<Option<u64>>,
+    last_store: Vec<Stamp>,
     prod_events: Vec<AccessEvent>,
     prod_start: u64,
-    // --- consumption tracking (loads since last recv) ---
-    first_load: Vec<Option<u64>>,
+    // --- consumption tracking (loads since last recv); `first_load` and
+    // `cons_events` are empty while no interval is open ---
+    first_load: Vec<Stamp>,
     cons_events: Vec<AccessEvent>,
     cons_start: u64,
     open_consumption: Option<TransferId>,
@@ -74,10 +75,10 @@ impl TrackedBuf {
         TrackedBuf {
             data: vec![0.0; len],
             shared,
-            last_store: vec![None; len],
+            last_store: vec![Stamp::NEVER; len],
             prod_events: Vec::new(),
             prod_start: now,
-            first_load: vec![None; len],
+            first_load: Vec::new(),
             cons_events: Vec::new(),
             cons_start: now,
             open_consumption: None,
@@ -98,8 +99,8 @@ impl TrackedBuf {
     #[inline]
     pub fn load(&mut self, i: usize) -> f64 {
         self.shared.charge(self.shared.cost.load);
-        if self.open_consumption.is_some() && self.first_load[i].is_none() {
-            self.first_load[i] = Some(self.shared.now());
+        if self.open_consumption.is_some() && self.first_load[i].is_never() {
+            self.first_load[i] = Stamp::at(self.shared.now());
         }
         if self.shared.scatter
             && self.open_consumption.is_some()
@@ -119,7 +120,7 @@ impl TrackedBuf {
     pub fn store(&mut self, i: usize, v: f64) {
         self.shared.charge(self.shared.cost.store);
         let now = self.shared.now();
-        self.last_store[i] = Some(now);
+        self.last_store[i] = Stamp::at(now);
         if self.shared.scatter && self.prod_events.len() < self.shared.scatter_cap {
             self.prod_events.push(AccessEvent {
                 offset: i as u32,
@@ -148,21 +149,18 @@ impl TrackedBuf {
     // ------------------------------------------------------------------
 
     /// Close the current production interval at `now`, returning its log
-    /// keyed by `transfer`, and open the next interval.
+    /// keyed by `transfer`, and open the next interval. The summary moves
+    /// into the log as is; the next interval starts from fresh stamps.
     pub(crate) fn take_production(&mut self, now: u64, transfer: TransferId) -> ProductionLog {
+        let fresh = vec![Stamp::NEVER; self.data.len()];
         let log = ProductionLog {
             transfer,
             elems: self.data.len() as u32,
             interval_start: Instructions(self.prod_start),
             interval_end: Instructions(now),
-            last_store: self
-                .last_store
-                .iter()
-                .map(|o| o.map(Instructions))
-                .collect(),
+            last_store: std::mem::replace(&mut self.last_store, fresh),
             events: std::mem::take(&mut self.prod_events),
         };
-        self.last_store.iter_mut().for_each(|o| *o = None);
         self.prod_start = now;
         log
     }
@@ -175,14 +173,9 @@ impl TrackedBuf {
             elems: self.data.len() as u32,
             interval_start: Instructions(self.cons_start),
             interval_end: Instructions(now),
-            first_load: self
-                .first_load
-                .iter()
-                .map(|o| o.map(Instructions))
-                .collect(),
+            first_load: std::mem::take(&mut self.first_load),
             events: std::mem::take(&mut self.cons_events),
         };
-        self.first_load.iter_mut().for_each(|o| *o = None);
         Some(log)
     }
 
@@ -190,8 +183,8 @@ impl TrackedBuf {
     /// `transfer` at `now`.
     pub(crate) fn begin_consumption(&mut self, now: u64, transfer: TransferId) {
         debug_assert!(self.open_consumption.is_none());
-        self.first_load.iter_mut().for_each(|o| *o = None);
-        self.cons_events.clear();
+        debug_assert!(self.first_load.is_empty() && self.cons_events.is_empty());
+        self.first_load = vec![Stamp::NEVER; self.data.len()];
         self.cons_start = now;
         self.open_consumption = Some(transfer);
     }
@@ -252,9 +245,9 @@ mod tests {
         b.store(2, 3.0);
         let now = sh.now();
         let log = b.take_production(now, tid(0));
-        assert_eq!(log.last_store[0], Some(Instructions(12))); // 1 + 10 + 1
-        assert_eq!(log.last_store[1], None);
-        assert_eq!(log.last_store[2], Some(Instructions(13)));
+        assert_eq!(log.last_store[0].get(), Some(Instructions(12))); // 1 + 10 + 1
+        assert_eq!(log.last_store[1], Stamp::NEVER);
+        assert_eq!(log.last_store[2].get(), Some(Instructions(13)));
         assert_eq!(log.interval_start, Instructions(0));
         assert_eq!(log.interval_end, Instructions(now));
         assert_eq!(b.raw()[0], 2.0);
@@ -271,8 +264,12 @@ mod tests {
         let t2 = sh.now();
         let log = b.take_production(t2, tid(1));
         assert_eq!(log.interval_start, Instructions(t1));
-        assert_eq!(log.last_store[0], None, "store from previous interval");
-        assert!(log.last_store[1].is_some());
+        assert_eq!(
+            log.last_store[0],
+            Stamp::NEVER,
+            "store from previous interval"
+        );
+        assert!(!log.last_store[1].is_never());
     }
 
     #[test]
@@ -287,9 +284,9 @@ mod tests {
         assert_eq!(b.load(1), 1.0);
         assert_eq!(b.load(1), 1.0); // second load doesn't move first_load
         let log = b.end_consumption(sh.now()).unwrap();
-        assert_eq!(log.first_load[0], None);
-        assert_eq!(log.first_load[1], Some(Instructions(102)));
-        assert_eq!(log.first_load[2], None);
+        assert_eq!(log.first_load[0], Stamp::NEVER);
+        assert_eq!(log.first_load[1].get(), Some(Instructions(102)));
+        assert_eq!(log.first_load[2], Stamp::NEVER);
     }
 
     #[test]
@@ -316,7 +313,7 @@ mod tests {
         assert_eq!(log.events.len(), 3, "capped");
         assert_eq!(log.events[0].offset, 0);
         // summaries are not capped
-        assert!(log.last_store.iter().all(|o| o.is_some()));
+        assert!(log.last_store.iter().all(|o| !o.is_never()));
     }
 
     #[test]
@@ -345,6 +342,6 @@ mod tests {
         b.init(|_| 7.0);
         assert_eq!(sh.now(), 0);
         let log = b.take_production(0, tid(0));
-        assert!(log.last_store.iter().all(|o| o.is_none()));
+        assert!(log.last_store.iter().all(|o| o.is_never()));
     }
 }

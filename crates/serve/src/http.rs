@@ -29,7 +29,13 @@ pub struct BadRequest(pub String);
 
 impl From<io::Error> for BadRequest {
     fn from(e: io::Error) -> BadRequest {
-        BadRequest(format!("io error: {e}"))
+        match e.kind() {
+            // what a socket read timeout surfaces as (platform dependent)
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                BadRequest("request read timed out".into())
+            }
+            _ => BadRequest(format!("io error: {e}")),
+        }
     }
 }
 

@@ -228,7 +228,15 @@ fn error_body(message: &str) -> String {
     Value::Obj(o).to_string()
 }
 
+/// How long a client may stay silent while sending its request line,
+/// headers and body. A client that stalls mid-request gets a 400 and
+/// frees its connection slot. Fixed rather than configurable: a
+/// sweep-job document is a few hundred bytes. Response writes (the
+/// NDJSON stream) have no timeout.
+pub const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 fn handle_connection(stream: &mut TcpStream, registry: &Registry) -> io::Result<()> {
+    stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT))?;
     let request = match read_request(stream) {
         Ok(r) => r,
         Err(BadRequest(msg)) => {

@@ -16,13 +16,60 @@
 //!   receptions injects each chunk's wait at the minimum first-load time
 //!   over the chunk's elements.
 //!
+//! Per-element times are packed [`Stamp`]s (8 bytes each, half an
+//! `Option<Instructions>`): the access logs of a 64-rank trace hold
+//! millions of them.
+//!
 //! Both logs optionally keep the *full* event scatter (every access with
 //! its interval-relative position), which is what Figure 5 of the paper
-//! plots.
+//! plots. Only commands that read the scatter capture it.
 
 use crate::ids::{Rank, TransferId};
 use crate::units::Instructions;
 use std::collections::HashMap;
+
+/// An element's access time within one interval, packed into one word:
+/// `t + 1` for an access at instruction count `t`, `0` when the element
+/// was not accessed in the interval. The packed word is exactly what
+/// `trace_fingerprint` hashes per element.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Stamp(u64);
+
+const _: () = assert!(std::mem::size_of::<Stamp>() == 8);
+
+impl Stamp {
+    /// Not accessed in the interval.
+    pub const NEVER: Stamp = Stamp(0);
+
+    /// An access at instruction count `t` (`t < u64::MAX`).
+    #[inline]
+    pub fn at(t: u64) -> Stamp {
+        Stamp(t + 1)
+    }
+
+    /// The access time, or `None` when the element was not accessed.
+    #[inline]
+    pub fn get(self) -> Option<Instructions> {
+        self.0.checked_sub(1).map(Instructions)
+    }
+
+    #[inline]
+    pub fn is_never(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The packed word: `t + 1`, or `0` for never.
+    #[inline]
+    pub fn bits(self) -> u64 {
+        self.0
+    }
+}
+
+impl From<Option<u64>> for Stamp {
+    fn from(t: Option<u64>) -> Stamp {
+        t.map_or(Stamp::NEVER, Stamp::at)
+    }
+}
 
 /// One raw access event kept for scatter plots: element offset and the
 /// absolute instruction count at which it happened.
@@ -44,10 +91,10 @@ pub struct ProductionLog {
     /// End of the production interval (the send itself).
     pub interval_end: Instructions,
     /// `last_store[i]` = instruction count of the final write to element
-    /// `i` inside the interval; `None` if the element was never written
-    /// (it then counts as produced at the interval start — its value
-    /// predates the interval).
-    pub last_store: Vec<Option<Instructions>>,
+    /// `i` inside the interval; [`Stamp::NEVER`] if the element was never
+    /// written (it then counts as produced at the interval start — its
+    /// value predates the interval).
+    pub last_store: Vec<Stamp>,
     /// Optional full store scatter (may be empty if capture is disabled).
     pub events: Vec<AccessEvent>,
 }
@@ -56,7 +103,7 @@ impl ProductionLog {
     /// Effective production time of element `i`: its last store, or the
     /// interval start when it was never written.
     pub fn produced_at(&self, i: usize) -> Instructions {
-        self.last_store[i].unwrap_or(self.interval_start)
+        self.last_store[i].get().unwrap_or(self.interval_start)
     }
 
     /// Latest production time over an element range (the earliest moment
@@ -80,9 +127,9 @@ pub struct ConsumptionLog {
     /// or end of run).
     pub interval_end: Instructions,
     /// `first_load[i]` = instruction count of the first read of element
-    /// `i` inside the interval; `None` if the element is never read
-    /// (its wait can be postponed to the interval end).
-    pub first_load: Vec<Option<Instructions>>,
+    /// `i` inside the interval; [`Stamp::NEVER`] if the element is never
+    /// read (its wait can be postponed to the interval end).
+    pub first_load: Vec<Stamp>,
     /// Optional full load scatter.
     pub events: Vec<AccessEvent>,
 }
@@ -91,7 +138,7 @@ impl ConsumptionLog {
     /// Effective need time of element `i`: its first load, or the
     /// interval end when it is never read.
     pub fn needed_at(&self, i: usize) -> Instructions {
-        self.first_load[i].unwrap_or(self.interval_end)
+        self.first_load[i].get().unwrap_or(self.interval_end)
     }
 
     /// Earliest need time over an element range (the latest moment the
@@ -171,7 +218,7 @@ pub fn production_log_for_test(
         elems: last_store.len() as u32,
         interval_start: Instructions(start),
         interval_end: Instructions(end),
-        last_store: last_store.iter().map(|o| o.map(Instructions)).collect(),
+        last_store: last_store.iter().map(|&o| Stamp::from(o)).collect(),
         events: Vec::new(),
     }
 }
@@ -190,7 +237,7 @@ pub fn consumption_log_for_test(
         elems: first_load.len() as u32,
         interval_start: Instructions(start),
         interval_end: Instructions(end),
-        first_load: first_load.iter().map(|o| o.map(Instructions)).collect(),
+        first_load: first_load.iter().map(|&o| Stamp::from(o)).collect(),
         events: Vec::new(),
     }
 }
@@ -215,6 +262,18 @@ mod tests {
         assert_eq!(c.needed_at(0), Instructions(400));
         assert_eq!(c.range_needed_at(0, 3), Instructions(220));
         assert_eq!(c.range_needed_at(0, 1), Instructions(400));
+    }
+
+    #[test]
+    fn stamps_pack_time_plus_one() {
+        assert_eq!(Stamp::NEVER.bits(), 0);
+        assert!(Stamp::NEVER.is_never());
+        assert_eq!(Stamp::NEVER.get(), None);
+        assert_eq!(Stamp::at(0).bits(), 1);
+        assert_eq!(Stamp::at(0).get(), Some(Instructions(0)));
+        assert_eq!(Stamp::from(Some(41)).get(), Some(Instructions(41)));
+        assert_eq!(Stamp::from(None), Stamp::NEVER);
+        assert_eq!(Stamp::default(), Stamp::NEVER);
     }
 
     #[test]

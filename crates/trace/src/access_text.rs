@@ -20,7 +20,7 @@
 //! Summaries (`ls`/`fl`) only list elements that were accessed; raw
 //! events (`e`) are optional scatter data.
 
-use crate::access::{AccessDb, AccessEvent, ConsumptionLog, ProductionLog};
+use crate::access::{AccessDb, AccessEvent, ConsumptionLog, ProductionLog, Stamp};
 use crate::ids::{Rank, TransferId};
 use crate::units::Instructions;
 use std::fmt::Write as _;
@@ -73,7 +73,7 @@ pub fn emit(db: &AccessDb) -> String {
                 p.interval_end.get()
             );
             for (i, t) in p.last_store.iter().enumerate() {
-                if let Some(t) = t {
+                if let Some(t) = t.get() {
                     let _ = writeln!(out, "ls {} {}", i, t.get());
                 }
             }
@@ -94,7 +94,7 @@ pub fn emit(db: &AccessDb) -> String {
                 c.interval_end.get()
             );
             for (i, t) in c.first_load.iter().enumerate() {
-                if let Some(t) = t {
+                if let Some(t) = t.get() {
                     let _ = writeln!(out, "fl {} {}", i, t.get());
                 }
             }
@@ -162,7 +162,7 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
                         elems,
                         interval_start: Instructions(start),
                         interval_end: Instructions(end),
-                        last_store: vec![None; elems as usize],
+                        last_store: vec![Stamp::NEVER; elems as usize],
                         events: Vec::new(),
                     });
                 } else {
@@ -171,33 +171,31 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
                         elems,
                         interval_start: Instructions(start),
                         interval_end: Instructions(end),
-                        first_load: vec![None; elems as usize],
+                        first_load: vec![Stamp::NEVER; elems as usize],
                         events: Vec::new(),
                     });
                 }
             }
             "ls" => {
                 let i: usize = parse_field(&rest, 0, lineno)?;
-                let t: u64 = parse_field(&rest, 1, lineno)?;
+                let t = parse_stamp(&rest, lineno)?;
                 match &mut open {
                     Open::Prod(p) => {
                         *p.last_store
                             .get_mut(i)
-                            .ok_or_else(|| err(lineno, "ls offset out of range"))? =
-                            Some(Instructions(t));
+                            .ok_or_else(|| err(lineno, "ls offset out of range"))? = t;
                     }
                     _ => return Err(err(lineno, "`ls` outside production block")),
                 }
             }
             "fl" => {
                 let i: usize = parse_field(&rest, 0, lineno)?;
-                let t: u64 = parse_field(&rest, 1, lineno)?;
+                let t = parse_stamp(&rest, lineno)?;
                 match &mut open {
                     Open::Cons(c) => {
                         *c.first_load
                             .get_mut(i)
-                            .ok_or_else(|| err(lineno, "fl offset out of range"))? =
-                            Some(Instructions(t));
+                            .ok_or_else(|| err(lineno, "fl offset out of range"))? = t;
                     }
                     _ => return Err(err(lineno, "`fl` outside consumption block")),
                 }
@@ -235,6 +233,15 @@ where
         .ok_or_else(|| err(line, format!("missing field {i}")))?
         .parse()
         .map_err(|e| err(line, format!("bad field {i}: {e}")))
+}
+
+/// The access time in field 1 of an `ls`/`fl` line, packed.
+fn parse_stamp(rest: &[&str], line: usize) -> Result<Stamp, AccessParseError> {
+    let t: u64 = parse_field(rest, 1, line)?;
+    if t == u64::MAX {
+        return Err(err(line, "bad field 1: access time out of range"));
+    }
+    Ok(Stamp::at(t))
 }
 
 fn parse_tid(s: Option<&str>, line: usize) -> Result<TransferId, AccessParseError> {
@@ -309,6 +316,13 @@ mod tests {
         let txt = "#OVLP-ACCESS 1\nranks 1\np 0.0 2 0 10\nls 5 3\n";
         let e = parse(txt).unwrap_err();
         assert!(e.message.contains("out of range"));
+    }
+
+    #[test]
+    fn rejects_unpackable_access_time() {
+        let txt = format!("#OVLP-ACCESS 1\nranks 1\np 0.0 1 0 10\nls 0 {}\n", u64::MAX);
+        let e = parse(&txt).unwrap_err();
+        assert!(e.message.contains("access time out of range"), "{e}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod trace;
 pub mod units;
 pub mod validate;
 
-pub use access::{AccessDb, ConsumptionLog, ProductionLog, RankAccessLog};
+pub use access::{AccessDb, ConsumptionLog, ProductionLog, RankAccessLog, Stamp};
 pub use ids::{ChunkId, CollOp, Rank, ReqId, Tag, TransferId};
 pub use mlgen::{MlAllreduce, MlConfig};
 pub use record::{Marker, Record, SendMode};

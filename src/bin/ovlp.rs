@@ -10,6 +10,7 @@ use overlap_sim::core::patterns::{consumption_stats, production_stats};
 use overlap_sim::core::pipeline::{build_variants, VariantBundle};
 use overlap_sim::core::presets::marenostrum_for;
 use overlap_sim::core::report::{pct, table2a, table2b};
+use overlap_sim::instr::TraceOptions;
 use overlap_sim::machine::{
     replay_scale, simulate, simulate_probed_with, simulate_source_probed_with,
     simulate_source_with, simulate_with, ContentionModel, CritPathRecorder, FaultSchedule,
@@ -204,9 +205,18 @@ fn bail(e: CliError) -> ExitCode {
     }
 }
 
+/// Whether a command reads the Figure-5 access scatter (`access.acc`
+/// `e` lines, the independent-tail estimate). Only those capture it.
+#[derive(Clone, Copy)]
+enum Scatter {
+    Capture,
+    Skip,
+}
+
 fn prepare(
     app_name: &str,
     ranks: &str,
+    scatter: Scatter,
 ) -> Result<
     (
         overlap_sim::core::pipeline::VariantBundle,
@@ -223,7 +233,11 @@ fn prepare(
     // Rank-count violations (odd counts on XOR apps, counts past the
     // thread-per-rank cap) are the caller's mistake: exit 2, not 1.
     entry.validate_ranks(ranks).map_err(CliError::Usage)?;
-    let run = entry.trace_run(ranks).map_err(CliError::Run)?;
+    let run = match scatter {
+        Scatter::Capture => entry.trace_run_with(ranks, &TraceOptions::default()),
+        Scatter::Skip => entry.trace_run(ranks),
+    }
+    .map_err(CliError::Run)?;
     let bundle = build_variants(&run, &ChunkPolicy::paper_default());
     Ok((bundle, run, marenostrum_for(entry.name)))
 }
@@ -270,7 +284,7 @@ impl SimInput<'_> {
 }
 
 fn analyze(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, run, platform) = match prepare(app, ranks) {
+    let (bundle, run, platform) = match prepare(app, ranks, Scatter::Capture) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -321,7 +335,7 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
 }
 
 fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
-    let (bundle, run, _) = match prepare(app, ranks) {
+    let (bundle, run, _) = match prepare(app, ranks, Scatter::Capture) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -392,7 +406,7 @@ fn stats_cmd(path: &str) -> ExitCode {
 }
 
 fn waits_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, _, platform) = match prepare(app, ranks) {
+    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -777,7 +791,7 @@ fn auto_window(runtime_s: f64) -> Time {
 }
 
 fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, _, platform) = match prepare(app, ranks) {
+    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -800,7 +814,7 @@ fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
 }
 
 fn advise_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (_, run, platform) = match prepare(app, ranks) {
+    let (_, run, platform) = match prepare(app, ranks, Scatter::Skip) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -815,7 +829,7 @@ fn advise_cmd(app: &str, ranks: &str) -> ExitCode {
 }
 
 fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
-    let (bundle, run, mut platform) = match prepare(app, ranks) {
+    let (bundle, run, mut platform) = match prepare(app, ranks, Scatter::Capture) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -1219,7 +1233,7 @@ where
 }
 
 fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode {
-    let (bundle, _, mut platform) = match prepare(app, ranks) {
+    let (bundle, _, mut platform) = match prepare(app, ranks, Scatter::Skip) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };

@@ -578,3 +578,57 @@ fn client_disconnect_cancels_the_job_and_frees_its_slot() {
     assert!(summary.contains("\"done\":true"), "{summary}");
     handle.shutdown();
 }
+
+#[test]
+fn silent_client_times_out_and_frees_its_slot() {
+    use overlap_sim::serve::server::REQUEST_READ_TIMEOUT;
+    use std::time::{Duration, Instant};
+    let (addr, handle) = start_with(ServeConfig {
+        max_connections: 1,
+        ..test_config()
+    });
+
+    // Half a request: the head promises a body that never comes.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    write!(
+        stalled,
+        "POST /v1/sweeps HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n{{\"sch"
+    )
+    .unwrap();
+    let sent = Instant::now();
+
+    // It holds the only connection slot meanwhile. (The probe sends
+    // nothing: the daemon answers 503 without reading, and unread
+    // request bytes would turn its close into a reset.)
+    let mut probe = TcpStream::connect(addr).unwrap();
+    let mut refused = String::new();
+    probe.read_to_string(&mut refused).unwrap();
+    assert!(refused.starts_with("HTTP/1.1 503 "), "{refused}");
+
+    // The daemon gives up on it after the read timeout ...
+    stalled
+        .set_read_timeout(Some(4 * REQUEST_READ_TIMEOUT))
+        .unwrap();
+    let mut raw = String::new();
+    stalled.read_to_string(&mut raw).unwrap();
+    let waited = sent.elapsed();
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    assert!(raw.contains("request read timed out"), "{raw}");
+    assert!(
+        waited >= REQUEST_READ_TIMEOUT / 2 && waited < 4 * REQUEST_READ_TIMEOUT,
+        "answered after {waited:?}"
+    );
+
+    // ... and the slot is free again.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, body) = http(addr, "GET", "/healthz", "");
+        if status == 200 {
+            assert_eq!(body, "ok\n");
+            break;
+        }
+        assert!(Instant::now() < deadline, "slot never freed: {status}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
+}
