@@ -15,6 +15,13 @@
 //! validates the document and CI's `scale-smoke` job re-runs the quick
 //! ladder under a hard `ulimit -v`.
 //!
+//! A second, flow rung follows: the same streamed trace replayed in
+//! full ([`ovlp_machine::simulate_source`]) on the `fat-tree:32:4`
+//! flow fabric at 1k, 2k, 4k and 8k ranks (1k and 4k with `--quick`),
+//! each next to the bus replay of the same trace. Those points go to
+//! `flow_points`, with the flow/bus wall ratio that shows whether
+//! max-min resharing keeps pace with the bus as the ranks grow.
+//!
 //! ```text
 //! scale_bench [--quick] [--out PATH] [--points R1,R2,..]
 //! ```
@@ -25,7 +32,7 @@
 //! dominates.
 
 use ovlp_core::presets::marenostrum_for;
-use ovlp_machine::replay_scale;
+use ovlp_machine::{replay_scale, simulate_source, ContentionModel};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -37,6 +44,35 @@ const POINTS: &[usize] = &[1_000, 10_000, 100_000, 1_000_000];
 /// CI smoke ladder (the 10k point is the one `scale-smoke` runs under
 /// `ulimit -v`).
 const QUICK_POINTS: &[usize] = &[1_000, 10_000];
+
+/// Flow rung fabric: 8192 endpoints, 4:1 oversubscribed uplinks.
+const FLOW_TOPOLOGY: &str = "fat-tree:32:4";
+const FLOW_POINTS: &[usize] = &[1_024, 2_048, 4_096, 8_192];
+const QUICK_FLOW_POINTS: &[usize] = &[1_024, 4_096];
+/// Timed repetitions of each flow-rung replay; the fastest counts.
+const FLOW_REPS: usize = 3;
+
+/// One flow-rung point: the flow replay and the bus replay of the same
+/// trace.
+struct FlowPoint {
+    ranks: usize,
+    events: u64,
+    transfers: usize,
+    reshares: u64,
+    stale_events: u64,
+    flow_wall_s: f64,
+    bus_wall_s: f64,
+}
+
+impl FlowPoint {
+    fn wall_ratio(&self) -> f64 {
+        self.flow_wall_s / self.bus_wall_s
+    }
+
+    fn events_per_sec(&self) -> f64 {
+        self.events as f64 / self.flow_wall_s
+    }
+}
 
 struct Point {
     ranks: usize,
@@ -91,6 +127,69 @@ fn commit() -> String {
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Fastest of [`FLOW_REPS`] streamed full replays of `ranks` on
+/// `platform`, with the last result.
+fn timed_full_replay(
+    ranks: usize,
+    platform: &ovlp_machine::Platform,
+) -> (ovlp_machine::SimResult, f64) {
+    let entry = ovlp_apps::registry::by_name(APP).expect("registry app missing");
+    let source = entry
+        .source(ranks)
+        .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks: {e}"));
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..FLOW_REPS {
+        let t0 = Instant::now();
+        let r = simulate_source(source.as_ref(), platform)
+            .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks on {}: {e}", platform.contention));
+        best = best.min(t0.elapsed().as_secs_f64());
+        last = Some(r);
+    }
+    (last.expect("FLOW_REPS > 0"), best)
+}
+
+/// The flow rung: each point replayed on [`FLOW_TOPOLOGY`] and on the
+/// bus.
+fn flow_ladder(ladder: &[usize]) -> Vec<FlowPoint> {
+    let bus = marenostrum_for(APP);
+    let model: ContentionModel = FLOW_TOPOLOGY.parse().expect("flow topology");
+    let flow = bus.clone().with_contention(model);
+    let mut points = Vec::new();
+    for &ranks in ladder {
+        let (r, flow_wall_s) = timed_full_replay(ranks, &flow);
+        assert!(r.network.reshares > 0, "the flow replay never reshared");
+        let (_, bus_wall_s) = timed_full_replay(ranks, &bus);
+        let p = FlowPoint {
+            ranks,
+            events: r.events_processed,
+            transfers: r.network.transfers,
+            reshares: r.network.reshares,
+            stale_events: r.stale_events,
+            flow_wall_s,
+            bus_wall_s,
+        };
+        println!(
+            "{APP} {:>8} ranks on {FLOW_TOPOLOGY}  {:>10} events  {:>10} reshares  \
+             {:>12.0} events/s  wall {:>7.3} s  bus {:>7.3} s  flow/bus {:.2}x",
+            p.ranks,
+            p.events,
+            p.reshares,
+            p.events_per_sec(),
+            p.flow_wall_s,
+            p.bus_wall_s,
+            p.wall_ratio()
+        );
+        points.push(p);
+    }
+    points
+}
+
+/// Fastest over slowest events/s: 1.0 is perfectly flat weak scaling.
+fn spread(eps: impl Iterator<Item = f64> + Clone) -> f64 {
+    eps.clone().fold(0.0, f64::max) / eps.fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
@@ -193,6 +292,11 @@ fn main() {
         );
         results.push(p);
     }
+    let flow_points = flow_ladder(if quick {
+        QUICK_FLOW_POINTS
+    } else {
+        FLOW_POINTS
+    });
 
     let mut s = String::new();
     s.push_str("{\n  \"schema\": \"ovlp.bench_scale.v1\",\n");
@@ -203,12 +307,9 @@ fn main() {
         "  \"machine\": {{\"hardware_threads\": {threads}, \"commit\": \"{}\"}},\n",
         commit()
     ));
-    // fastest over slowest point: 1.0 is perfectly flat weak scaling
-    let eps = results.iter().map(|p| p.events_per_sec);
-    let spread = eps.clone().fold(0.0, f64::max) / eps.fold(f64::INFINITY, f64::min);
     s.push_str(&format!(
         "  \"events_per_sec_spread\": {},\n",
-        json_f64(spread)
+        json_f64(spread(results.iter().map(|p| p.events_per_sec)))
     ));
     s.push_str("  \"points\": [\n");
     for (i, p) in results.iter().enumerate() {
@@ -234,6 +335,32 @@ fn main() {
             json_f64(p.efficiency),
             json_opt_u64(p.rss_peak_bytes),
             if i + 1 < results.len() { ",\n" } else { "\n" }
+        ));
+    }
+    s.push_str(&format!(
+        "  ],\n  \"flow_topology\": \"{FLOW_TOPOLOGY}\",\n  \"flow_events_per_sec_spread\": {},\n",
+        json_f64(spread(flow_points.iter().map(FlowPoint::events_per_sec)))
+    ));
+    s.push_str("  \"flow_points\": [\n");
+    for (i, p) in flow_points.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"ranks\": {}, \"events\": {}, \"transfers\": {}, \"reshares\": {}, \
+             \"stale_events\": {}, \"flow_wall_s\": {}, \"bus_wall_s\": {}, \
+             \"wall_ratio\": {}, \"events_per_sec\": {}}}{}",
+            p.ranks,
+            p.events,
+            p.transfers,
+            p.reshares,
+            p.stale_events,
+            json_f64(p.flow_wall_s),
+            json_f64(p.bus_wall_s),
+            json_f64(p.wall_ratio()),
+            json_f64(p.events_per_sec()),
+            if i + 1 < flow_points.len() {
+                ",\n"
+            } else {
+                "\n"
+            }
         ));
     }
     s.push_str("  ]\n}\n");

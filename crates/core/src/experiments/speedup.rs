@@ -146,7 +146,7 @@ pub fn run_variants_full_with(
         let mut tee = TeeSink(WindowedRecorder::new(window), CritPathRecorder::new());
         let sim = simulate_probed_with(trace, platform, &mut tee, engine)?;
         let TeeSink(windowed, crit) = tee;
-        Ok((sim, windowed.into_metrics(), crit.into_critpath()))
+        Ok((sim, windowed.into_metrics()?, crit.into_critpath()))
     };
     let (original, m_original, c_original) = probed(&bundle.original)?;
     let (overlapped, m_overlapped, c_overlapped) = probed(&bundle.overlapped)?;
@@ -181,7 +181,7 @@ pub fn run_variants_probed_with(
     let probed = |trace| -> Result<(SimResult, Metrics), SimError> {
         let mut rec = WindowedRecorder::new(window);
         let sim = simulate_probed_with(trace, platform, &mut rec, engine)?;
-        Ok((sim, rec.into_metrics()))
+        Ok((sim, rec.into_metrics()?))
     };
     let (original, m_original) = probed(&bundle.original)?;
     let (overlapped, m_overlapped) = probed(&bundle.overlapped)?;

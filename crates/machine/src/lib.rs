@@ -48,7 +48,10 @@ pub use net::{
     Topology,
 };
 pub use platform::{CollectiveAlgo, Platform};
-pub use probe::{EventKind, Metrics, NoopSink, ProbeSink, TeeSink, WaitEdge, WindowedRecorder};
+pub use probe::{
+    EventKind, Metrics, NoopSink, ProbeSink, TeeSink, TooManyWindows, WaitEdge, WindowedRecorder,
+    MAX_CELLS, MAX_WINDOWS,
+};
 pub use replay::{
     render_exact, replay_scale, simulate, simulate_probed, simulate_probed_with, simulate_source,
     simulate_source_probed_with, simulate_source_with, simulate_with, NetworkStats, ReplayEngine,

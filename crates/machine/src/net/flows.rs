@@ -2,10 +2,9 @@
 //!
 //! A [`FlowNet`] tracks every in-flight inter-node transfer as a flow
 //! over its static route. Rates are piecewise constant: they only
-//! change when a flow starts or finishes, so the net settles lazily —
-//! at each change point it drains `rate · dt` bytes from every flow,
-//! recomputes the max-min fair allocation, and re-estimates the
-//! completion time of each flow whose rate changed.
+//! change when a flow starts or finishes (or a fault changes a link),
+//! and each change point recomputes the max-min fair allocation and
+//! re-estimates the completion time of every flow whose rate changed.
 //!
 //! Completion events already sitting in the engine's queue cannot be
 //! removed, so each re-estimate carries a fresh *epoch*: the engine
@@ -16,22 +15,46 @@
 //! `latency + size/bandwidth`, which the crossbar-equivalence tests
 //! pin down.
 //!
+//! ## Lazy settlement
+//!
+//! No event walks the active flows to drain them. Each flow holds one
+//! *rate segment*: its rate, the time `since` the segment began, and
+//! its startup latency and bytes still to drain at `since`. A flow is
+//! brought up to date — one product, `rate · (now - since - latency)` —
+//! only when its rate changes bitwise (a re-estimate), when it
+//! finishes, or when a kill moves it onto a new route; every other
+//! flow is left alone. A flow whose rate never changes is therefore
+//! never touched between its start and its finish.
+//!
+//! The per-link statistics close at the same instants:
+//!
+//! * `busy_secs` opens when a link's flow count goes 0→1 and closes
+//!   when it goes back to 0;
+//! * `bytes` is credited when a flow leaves the link's path (it
+//!   finishes, or a kill reroutes it) with what the flow carried there,
+//!   so without faults a link's total is the exact sum of the sizes of
+//!   the messages routed over it;
+//! * the probe sees one `on_link_traffic` interval per rate segment
+//!   (the windowed recorder splits it across windows).
+//!
 //! ## State layout
 //!
 //! Everything on the reshare path is allocation-free after warm-up:
 //!
 //! * flows live in dense reusable **slots** (`slots` + `free`), found
 //!   from a message id through the direct-indexed `slot_of` table;
-//! * the ids of active flows are kept sorted in `active_ids` (with the
-//!   matching slots in `active_slots`), preserving the ascending-id
-//!   iteration order the previous `BTreeMap` storage provided — the
-//!   order every settle, solve, and event emission depends on;
+//! * the active flows are an unordered `(id, slot)` list, `flows`: a
+//!   flow joins by push and leaves by swap-remove (its slot records its
+//!   position), so neither walks the others. A pass that emits events
+//!   first sorts the list by id (`sorted` says when it already is):
+//!   ascending-id order is the order every emission depends on;
 //! * routes are interned per `(src, dst)` pair into a shared **path
 //!   arena**, so each distinct pair is routed once per replay;
-//! * per-link active-flow counts double as the membership test for
-//!   `active_links`, the set of links currently carrying flows, which
-//!   the general solver ([`max_min_rates_active`]) restricts every scan
-//!   to (it still solves every active flow);
+//! * `active_links`, the set of links currently carrying flows, is an
+//!   indexed set (`link_pos` holds each member's position), so a link
+//!   joins and leaves it in O(1) by swap-remove. The general solver
+//!   ([`max_min_rates_active`]) restricts every scan to it; its result
+//!   does not depend on the set's order (see the `fairshare` docs);
 //! * each flow caches its **bottleneck** (narrowest link capacity) when
 //!   it starts, and `classes` counts the active flows per distinct
 //!   finite bottleneck, in ascending order — updated in O(classes) on
@@ -94,17 +117,24 @@ struct FlowSlot {
     /// Endpoint nodes, kept so a kill can reroute the flow mid-flight.
     src: u32,
     dst: u32,
-    /// Startup latency still to elapse, seconds.
+    /// Start of the current rate segment.
+    since: Time,
+    /// Startup latency still to elapse at `since`, seconds.
     latency_left: f64,
-    /// Bytes still to drain.
+    /// Bytes still to drain at `since`.
     remaining: f64,
     /// Current max-min fair rate, bytes/s (`0.0` until first reshare).
     rate: f64,
+    /// Bytes still to drain when the flow joined its current path; the
+    /// path's links are credited the difference when it leaves.
+    joined: f64,
     /// Narrowest link capacity on the path (`INFINITY` when the path is
     /// empty or all-infinite); recomputed when a fault changes it.
     bottleneck: f64,
     /// Epoch of the currently scheduled completion (0 = none yet).
     epoch: u64,
+    /// Index of this flow in `FlowNet::flows`.
+    pos: u32,
 }
 
 /// Flow-level network state for one replay.
@@ -117,16 +147,17 @@ pub struct FlowNet {
     free: Vec<u32>,
     /// Message id -> slot + 1 (0 = not active), grown on demand.
     slot_of: Vec<u32>,
-    /// Active message ids, ascending, with their slots alongside.
-    active_ids: Vec<u32>,
-    active_slots: Vec<u32>,
+    /// Active flows as `(message id, slot)`, unordered.
+    flows: Vec<(u32, u32)>,
+    /// Whether `flows` is in ascending id order.
+    sorted: bool,
     /// Interned routes: `(src, dst) -> (offset, len)` into `arena`.
     route_cache: HashMap<(u32, u32), (u32, u32), FxBuildHasher>,
     arena: Vec<LinkId>,
-    /// Links with at least one active flow (unordered); lazily
-    /// compacted when a departure empties a link.
+    /// Links with at least one active flow, unordered; `link_pos[l]` is
+    /// link `l`'s index here while it is a member.
     active_links: Vec<u32>,
-    links_dirty: bool,
+    link_pos: Vec<u32>,
     /// Links currently carrying two or more flows. While zero, rates
     /// come from chaining `classes` instead of a solve.
     shared_links: u32,
@@ -143,10 +174,10 @@ pub struct FlowNet {
     /// Solve with the from-scratch oracle instead of the incremental
     /// active-set solver (validation mode; results are bit-identical).
     reference: bool,
-    /// Time the net was last settled to.
-    last: Time,
     next_epoch: u64,
     reshares: u64,
+    /// Flows visited by per-event work (see [`FlowNet::flow_visits`]).
+    visits: u64,
     /// Links removed by a fault (`kill`) and not yet restored. While
     /// `dead_count > 0`, routing goes through the dead-aware fallback
     /// and the route cache only holds routes valid for the current dead
@@ -161,6 +192,8 @@ pub struct FlowNet {
     // per-link statistics
     bytes: Vec<f64>,
     busy_secs: Vec<f64>,
+    /// When each active link's current busy period began.
+    busy_since: Vec<Time>,
     active: Vec<u32>,
     peak_flows: Vec<u32>,
 }
@@ -179,12 +212,12 @@ impl FlowNet {
             slots: Vec::new(),
             free: Vec::new(),
             slot_of: Vec::new(),
-            active_ids: Vec::new(),
-            active_slots: Vec::new(),
+            flows: Vec::new(),
+            sorted: true,
             route_cache: HashMap::default(),
             arena: Vec::new(),
             active_links: Vec::new(),
-            links_dirty: false,
+            link_pos: vec![0; n],
             shared_links: 0,
             classes: Vec::new(),
             classes_synced: false,
@@ -192,9 +225,9 @@ impl FlowNet {
             scratch: SolveScratch::new(n),
             rates: Vec::new(),
             reference: false,
-            last: Time::ZERO,
             next_epoch: 1,
             reshares: 0,
+            visits: 0,
             dead: vec![false; n],
             dead_count: 0,
             link_faults: vec![0; n],
@@ -203,6 +236,7 @@ impl FlowNet {
             reroute_reshares: 0,
             bytes: vec![0.0; n],
             busy_secs: vec![0.0; n],
+            busy_since: vec![Time::ZERO; n],
             active: vec![0; n],
             peak_flows: vec![0; n],
             graph,
@@ -233,19 +267,6 @@ impl FlowNet {
         out: &mut Vec<FlowEvent>,
         probe: &mut P,
     ) -> Result<(), Partition> {
-        self.settle(now, probe);
-        // drop stale zero-load entries BEFORE registering the new path:
-        // a link this flow re-populates would otherwise be pushed a
-        // second time, and a duplicate entry double-charges the link in
-        // the solver's subtract pass. (Departure reshares tolerate the
-        // stale entries — zero-load links are never read — but the
-        // last-flow-finished path skips its reshare, so the set can
-        // still be dirty here.)
-        if self.links_dirty {
-            let active = &self.active;
-            self.active_links.retain(|&l| active[l as usize] > 0);
-            self.links_dirty = false;
-        }
         let (off, len) = self.route_ref(src_node, dst_node)?;
         let bottleneck = self.bottleneck(off, len);
         if P::ENABLED {
@@ -255,17 +276,7 @@ impl FlowNet {
             // actual arrival bit for bit
             probe.on_flow_path(msg, now + Time::secs(latency_s + bytes / bottleneck));
         }
-        for k in off..off + len {
-            let i = self.arena[k as usize].idx();
-            if self.active[i] == 0 {
-                self.active_links.push(i as u32);
-            }
-            self.active[i] += 1;
-            if self.active[i] == 2 {
-                self.shared_links += 1;
-            }
-            self.peak_flows[i] = self.peak_flows[i].max(self.active[i]);
-        }
+        self.join_links(off, len, now);
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -278,11 +289,14 @@ impl FlowNet {
             len,
             src: src_node as u32,
             dst: dst_node as u32,
+            since: now,
             latency_left: latency_s,
             remaining: bytes,
             rate: 0.0,
+            joined: bytes,
             bottleneck,
             epoch: 0,
+            pos: self.flows.len() as u32,
         };
         self.join_class(bottleneck);
         if self.slot_of.len() <= msg {
@@ -290,9 +304,8 @@ impl FlowNet {
         }
         debug_assert!(self.slot_of[msg] == 0, "flow {msg} started twice");
         self.slot_of[msg] = slot + 1;
-        let pos = self.active_ids.partition_point(|&m| m < msg as u32);
-        self.active_ids.insert(pos, msg as u32);
-        self.active_slots.insert(pos, slot);
+        self.sorted &= self.flows.last().is_none_or(|&(m, _)| m < msg as u32);
+        self.flows.push((msg as u32, slot));
         self.reshare(now, out, probe, Some(msg as u32));
         Ok(())
     }
@@ -305,7 +318,6 @@ impl FlowNet {
         out: &mut Vec<FlowEvent>,
         probe: &mut P,
     ) {
-        self.settle(now, probe);
         let slot = match self.slot_of.get(msg) {
             Some(&s) if s != 0 => s - 1,
             _ => {
@@ -314,29 +326,28 @@ impl FlowNet {
             }
         };
         self.slot_of[msg] = 0;
+        self.visits += 1;
         let f = self.slots[slot as usize];
-        for l in &self.arena[f.off as usize..(f.off + f.len) as usize] {
-            let i = l.idx();
-            self.active[i] -= 1;
-            if self.active[i] == 1 {
-                self.shared_links -= 1;
-            } else if self.active[i] == 0 {
-                self.links_dirty = true;
-            }
-            // credit the last settle's rounding tail so per-link byte
-            // totals are exact
-            self.bytes[i] += f.remaining;
-            if P::ENABLED && f.remaining > 0.0 {
-                probe.on_link_traffic(i, now, now, f.remaining);
+        if P::ENABLED && f.remaining > 0.0 {
+            // the last segment drains everything left, over the part of
+            // it that follows the injection latency
+            let dt = (now - f.since).as_secs();
+            let avail = (dt - f.latency_left.min(dt)).max(0.0);
+            for l in self.path(f.off, f.len) {
+                probe.on_link_traffic(l.idx(), now - Time::secs(avail), now, f.remaining);
             }
         }
-        let pos = self.active_ids.partition_point(|&m| m < msg as u32);
-        debug_assert!(self.active_ids.get(pos) == Some(&(msg as u32)));
-        self.active_ids.remove(pos);
-        self.active_slots.remove(pos);
+        self.leave_links(f.off, f.len, f.joined, now);
+        let pos = f.pos as usize;
+        debug_assert!(self.flows[pos] == (msg as u32, slot));
+        self.flows.swap_remove(pos);
+        if let Some(&(_, moved)) = self.flows.get(pos) {
+            self.slots[moved as usize].pos = pos as u32;
+            self.sorted = false;
+        }
         self.free.push(slot);
         self.leave_class(f.bottleneck);
-        if !self.active_ids.is_empty() {
+        if !self.flows.is_empty() {
             self.reshare(now, out, probe, None);
         }
     }
@@ -358,7 +369,6 @@ impl FlowNet {
         out: &mut Vec<FlowEvent>,
         probe: &mut P,
     ) -> Result<FaultOutcome, Partition> {
-        self.settle(now, probe);
         self.faults_applied += 1;
         // decided before any mutation: a touched link with traffic means
         // rates can change (kill reroutes its flows away; degrade and
@@ -396,7 +406,7 @@ impl FlowNet {
                     }
                 }
                 self.route_cache.clear();
-                rerouted_now = self.reroute_dead_flows(probe)?;
+                rerouted_now = self.reroute_dead_flows(now, probe)?;
                 self.flows_rerouted += u64::from(rerouted_now);
                 needs_reshare |= rerouted_now > 0;
             }
@@ -416,51 +426,33 @@ impl FlowNet {
 
     /// Move every active flow whose path crosses a dead link onto an
     /// alive route (ascending message id, so the pass is deterministic).
-    fn reroute_dead_flows<P: ProbeSink>(&mut self, probe: &mut P) -> Result<u32, Partition> {
+    /// Each moved flow is brought up to date first, so its old links
+    /// are credited what it carried over them.
+    fn reroute_dead_flows<P: ProbeSink>(
+        &mut self,
+        now: Time,
+        probe: &mut P,
+    ) -> Result<u32, Partition> {
         let mut rerouted = 0u32;
-        for k in 0..self.active_ids.len() {
-            let slot = self.active_slots[k] as usize;
-            let f = self.slots[slot];
-            let crosses_dead = self.arena[f.off as usize..(f.off + f.len) as usize]
-                .iter()
-                .any(|l| self.dead[l.idx()]);
-            if !crosses_dead {
+        self.sort_flows();
+        self.visits += self.flows.len() as u64;
+        for k in 0..self.flows.len() {
+            let (msg, slot) = self.flows[k];
+            let f = self.slots[slot as usize];
+            if !self.path(f.off, f.len).iter().any(|l| self.dead[l.idx()]) {
                 continue;
             }
-            // unregister the old path
-            for idx in f.off..f.off + f.len {
-                let i = self.arena[idx as usize].idx();
-                self.active[i] -= 1;
-                if self.active[i] == 1 {
-                    self.shared_links -= 1;
-                } else if self.active[i] == 0 {
-                    self.links_dirty = true;
-                }
-            }
-            // compact stale zero-load entries before re-registering so a
-            // link this flow re-populates is not pushed twice
-            if self.links_dirty {
-                let active = &self.active;
-                self.active_links.retain(|&l| active[l as usize] > 0);
-                self.links_dirty = false;
-            }
+            self.advance(slot, now, probe);
+            let f = self.slots[slot as usize];
+            self.leave_links(f.off, f.len, f.joined - f.remaining, now);
             let (off, len) = self.route_ref(f.src as usize, f.dst as usize)?;
-            for idx in off..off + len {
-                let i = self.arena[idx as usize].idx();
-                if self.active[i] == 0 {
-                    self.active_links.push(i as u32);
-                }
-                self.active[i] += 1;
-                if self.active[i] == 2 {
-                    self.shared_links += 1;
-                }
-                self.peak_flows[i] = self.peak_flows[i].max(self.active[i]);
-            }
-            let f = &mut self.slots[slot];
+            self.join_links(off, len, now);
+            let f = &mut self.slots[slot as usize];
             f.off = off;
             f.len = len;
+            f.joined = f.remaining;
             if P::ENABLED {
-                probe.on_flow_rerouted(self.active_ids[k] as usize);
+                probe.on_flow_rerouted(msg as usize);
             }
             rerouted += 1;
         }
@@ -498,7 +490,7 @@ impl FlowNet {
 
     /// Flows currently in flight.
     pub fn active_flows(&self) -> usize {
-        self.active_ids.len()
+        self.flows.len()
     }
 
     /// The links of the underlying graph (topology order).
@@ -506,7 +498,10 @@ impl FlowNet {
         self.graph.links()
     }
 
-    /// Per-link usage statistics accumulated so far.
+    /// Per-link usage statistics accumulated so far. A link's bytes and
+    /// busy time are credited when flows leave it, so they cover the
+    /// flows that finished (or were rerouted away) and the busy periods
+    /// that ended.
     pub fn usage(&self) -> Vec<LinkUsage> {
         self.graph
             .links()
@@ -528,11 +523,25 @@ impl FlowNet {
     /// the from-scratch oracle; not a stable API.
     #[doc(hidden)]
     pub fn debug_rates(&self) -> Vec<(usize, f64)> {
-        self.active_ids
+        let mut rates: Vec<(usize, f64)> = self
+            .flows
             .iter()
-            .zip(&self.active_slots)
-            .map(|(&m, &s)| (m as usize, self.slots[s as usize].rate))
-            .collect()
+            .map(|&(m, s)| (m as usize, self.slots[s as usize].rate))
+            .collect();
+        rates.sort_unstable_by_key(|&(m, _)| m);
+        rates
+    }
+
+    /// Flows visited by per-event work: one per flow brought up to
+    /// date (a rate change, a finish or a reroute), plus every active
+    /// flow each time a pass walks them all (the sort by id, the emit
+    /// loop after a chain change or a solve, a class rebuild or a
+    /// reroute scan). A work counter for the tests that pin lazy
+    /// settlement (a link-disjoint start or finish touches only the
+    /// flows it changes); not a stable API.
+    #[doc(hidden)]
+    pub fn flow_visits(&self) -> u64 {
+        self.visits
     }
 
     /// Intern the `src -> dst` route and return its arena view. With
@@ -564,12 +573,56 @@ impl FlowNet {
         Ok((off, len))
     }
 
+    /// The arena path `(off, len)`.
+    fn path(&self, off: u32, len: u32) -> &[LinkId] {
+        &self.arena[off as usize..(off + len) as usize]
+    }
+
     /// Narrowest capacity on the arena path `(off, len)`.
     fn bottleneck(&self, off: u32, len: u32) -> f64 {
-        self.arena[off as usize..(off + len) as usize]
+        self.path(off, len)
             .iter()
             .map(|l| self.caps[l.idx()])
             .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Count a flow onto every link of the arena path `(off, len)` at
+    /// `now`: an idle link joins `active_links` and opens a busy period.
+    fn join_links(&mut self, off: u32, len: u32, now: Time) {
+        for k in off..off + len {
+            let i = self.arena[k as usize].idx();
+            if self.active[i] == 0 {
+                self.link_pos[i] = self.active_links.len() as u32;
+                self.active_links.push(i as u32);
+                self.busy_since[i] = now;
+            }
+            self.active[i] += 1;
+            if self.active[i] == 2 {
+                self.shared_links += 1;
+            }
+            self.peak_flows[i] = self.peak_flows[i].max(self.active[i]);
+        }
+    }
+
+    /// Take a flow that carried `carried` bytes off every link of the
+    /// arena path `(off, len)` at `now`: a link it leaves idle closes its
+    /// busy period and drops out of `active_links`.
+    fn leave_links(&mut self, off: u32, len: u32, carried: f64, now: Time) {
+        for k in off..off + len {
+            let i = self.arena[k as usize].idx();
+            self.bytes[i] += carried;
+            self.active[i] -= 1;
+            if self.active[i] == 1 {
+                self.shared_links -= 1;
+            } else if self.active[i] == 0 {
+                self.busy_secs[i] += (now - self.busy_since[i]).as_secs();
+                let pos = self.link_pos[i] as usize;
+                self.active_links.swap_remove(pos);
+                if let Some(&moved) = self.active_links.get(pos) {
+                    self.link_pos[moved as usize] = pos as u32;
+                }
+            }
+        }
     }
 
     /// Count a flow with bottleneck `cap` into its class.
@@ -617,54 +670,55 @@ impl FlowNet {
     fn rebuild_classes(&mut self) {
         self.classes.clear();
         self.classes_synced = false;
-        for k in 0..self.active_slots.len() {
-            let slot = self.active_slots[k] as usize;
+        self.visits += self.flows.len() as u64;
+        for k in 0..self.flows.len() {
+            let slot = self.flows[k].1 as usize;
             let b = self.bottleneck(self.slots[slot].off, self.slots[slot].len);
             self.slots[slot].bottleneck = b;
             self.join_class(b);
         }
     }
 
-    /// Advance all flows from `last` to `now` at their current rates.
-    fn settle<P: ProbeSink>(&mut self, now: Time, probe: &mut P) {
-        let dt = (now - self.last).as_secs();
-        self.last = now;
+    /// Put `flows` in ascending id order (and the slots' positions with
+    /// it), unless it already is.
+    fn sort_flows(&mut self) {
+        if self.sorted {
+            return;
+        }
+        self.visits += self.flows.len() as u64;
+        self.flows.sort_unstable();
+        for (k, &(_, slot)) in self.flows.iter().enumerate() {
+            self.slots[slot as usize].pos = k as u32;
+        }
+        self.sorted = true;
+    }
+
+    /// Bring flow `slot` from the start of its rate segment up to `now`
+    /// at its current rate, and start a new segment there.
+    fn advance<P: ProbeSink>(&mut self, slot: u32, now: Time, probe: &mut P) {
+        self.visits += 1;
+        let f = &mut self.slots[slot as usize];
+        let dt = (now - f.since).as_secs();
+        f.since = now;
         if dt <= 0.0 {
             return;
         }
-        // only links carrying flows accrue busy time; scan the active
-        // set, not the whole graph (stale zero-load entries awaiting
-        // compaction fail the a > 0 check, and each link's sum is
-        // independent, so the restriction is exact)
-        for &l in &self.active_links {
-            let i = l as usize;
-            if self.active[i] > 0 {
-                self.busy_secs[i] += dt;
-            }
+        let spent = f.latency_left.min(dt);
+        f.latency_left -= spent;
+        let avail = dt - spent;
+        if avail <= 0.0 || f.remaining <= 0.0 {
+            return;
         }
-        let (slots, arena, bytes) = (&mut self.slots, &self.arena, &mut self.bytes);
-        for &slot in &self.active_slots {
-            let f = &mut slots[slot as usize];
-            let mut avail = dt;
-            if f.latency_left > 0.0 {
-                let spent = f.latency_left.min(avail);
-                f.latency_left -= spent;
-                avail -= spent;
-            }
-            if avail <= 0.0 || f.remaining <= 0.0 {
-                continue;
-            }
-            // infinite rate · dt would drain everything; the clamp also
-            // keeps `remaining` non-negative under f64 rounding
-            let drained = (f.rate * avail).min(f.remaining);
-            f.remaining -= drained;
-            for l in &arena[f.off as usize..(f.off + f.len) as usize] {
-                bytes[l.idx()] += drained;
-                if P::ENABLED && drained > 0.0 {
-                    // the drain covered the last `avail` seconds of the
-                    // settle interval (after injection latency elapsed)
-                    probe.on_link_traffic(l.idx(), now - Time::secs(avail), now, drained);
-                }
+        // infinite rate · dt would drain everything; the clamp also
+        // keeps `remaining` non-negative under f64 rounding
+        let drained = (f.rate * avail).min(f.remaining);
+        f.remaining -= drained;
+        if P::ENABLED && drained > 0.0 {
+            let (off, len) = (f.off, f.len);
+            for l in self.path(off, len) {
+                // the drain covered the last `avail` seconds of the
+                // segment (after injection latency elapsed)
+                probe.on_link_traffic(l.idx(), now - Time::secs(avail), now, drained);
             }
         }
     }
@@ -681,18 +735,21 @@ impl FlowNet {
     ) {
         self.reshares += 1;
         if P::ENABLED {
-            probe.on_reshare(now, self.active_ids.len());
+            probe.on_reshare(now, self.flows.len());
         }
         let disjoint = !self.reference && self.shared_links == 0;
-        let n = self.active_ids.len();
+        let n = self.flows.len();
         if disjoint {
             // no link carries two flows: every rate is its class's
             let changed = chain_rates(&mut self.classes, &mut self.rounds);
             let emit_all = changed || !self.classes_synced;
+            if emit_all {
+                self.sort_flows();
+            }
             if emit_all || cfg!(debug_assertions) {
                 self.rates.clear();
                 for k in 0..n {
-                    let b = self.slots[self.active_slots[k] as usize].bottleneck;
+                    let b = self.slots[self.flows[k].1 as usize].bottleneck;
                     self.rates.push(self.class_rate(b));
                 }
                 #[cfg(debug_assertions)]
@@ -703,34 +760,27 @@ impl FlowNet {
                 // did: only a new flow needs an estimate
                 #[cfg(debug_assertions)]
                 for k in 0..n {
-                    let f = &self.slots[self.active_slots[k] as usize];
+                    let (msg, slot) = self.flows[k];
+                    let f = &self.slots[slot as usize];
                     debug_assert!(
-                        Some(self.active_ids[k]) == arrived
+                        Some(msg) == arrived
                             || (f.epoch != 0 && f.rate.to_bits() == self.rates[k].to_bits()),
-                        "flow {} changed rate under an unchanged chain",
-                        self.active_ids[k]
+                        "flow {msg} changed rate under an unchanged chain"
                     );
                 }
                 if let Some(msg) = arrived {
                     let slot = self.slot_of[msg as usize] - 1;
                     let rate = self.class_rate(self.slots[slot as usize].bottleneck);
-                    self.estimate(msg, slot, rate, now, out);
+                    self.estimate(msg, slot, rate, now, out, probe);
                 }
                 return;
             }
             self.classes_synced = true;
         } else {
-            // the general solver wants the active set compacted; the
-            // disjoint path never reads it (stale entries stay until the
-            // next arrival or general solve compacts them)
-            if self.links_dirty {
-                let active = &self.active;
-                self.active_links.retain(|&l| active[l as usize] > 0);
-                self.links_dirty = false;
-            }
-            let (slots, arena, active_slots) = (&self.slots, &self.arena, &self.active_slots);
+            self.sort_flows();
+            let (slots, arena, flows) = (&self.slots, &self.arena, &self.flows);
             let path_of = |k: usize| -> &[LinkId] {
-                let f = &slots[active_slots[k] as usize];
+                let f = &slots[flows[k].1 as usize];
                 &arena[f.off as usize..(f.off + f.len) as usize]
             };
             if self.reference {
@@ -750,20 +800,33 @@ impl FlowNet {
             }
             self.classes_synced = false;
         }
+        self.visits += n as u64;
         for k in 0..n {
             let rate = self.rates[k];
-            let slot = self.active_slots[k];
+            let (msg, slot) = self.flows[k];
             let f = &self.slots[slot as usize];
             if f.epoch != 0 && rate.to_bits() == f.rate.to_bits() {
                 continue;
             }
-            self.estimate(self.active_ids[k], slot, rate, now, out);
+            self.estimate(msg, slot, rate, now, out, probe);
         }
     }
 
-    /// Set the flow's rate and schedule its completion under a fresh
-    /// epoch.
-    fn estimate(&mut self, msg: u32, slot: u32, rate: f64, now: Time, out: &mut Vec<FlowEvent>) {
+    /// Close the flow's rate segment at `now`, give it `rate`, and
+    /// schedule its completion under a fresh epoch.
+    fn estimate<P: ProbeSink>(
+        &mut self,
+        msg: u32,
+        slot: u32,
+        rate: f64,
+        now: Time,
+        out: &mut Vec<FlowEvent>,
+        probe: &mut P,
+    ) {
+        if self.slots[slot as usize].epoch != 0 {
+            // a new flow's segment starts now: nothing to bring up
+            self.advance(slot, now, probe);
+        }
         let f = &mut self.slots[slot as usize];
         f.rate = rate;
         // rate is either +inf (remaining/rate == 0) or > 0, so the
@@ -785,11 +848,11 @@ impl FlowNet {
     #[cfg(debug_assertions)]
     fn assert_oracle_agrees(&self) {
         let paths: Vec<&[LinkId]> = self
-            .active_slots
+            .flows
             .iter()
-            .map(|&s| {
+            .map(|&(_, s)| {
                 let f = &self.slots[s as usize];
-                &self.arena[f.off as usize..(f.off + f.len) as usize]
+                self.path(f.off, f.len)
             })
             .collect();
         let oracle = max_min_rates(&paths, &self.caps);
@@ -797,7 +860,7 @@ impl FlowNet {
             debug_assert!(
                 a.to_bits() == b.to_bits(),
                 "solver divergence on flow {}: oracle {a} vs incremental {b}",
-                self.active_ids[k]
+                self.flows[k].0
             );
         }
     }
@@ -1029,8 +1092,9 @@ mod tests {
     fn repopulating_an_emptied_link_does_not_double_charge_it() {
         let mut out = Vec::new();
         let mut n = net(3, 100.0);
-        // drain the net to empty: the last finish skips its reshare, so
-        // node 0's up link lingers in the active set with zero load
+        // drain the net to empty (the last finish skips its reshare),
+        // so node 0's up link must leave the active set and rejoin it
+        // once
         n.start(0, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         n.finish(0, Time::secs(0.02), &mut out, &mut NoopSink);
@@ -1065,6 +1129,7 @@ mod tests {
         n.start(0, 0, 4, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         assert_eq!(n.usage()[fabric.idx()].peak_flows, 1);
+        let eta = out[0].at;
         out.clear();
         let outcome = n
             .apply_fault(
@@ -1084,6 +1149,31 @@ mod tests {
             assert_eq!(r, 100e6);
         }
         assert!(out.is_empty());
+        // each link is credited what crossed it: links on both routes
+        // (the host up- and down-link) the whole message, links only on
+        // the old route the 1 ms before the kill, the new route the rest
+        let f = n.slots[(n.slot_of[0] - 1) as usize];
+        let rerouted = n.path(f.off, f.len).to_vec();
+        let shared: Vec<LinkId> = route
+            .iter()
+            .copied()
+            .filter(|l| rerouted.contains(l))
+            .collect();
+        assert_eq!(shared, [route[0], route[route.len() - 1]]);
+        n.finish(0, eta, &mut out, &mut NoopSink);
+        let usage = n.usage();
+        let before_kill = 100e6 * 1e-3;
+        for (i, u) in usage.iter().enumerate() {
+            let l = LinkId(i as u32);
+            let want = match (route.contains(&l), rerouted.contains(&l)) {
+                (true, true) => 1e6,
+                (true, false) => before_kill,
+                (false, true) => 1e6 - before_kill,
+                (false, false) => 0.0,
+            };
+            assert_eq!(u.bytes, want, "link {}", u.label);
+        }
+        assert_eq!(usage[fabric.idx()].bytes, before_kill);
         // killing the host up-link leaves no alternate: partition
         let host = FlowNet::new(
             LinkGraph::build(

@@ -18,7 +18,11 @@
 //!
 //! Durations are split across window boundaries proportionally;
 //! point-sampled gauges fill forward (a gauge holds its value until the
-//! next sample) and report each window's maximum.
+//! next sample) and report each window's maximum. A recorder holds at
+//! most [`MAX_WINDOWS`] windows, and at most [`MAX_CELLS`] windows
+//! summed over its rank and link series: a run that needs more stops
+//! recording and [`WindowedRecorder::into_metrics`] reports
+//! [`TooManyWindows`].
 
 use crate::net::fault::FaultAction;
 use crate::net::topology::{Link, LinkId};
@@ -352,6 +356,42 @@ impl PeakSeries {
     }
 }
 
+/// Most windows a [`WindowedRecorder`] records.
+pub const MAX_WINDOWS: usize = 1 << 16;
+
+/// Most cells a [`WindowedRecorder`] holds, a cell being one window of
+/// one rank's or link's series. A cell takes at most 40 bytes (a
+/// rank's four occupancy shares and its injected bytes), so whatever
+/// the rank count, a tiny `--probe-window` cannot ask for much more
+/// than 640 MiB. An 8192-rank `fat-tree:32:4` run at the CLI's default
+/// 256 windows needs about 15M cells.
+pub const MAX_CELLS: usize = 1 << 24;
+
+/// A [`WindowedRecorder`] run that needed more windows than its
+/// ceiling allows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TooManyWindows {
+    /// The recorder's window width, seconds.
+    pub window_s: f64,
+    /// The ceiling: [`MAX_WINDOWS`], or fewer when the ranks and links
+    /// would exceed [`MAX_CELLS`].
+    pub max_windows: usize,
+}
+
+impl std::fmt::Display for TooManyWindows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "a probe window of {}us needs more than {} windows to cover the run; \
+             choose a wider window",
+            self.window_s * 1e6,
+            self.max_windows
+        )
+    }
+}
+
+impl std::error::Error for TooManyWindows {}
+
 /// Sink that folds probe callbacks into fixed-width time windows.
 ///
 /// Feed it to [`simulate_probed`](crate::replay::simulate_probed), then
@@ -359,6 +399,13 @@ impl PeakSeries {
 #[derive(Debug)]
 pub struct WindowedRecorder {
     window_s: f64,
+    /// The window ceiling: [`MAX_WINDOWS`], lowered by
+    /// [`ProbeSink::on_begin`] to keep ranks and links within
+    /// [`MAX_CELLS`].
+    max_windows: usize,
+    /// A callback reached past `max_windows`; the recorder has stopped
+    /// recording.
+    overflow: bool,
     link_meta: Vec<(std::sync::Arc<str>, f64)>,
     /// rank -> window -> seconds in [compute, wait-recv, wait-send,
     /// collective].
@@ -400,6 +447,8 @@ impl WindowedRecorder {
         );
         WindowedRecorder {
             window_s,
+            max_windows: MAX_WINDOWS,
+            overflow: false,
             link_meta: Vec::new(),
             occupancy: Vec::new(),
             injected: Vec::new(),
@@ -424,13 +473,32 @@ impl WindowedRecorder {
         }
     }
 
-    /// Window index containing time `t`.
-    fn window(&self, t: Time) -> usize {
-        (t.as_secs() / self.window_s).floor() as usize
+    /// Window index containing time `t`, or `None` once the recorder
+    /// has overflowed (marking it so when `t` lies past the ceiling).
+    fn window(&mut self, t: Time) -> Option<usize> {
+        let w = (t.as_secs() / self.window_s).floor() as usize;
+        self.overflow |= w >= self.max_windows;
+        (!self.overflow).then_some(w)
     }
 
-    /// Consume the recorder into the final [`Metrics`] document.
-    pub fn into_metrics(self) -> Metrics {
+    /// Whether the interval `[a, b)` ends within the ceiling and the
+    /// recorder has not overflowed; an interval reaching past the
+    /// ceiling overflows it, so the recorder stops growing there.
+    fn fits(&mut self, a: Time, b: Time) -> bool {
+        let (a, b) = (a.as_secs(), b.as_secs());
+        self.overflow |= b > a && (b / self.window_s).ceil() > self.max_windows as f64;
+        !self.overflow
+    }
+
+    /// Consume the recorder into the final [`Metrics`] document. Errs
+    /// when the run needed more windows than the ceiling allows.
+    pub fn into_metrics(self) -> Result<Metrics, TooManyWindows> {
+        if self.overflow || self.runtime_s / self.window_s > self.max_windows as f64 {
+            return Err(TooManyWindows {
+                window_s: self.window_s,
+                max_windows: self.max_windows,
+            });
+        }
         // enough windows to cover the runtime, and never fewer than any
         // series touched (an event exactly at the runtime lands one
         // window past ceil(runtime / dt))
@@ -497,7 +565,7 @@ impl WindowedRecorder {
         events_w.resize(windows, [0; 4]);
         let mut reshares_w = self.reshares_w;
         reshares_w.resize(windows, 0);
-        Metrics {
+        Ok(Metrics {
             window_s: self.window_s,
             runtime_s: self.runtime_s,
             windows,
@@ -522,7 +590,7 @@ impl WindowedRecorder {
                 flows_rerouted: self.flows_rerouted,
                 reroute_reshares: self.reroute_reshares,
             },
-        }
+        })
     }
 }
 
@@ -560,6 +628,7 @@ impl ProbeSink for WindowedRecorder {
             .collect();
         self.link_bytes = vec![Vec::new(); links.len()];
         self.link_faulted = vec![false; links.len()];
+        self.max_windows = MAX_WINDOWS.min(MAX_CELLS / (nranks + links.len()).max(1));
     }
 
     fn on_state(&mut self, rank: usize, start: Time, end: Time, state: State) {
@@ -570,6 +639,9 @@ impl ProbeSink for WindowedRecorder {
             State::Collective => 3,
             State::Done => return,
         };
+        if !self.fits(start, end) {
+            return;
+        }
         let occ = &mut self.occupancy[rank];
         split_windows(self.window_s, start, end, |w, secs| {
             if occ.len() <= w {
@@ -580,7 +652,9 @@ impl ProbeSink for WindowedRecorder {
     }
 
     fn on_event(&mut self, at: Time, kind: EventKind, queue_depth: usize) {
-        let w = self.window(at);
+        let Some(w) = self.window(at) else {
+            return;
+        };
         if self.events_w.len() <= w {
             self.events_w.resize(w + 1, [0; 4]);
         }
@@ -590,7 +664,9 @@ impl ProbeSink for WindowedRecorder {
     }
 
     fn on_transfer_start(&mut self, at: Time, in_flight: u32, buses: u32, ports: u32) {
-        let w = self.window(at);
+        let Some(w) = self.window(at) else {
+            return;
+        };
         self.in_flight.record(w, in_flight);
         self.buses.record(w, buses);
         self.ports.record(w, ports);
@@ -598,14 +674,18 @@ impl ProbeSink for WindowedRecorder {
     }
 
     fn on_transfer_done(&mut self, at: Time, in_flight: u32, buses: u32, ports: u32) {
-        let w = self.window(at);
+        let Some(w) = self.window(at) else {
+            return;
+        };
         self.in_flight.record(w, in_flight);
         self.buses.record(w, buses);
         self.ports.record(w, ports);
     }
 
     fn on_injected(&mut self, rank: usize, at: Time, bytes: u64) {
-        let w = self.window(at);
+        let Some(w) = self.window(at) else {
+            return;
+        };
         let inj = &mut self.injected[rank];
         if inj.len() <= w {
             inj.resize(w + 1, 0);
@@ -618,11 +698,15 @@ impl ProbeSink for WindowedRecorder {
             return;
         }
         if t1 <= t0 {
-            let w = self.window(t0);
-            bump_f64(&mut self.link_bytes[link], w, bytes);
+            if let Some(w) = self.window(t0) {
+                bump_f64(&mut self.link_bytes[link], w, bytes);
+            }
             return;
         }
         let span = (t1 - t0).as_secs();
+        if !self.fits(t0, t1) {
+            return;
+        }
         let series = &mut self.link_bytes[link];
         split_windows(self.window_s, t0, t1, |w, secs| {
             bump_f64(series, w, bytes * secs / span);
@@ -630,7 +714,9 @@ impl ProbeSink for WindowedRecorder {
     }
 
     fn on_reshare(&mut self, at: Time, _active_flows: usize) {
-        let w = self.window(at);
+        let Some(w) = self.window(at) else {
+            return;
+        };
         if self.reshares_w.len() <= w {
             self.reshares_w.resize(w + 1, 0);
         }
@@ -961,13 +1047,67 @@ mod tests {
         // 0.5 .. 2.25 compute: 0.5 s in w0, 1.0 s in w1, 0.25 s in w2
         r.on_state(0, Time::secs(0.5), Time::secs(2.25), State::Compute);
         r.on_end(Time::secs(2.25), 0);
-        let m = r.into_metrics();
+        let m = r.into_metrics().unwrap();
         assert_eq!(m.windows, 3);
         let occ = &m.ranks[0].occupancy;
         assert!((occ[0][0] - 0.5).abs() < 1e-12);
         assert!((occ[1][0] - 1.0).abs() < 1e-12);
         assert!((occ[2][0] - 0.25).abs() < 1e-12);
         assert_eq!(occ[0][1], 0.0);
+    }
+
+    #[test]
+    fn a_run_past_the_window_ceiling_fails_without_growing_past_it() {
+        // 1 s at 1 ns windows would be 10^9 windows per series
+        let mut r = WindowedRecorder::new(Time::secs(1e-9));
+        r.on_begin(1, &[]);
+        r.on_state(0, Time::ZERO, Time::secs(1.0), State::Compute);
+        r.on_event(Time::secs(0.5), EventKind::Resume, 1);
+        r.on_end(Time::secs(1.0), 0);
+        assert!(r.occupancy[0].is_empty());
+        assert!(r.events_w.is_empty());
+        let err = r.into_metrics().unwrap_err();
+        assert_eq!(err.max_windows, MAX_WINDOWS);
+        assert!(err.to_string().contains("choose a wider window"), "{err}");
+        // exactly at the ceiling still records
+        let mut r = WindowedRecorder::new(Time::secs(1.0));
+        r.on_begin(1, &[]);
+        let end = Time::secs(MAX_WINDOWS as f64);
+        r.on_state(0, Time::ZERO, end, State::Compute);
+        r.on_end(end, 0);
+        assert_eq!(r.into_metrics().unwrap().windows, MAX_WINDOWS);
+    }
+
+    #[test]
+    fn many_ranks_and_links_lower_the_window_ceiling() {
+        let links = vec![
+            Link {
+                label: "n0->sw".into(),
+                capacity: 100.0,
+            };
+            1024
+        ];
+        // 3072 ranks + 1024 links: MAX_CELLS / 4096 windows
+        let ceiling = MAX_CELLS / 4096;
+        assert!(ceiling < MAX_WINDOWS);
+        for (windows, fits) in [(ceiling, true), (ceiling + 1, false)] {
+            let mut r = WindowedRecorder::new(Time::secs(1.0));
+            r.on_begin(3072, &links);
+            let end = Time::secs(windows as f64);
+            r.on_state(0, Time::ZERO, end, State::Compute);
+            r.on_link_traffic(7, Time::ZERO, end, 1.0);
+            r.on_end(end, 0);
+            if fits {
+                // (padding every series to the ceiling would allocate
+                // the whole budget, so check the recorder itself)
+                assert!(!r.overflow);
+                assert_eq!(r.occupancy[0].len(), ceiling);
+                assert_eq!(r.link_bytes[7].len(), ceiling);
+            } else {
+                assert!(r.occupancy[0].is_empty() && r.link_bytes[7].is_empty());
+                assert_eq!(r.into_metrics().unwrap_err().max_windows, ceiling);
+            }
+        }
     }
 
     #[test]
@@ -978,7 +1118,7 @@ mod tests {
         // nothing sampled in w1/w2; gauge holds 2
         r.on_transfer_done(Time::secs(3.5), 1, 1, 2);
         r.on_end(Time::secs(5.0), 0);
-        let m = r.into_metrics();
+        let m = r.into_metrics().unwrap();
         assert_eq!(m.net.in_flight, vec![2, 2, 2, 2, 1]);
         assert_eq!(m.net.ports_busy, vec![4, 4, 4, 4, 2]);
         assert_eq!(m.engine.max_in_flight, 2);
@@ -996,7 +1136,7 @@ mod tests {
         // instant credit lands in its own window
         r.on_link_traffic(0, Time::secs(1.5), Time::secs(1.5), 7.0);
         r.on_end(Time::secs(2.0), 0);
-        let m = r.into_metrics();
+        let m = r.into_metrics().unwrap();
         assert_eq!(m.links[0].bytes.len(), 2);
         assert!((m.links[0].bytes[0] - 50.0).abs() < 1e-9);
         assert!((m.links[0].bytes[1] - 57.0).abs() < 1e-9);
@@ -1010,7 +1150,7 @@ mod tests {
         let mut r = WindowedRecorder::new(Time::micros(100.0));
         r.on_begin(2, &[]);
         r.on_end(Time::ZERO, 0);
-        let m = r.into_metrics();
+        let m = r.into_metrics().unwrap();
         assert_eq!(m.windows, 1);
         assert_eq!(m.ranks.len(), 2);
         assert_eq!(m.ranks[0].occupancy, vec![[0.0; 4]]);
@@ -1024,7 +1164,7 @@ mod tests {
         r.on_state(0, Time::ZERO, Time::secs(0.5), State::Compute);
         r.on_event(Time::ZERO, EventKind::Resume, 3);
         r.on_end(Time::secs(0.5), 4);
-        let m = r.into_metrics();
+        let m = r.into_metrics().unwrap();
         let a = m.to_json();
         let b = m.clone().to_json();
         assert_eq!(a, b);
@@ -1059,7 +1199,7 @@ mod tests {
             false,
         );
         r.on_end(Time::secs(1.0), 0);
-        let m = r.into_metrics();
+        let m = r.into_metrics().unwrap();
         assert!(!m.links[0].faulted);
         assert!(m.links[1].faulted);
         assert_eq!(m.engine.events_by_kind[EventKind::Fault.idx()], 1);

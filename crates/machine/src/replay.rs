@@ -143,6 +143,10 @@ pub enum SimError {
     /// without a matching acquire). Always a bug in the engine; fails
     /// loudly in release builds too.
     Accounting(String),
+    /// A probe could not record the run it observed (e.g. it needed
+    /// more windows than [`MAX_WINDOWS`](crate::probe::MAX_WINDOWS) or
+    /// [`MAX_CELLS`](crate::probe::MAX_CELLS) allow).
+    Probe(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -165,7 +169,14 @@ impl std::fmt::Display for SimError {
             ),
             SimError::BadPlatform(s) => write!(f, "bad platform: {s}"),
             SimError::Accounting(s) => write!(f, "resource accounting corrupt: {s}"),
+            SimError::Probe(s) => write!(f, "probe failed: {s}"),
         }
+    }
+}
+
+impl From<crate::probe::TooManyWindows> for SimError {
+    fn from(e: crate::probe::TooManyWindows) -> SimError {
+        SimError::Probe(e.to_string())
     }
 }
 

@@ -219,7 +219,7 @@ mod tests {
         let p = Platform::default().with_topology(Topology::Crossbar);
         let mut rec = WindowedRecorder::new(ovlp_machine::Time::micros(500.0));
         simulate_probed(&t, &p, &mut rec).unwrap();
-        rec.into_metrics()
+        rec.into_metrics().unwrap()
     }
 
     #[test]
@@ -243,7 +243,7 @@ mod tests {
         });
         let mut rec = WindowedRecorder::new(ovlp_machine::Time::micros(100.0));
         let sim = simulate_probed(&t, &Platform::default(), &mut rec).unwrap();
-        let m = rec.into_metrics();
+        let m = rec.into_metrics().unwrap();
         assert_eq!(link_heatmap_ascii(&m, 40, sim.runtime, 0), "");
         assert_eq!(link_heatmap_svg("t", &m, 800, sim.runtime, 0), "");
     }
@@ -269,7 +269,7 @@ mod tests {
             .with_faults("degrade=0.5@1ms:n0->sw".parse().unwrap());
         let mut rec = WindowedRecorder::new(ovlp_machine::Time::micros(500.0));
         let sim = simulate_probed(&t, &p, &mut rec).unwrap();
-        let m = rec.into_metrics();
+        let m = rec.into_metrics().unwrap();
         let text = link_heatmap_ascii(&m, 40, sim.runtime, 0);
         let marked = text.lines().find(|l| l.contains("[faulted]")).unwrap();
         assert!(marked.contains("n0->sw"), "{text}");

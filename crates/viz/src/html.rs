@@ -257,7 +257,7 @@ mod tests {
         let p = Platform::default().with_topology(Topology::Crossbar);
         let mut rec = WindowedRecorder::new(Time::micros(500.0));
         let s = simulate_probed(&t, &p, &mut rec).unwrap();
-        let m = rec.into_metrics();
+        let m = rec.into_metrics().unwrap();
         let html = report_with_metrics(&inputs(), &[("original", &s, Some(&m))]);
         assert!(html.contains("link utilization"), "heatmap panel");
         assert_eq!(html.matches("<svg").count(), 2, "timeline + heatmap");

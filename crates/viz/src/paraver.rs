@@ -277,7 +277,7 @@ mod tests {
         let p = Platform::default().with_topology(Topology::Crossbar);
         let mut rec = WindowedRecorder::new(Time::micros(200.0));
         let sim = simulate_probed(&t, &p, &mut rec).unwrap();
-        let m = rec.into_metrics();
+        let m = rec.into_metrics().unwrap();
         let e = export_with_metrics("demo", &sim, Some(&m));
         let counters: Vec<&str> = e.prv.lines().filter(|l| l.starts_with("2:")).collect();
         assert_eq!(counters.len(), m.windows * (1 + m.ranks.len()));

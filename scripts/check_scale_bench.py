@@ -16,6 +16,11 @@ carries 1000000). `--max-spread F` requires the fastest point's
 events/s to be at most F times the slowest one's: a replay whose work
 per event grows with the rank count shows up as a spread that grows
 with the ladder.
+
+The document also carries `flow_points`: the same trace replayed on a
+flow fabric next to its bus replay. Every point's flow/bus wall ratio
+must stay within MAX_FLOW_RATIO, so a flow replay whose cost per event
+grows with the flows in flight fails as the ladder climbs.
 """
 
 import json
@@ -38,6 +43,22 @@ POINT_KEYS = {
     "efficiency": float,
 }
 
+FLOW_POINT_KEYS = {
+    "ranks": int,
+    "events": int,
+    "transfers": int,
+    "reshares": int,
+    "stale_events": int,
+    "flow_wall_s": float,
+    "bus_wall_s": float,
+    "wall_ratio": float,
+    "events_per_sec": float,
+}
+
+# A flow replay that walked every active flow on each event ran 20x the
+# bus at 8k ranks; lazy settlement keeps it within 2x.
+MAX_FLOW_RATIO = 3.0
+
 # A streamed replay keeps O(active) records resident. Allow a generous
 # margin over "strictly less" so tiny ladders don't flap, while still
 # rejecting anything close to full materialization.
@@ -58,6 +79,46 @@ def is_num(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def check_keys(path, label, p, keys):
+    expect(isinstance(p, dict), path, f"{label} is not an object")
+    for key, kind in keys.items():
+        v = p.get(key)
+        if kind is int:
+            expect(isinstance(v, int) and v >= 0, path, f"{label}: bad {key} {v!r}")
+        else:
+            expect(is_num(v) and v >= 0, path, f"{label}: bad {key} {v!r}")
+
+
+def check_flow(path, doc):
+    """Validate `flow_points`; returns the worst flow/bus wall ratio."""
+    points = doc.get("flow_points")
+    expect(isinstance(points, list) and points, path, "flow_points missing or empty")
+    topo = doc.get("flow_topology")
+    expect(isinstance(topo, str) and topo, path, "flow_topology missing")
+    prev_ranks = 0
+    worst = 0.0
+    for i, p in enumerate(points):
+        check_keys(path, f"flow point {i}", p, FLOW_POINT_KEYS)
+        expect(p["ranks"] > prev_ranks, path, f"flow point {i}: ranks not strictly increasing")
+        prev_ranks = p["ranks"]
+        expect(p["reshares"] > 0, path, f"flow point {i}: the flow replay never reshared")
+        expect(p["bus_wall_s"] > 0 and p["flow_wall_s"] > 0, path, f"flow point {i}: zero wall time")
+        ratio = p["flow_wall_s"] / p["bus_wall_s"]
+        expect(
+            abs(p["wall_ratio"] - ratio) <= 1e-9 * ratio,
+            path,
+            f"flow point {i}: wall_ratio {p['wall_ratio']!r} disagrees with the walls ({ratio})",
+        )
+        expect(
+            ratio <= MAX_FLOW_RATIO,
+            path,
+            f"flow point {i} ({p['ranks']} ranks on {topo}): flow replay took "
+            f"{ratio:.2f}x the bus replay, want <= {MAX_FLOW_RATIO}x",
+        )
+        worst = max(worst, ratio)
+    return worst
+
+
 def check(path, min_ranks, max_spread):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -75,13 +136,7 @@ def check(path, min_ranks, max_spread):
 
     prev_ranks = 0
     for i, p in enumerate(points):
-        expect(isinstance(p, dict), path, f"point {i} is not an object")
-        for key, kind in POINT_KEYS.items():
-            v = p.get(key)
-            if kind is int:
-                expect(isinstance(v, int) and v >= 0, path, f"point {i}: bad {key} {v!r}")
-            else:
-                expect(is_num(v) and v >= 0, path, f"point {i}: bad {key} {v!r}")
+        check_keys(path, f"point {i}", p, POINT_KEYS)
         rss = p.get("rss_peak_bytes")
         expect(rss is None or (isinstance(rss, int) and rss > 0), path, f"point {i}: bad rss_peak_bytes {rss!r}")
         expect(p["ranks"] > prev_ranks, path, f"point {i}: ranks not strictly increasing")
@@ -114,11 +169,13 @@ def check(path, min_ranks, max_spread):
             path,
             f"events/s spread {spread:.2f}x across the ladder, want <= {max_spread}x",
         )
+    worst = check_flow(path, doc)
     frac = points[-1]["records_peak"] / max(points[-1]["records_total"], 1)
     print(
         f"{path}: ok ({len(points)} points, top {top} ranks, "
         f"resident peak {100.0 * frac:.2f}% of streamed records, "
-        f"events/s spread {spread:.2f}x)"
+        f"events/s spread {spread:.2f}x, {len(doc['flow_points'])} flow points, "
+        f"worst flow/bus {worst:.2f}x)"
     )
 
 

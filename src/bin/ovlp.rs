@@ -19,8 +19,35 @@ use overlap_sim::machine::{
 use overlap_sim::trace::text;
 use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
 use std::fs;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// `print!` for command output. A closed stdout means the reader has
+/// all it wants (`ovlp ... | head -1`), so the command ends quietly
+/// with exit 0 instead of panicking; any other write error exits 1.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// One `ovlp` subcommand. The usage text shown by `ovlp help` (and on
 /// bad invocations) is rendered from this table.
@@ -155,7 +182,7 @@ fn main() -> ExitCode {
                 } else {
                     "traced"
                 };
-                println!("{:<12} (default {} ranks, {kind})", e.name, e.ranks);
+                outln!("{:<12} (default {} ranks, {kind})", e.name, e.ranks);
             }
             ExitCode::SUCCESS
         }
@@ -174,7 +201,7 @@ fn main() -> ExitCode {
         ["sweep", app, ranks, rest @ ..] => sweep_cmd(app, ranks, rest),
         ["serve", rest @ ..] => serve_cmd(rest),
         ["help"] | ["--help"] | ["-h"] => {
-            print!("{}", usage());
+            out!("{}", usage());
             ExitCode::SUCCESS
         }
         _ => {
@@ -290,11 +317,11 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
     };
     let p = production_stats(&run.access);
     let c = consumption_stats(&run.access);
-    println!("{}", table2a(&[(app.to_string(), p)]));
-    println!("{}", table2b(&[(app.to_string(), c)]));
+    outln!("{}", table2a(&[(app.to_string(), p)]));
+    outln!("{}", table2b(&[(app.to_string(), c)]));
     match run_variants(&bundle, &platform) {
         Ok(r) => {
-            println!(
+            outln!(
                 "runtime: original {:.4}s  overlapped {:.4}s (x{:.3})  ideal {:.4}s (x{:.3})",
                 r.original.runtime(),
                 r.overlapped.runtime(),
@@ -302,13 +329,13 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
                 r.ideal.runtime(),
                 r.speedup_ideal()
             );
-            println!(
+            outln!(
                 "wait/rank: original {:.1}us  overlapped {:.1}us",
                 r.original.total_wait() * 1e6 / r.original.totals.len() as f64,
                 r.overlapped.total_wait() * 1e6 / r.overlapped.totals.len() as f64,
             );
             let demand = overlap_sim::core::double_buffer_demand(&r.overlapped);
-            println!(
+            outln!(
                 "double-buffering demand: {} of {} candidate transfers ({})",
                 demand.early_arrivals,
                 demand.candidates,
@@ -317,14 +344,14 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
             // the paper's §VII future work, quantified: how much more
             // postponement would phase-level reordering expose?
             match overlap_sim::core::patterns::mean_independent_tail(&run.access) {
-                Some(tail) => println!(
+                Some(tail) => outln!(
                     "phase-reorder potential (mean independent tail): {}",
                     pct(Some(100.0 * tail))
                 ),
-                None => println!("phase-reorder potential: n/a (scatter capture off)"),
+                None => outln!("phase-reorder potential: n/a (scatter capture off)"),
             }
-            println!("\nheaviest channels (original execution):");
-            print!(
+            outln!("\nheaviest channels (original execution):");
+            out!(
                 "{}",
                 overlap_sim::machine::chanstat::render_top(&r.original, 8)
             );
@@ -356,7 +383,7 @@ fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
         if let Err(e) = fs::write(&path, body) {
             return fail(e.to_string());
         }
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }
@@ -379,7 +406,7 @@ fn transform_cmd(trf: &str, acc: &str) -> ExitCode {
         Err(e) => return fail(format!("{acc}: {e}")),
     };
     let out = overlap_sim::core::transform(&trace, &access, &ChunkPolicy::paper_default());
-    print!("{}", text::emit(&out));
+    out!("{}", text::emit(&out));
     ExitCode::SUCCESS
 }
 
@@ -391,15 +418,15 @@ fn stats_cmd(path: &str) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(format!("{path}: {e}")),
     };
-    println!("{}", overlap_sim::trace::TraceStats::of(&trace));
+    outln!("{}", overlap_sim::trace::TraceStats::of(&trace));
     let errs = overlap_sim::trace::validate(&trace);
     if errs.is_empty() {
-        println!("validation:       ok");
+        outln!("validation:       ok");
         ExitCode::SUCCESS
     } else {
-        println!("validation:       {} problems", errs.len());
+        outln!("validation:       {} problems", errs.len());
         for e in errs.iter().take(10) {
-            println!("  - {e}");
+            outln!("  - {e}");
         }
         ExitCode::FAILURE
     }
@@ -412,10 +439,10 @@ fn waits_cmd(app: &str, ranks: &str) -> ExitCode {
     };
     match run_variants(&bundle, &platform) {
         Ok(r) => {
-            println!("== non-overlapped ==");
-            println!("{}", overlap_sim::viz::wait_report(&r.original, 48));
-            println!("== overlapped ==");
-            println!("{}", overlap_sim::viz::wait_report(&r.overlapped, 48));
+            outln!("== non-overlapped ==");
+            outln!("{}", overlap_sim::viz::wait_report(&r.original, 48));
+            outln!("== overlapped ==");
+            outln!("{}", overlap_sim::viz::wait_report(&r.overlapped, 48));
             ExitCode::SUCCESS
         }
         Err(e) => fail(e.to_string()),
@@ -442,19 +469,22 @@ fn chunks_cmd(app: &str, ranks: &str) -> ExitCode {
     let platform = marenostrum_for(entry.name);
     match chunk_search(&run, &platform, &default_candidates()) {
         Ok(s) => {
-            println!("original runtime: {:.4}s", s.original_runtime);
+            outln!("original runtime: {:.4}s", s.original_runtime);
             for p in &s.points {
                 let marker = if p.chunks == s.best.chunks {
                     "  <= best"
                 } else {
                     ""
                 };
-                println!(
+                outln!(
                     "{:>3} chunks: {:.4}s (x{:.3}){}",
-                    p.chunks, p.runtime, p.speedup_vs_original, marker
+                    p.chunks,
+                    p.runtime,
+                    p.speedup_vs_original,
+                    marker
                 );
             }
-            println!(
+            outln!(
                 "recommendation: {} chunks (the paper fixes 4)",
                 s.best.chunks
             );
@@ -617,7 +647,10 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         (Some(w), false) => {
             let mut rec = WindowedRecorder::new(w);
             match input.run_probed(&platform, &mut rec, engine) {
-                Ok(r) => (r, Some(rec.into_metrics()), None),
+                Ok(r) => match rec.into_metrics() {
+                    Ok(m) => (r, Some(m), None),
+                    Err(e) => return fail(e.to_string()),
+                },
                 Err(e) => return fail(e.to_string()),
             }
         }
@@ -633,13 +666,16 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             match input.run_probed(&platform, &mut tee, engine) {
                 Ok(r) => {
                     let TeeSink(windowed, crit) = tee;
-                    (r, Some(windowed.into_metrics()), Some(crit.into_critpath()))
+                    match windowed.into_metrics() {
+                        Ok(m) => (r, Some(m), Some(crit.into_critpath())),
+                        Err(e) => return fail(e.to_string()),
+                    }
                 }
                 Err(e) => return fail(e.to_string()),
             }
         }
     };
-    println!(
+    outln!(
         "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
         r.runtime(),
         r.timelines.len(),
@@ -647,34 +683,36 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         100.0 * r.efficiency()
     );
     for (i, t) in r.totals.iter().enumerate() {
-        println!(
+        outln!(
             "  r{i}: compute {:.3}ms  wait-recv {:.3}ms  wait-send {:.3}ms  collective {:.3}ms",
-            t.compute.as_secs() * 1e3,
-            t.wait_recv.as_secs() * 1e3,
-            t.wait_send.as_secs() * 1e3,
-            t.collective.as_secs() * 1e3
+            unsigned(t.compute) * 1e3,
+            unsigned(t.wait_recv) * 1e3,
+            unsigned(t.wait_send) * 1e3,
+            unsigned(t.collective) * 1e3
         );
     }
     let links = overlap_sim::viz::link_report(&r, 12);
     if !links.is_empty() {
-        println!("network: {} fair-share recomputations", r.network.reshares);
-        print!("{links}");
+        outln!("network: {} fair-share recomputations", r.network.reshares);
+        out!("{links}");
     }
     if !r.fault_log.is_empty() {
-        println!(
+        outln!(
             "faults: {} applied, {} flows rerouted, {} reroute reshares",
-            r.network.faults_applied, r.network.flows_rerouted, r.network.reroute_reshares
+            r.network.faults_applied,
+            r.network.flows_rerouted,
+            r.network.reroute_reshares
         );
         for f in &r.fault_log {
-            println!("  {:.6}s  {}", f.at.as_secs(), f.desc);
+            outln!("  {:.6}s  {}", f.at.as_secs(), f.desc);
         }
     }
     if let Some(cp) = &critpath {
-        print!("{}", overlap_sim::viz::critpath_report(cp));
+        out!("{}", overlap_sim::viz::critpath_report(cp));
     }
     if let Some(m) = &metrics {
         let e = &m.engine;
-        println!(
+        outln!(
             "probe: {} windows of {:.1}us; events resume {} / transfer {} / flow {} / fault {}; \
              reshares {}; queue peak {}; records peak {}; in-flight peak {}",
             m.windows,
@@ -690,8 +728,8 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         );
         let heat = link_heatmap_ascii(m, 100, r.runtime, 12);
         if !heat.is_empty() {
-            println!("link utilization over time:");
-            print!("{heat}");
+            outln!("link utilization over time:");
+            out!("{heat}");
         }
         if let Some(out) = &metrics_out {
             // with --critpath the document upgrades to ovlp.metrics.v2:
@@ -703,7 +741,7 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             if let Err(e) = fs::write(out, doc) {
                 return fail(e.to_string());
             }
-            println!("wrote {out}");
+            outln!("wrote {out}");
         }
     }
     ExitCode::SUCCESS
@@ -743,18 +781,19 @@ fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     };
     match replay_scale(source.as_ref(), &platform) {
         Ok(rep) => {
-            println!(
+            outln!(
                 "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
                 rep.runtime.as_secs(),
                 rep.nranks,
                 rep.events_processed,
                 100.0 * rep.efficiency()
             );
-            println!(
+            outln!(
                 "transfers {}  records streamed {}",
-                rep.transfers, rep.records_streamed
+                rep.transfers,
+                rep.records_streamed
             );
-            println!(
+            outln!(
                 "high-water marks: records resident {}  queue {}  msg slots {}  \
                  req slots {}  chan slots {}  blocked transfers {}",
                 rep.records_peak,
@@ -764,18 +803,26 @@ fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
                 rep.chan_slots,
                 rep.waiters_peak
             );
-            println!(
+            outln!(
                 "state totals: compute {:.3}s  wait-recv {:.3}s  wait-send {:.3}s  \
                  collective {:.3}s",
-                rep.totals.compute.as_secs(),
-                rep.totals.wait_recv.as_secs(),
-                rep.totals.wait_send.as_secs(),
-                rep.totals.collective.as_secs()
+                unsigned(rep.totals.compute),
+                unsigned(rep.totals.wait_recv),
+                unsigned(rep.totals.wait_send),
+                unsigned(rep.totals.collective)
             );
             ExitCode::SUCCESS
         }
         Err(e) => fail(e.to_string()),
     }
+}
+
+/// A state total in seconds for printing. A state a rank never entered
+/// sums an empty series, which `f64` makes `-0.0`; adding `+0.0` turns
+/// it into `0.0` (and leaves every other value as it is), so the line
+/// never reads `-0.000`.
+fn unsigned(t: Time) -> f64 {
+    t.as_secs() + 0.0
 }
 
 /// Probe window for commands without an explicit `--probe-window`:
@@ -797,7 +844,7 @@ fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
     };
     match run_variants(&bundle, &platform) {
         Ok(r) => {
-            println!(
+            outln!(
                 "{}",
                 gantt_comparison(
                     "non-overlapped",
@@ -824,7 +871,7 @@ fn advise_cmd(app: &str, ranks: &str) -> ExitCode {
         &platform,
         &ChunkPolicy::paper_default(),
     );
-    print!("{}", advice.render());
+    out!("{}", advice.render());
     ExitCode::SUCCESS
 }
 
@@ -915,7 +962,7 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
     if let Err(e) = fs::write(out, html) {
         return fail(e.to_string());
     }
-    println!("wrote {out}");
+    outln!("wrote {out}");
     ExitCode::SUCCESS
 }
 
@@ -1003,7 +1050,7 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     };
 
     let report = sweep(&grid, &config, &cache);
-    print!("{}", report.render_full(&grid));
+    out!("{}", report.render_full(&grid));
     let jobs = config.jobs;
     if config.probe_window_us.is_some() || config.critpath {
         eprintln!(
@@ -1070,7 +1117,6 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
 fn serve_cmd(rest: &[&str]) -> ExitCode {
     use overlap_sim::serve::server::install_termination_handler;
     use overlap_sim::serve::{ServeConfig, Server};
-    use std::io::Write;
     use std::time::Duration;
 
     // The serve arg list is flag pairs only; a stray token is a typo,
@@ -1138,15 +1184,15 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
         Err(e) => return fail(format!("bind {addr}: {e}")),
     };
     match server.local_addr() {
-        Ok(bound) => println!("ovlp serve listening on http://{bound}"),
+        Ok(bound) => outln!("ovlp serve listening on http://{bound}"),
         Err(e) => return fail(e.to_string()),
     }
     match &config.store_dir {
-        Some(dir) => println!("store: {}", dir.display()),
-        None => println!("store: in-memory (gone on exit; pass --store dir to persist)"),
+        Some(dir) => outln!("store: {}", dir.display()),
+        None => outln!("store: in-memory (gone on exit; pass --store dir to persist)"),
     }
     if config.chaos.is_some() {
-        println!("chaos: fault injection armed via OVLP_CHAOS");
+        outln!("chaos: fault injection armed via OVLP_CHAOS");
     }
     // Scripts (and the CI smoke job) wait for the banner to know the
     // listener is ready; make sure it is not stuck in the pipe buffer.
@@ -1271,7 +1317,7 @@ fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode 
             return fail(err.to_string());
         }
     }
-    println!("wrote Paraver + SVG artifacts to {}", dir.display());
+    outln!("wrote Paraver + SVG artifacts to {}", dir.display());
     ExitCode::SUCCESS
 }
 

@@ -3,7 +3,7 @@
 //! for usage and parse errors — with the message on stderr and nothing
 //! on stdout.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn ovlp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ovlp"))
@@ -147,4 +147,82 @@ fn runtime_failures_exit_one() {
     ]);
     assert_eq!(bad_store.status.code(), Some(1), "{bad_store:?}");
     let _ = std::fs::remove_dir_all(&dir);
+
+    // a probe window so narrow the run would need more windows than
+    // the recorder's ceiling: a reason, not an allocation abort
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/nas_cg_8r.trf");
+    let narrow = ovlp(&["simulate", fixture, "--probe-window", "0.000000001"]);
+    assert_eq!(narrow.status.code(), Some(1), "{narrow:?}");
+    let stderr = String::from_utf8(narrow.stderr).unwrap();
+    assert!(stderr.contains("wider window"), "{stderr}");
+    assert!(narrow.stdout.is_empty(), "no partial report on stdout");
+    // 10us windows over a 0.23 s run are 23k windows, fewer than
+    // MAX_WINDOWS, but 4096 ranks of them exceed the recorder's cell
+    // budget, which lowers the ceiling to 4096 windows
+    let wide = ovlp(&[
+        "simulate",
+        "ml-allreduce",
+        "--ranks",
+        "4096",
+        "--stream",
+        "--probe-window",
+        "10",
+    ]);
+    assert_eq!(wide.status.code(), Some(1), "{wide:?}");
+    let stderr = String::from_utf8(wide.stderr).unwrap();
+    assert!(
+        stderr.contains("more than 4096 windows") && stderr.contains("wider window"),
+        "{stderr}"
+    );
+    // in a sweep the same request fails its points
+    let sweep = ovlp(&[
+        "sweep",
+        "nas-cg",
+        "4",
+        "--chunks",
+        "1",
+        "--bw",
+        "250",
+        "--probe-window",
+        "0.000000001",
+    ]);
+    assert_eq!(sweep.status.code(), Some(1), "{sweep:?}");
+    let report = String::from_utf8(sweep.stdout).unwrap();
+    assert!(
+        report.contains("FAILED") && report.contains("wider window"),
+        "{report}"
+    );
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `ovlp ... | head -1`: the reader goes away before the report is
+    // written, which must end the command without a panic
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ovlp"))
+        .args(["simulate", "ml-allreduce", "--ranks", "64", "--stream"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "closed stdout must be quiet: {stderr}");
+}
+
+#[test]
+fn state_totals_never_print_negative_zero() {
+    // ml-allreduce ranks never wait on a send, so that total sums an
+    // empty series
+    for args in [
+        &["simulate", "ml-allreduce", "--ranks", "16", "--stream"][..],
+        &["scale", "ml-allreduce", "64"][..],
+    ] {
+        let out = ovlp(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains("wait-send 0.000"), "{args:?}: {stdout}");
+        assert!(!stdout.contains("-0.000"), "{args:?}: {stdout}");
+    }
 }

@@ -14,7 +14,11 @@
 //! blocked transfer on each release; the wait-list engine reproduces
 //! them bit for bit. The three mixed-capacity fat-tree cases were
 //! recorded from the solver that ran the full water-fill whenever link
-//! capacities differed; the class-chain reshare reproduces them. To re-bless after a deliberate model change, run
+//! capacities differed; the class-chain reshare reproduces them. Nine
+//! flow-fabric digests were re-blessed when flows began to settle
+//! lazily: only link `bytes` and `busy_secs` totals moved, by at most
+//! 4.3e-15 relative, and no runtime or event count changed. To re-bless
+//! after a deliberate model change, run
 //! `OVLP_BLESS=1 cargo test --test grant_order_golden -- --nocapture`
 //! and paste the printed table.
 
@@ -226,35 +230,35 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sweep3d_4r@fat-tree:8:2", 0x6cc8cd3b9ee0d155),
     ("nas_cg_8r@fat-tree:8:2", 0x6e8f5afc61e24ac6),
     ("nas_cg_8r*8@fat-tree:8:2", 0xfbf4ec47dc1dab13),
-    ("synth0@fat-tree:8:2", 0x5f40eb78ef974d95),
+    ("synth0@fat-tree:8:2", 0x7bd0477ed4a9eb4e),
     ("synth1@fat-tree:8:2", 0xa59f4da929f13a46),
-    ("synth2@fat-tree:8:2", 0x3cc4a8f82fd7c6d1),
+    ("synth2@fat-tree:8:2", 0xe0e641a6dbdf4cdd),
     ("synth3@fat-tree:8:2", 0x7cd4bdd5b145896f),
     ("synth4@fat-tree:8:2", 0xc7c3a055958052ad),
-    ("synth5@fat-tree:8:2", 0xae6e0f59e187cd57),
-    ("synth6@fat-tree:8:2", 0x665e5299309c312a),
+    ("synth5@fat-tree:8:2", 0x71cf32b250d4dc8a),
+    ("synth6@fat-tree:8:2", 0x318ff341b6042696),
     ("synth7@fat-tree:8:2", 0x178aecc3a799fb17),
     ("synth8@fat-tree:8:2", 0x8e4df6f451e3fd3d),
     ("synth9@fat-tree:8:2", 0xd14a48719db749f5),
     ("synth10@fat-tree:8:2", 0x45e10d319c713d63),
     ("synth11@fat-tree:8:2", 0x59dc5f58cbecd986),
-    ("ml64@fat-tree:8:2", 0x55e59685e927a4e2),
+    ("ml64@fat-tree:8:2", 0x87eda568d5e7caa0),
     ("sweep3d_4r@torus-rdv4k", 0x078a3d7fc6c4df96),
     ("nas_cg_8r@torus-rdv4k", 0x837aece08324062c),
     ("synth0@torus-rdv4k", 0x6d9ab35c3432bd6d),
     ("synth1@torus-rdv4k", 0xdd0ed248da22b774),
-    ("synth2@torus-rdv4k", 0x5629a906fbc9545d),
+    ("synth2@torus-rdv4k", 0xc24e854380ac0e16),
     ("synth3@torus-rdv4k", 0x57a1d11f0b29d2af),
     ("synth4@torus-rdv4k", 0x0e4637f6bcd59e7e),
     ("synth5@torus-rdv4k", 0x3955b476cd5ff3ea),
-    ("synth6@torus-rdv4k", 0x9756ac83af75dcab),
+    ("synth6@torus-rdv4k", 0x65562c8ee3556297),
     ("synth7@torus-rdv4k", 0x7593007badbb5aa1),
     ("synth8@torus-rdv4k", 0x7a89b12a15898396),
     ("synth9@torus-rdv4k", 0xe09a6a6c9ae9823f),
     ("synth10@torus-rdv4k", 0x25eb073cae811eab),
     ("synth11@torus-rdv4k", 0xf4a6756ac857735d),
-    ("ml64@fat-tree:16:4", 0x3f82add34ee08b26),
-    ("ml128@fat-tree:16:4", 0xb4053bb0f1999cff),
+    ("ml64@fat-tree:16:4", 0x386ccf3ac284021b),
+    ("ml128@fat-tree:16:4", 0x5a12ebe18e563377),
     ("nas_cg_8r@fat-tree:8:2+degrade", 0x73c602adfc24f7c3),
     ("scale256@bus1", 0x5a19702ef6629bae),
     ("scale256@bus4", 0x54cda1b763e1c3e2),

@@ -95,8 +95,8 @@ fn check_golden_fixtures(workers: usize) {
                 "{name} on {label}: probed parallel:{workers} diverged"
             );
             assert_eq!(
-                seq_rec.into_metrics().to_json(),
-                par_rec.into_metrics().to_json(),
+                seq_rec.into_metrics().unwrap().to_json(),
+                par_rec.into_metrics().unwrap().to_json(),
                 "{name} on {label}: metrics JSON diverged at parallel:{workers}"
             );
             let seq_prv = paraver::export(name, &seq);

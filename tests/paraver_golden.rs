@@ -60,7 +60,7 @@ fn check_fixture_exports(trf: &str, stem: &str, platform: &Platform, window: Tim
     let plain = simulate(&trace, platform).unwrap();
     let mut rec = WindowedRecorder::new(window);
     let probed: SimResult = simulate_probed(&trace, platform, &mut rec).unwrap();
-    let metrics = rec.into_metrics();
+    let metrics = rec.into_metrics().unwrap();
 
     let bare = paraver::export(stem, &plain);
     assert_eq!(
@@ -106,7 +106,7 @@ fn counter_records_are_well_formed() {
     let platform = Platform::marenostrum(8);
     let mut rec = WindowedRecorder::new(Time::micros(20.0));
     let sim = simulate_probed(&trace, &platform, &mut rec).unwrap();
-    let m = rec.into_metrics();
+    let m = rec.into_metrics().unwrap();
     let e = paraver::export_with_metrics("nas_cg_8r", &sim, Some(&m));
     let mut counters = 0usize;
     for l in e.prv.lines().filter(|l| l.starts_with("2:")) {

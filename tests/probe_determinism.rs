@@ -36,7 +36,7 @@ fn result_bits(sim: &SimResult) -> Vec<u64> {
 fn probed(trace: &Trace, platform: &Platform, window: Time) -> (SimResult, Metrics) {
     let mut rec = WindowedRecorder::new(window);
     let sim = simulate_probed(trace, platform, &mut rec).unwrap();
-    (sim, rec.into_metrics())
+    (sim, rec.into_metrics().unwrap())
 }
 
 #[test]
