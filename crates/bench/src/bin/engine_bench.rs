@@ -7,8 +7,10 @@
 //! the replay is deterministic, so iteration-to-iteration variance is
 //! machine noise), per-replay wall time, and the event-queue
 //! high-water mark. The measurements are written to `BENCH_engine.json`
-//! (schema `ovlp.bench_engine.v1`) so the engine's perf trajectory is
-//! tracked in-repo from PR 4 onward; see `docs/perf.md`.
+//! (schema `ovlp.bench_engine.v3`) so the engine's perf trajectory is
+//! tracked in-repo; see `docs/perf.md`. The document records the
+//! machine it ran on: `hardware_threads` and the `commit` (`git
+//! describe --always --dirty` of the working directory).
 //!
 //! ```text
 //! engine_bench [--quick] [--out PATH] [--baseline EVENTS_PER_SEC] [--fixtures DIR]
@@ -18,16 +20,9 @@
 //! embeds a reference events/sec figure (by convention: the
 //! `nas_cg_8r` fat-tree replay measured at the parent commit) so the
 //! emitted document records both sides of a before/after comparison.
-//!
-//! Since schema v2 the document also carries a `parallel` section: the
-//! nas_cg_8r fat-tree workload tiled ×256 replayed under
-//! `ReplayEngine::Sequential` and `Parallel` at 1/2/4/8 workers, with
-//! the engines interleaved round-robin so machine drift cannot bias
-//! the comparison, plus the `hardware_threads` the run had available —
-//! parallel speedups are meaningless without it.
 
-use ovlp_machine::{simulate, simulate_with, Platform, ReplayEngine, SimResult};
-use ovlp_trace::{synth, text, Trace};
+use ovlp_machine::{simulate, Platform, SimResult};
+use ovlp_trace::{text, Trace};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -136,59 +131,6 @@ fn measure(
     (times, sim)
 }
 
-/// One engine's row in the parallel-vs-sequential series.
-struct EngineMeasurement {
-    engine: String,
-    rounds: usize,
-    wall_median_s: f64,
-    wall_min_s: f64,
-    events: u64,
-    events_per_sec: f64,
-}
-
-/// Measure the replay-engine series on one workload with the engines
-/// interleaved round-robin: every round replays each engine once, so
-/// slow drift of a shared machine (frequency scaling, noisy
-/// neighbours) biases all engines equally instead of whichever ran
-/// last. Throughput is quoted from each engine's fastest round.
-fn measure_engines(
-    trace: &Trace,
-    platform: &Platform,
-    engines: &[(String, ReplayEngine)],
-    rounds: usize,
-) -> Vec<EngineMeasurement> {
-    let reference =
-        simulate_with(trace, platform, ReplayEngine::Sequential).expect("workload replay failed");
-    let mut times: Vec<Vec<Duration>> = vec![Vec::with_capacity(rounds); engines.len()];
-    for _ in 0..rounds {
-        for (i, (_, eng)) in engines.iter().enumerate() {
-            let t0 = Instant::now();
-            let s = simulate_with(trace, platform, *eng).expect("workload replay failed");
-            times[i].push(t0.elapsed());
-            assert_eq!(
-                s.events_processed, reference.events_processed,
-                "engine diverged from the sequential reference"
-            );
-        }
-    }
-    engines
-        .iter()
-        .zip(times.iter_mut())
-        .map(|((name, _), ts)| {
-            ts.sort();
-            let min = ts[0].as_secs_f64();
-            EngineMeasurement {
-                engine: name.clone(),
-                rounds: ts.len(),
-                wall_median_s: ts[ts.len() / 2].as_secs_f64(),
-                wall_min_s: min,
-                events: reference.events_processed,
-                events_per_sec: reference.events_processed as f64 / min,
-            }
-        })
-        .collect()
-}
-
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -285,35 +227,6 @@ fn main() {
         results.push(m);
     }
 
-    // Parallel-vs-sequential series: the nas_cg_8r fat-tree workload,
-    // tiled so per-event engine costs dominate per-replay setup (the
-    // raw fixture replays in ~30 µs). Engines are interleaved per
-    // round; see `measure_engines`.
-    const PAR_TILING: u32 = 256;
-    let par_trace = synth::tile(&load(&dir, "nas_cg_8r"), PAR_TILING);
-    let par_platform = Platform::default().with_contention("fat-tree:4".parse().unwrap());
-    let engines: Vec<(String, ReplayEngine)> =
-        std::iter::once(("sequential".to_string(), ReplayEngine::Sequential))
-            .chain([1usize, 2, 4, 8].into_iter().map(|w| {
-                (
-                    format!("parallel:{w}"),
-                    ReplayEngine::Parallel { workers: w },
-                )
-            }))
-            .collect();
-    let par_rounds = if quick { 5 } else { 25 };
-    let par_series = measure_engines(&par_trace, &par_platform, &engines, par_rounds);
-    let seq_eps = par_series[0].events_per_sec;
-    for m in &par_series {
-        println!(
-            "nas_cg_8r x{PAR_TILING} fat-tree:4  {:<12} {:>9} events  {:>12.0} events/s  {:>6.3}x vs sequential  min {:.3} ms",
-            m.engine,
-            m.events,
-            m.events_per_sec,
-            m.events_per_sec / seq_eps,
-            m.wall_min_s * 1e3,
-        );
-    }
     let hw_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -328,34 +241,10 @@ fn main() {
     let headline_events_per_sec = headline.events_per_sec;
 
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ovlp.bench_engine.v2\",\n");
+    s.push_str("{\n  \"schema\": \"ovlp.bench_engine.v3\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"parallel\": {{\n    \"fixture\": \"nas_cg_8r\", \"topology\": \"fat-tree:4\", \
-         \"tiling\": {PAR_TILING}, \"hardware_threads\": {hw_threads},\n    \
-         \"speedup_at_8_workers\": {},\n    \"series\": [\n",
-        json_f64(par_series.last().map(|m| m.events_per_sec).unwrap_or(0.0) / seq_eps)
-    ));
-    for (i, m) in par_series.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"engine\": \"{}\", \"rounds\": {}, \"wall_median_s\": {}, \
-             \"wall_min_s\": {}, \"events\": {}, \"events_per_sec\": {}, \
-             \"speedup_vs_sequential\": {}}}{}",
-            m.engine,
-            m.rounds,
-            json_f64(m.wall_median_s),
-            json_f64(m.wall_min_s),
-            m.events,
-            json_f64(m.events_per_sec),
-            json_f64(m.events_per_sec / seq_eps),
-            if i + 1 < par_series.len() {
-                ",\n"
-            } else {
-                "\n"
-            }
-        ));
-    }
-    s.push_str("    ]\n  },\n");
+    s.push_str(&format!("  \"hardware_threads\": {hw_threads},\n"));
+    s.push_str(&format!("  \"commit\": \"{}\",\n", ovlp_bench::commit()));
     s.push_str(&format!(
         "  \"headline\": {{\"fixture\": \"nas_cg_8r\", \"topology\": \"fat-tree:4\", \"events_per_sec\": {}}},\n",
         json_f64(headline_events_per_sec)

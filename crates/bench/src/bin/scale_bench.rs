@@ -116,19 +116,6 @@ fn json_opt_u64(v: Option<u64>) -> String {
     }
 }
 
-/// `git describe --always --dirty` of the working directory, so a run
-/// on uncommitted changes says so; `unknown` outside a git checkout.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Fastest of [`FLOW_REPS`] streamed full replays of `ranks` on
 /// `platform`, with the last result.
 fn timed_full_replay(
@@ -305,7 +292,7 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     s.push_str(&format!(
         "  \"machine\": {{\"hardware_threads\": {threads}, \"commit\": \"{}\"}},\n",
-        commit()
+        ovlp_bench::commit()
     ));
     s.push_str(&format!(
         "  \"events_per_sec_spread\": {},\n",

@@ -20,6 +20,20 @@ use ovlp_machine::Platform;
 
 pub mod timing;
 
+/// `git describe --always --dirty` of the working directory, so a
+/// bench run on uncommitted changes says so; `unknown` outside a git
+/// checkout.
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// One prepared application: traced, transformed, and configured.
 pub struct PreparedApp {
     pub name: String,

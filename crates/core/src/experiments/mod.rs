@@ -11,6 +11,6 @@ pub use bandwidth::{
 };
 pub use chunks::{chunk_search, default_candidates, ChunkPoint, ChunkSearch};
 pub use speedup::{
-    run_variants, run_variants_critpath_with, run_variants_full_with, run_variants_probed,
-    SpeedupResult, VariantCritPaths, VariantMetrics,
+    run_variants, run_variants_critpath, run_variants_full, run_variants_probed, SpeedupResult,
+    VariantCritPaths, VariantMetrics,
 };

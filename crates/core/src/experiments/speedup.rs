@@ -2,8 +2,8 @@
 
 use crate::pipeline::VariantBundle;
 use ovlp_machine::{
-    simulate_probed_with, simulate_with, CritPath, CritPathRecorder, Metrics, Platform,
-    ReplayEngine, SimError, SimResult, TeeSink, Time, WindowedRecorder,
+    simulate, simulate_probed, CritPath, CritPathRecorder, Metrics, Platform, SimError, SimResult,
+    TeeSink, Time, WindowedRecorder,
 };
 
 /// Simulated runtimes of all three variants on one platform.
@@ -32,22 +32,11 @@ pub fn run_variants(
     bundle: &VariantBundle,
     platform: &Platform,
 ) -> Result<SpeedupResult, SimError> {
-    run_variants_with(bundle, platform, ReplayEngine::Sequential)
-}
-
-/// [`run_variants`] on an explicit replay engine. Both engines are
-/// bit-identical by contract, so the choice affects wall-clock only —
-/// never the numbers.
-pub fn run_variants_with(
-    bundle: &VariantBundle,
-    platform: &Platform,
-    engine: ReplayEngine,
-) -> Result<SpeedupResult, SimError> {
     Ok(SpeedupResult {
         app: bundle.app_name().to_string(),
-        original: simulate_with(&bundle.original, platform, engine)?,
-        overlapped: simulate_with(&bundle.overlapped, platform, engine)?,
-        ideal: simulate_with(&bundle.ideal, platform, engine)?,
+        original: simulate(&bundle.original, platform)?,
+        overlapped: simulate(&bundle.overlapped, platform)?,
+        ideal: simulate(&bundle.ideal, platform)?,
     })
 }
 
@@ -80,7 +69,27 @@ pub fn run_variants_probed(
     platform: &Platform,
     window: Time,
 ) -> Result<(SpeedupResult, VariantMetrics), SimError> {
-    run_variants_probed_with(bundle, platform, window, ReplayEngine::Sequential)
+    let probed = |trace| -> Result<(SimResult, Metrics), SimError> {
+        let mut rec = WindowedRecorder::new(window);
+        let sim = simulate_probed(trace, platform, &mut rec)?;
+        Ok((sim, rec.into_metrics()?))
+    };
+    let (original, m_original) = probed(&bundle.original)?;
+    let (overlapped, m_overlapped) = probed(&bundle.overlapped)?;
+    let (ideal, m_ideal) = probed(&bundle.ideal)?;
+    Ok((
+        SpeedupResult {
+            app: bundle.app_name().to_string(),
+            original,
+            overlapped,
+            ideal,
+        },
+        VariantMetrics {
+            original: m_original,
+            overlapped: m_overlapped,
+            ideal: m_ideal,
+        },
+    ))
 }
 
 /// Critical paths of all three variants.
@@ -104,16 +113,14 @@ impl VariantCritPaths {
 
 /// [`run_variants`] with a [`CritPathRecorder`] attached to each
 /// replay. Probes observe without perturbing, so the simulated results
-/// are bit-identical to the unprobed ones — and the recorded paths are
-/// engine-invariant like everything else.
-pub fn run_variants_critpath_with(
+/// are bit-identical to the unprobed ones.
+pub fn run_variants_critpath(
     bundle: &VariantBundle,
     platform: &Platform,
-    engine: ReplayEngine,
 ) -> Result<(SpeedupResult, VariantCritPaths), SimError> {
     let probed = |trace| -> Result<(SimResult, CritPath), SimError> {
         let mut rec = CritPathRecorder::new();
-        let sim = simulate_probed_with(trace, platform, &mut rec, engine)?;
+        let sim = simulate_probed(trace, platform, &mut rec)?;
         Ok((sim, rec.into_critpath()))
     };
     let (original, c_original) = probed(&bundle.original)?;
@@ -136,15 +143,14 @@ pub fn run_variants_critpath_with(
 
 /// Windowed metrics *and* critical paths from a single replay per
 /// variant, via a [`TeeSink`] feeding both recorders.
-pub fn run_variants_full_with(
+pub fn run_variants_full(
     bundle: &VariantBundle,
     platform: &Platform,
     window: Time,
-    engine: ReplayEngine,
 ) -> Result<(SpeedupResult, VariantMetrics, VariantCritPaths), SimError> {
     let probed = |trace| -> Result<(SimResult, Metrics, CritPath), SimError> {
         let mut tee = TeeSink(WindowedRecorder::new(window), CritPathRecorder::new());
-        let sim = simulate_probed_with(trace, platform, &mut tee, engine)?;
+        let sim = simulate_probed(trace, platform, &mut tee)?;
         let TeeSink(windowed, crit) = tee;
         Ok((sim, windowed.into_metrics()?, crit.into_critpath()))
     };
@@ -167,36 +173,6 @@ pub fn run_variants_full_with(
             original: c_original,
             overlapped: c_overlapped,
             ideal: c_ideal,
-        },
-    ))
-}
-
-/// [`run_variants_probed`] on an explicit replay engine.
-pub fn run_variants_probed_with(
-    bundle: &VariantBundle,
-    platform: &Platform,
-    window: Time,
-    engine: ReplayEngine,
-) -> Result<(SpeedupResult, VariantMetrics), SimError> {
-    let probed = |trace| -> Result<(SimResult, Metrics), SimError> {
-        let mut rec = WindowedRecorder::new(window);
-        let sim = simulate_probed_with(trace, platform, &mut rec, engine)?;
-        Ok((sim, rec.into_metrics()?))
-    };
-    let (original, m_original) = probed(&bundle.original)?;
-    let (overlapped, m_overlapped) = probed(&bundle.overlapped)?;
-    let (ideal, m_ideal) = probed(&bundle.ideal)?;
-    Ok((
-        SpeedupResult {
-            app: bundle.app_name().to_string(),
-            original,
-            overlapped,
-            ideal,
-        },
-        VariantMetrics {
-            original: m_original,
-            overlapped: m_overlapped,
-            ideal: m_ideal,
         },
     ))
 }

@@ -32,7 +32,7 @@ use crate::chunk::ChunkPolicy;
 use crate::experiments::speedup::{VariantCritPaths, VariantMetrics};
 use crate::pipeline::{build_variants, VariantBundle};
 use ovlp_instr::TraceRun;
-use ovlp_machine::{Platform, ReplayEngine, Time};
+use ovlp_machine::{Platform, Time};
 use ovlp_trace::record::SendMode;
 use ovlp_trace::text;
 use std::collections::HashMap;
@@ -738,14 +738,6 @@ pub struct SweepConfig {
     /// attribution in the report). Critpath points bypass the cache
     /// like probed ones — the recorder must observe its own replay.
     pub critpath: bool,
-    /// Replay engine for every point. Both engines are bit-identical by
-    /// contract, so this never changes a result hash, a render, or a
-    /// cache key — points simulated under either engine share the same
-    /// [`PointKey`] entries. It only trades where the parallelism
-    /// lives: `jobs > 1` parallelizes *across* points,
-    /// [`ReplayEngine::Parallel`] parallelizes *inside* each replay
-    /// (useful for grids of few, large points).
-    pub engine: ReplayEngine,
     /// Failure isolation: retry/backoff, per-attempt deadline, and
     /// quarantine (see [`guard::PointGuard`]). `None` — the batch-CLI
     /// default — evaluates each point exactly once with no watchdog.
@@ -773,15 +765,9 @@ impl SweepConfig {
             queue_depth: 2 * jobs,
             probe_window_us: None,
             critpath: false,
-            engine: ReplayEngine::Sequential,
             guard: None,
             cancel: None,
         }
-    }
-
-    pub fn with_engine(mut self, engine: ReplayEngine) -> SweepConfig {
-        self.engine = engine;
-        self
     }
 }
 
@@ -1230,7 +1216,6 @@ fn evaluate_point(
             platform,
             config.probe_window_us,
             config.critpath,
-            config.engine,
             action,
             deadline,
         ) {
@@ -1298,40 +1283,32 @@ fn simulate_point(
     platform: &Platform,
     probe_window_us: Option<f64>,
     critpath: bool,
-    engine: ReplayEngine,
 ) -> Result<SimNumbers, String> {
     let simfail = |e: ovlp_machine::SimError| e.to_string();
     let (sim, metrics, critpaths) = match (probe_window_us, critpath) {
         (None, false) => (
-            crate::experiments::speedup::run_variants_with(bundle, platform, engine)
-                .map_err(simfail)?,
+            crate::experiments::speedup::run_variants(bundle, platform).map_err(simfail)?,
             None,
             None,
         ),
         (Some(us), false) => {
-            let (sim, m) = crate::experiments::speedup::run_variants_probed_with(
+            let (sim, m) = crate::experiments::speedup::run_variants_probed(
                 bundle,
                 platform,
                 Time::micros(us),
-                engine,
             )
             .map_err(simfail)?;
             (sim, Some(Arc::new(m)), None)
         }
         (None, true) => {
-            let (sim, c) =
-                crate::experiments::speedup::run_variants_critpath_with(bundle, platform, engine)
-                    .map_err(simfail)?;
+            let (sim, c) = crate::experiments::speedup::run_variants_critpath(bundle, platform)
+                .map_err(simfail)?;
             (sim, None, Some(Arc::new(c)))
         }
         (Some(us), true) => {
-            let (sim, m, c) = crate::experiments::speedup::run_variants_full_with(
-                bundle,
-                platform,
-                Time::micros(us),
-                engine,
-            )
-            .map_err(simfail)?;
+            let (sim, m, c) =
+                crate::experiments::speedup::run_variants_full(bundle, platform, Time::micros(us))
+                    .map_err(simfail)?;
             (sim, Some(Arc::new(m)), Some(Arc::new(c)))
         }
     };
@@ -1355,7 +1332,6 @@ fn run_attempt(
     platform: &Platform,
     probe_window_us: Option<f64>,
     critpath: bool,
-    engine: ReplayEngine,
     action: Option<chaos::ChaosAction>,
     deadline: Option<Duration>,
 ) -> Result<SimNumbers, (FailKind, String)> {
@@ -1369,7 +1345,7 @@ fn run_attempt(
                 Some(chaos::ChaosAction::Stall(pause)) => std::thread::sleep(pause),
                 None => {}
             }
-            simulate_point(&bundle, &platform, probe_window_us, critpath, engine)
+            simulate_point(&bundle, &platform, probe_window_us, critpath)
         }
     };
     let settle = |outcome: Result<Result<SimNumbers, String>, String>| match outcome {
@@ -1576,45 +1552,6 @@ mod tests {
             let r = sweep(&grid, &SweepConfig::with_jobs(jobs), &SweepCache::new());
             assert_eq!(r.result_hashes(), base.result_hashes(), "jobs={jobs}");
             assert_eq!(r.render(&grid), base.render(&grid), "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn sweep_is_replay_engine_invariant() {
-        // The intra-replay parallel engine is bit-identical to the
-        // sequential oracle, so it must not change a hash, a render, or
-        // a cache key — a cache warmed by one engine serves the other.
-        let grid = tiny_grid();
-        let seq = sweep(&grid, &SweepConfig::with_jobs(2), &SweepCache::new());
-        assert_eq!(seq.err_count(), 0, "{:?}", seq.outcomes);
-        let cache = SweepCache::new();
-        for workers in [1usize, 4] {
-            let cfg = SweepConfig::with_jobs(2).with_engine(ReplayEngine::Parallel { workers });
-            let par = sweep(&grid, &cfg, &cache);
-            assert_eq!(
-                par.result_hashes(),
-                seq.result_hashes(),
-                "workers={workers}"
-            );
-            assert_eq!(par.render(&grid), seq.render(&grid), "workers={workers}");
-        }
-        // second engine ran entirely from the first engine's cache
-        let warm = sweep(&grid, &SweepConfig::with_jobs(2), &cache);
-        assert_eq!(warm.cache_hits, grid.len() as u64);
-        assert_eq!(warm.result_hashes(), seq.result_hashes());
-
-        // probed sweeps agree too, windowed metrics included
-        let probed = |engine| {
-            let mut cfg = SweepConfig::with_jobs(2).with_engine(engine);
-            cfg.probe_window_us = Some(50.0);
-            sweep(&grid, &cfg, &SweepCache::new())
-        };
-        let a = probed(ReplayEngine::Sequential);
-        let b = probed(ReplayEngine::Parallel { workers: 4 });
-        assert_eq!(a.result_hashes(), b.result_hashes());
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-            assert_eq!(x.metrics, y.metrics, "windowed metrics diverged");
         }
     }
 

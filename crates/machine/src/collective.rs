@@ -58,11 +58,10 @@ pub fn expand_collectives(trace: &Trace, algo: CollectiveAlgo) -> Trace {
 }
 
 /// Expand one rank's record stream into `out`. Each rank's expansion is
-/// independent — the instance counter that keys the internal tags is
+/// independent: the instance counter that keys the internal tags is
 /// per-rank, and trace validation guarantees ranks agree on the
-/// collective sequence — so the parallel replay driver fans this out
-/// across worker threads, one rank per call, with bit-identical output.
-pub(crate) fn expand_rank(
+/// collective sequence.
+fn expand_rank(
     nranks: usize,
     r: usize,
     records: &[Record],

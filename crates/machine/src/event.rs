@@ -54,12 +54,7 @@ impl Ord for Entry {
 ///
 /// The pending high-water mark is sampled once per `push`, in program
 /// order — every entry enters through [`EventQueue::push`], so the
-/// size after a push is the only place the mark can move. (Sampling it
-/// again at pop time, as an earlier revision did, was redundant for
-/// this queue and becomes actively misleading once pending events live
-/// in more than one container: a drain-start sample of one container
-/// is not the pending total. [`LaneQueue`] defines the same statistic
-/// over its lanes *plus* its heap for exactly that reason.)
+/// size after a push is the only place the mark can move.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Entry>,
@@ -93,230 +88,6 @@ impl EventQueue {
 
     pub fn len(&self) -> usize {
         self.heap.len()
-    }
-}
-
-/// The interface the replay engine needs from its pending-event store.
-///
-/// Both implementations share one contract: entries are totally ordered
-/// by `(time, push seq)` with the push sequence assigned in program
-/// order, so any two `QueueLike`s fed the same pushes pop the same
-/// events in the same order. That is what lets the parallel driver swap
-/// in [`LaneQueue`] without perturbing a single tie-break.
-pub trait QueueLike {
-    fn push(&mut self, at: Time, event: Event);
-    fn pop(&mut self) -> Option<(Time, Event)>;
-    /// Number of entries currently pending.
-    fn len(&self) -> usize;
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Total entries popped so far.
-    fn processed(&self) -> u64;
-    /// High-water mark of pending entries, sampled after each push.
-    fn peak(&self) -> usize;
-}
-
-impl QueueLike for EventQueue {
-    fn push(&mut self, at: Time, event: Event) {
-        EventQueue::push(self, at, event)
-    }
-    fn pop(&mut self) -> Option<(Time, Event)> {
-        EventQueue::pop(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn processed(&self) -> u64 {
-        self.processed
-    }
-    fn peak(&self) -> usize {
-        self.peak
-    }
-}
-
-/// Ranks beyond this count fall back to routing resumes through the
-/// heap: the linear lane scan in [`LaneQueue::pop`] would otherwise
-/// dominate. Semantics are identical either way — only the container
-/// changes.
-pub const MAX_LANES: usize = 128;
-
-/// Per-rank-lane event store for the parallel replay driver.
-///
-/// Each rank owns a single-slot *lane* holding its pending `Resume`
-/// (the engine's blocked-state machine guarantees at most one is
-/// outstanding per rank); all other events (transfers, flow estimates,
-/// faults) share a heap. Popping takes the global `(time, seq)`
-/// minimum across lanes and heap, so the pop order — including every
-/// same-time tie-break — is bit-identical to [`EventQueue`] fed the
-/// same pushes.
-///
-/// This is the DAM-style "channel per context" shape: a lane is a
-/// rank's time-stamped channel, and the minimum over the *other* lanes
-/// plus the heap top ([`LaneQueue::horizon`]) is the conservative
-/// lookahead bound a context may advance to without violating global
-/// order.
-///
-/// Queue statistics are kept **per context** and aggregated
-/// deterministically: `peak` is sampled after each push (program
-/// order, same as [`EventQueue`]) over lanes *and* the shared store
-/// together, while [`LaneQueue::resume_pops`], [`LaneQueue::other_pops`]
-/// and [`LaneQueue::heap_peak`] break the totals down by context.
-///
-/// The shared store is a `(time, seq)`-descending sorted vec rather
-/// than a binary heap: the pending population is bounded by in-flight
-/// transfers (ports × buses, typically well under a hundred), and at
-/// those sizes a binary-search insert plus an `O(1)` tail pop beats
-/// heap sift-downs by a wide margin — `BinaryHeap::pop` is the single
-/// hottest frame in the sequential engine's profile.
-#[derive(Debug)]
-pub struct LaneQueue {
-    /// One slot per rank: `(time, push seq)` of its pending resume.
-    lanes: Vec<Option<(Time, u64)>>,
-    /// Occupied-lane count, so `len`/`pop` skip empty scans cheaply.
-    occupied: usize,
-    /// Non-resume events (and resumes past [`MAX_LANES`]), sorted
-    /// descending by `(time, seq)`: the global minimum is the tail.
-    others: Vec<Entry>,
-    next_seq: u64,
-    processed: u64,
-    peak: usize,
-    resume_pops: Vec<u64>,
-    other_pops: u64,
-    heap_peak: usize,
-}
-
-impl LaneQueue {
-    pub fn new(nranks: usize) -> LaneQueue {
-        let lanes = if nranks <= MAX_LANES {
-            vec![None; nranks]
-        } else {
-            Vec::new()
-        };
-        LaneQueue {
-            lanes,
-            occupied: 0,
-            others: Vec::new(),
-            next_seq: 0,
-            processed: 0,
-            peak: 0,
-            resume_pops: vec![0; nranks],
-            other_pops: 0,
-            heap_peak: 0,
-        }
-    }
-
-    /// Earliest `(time, seq)` pending anywhere. The batching fast path
-    /// reads this right after popping a rank's resume: it is then the
-    /// conservative bound below which that rank can advance alone.
-    pub(crate) fn horizon(&self) -> Option<(Time, u64)> {
-        let mut best: Option<(Time, u64)> = None;
-        if self.occupied > 0 {
-            for slot in self.lanes.iter().flatten() {
-                if best.is_none_or(|b| *slot < b) {
-                    best = Some(*slot);
-                }
-            }
-        }
-        if let Some(top) = self.others.last() {
-            let key = (top.at, top.seq);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best
-    }
-
-    /// Account for one `push(Resume) + pop()` pair the batching fast
-    /// path elided. Seq and pop counters advance exactly as the real
-    /// cycle would; `len` is unchanged (push refills the slot the pop
-    /// emptied) and `peak` cannot move because the sampled size equals
-    /// the size before the elided pop, which an earlier sample already
-    /// covered.
-    pub(crate) fn note_elided_resume_cycle(&mut self, rank: usize) {
-        self.next_seq += 1;
-        self.processed += 1;
-        self.resume_pops[rank] += 1;
-    }
-
-    /// Per-rank count of `Resume` events popped (any container).
-    pub fn resume_pops(&self) -> &[u64] {
-        &self.resume_pops
-    }
-
-    /// Count of non-resume events popped.
-    pub fn other_pops(&self) -> u64 {
-        self.other_pops
-    }
-
-    /// High-water mark of the shared (non-lane) store alone.
-    pub fn heap_peak(&self) -> usize {
-        self.heap_peak
-    }
-}
-
-impl QueueLike for LaneQueue {
-    fn push(&mut self, at: Time, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match event {
-            Event::Resume { rank } if rank < self.lanes.len() => {
-                debug_assert!(
-                    self.lanes[rank].is_none(),
-                    "rank {rank} already has a pending resume"
-                );
-                self.lanes[rank] = Some((at, seq));
-                self.occupied += 1;
-            }
-            _ => {
-                let i = self.others.partition_point(|e| (e.at, e.seq) > (at, seq));
-                self.others.insert(i, Entry { at, seq, event });
-                self.heap_peak = self.heap_peak.max(self.others.len());
-            }
-        }
-        self.peak = self.peak.max(self.len());
-    }
-
-    fn pop(&mut self) -> Option<(Time, Event)> {
-        let mut best: Option<(Time, u64, usize)> = None;
-        if self.occupied > 0 {
-            for (rank, slot) in self.lanes.iter().enumerate() {
-                if let Some((at, seq)) = *slot {
-                    if best.is_none_or(|(bat, bseq, _)| (at, seq) < (bat, bseq)) {
-                        best = Some((at, seq, rank));
-                    }
-                }
-            }
-        }
-        if let Some(top) = self.others.last() {
-            if best.is_none_or(|(bat, bseq, _)| (top.at, top.seq) < (bat, bseq)) {
-                let e = self.others.pop().expect("peeked entry");
-                self.processed += 1;
-                match e.event {
-                    Event::Resume { rank } => self.resume_pops[rank] += 1,
-                    _ => self.other_pops += 1,
-                }
-                return Some((e.at, e.event));
-            }
-        }
-        let (at, _seq, rank) = best?;
-        self.lanes[rank] = None;
-        self.occupied -= 1;
-        self.processed += 1;
-        self.resume_pops[rank] += 1;
-        Some((at, Event::Resume { rank }))
-    }
-
-    fn len(&self) -> usize {
-        self.occupied + self.others.len()
-    }
-
-    fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    fn peak(&self) -> usize {
-        self.peak
     }
 }
 
@@ -376,159 +147,5 @@ mod tests {
         assert_eq!(q.processed, 1);
         assert!(q.is_empty());
         assert!(q.pop().is_none());
-    }
-
-    /// A deterministic mixed workload: pushes of resumes and heap
-    /// events at colliding times, interleaved with pops. `nranks`
-    /// chooses lane mode (≤ MAX_LANES) or heap-fallback mode.
-    #[allow(clippy::type_complexity)]
-    fn exercise_both(
-        nranks: usize,
-    ) -> (
-        EventQueue,
-        LaneQueue,
-        Vec<(Time, Event)>,
-        Vec<(Time, Event)>,
-    ) {
-        let mut eq = EventQueue::new();
-        let mut lq = LaneQueue::new(nranks);
-        let mut eq_out = Vec::new();
-        let mut lq_out = Vec::new();
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        let mut pending_resume = vec![false; nranks];
-        for step in 0..600 {
-            let do_pop = step % 5 == 4 || next(4) == 0;
-            if do_pop {
-                eq_out.extend(eq.pop());
-                lq_out.extend(QueueLike::pop(&mut lq));
-                if let Some((_, Event::Resume { rank })) = lq_out.last() {
-                    pending_resume[*rank] = false;
-                }
-                continue;
-            }
-            // Quantized times force plenty of exact ties.
-            let at = Time::secs(next(7) as f64 * 0.125);
-            let ev = match next(4) {
-                0 => Event::TransferDone {
-                    msg: next(16) as usize,
-                },
-                1 => Event::FlowDone {
-                    msg: next(16) as usize,
-                    epoch: next(3),
-                },
-                2 => Event::Fault {
-                    idx: next(4) as usize,
-                },
-                _ => {
-                    let rank = (0..nranks)
-                        .map(|i| (i + step) % nranks)
-                        .find(|&r| !pending_resume[r]);
-                    match rank {
-                        Some(r) => {
-                            pending_resume[r] = true;
-                            Event::Resume { rank: r }
-                        }
-                        None => Event::TransferDone {
-                            msg: next(16) as usize,
-                        },
-                    }
-                }
-            };
-            eq.push(at, ev);
-            QueueLike::push(&mut lq, at, ev);
-            assert_eq!(eq.len(), QueueLike::len(&lq), "len diverged at step {step}");
-        }
-        while let Some(e) = eq.pop() {
-            eq_out.push(e);
-        }
-        while let Some(e) = QueueLike::pop(&mut lq) {
-            lq_out.push(e);
-        }
-        (eq, lq, eq_out, lq_out)
-    }
-
-    #[test]
-    fn lane_queue_matches_event_queue_bit_for_bit() {
-        for nranks in [1, 4, 8] {
-            let (eq, lq, eq_out, lq_out) = exercise_both(nranks);
-            assert_eq!(eq_out, lq_out, "pop sequences diverged at nranks={nranks}");
-            assert_eq!(eq.processed, lq.processed(), "processed diverged");
-            assert_eq!(eq.peak, QueueLike::peak(&lq), "peak diverged");
-        }
-    }
-
-    #[test]
-    fn lane_queue_heap_fallback_matches_too() {
-        let nranks = MAX_LANES + 72;
-        let (eq, lq, eq_out, lq_out) = exercise_both(nranks);
-        assert!(lq.lanes.is_empty(), "fallback mode must not allocate lanes");
-        assert_eq!(eq_out, lq_out);
-        assert_eq!(eq.processed, lq.processed());
-        assert_eq!(eq.peak, QueueLike::peak(&lq));
-    }
-
-    #[test]
-    fn per_context_stats_aggregate_to_the_totals() {
-        for nranks in [4, MAX_LANES + 72] {
-            let (_, lq, _, _) = exercise_both(nranks);
-            let resumes: u64 = lq.resume_pops().iter().sum();
-            assert_eq!(
-                resumes + lq.other_pops(),
-                lq.processed(),
-                "per-context pop counts must partition the total"
-            );
-            assert!(
-                lq.heap_peak() <= QueueLike::peak(&lq),
-                "one context's high-water cannot exceed the aggregate"
-            );
-            assert!(
-                resumes > 0 && lq.other_pops() > 0,
-                "workload exercised both kinds"
-            );
-        }
-    }
-
-    #[test]
-    fn elided_resume_cycles_account_like_real_ones() {
-        // Real cycle on one queue, elided accounting on the other: seq
-        // streams must stay aligned so later ties break identically.
-        let mut real = LaneQueue::new(2);
-        let mut elided = LaneQueue::new(2);
-        for q in [&mut real, &mut elided] {
-            QueueLike::push(q, Time::secs(1.0), Event::Resume { rank: 0 });
-            let _ = QueueLike::pop(q);
-        }
-        QueueLike::push(&mut real, Time::secs(2.0), Event::Resume { rank: 0 });
-        let _ = QueueLike::pop(&mut real);
-        elided.note_elided_resume_cycle(0);
-        assert_eq!(real.next_seq, elided.next_seq);
-        assert_eq!(real.processed(), elided.processed());
-        assert_eq!(real.resume_pops(), elided.resume_pops());
-        assert_eq!(QueueLike::len(&real), QueueLike::len(&elided));
-        assert_eq!(QueueLike::peak(&real), QueueLike::peak(&elided));
-        // Next push lands with the same seq on both.
-        QueueLike::push(&mut real, Time::secs(3.0), Event::Resume { rank: 1 });
-        QueueLike::push(&mut elided, Time::secs(3.0), Event::Resume { rank: 1 });
-        assert_eq!(QueueLike::pop(&mut real), QueueLike::pop(&mut elided));
-    }
-
-    #[test]
-    fn horizon_sees_lanes_and_heap() {
-        let mut q = LaneQueue::new(4);
-        assert_eq!(q.horizon(), None);
-        QueueLike::push(&mut q, Time::secs(5.0), Event::Resume { rank: 2 });
-        assert_eq!(q.horizon(), Some((Time::secs(5.0), 0)));
-        QueueLike::push(&mut q, Time::secs(3.0), Event::TransferDone { msg: 1 });
-        assert_eq!(q.horizon(), Some((Time::secs(3.0), 1)));
-        QueueLike::push(&mut q, Time::secs(1.0), Event::Resume { rank: 0 });
-        assert_eq!(q.horizon(), Some((Time::secs(1.0), 2)));
-        let _ = QueueLike::pop(&mut q);
-        assert_eq!(q.horizon(), Some((Time::secs(3.0), 1)));
     }
 }

@@ -53,9 +53,8 @@ pub use probe::{
     MAX_CELLS, MAX_WINDOWS,
 };
 pub use replay::{
-    render_exact, replay_scale, simulate, simulate_probed, simulate_probed_with, simulate_source,
-    simulate_source_probed_with, simulate_source_with, simulate_with, NetworkStats, ReplayEngine,
-    ScaleReport, SimError, SimResult,
+    render_exact, replay_scale, simulate, simulate_probed, simulate_source, simulate_source_probed,
+    NetworkStats, ScaleReport, SimError, SimResult,
 };
 pub use time::Time;
 pub use timeline::{CommRecord, Interval, State, StateTotals, Timeline};

@@ -31,7 +31,7 @@
 //! channel, like MPI's non-overtaking rule.
 
 use crate::collective::expand_collectives;
-use crate::event::{Event, EventQueue, QueueLike};
+use crate::event::{Event, EventQueue};
 use crate::fx::FxBuildHasher;
 use crate::net::fault::{AppliedFault, Partition, ResolvedFault};
 use crate::net::flows::{FlowEvent, FlowNet};
@@ -45,80 +45,10 @@ use ovlp_trace::record::{Record, SendMode};
 use ovlp_trace::source::TraceSource;
 use ovlp_trace::{Bytes, Rank, ReqId, Tag, Trace};
 use std::collections::{HashMap, VecDeque};
-use std::str::FromStr;
 
-mod parallel;
 mod supply;
 
 use supply::Supply;
-
-/// Which replay driver advances the simulation.
-///
-/// Both drivers produce **byte-identical** [`SimResult`]s (and probe
-/// streams, when probed): the sequential engine is the semantics, the
-/// parallel engine is an execution strategy for it. Debug builds keep
-/// the sequential run as an asserted oracle inside every parallel run;
-/// the `parallel_equivalence` differential suite pins the same
-/// guarantee in release builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayEngine {
-    /// One event loop, one heap — the reference interpreter.
-    #[default]
-    Sequential,
-    /// Per-rank contexts with local clocks advancing under conservative
-    /// lookahead, plus `workers` threads for the compile and finish
-    /// phases. `workers` never changes results, only wall time.
-    Parallel { workers: usize },
-}
-
-impl ReplayEngine {
-    /// The parallel engine sized to the host (capped at 8 workers —
-    /// the compile/finish phases stop scaling well beyond that).
-    pub fn parallel_auto() -> ReplayEngine {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(1);
-        ReplayEngine::Parallel { workers }
-    }
-}
-
-impl FromStr for ReplayEngine {
-    type Err = String;
-
-    /// `sequential`/`seq`, `parallel`/`par`, or `parallel:N` to pin the
-    /// worker count.
-    fn from_str(s: &str) -> Result<ReplayEngine, String> {
-        match s {
-            "sequential" | "seq" => return Ok(ReplayEngine::Sequential),
-            "parallel" | "par" => return Ok(ReplayEngine::parallel_auto()),
-            _ => {}
-        }
-        if let Some(n) = s
-            .strip_prefix("parallel:")
-            .or_else(|| s.strip_prefix("par:"))
-        {
-            let workers: usize = n
-                .parse()
-                .map_err(|_| format!("bad worker count {n:?} in engine {s:?}"))?;
-            if workers == 0 {
-                return Err(format!("engine {s:?}: worker count must be >= 1"));
-            }
-            return Ok(ReplayEngine::Parallel { workers });
-        }
-        Err(format!(
-            "unknown engine {s:?} (expected sequential|parallel[:N])"
-        ))
-    }
-}
-
-impl std::fmt::Display for ReplayEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayEngine::Sequential => write!(f, "sequential"),
-            ReplayEngine::Parallel { workers } => write!(f, "parallel:{workers}"),
-        }
-    }
-}
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,27 +212,6 @@ pub fn simulate(trace: &Trace, platform: &Platform) -> Result<SimResult, SimErro
     simulate_probed(trace, platform, &mut NoopSink)
 }
 
-/// [`simulate`] with an explicit replay driver. Results are identical
-/// for every [`ReplayEngine`]; only wall time differs.
-pub fn simulate_with(
-    trace: &Trace,
-    platform: &Platform,
-    engine: ReplayEngine,
-) -> Result<SimResult, SimError> {
-    simulate_inner(trace, platform, &mut NoopSink, false, engine)
-}
-
-/// [`simulate_probed`] with an explicit replay driver. The probe
-/// stream, too, is bit-identical across engines.
-pub fn simulate_probed_with<P: ProbeSink>(
-    trace: &Trace,
-    platform: &Platform,
-    probe: &mut P,
-    engine: ReplayEngine,
-) -> Result<SimResult, SimError> {
-    simulate_inner(trace, platform, probe, false, engine)
-}
-
 /// Simulate `trace` on `platform`, streaming observability callbacks
 /// into `probe`.
 ///
@@ -315,7 +224,7 @@ pub fn simulate_probed<P: ProbeSink>(
     platform: &Platform,
     probe: &mut P,
 ) -> Result<SimResult, SimError> {
-    simulate_inner(trace, platform, probe, false, ReplayEngine::Sequential)
+    simulate_inner(trace, platform, probe, false)
 }
 
 /// [`simulate`], but forcing the from-scratch max-min solver instead of
@@ -324,20 +233,14 @@ pub fn simulate_probed<P: ProbeSink>(
 /// whole replays against the reference solver.
 #[doc(hidden)]
 pub fn simulate_reference(trace: &Trace, platform: &Platform) -> Result<SimResult, SimError> {
-    simulate_inner(
-        trace,
-        platform,
-        &mut NoopSink,
-        true,
-        ReplayEngine::Sequential,
-    )
+    simulate_inner(trace, platform, &mut NoopSink, true)
 }
 
 /// Simulate a lazily supplied trace ([`TraceSource`]) on `platform`.
 ///
-/// The sequential engine streams records straight out of the source —
-/// collectives are expanded inline per cursor — so the trace is never
-/// materialized and the record footprint stays O(ranks). For any source
+/// The engine streams records straight out of the source — collectives
+/// are expanded inline per cursor — so the trace is never materialized
+/// and the record footprint stays O(ranks). For any source
 /// that *can* be materialized, the result is byte-identical to
 /// [`simulate`] on [`TraceSource::materialize`]'s trace (pinned by the
 /// streaming differential suite).
@@ -345,49 +248,25 @@ pub fn simulate_source(
     source: &dyn TraceSource,
     platform: &Platform,
 ) -> Result<SimResult, SimError> {
-    simulate_source_probed_with(source, platform, &mut NoopSink, ReplayEngine::Sequential)
+    simulate_source_probed(source, platform, &mut NoopSink)
 }
 
-/// [`simulate_source`] with an explicit replay driver.
-pub fn simulate_source_with(
-    source: &dyn TraceSource,
-    platform: &Platform,
-    engine: ReplayEngine,
-) -> Result<SimResult, SimError> {
-    simulate_source_probed_with(source, platform, &mut NoopSink, engine)
-}
-
-/// [`simulate_source`] with an explicit probe and replay driver.
-///
-/// The parallel driver compiles per-rank schedules from the whole
-/// trace up front — an O(total records) pass by construction — so it
-/// materializes the source and takes the classic path; only the
-/// sequential engine streams.
-pub fn simulate_source_probed_with<P: ProbeSink>(
+/// [`simulate_source`], streaming observability callbacks into `probe`.
+pub fn simulate_source_probed<P: ProbeSink>(
     source: &dyn TraceSource,
     platform: &Platform,
     probe: &mut P,
-    engine: ReplayEngine,
 ) -> Result<SimResult, SimError> {
-    match engine {
-        ReplayEngine::Sequential => {
-            platform.check().map_err(SimError::BadPlatform)?;
-            let (flownet, faults) = net_setup(source.nranks(), platform, false)?;
-            Engine::new(
-                Supply::stream(source, platform.collective),
-                platform,
-                flownet,
-                faults,
-                probe,
-                EventQueue::new(),
-            )
-            .run()
-        }
-        ReplayEngine::Parallel { .. } => {
-            let trace = source.materialize();
-            simulate_inner(&trace, platform, probe, false, engine)
-        }
-    }
+    platform.check().map_err(SimError::BadPlatform)?;
+    let (flownet, faults) = net_setup(source.nranks(), platform, false)?;
+    Engine::new(
+        Supply::stream(source, platform.collective),
+        platform,
+        flownet,
+        faults,
+        probe,
+    )
+    .run()
 }
 
 /// Aggregate outcome of a summary-mode ([`replay_scale`]) replay.
@@ -441,14 +320,12 @@ impl ScaleReport {
 /// traffic) instead of O(total transfers). This is the 100k–1M-rank
 /// path.
 ///
-/// Restricted to the bus contention model and the sequential driver:
-/// flow-level contention keeps per-link state the summary mode has no
-/// business approximating, and the parallel driver's compile pass is
-/// O(total records) anyway. `runtime` and `events_processed` are
-/// bit-identical to the full-fidelity streamed replay (pinned by the
-/// scale cross-check test); the folded state totals may differ in the
-/// last ulp because they are accumulated per push rather than per
-/// merged interval.
+/// Restricted to the bus contention model: flow-level contention keeps
+/// per-link state the summary mode has no business approximating.
+/// `runtime` and `events_processed` are bit-identical to the
+/// full-fidelity streamed replay (pinned by the scale cross-check
+/// test); the folded state totals may differ in the last ulp because
+/// they are accumulated per push rather than per merged interval.
 pub fn replay_scale(
     source: &dyn TraceSource,
     platform: &Platform,
@@ -469,7 +346,6 @@ pub fn replay_scale(
         None,
         Vec::new(),
         &mut probe,
-        EventQueue::new(),
     );
     eng.recycle = true;
     eng.sum_totals = vec![StateTotals::default(); n];
@@ -477,8 +353,8 @@ pub fn replay_scale(
 }
 
 /// Build the flow-level network state (and resolved fault schedule)
-/// for one replay, or nothing under the bus model. Cheap to call twice
-/// for the same platform: the compiled topology is cached.
+/// for one replay, or nothing under the bus model. The compiled
+/// topology is cached across replays of the same platform.
 fn net_setup(
     nranks: usize,
     platform: &Platform,
@@ -518,7 +394,6 @@ fn simulate_inner<P: ProbeSink>(
     platform: &Platform,
     probe: &mut P,
     reference: bool,
-    engine: ReplayEngine,
 ) -> Result<SimResult, SimError> {
     platform.check().map_err(SimError::BadPlatform)?;
     let has_collectives = trace.ranks.iter().any(|rt| {
@@ -528,66 +403,19 @@ fn simulate_inner<P: ProbeSink>(
     });
     let expanded;
     let trace = if has_collectives {
-        // Both paths produce byte-identical traces; the parallel one
-        // expands rank streams on worker threads.
-        expanded = match engine {
-            ReplayEngine::Sequential => expand_collectives(trace, platform.collective),
-            ReplayEngine::Parallel { workers } => {
-                parallel::expand(trace, platform.collective, workers)
-            }
-        };
+        expanded = expand_collectives(trace, platform.collective);
         &expanded
     } else {
         trace
     };
-    match engine {
-        ReplayEngine::Sequential => {
-            let (flownet, faults) = net_setup(trace.nranks(), platform, reference)?;
-            Engine::new(
-                Supply::Slice(trace),
-                platform,
-                flownet,
-                faults,
-                probe,
-                EventQueue::new(),
-            )
-            .run()
-        }
-        ReplayEngine::Parallel { workers } => {
-            // Debug builds replay sequentially first and hold the
-            // parallel engine to its byte-identical contract on every
-            // single run, not just the ones the differential suite
-            // covers.
-            #[cfg(debug_assertions)]
-            let want = {
-                let (flownet, faults) = net_setup(trace.nranks(), platform, reference)?;
-                Engine::new(
-                    Supply::Slice(trace),
-                    platform,
-                    flownet,
-                    faults,
-                    &mut NoopSink,
-                    EventQueue::new(),
-                )
-                .run()
-            };
-            let (flownet, faults) = net_setup(trace.nranks(), platform, reference)?;
-            let got = parallel::run(trace, platform, flownet, faults, probe, workers);
-            #[cfg(debug_assertions)]
-            assert_eq!(
-                render_exact(&want),
-                render_exact(&got),
-                "parallel engine diverged from the sequential oracle"
-            );
-            got
-        }
-    }
+    let (flownet, faults) = net_setup(trace.nranks(), platform, reference)?;
+    Engine::new(Supply::Slice(trace), platform, flownet, faults, probe).run()
 }
 
 /// Lossless rendering of a replay outcome: Rust's `{:?}` for `f64`
 /// prints the shortest round-trip representation, so string equality
 /// here is bit equality of every timestamp, counter, and error detail.
-/// Shared by the debug oracle and the differential test suite.
+/// Shared by the golden and determinism test suites.
 pub fn render_exact(outcome: &Result<SimResult, SimError>) -> String {
     format!("{outcome:#?}")
 }
@@ -760,10 +588,10 @@ struct Channel {
     unmatched_reqs: VecDeque<usize>,
 }
 
-struct Engine<'a, P: ProbeSink, Q: QueueLike> {
+struct Engine<'a, P: ProbeSink> {
     supply: Supply<'a>,
     platform: &'a Platform,
-    queue: Q,
+    queue: EventQueue,
     ranks: Vec<RankState>,
     msgs: Vec<Msg>,
     recv_reqs: Vec<RecvReq>,
@@ -772,22 +600,6 @@ struct Engine<'a, P: ProbeSink, Q: QueueLike> {
     /// plus a vector index.
     chan_ids: HashMap<(u32, u32, u32), u32, FxBuildHasher>,
     channels: Vec<Channel>,
-    /// Per-`(rank, pc)` match partners precompiled by the parallel
-    /// driver (`u64::MAX` on non-comm and unmatched records); empty
-    /// when matching runs through the channel FIFOs. Matching on a
-    /// channel is FIFO on both sides and each side issues in program
-    /// order, so "the k-th send on `(src, dst, tag)` pairs with the
-    /// k-th recv" is a static fact — precomputing it replaces the
-    /// channel hash-map and its unmatched queues without moving a
-    /// single pairing.
-    pair_lut: Vec<Box<[u64]>>,
-    /// Runtime half of the precompiled matching: `rec_slot[rank][pc]`
-    /// holds the msg id (at a send record) or recv-request id (at a
-    /// recv record) once that record has executed, `u32::MAX` before.
-    /// A comm record checks its partner's slot — set means the partner
-    /// already executed and the pair closes now, exactly when the FIFO
-    /// front would have matched.
-    rec_slot: Vec<Box<[u32]>>,
     resources: Resources,
     /// Messages blocked on a busy resource, parked on that resource.
     /// Rendezvous messages still waiting for their receive are parked
@@ -837,15 +649,14 @@ enum Flow {
     Yield,
 }
 
-impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
+impl<'a, P: ProbeSink> Engine<'a, P> {
     fn new(
         supply: Supply<'a>,
         platform: &'a Platform,
         flownet: Option<FlowNet>,
         faults: Vec<ResolvedFault>,
         probe: &'a mut P,
-        queue: Q,
-    ) -> Engine<'a, P, Q> {
+    ) -> Engine<'a, P> {
         let n = supply.nranks();
         // In flow mode the topology itself is the contention: the global
         // bus limit is ignored (0 = unlimited), ports still gate each
@@ -854,7 +665,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         Engine {
             supply,
             platform,
-            queue,
+            queue: EventQueue::new(),
             ranks: (0..n)
                 .map(|_| RankState {
                     pc: 0,
@@ -869,8 +680,6 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             recv_reqs: Vec::new(),
             chan_ids: HashMap::default(),
             channels: Vec::new(),
-            pair_lut: Vec::new(),
-            rec_slot: Vec::new(),
             recv_req_tags: Vec::new(),
             resources: Resources::with_wan(
                 n,
@@ -930,14 +739,6 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         }
     }
 
-    /// Precompiled match partner (packed `(rank << 32) | pc`) for the
-    /// record at `(rank, pc)`, or `u64::MAX` when no pairing LUT is
-    /// installed (sequential engine) or the record is unmatched.
-    #[inline]
-    fn pair_at(&self, rank: usize, pc: usize) -> u64 {
-        self.pair_lut.get(rank).map_or(u64::MAX, |lut| lut[pc])
-    }
-
     /// Append a state interval to a rank's timeline, mirroring it to
     /// the probe (zero-length intervals are dropped by both).
     fn push_state(&mut self, rank: usize, start: Time, end: Time, state: State) {
@@ -990,9 +791,9 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         }
     }
 
-    /// Handle one popped event. Both drivers funnel every event they
-    /// don't fast-path through here, so the semantics live in exactly
-    /// one place.
+    /// Handle one popped event. Both event loops ([`run`](Self::run)
+    /// and [`run_scale`](Self::run_scale)) funnel every event through
+    /// here, so the semantics live in exactly one place.
     fn dispatch(&mut self, t: Time, ev: Event) -> Result<(), SimError> {
         if P::ENABLED {
             let kind = match ev {
@@ -1062,8 +863,8 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         Ok(ScaleReport {
             nranks: self.ranks.len(),
             runtime,
-            events_processed: self.queue.processed(),
-            queue_peak: self.queue.peak(),
+            events_processed: self.queue.processed,
+            queue_peak: self.queue.peak,
             transfers: self.transfers_total,
             records_streamed: self.supply.records_fetched(),
             records_peak: self.supply.records_peak(),
@@ -1118,15 +919,13 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
     }
 
     /// Drained-queue epilogue: deadlock check, then assemble the
-    /// [`SimResult`]. Shared verbatim by both drivers (the parallel one
-    /// farms the per-rank/per-message pieces out to workers but goes
-    /// through the same helpers).
+    /// [`SimResult`].
     fn finish(mut self) -> Result<SimResult, SimError> {
         self.check_stuck()?;
         let runtime = self.final_runtime();
         if P::ENABLED {
             self.probe.on_records_peak(self.supply.records_peak());
-            self.probe.on_end(runtime, self.queue.peak());
+            self.probe.on_end(runtime, self.queue.peak);
         }
         let totals = self
             .ranks
@@ -1153,8 +952,8 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
             markers,
             network,
             links,
-            events_processed: self.queue.processed(),
-            queue_peak: self.queue.peak(),
+            events_processed: self.queue.processed,
+            queue_peak: self.queue.peak,
             stale_events: self.stale_popped,
             fault_log: self.fault_log,
         })
@@ -1190,9 +989,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         network
     }
 
-    /// The externally visible record of one message transfer. An
-    /// associated function (not a method) so worker threads can map it
-    /// over message chunks while holding only the two shared slices.
+    /// The externally visible record of one message transfer.
     fn comm_record(recv_reqs: &[RecvReq], m: &Msg) -> CommRecord {
         let t_arrive = match m.state {
             MsgState::Done { t1 } | MsgState::Flying { t1 } => t1,
@@ -1287,8 +1084,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                     return Ok(());
                 }
                 Record::IRecv { src, tag, req, .. } => {
-                    let partner = self.pair_at(rank, pc);
-                    let r = self.post_recv(rank, src.idx(), tag, clock, pc, partner)?;
+                    let r = self.post_recv(rank, src.idx(), tag, clock)?;
                     self.ranks[rank].reqs.insert(req, ReqHandle::Recv(r));
                     self.ranks[rank].pc += 1;
                 }
@@ -1300,9 +1096,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                     req,
                     ..
                 } => {
-                    let partner = self.pair_at(rank, pc);
-                    let m =
-                        self.start_send(rank, dst.idx(), tag, bytes, mode, clock, pc, partner)?;
+                    let m = self.start_send(rank, dst.idx(), tag, bytes, mode, clock)?;
                     self.ranks[rank].reqs.insert(req, ReqHandle::Send(m));
                     self.ranks[rank].pc += 1;
                 }
@@ -1313,9 +1107,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                     mode,
                     ..
                 } => {
-                    let partner = self.pair_at(rank, pc);
-                    let m =
-                        self.start_send(rank, dst.idx(), tag, bytes, mode, clock, pc, partner)?;
+                    let m = self.start_send(rank, dst.idx(), tag, bytes, mode, clock)?;
                     self.ranks[rank].pc += 1;
                     match self.wait_on_send(rank, m, clock) {
                         Flow::Continue => {}
@@ -1323,8 +1115,7 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                     }
                 }
                 Record::Recv { src, tag, .. } => {
-                    let partner = self.pair_at(rank, pc);
-                    let r = self.post_recv(rank, src.idx(), tag, clock, pc, partner)?;
+                    let r = self.post_recv(rank, src.idx(), tag, clock)?;
                     self.ranks[rank].pc += 1;
                     match self.wait_on_recv(rank, r, tag, clock) {
                         Flow::Continue => {}
@@ -1367,8 +1158,6 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         src: usize,
         tag: Tag,
         now: Time,
-        pc: usize,
-        partner: u64,
     ) -> Result<usize, SimError> {
         let fresh = RecvReq {
             rank,
@@ -1391,28 +1180,14 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                 self.recv_reqs.len() - 1
             }
         };
-        let matched = if partner != u64::MAX {
-            // Precompiled pairing: the partner send either executed
-            // already (its slot holds the msg id — pair now, exactly
-            // when it would sit at the FIFO front) or it didn't
-            // (advertise this request in our own slot).
-            let mid = self.rec_slot[(partner >> 32) as usize][partner as u32 as usize];
-            if mid != u32::MAX {
-                Some(mid as usize)
-            } else {
-                self.rec_slot[rank][pc] = idx as u32;
-                None
-            }
+        let id = self.channel_id(src, rank, tag);
+        let ch = &mut self.channels[id as usize];
+        let matched = if let Some(mid) = ch.unmatched_msgs.pop_front() {
+            self.channel_gc(src, rank, tag, id);
+            Some(mid)
         } else {
-            let id = self.channel_id(src, rank, tag);
-            let ch = &mut self.channels[id as usize];
-            if let Some(mid) = ch.unmatched_msgs.pop_front() {
-                self.channel_gc(src, rank, tag, id);
-                Some(mid)
-            } else {
-                ch.unmatched_reqs.push_back(idx);
-                None
-            }
+            ch.unmatched_reqs.push_back(idx);
+            None
         };
         if let Some(mid) = matched {
             self.pair(mid, idx);
@@ -1426,7 +1201,6 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         Ok(idx)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn start_send(
         &mut self,
         src: usize,
@@ -1435,8 +1209,6 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
         bytes: Bytes,
         mode: SendMode,
         now: Time,
-        pc: usize,
-        partner: u64,
     ) -> Result<usize, SimError> {
         let mode = self.platform.effective_mode(mode, bytes);
         let link = if self.platform.node_of(src) == self.platform.node_of(dst) {
@@ -1486,22 +1258,13 @@ impl<'a, P: ProbeSink, Q: QueueLike> Engine<'a, P, Q> {
                 now,
             );
         }
-        if partner != u64::MAX {
-            let req = self.rec_slot[(partner >> 32) as usize][partner as u32 as usize];
-            if req != u32::MAX {
-                self.pair(mid, req as usize);
-            } else {
-                self.rec_slot[src][pc] = mid as u32;
-            }
+        let id = self.channel_id(src, dst, tag);
+        let ch = &mut self.channels[id as usize];
+        if let Some(req) = ch.unmatched_reqs.pop_front() {
+            self.channel_gc(src, dst, tag, id);
+            self.pair(mid, req);
         } else {
-            let id = self.channel_id(src, dst, tag);
-            let ch = &mut self.channels[id as usize];
-            if let Some(req) = ch.unmatched_reqs.pop_front() {
-                self.channel_gc(src, dst, tag, id);
-                self.pair(mid, req);
-            } else {
-                ch.unmatched_msgs.push_back(mid);
-            }
+            ch.unmatched_msgs.push_back(mid);
         }
         self.try_grant(mid, now)?;
         Ok(mid)
@@ -2528,100 +2291,5 @@ mod tests {
         let res = simulate(&Trace::new(3), &plat()).unwrap();
         assert_eq!(res.runtime, Time::ZERO);
         assert_eq!(res.comms.len(), 0);
-    }
-
-    /// Engine selector round-trips through its textual form.
-    #[test]
-    fn engine_parses_and_displays() {
-        assert_eq!(
-            "sequential".parse::<ReplayEngine>().unwrap(),
-            ReplayEngine::Sequential
-        );
-        assert_eq!(
-            "seq".parse::<ReplayEngine>().unwrap(),
-            ReplayEngine::Sequential
-        );
-        assert_eq!(
-            "parallel:4".parse::<ReplayEngine>().unwrap(),
-            ReplayEngine::Parallel { workers: 4 }
-        );
-        assert_eq!(
-            "par:2".parse::<ReplayEngine>().unwrap(),
-            ReplayEngine::Parallel { workers: 2 }
-        );
-        assert!(matches!(
-            "parallel".parse::<ReplayEngine>().unwrap(),
-            ReplayEngine::Parallel { workers } if workers >= 1
-        ));
-        assert!("parallel:0".parse::<ReplayEngine>().is_err());
-        assert!("turbo".parse::<ReplayEngine>().is_err());
-        assert_eq!(
-            ReplayEngine::Parallel { workers: 8 }.to_string(),
-            "parallel:8"
-        );
-        assert_eq!(ReplayEngine::default(), ReplayEngine::Sequential);
-    }
-
-    /// The parallel engine is byte-identical to the sequential one on a
-    /// mixed workload (ring exchange with skewed compute), at several
-    /// worker counts. In debug builds the in-engine oracle re-asserts
-    /// this on every run; here we also pin it explicitly.
-    #[test]
-    fn parallel_engine_matches_sequential() {
-        let mut t = Trace::new(4);
-        for r in 0..4u32 {
-            let rt = t.rank_mut(Rank(r));
-            rt.push(compute(1_000_000 * (r as u64 + 1)));
-            rt.push(send((r + 1) % 4, 0, 10_000, 0));
-            rt.push(recv((r + 3) % 4, 0, 10_000, 1));
-            rt.push(compute(500_000));
-        }
-        let p = Platform { buses: 2, ..plat() };
-        let want = render_exact(&simulate(&t, &p));
-        for workers in [1, 2, 8] {
-            let got = render_exact(&simulate_with(&t, &p, ReplayEngine::Parallel { workers }));
-            assert_eq!(want, got, "workers={workers}");
-        }
-    }
-
-    /// Error paths are byte-identical too: a deadlocked replay reports
-    /// the same diagnosis from both engines.
-    #[test]
-    fn parallel_engine_matches_sequential_errors() {
-        let mut t = Trace::new(2);
-        t.rank_mut(Rank(0)).push(compute(1_000_000));
-        t.rank_mut(Rank(0)).push(recv(1, 0, 100, 0));
-        let want = render_exact(&simulate(&t, &plat()));
-        let got = render_exact(&simulate_with(
-            &t,
-            &plat(),
-            ReplayEngine::Parallel { workers: 2 },
-        ));
-        assert_eq!(want, got);
-    }
-
-    /// A compute-heavy trace exercises the elided-resume fast path and
-    /// still reports identical event counts and queue peaks.
-    #[test]
-    fn parallel_engine_fast_path_accounting_matches() {
-        let mut t = Trace::new(3);
-        for r in 0..3u32 {
-            let rt = t.rank_mut(Rank(r));
-            for i in 0..50u64 {
-                rt.push(Record::Marker {
-                    marker: ovlp_trace::record::Marker::IterBegin(i as u32),
-                });
-                rt.push(compute(100_000 + 13_000 * (r as u64 + 1) * (i % 7 + 1)));
-            }
-            rt.push(send((r + 1) % 3, 0, 10_000, 0));
-            rt.push(recv((r + 2) % 3, 0, 10_000, 1));
-        }
-        let seq = simulate(&t, &plat()).unwrap();
-        let par = simulate_with(&t, &plat(), ReplayEngine::Parallel { workers: 2 }).unwrap();
-        assert_eq!(seq.events_processed, par.events_processed);
-        assert_eq!(seq.queue_peak, par.queue_peak);
-        assert_eq!(seq.timelines, par.timelines);
-        assert_eq!(seq.markers, par.markers);
-        assert_eq!(render_exact(&Ok(seq)), render_exact(&Ok(par)));
     }
 }

@@ -23,8 +23,7 @@ use std::collections::VecDeque;
 
 /// Where the engine's records come from.
 pub(crate) enum Supply<'a> {
-    /// A fully materialized trace (the classic path; also what the
-    /// parallel driver compiles against).
+    /// A fully materialized trace (the classic path).
     Slice(&'a Trace),
     /// Generator-backed per-rank cursors with inline collective
     /// expansion.

@@ -230,7 +230,7 @@ pub fn point_line(index: usize, outcome: &PointOutcome) -> String {
                 // Compact per-variant blame attribution, present only
                 // when the job's spec asked for `critpath`. Totals come
                 // from exact expansion sums, so the values (and the
-                // line bytes) are engine- and jobs-invariant.
+                // line bytes) are jobs-invariant.
                 let mut c = Obj::new();
                 for (label, path) in cp.labelled() {
                     let mut v = Obj::new();

@@ -285,6 +285,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Journals written while the job schema still selected a replay
+    /// engine carry an `engine` field in their spec. They must keep
+    /// resuming — `parse_journal` silently drops a job whose spec no
+    /// longer parses — as the same job over the same points.
+    #[test]
+    fn journal_with_a_legacy_engine_field_still_resumes() {
+        let dir = tmpdir("legacy-engine");
+        let journal = Journal::open(&dir).unwrap();
+        let header = r#"{"schema":"ovlp.journal.v1","job":"j3","points":2,"spec":{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"jobs":1,"chunks":[1,4],"bw":[],"buses":[],"topology":[],"faults":[],"engine":"par:2","critpath":false}}"#;
+        fs::write(journal.path("j3"), format!("{header}\n{{\"point\":1}}\n")).unwrap();
+        let jobs = journal.scan().unwrap();
+        assert_eq!(jobs.len(), 1, "the legacy journal was dropped");
+        let job = &jobs[0];
+        assert_eq!(job.id, "j3");
+        assert_eq!(job.points, 2);
+        assert_eq!(job.done, vec![1]);
+        assert_eq!(job.end, None, "unfinished: must be resumed");
+        assert_eq!(job.spec.to_json(), spec().to_json());
+        let (grid, _) = job.spec.build().unwrap();
+        let (want, _) = spec().build().unwrap();
+        assert_eq!(grid.points(), want.points());
+        assert_eq!(grid.len(), job.points);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn foreign_and_headerless_files_are_ignored() {
         let dir = tmpdir("foreign");

@@ -14,7 +14,7 @@ use ovlp_apps::registry::AppEntry;
 use ovlp_core::chunk::ChunkPolicy;
 use ovlp_core::presets::marenostrum_for;
 use ovlp_core::sweep::{SweepApp, SweepConfig, SweepGrid};
-use ovlp_machine::{ContentionModel, FaultSchedule, ReplayEngine};
+use ovlp_machine::{ContentionModel, FaultSchedule};
 use ovlp_trace::Tag;
 
 /// What determines a spec's trace: `(canonical app name, ranks)`.
@@ -62,8 +62,6 @@ pub struct SweepSpec {
     /// Fault scenarios; each platform is additionally swept fault-free
     /// (the retention baseline). Default: none.
     pub faults: Vec<FaultSchedule>,
-    /// Replay engine (bit-identical either way; not part of point keys).
-    pub engine: ReplayEngine,
     /// Worker threads for grid evaluation.
     pub jobs: usize,
     /// Record critical paths with per-rank blame attribution for every
@@ -82,7 +80,6 @@ impl SweepSpec {
             buses: Vec::new(),
             topologies: Vec::new(),
             faults: Vec::new(),
-            engine: ReplayEngine::Sequential,
             jobs: 1,
             critpath: false,
         }
@@ -147,12 +144,19 @@ impl SweepSpec {
             spec.faults = parsed_list(v, "faults")?;
         }
         if let Some(v) = obj.get("engine") {
+            // Deprecated: there is one replay engine. Journals written
+            // before its removal carry `"engine":"seq"`, and a job whose
+            // spec stops parsing is dropped on resume, so the values
+            // that used to parse are still accepted (and ignored).
             let s = v
                 .as_str()
                 .ok_or_else(|| usage("`engine` must be a string"))?;
-            spec.engine = s
-                .parse()
-                .map_err(|e| usage(format!("bad `engine` value `{s}`: {e}")))?;
+            if !legacy_engine(s) {
+                return Err(usage(format!(
+                    "bad `engine` value `{s}` (deprecated and ignored; \
+                     expected sequential|parallel[:N])"
+                )));
+            }
         }
         if let Some(v) = obj.get("critpath") {
             spec.critpath = v
@@ -201,7 +205,6 @@ impl SweepSpec {
                     .collect(),
             ),
         );
-        o.set("engine", Value::str(engine_name(self.engine)));
         o.set("critpath", Value::Bool(self.critpath));
         Value::Obj(o).to_string()
     }
@@ -344,17 +347,23 @@ impl SweepSpec {
                 .map(|&c| ChunkPolicy::with_chunks(c))
                 .collect(),
         };
-        let mut config = SweepConfig::with_jobs(self.jobs).with_engine(self.engine);
+        let mut config = SweepConfig::with_jobs(self.jobs);
         config.critpath = self.critpath;
         Ok((grid, config))
     }
 }
 
-/// Canonical engine name for serialization (`seq`, `par`, `par:N`).
-pub fn engine_name(engine: ReplayEngine) -> String {
-    match engine {
-        ReplayEngine::Sequential => "seq".to_string(),
-        ReplayEngine::Parallel { workers } => format!("par:{workers}"),
+/// Whether `s` is an `engine` value the job schema accepted while it
+/// still selected a replay driver: `sequential`/`seq`,
+/// `parallel`/`par`, or `parallel:N`/`par:N` with `N >= 1`.
+fn legacy_engine(s: &str) -> bool {
+    match s {
+        "sequential" | "seq" | "parallel" | "par" => true,
+        _ => s
+            .strip_prefix("parallel:")
+            .or_else(|| s.strip_prefix("par:"))
+            .and_then(|n| n.parse::<usize>().ok())
+            .is_some_and(|n| n >= 1),
     }
 }
 
@@ -416,7 +425,8 @@ mod tests {
         assert_eq!(g1.len(), 2 * 2 * 2 * 2);
         assert_eq!(g1.len(), g2.len());
         assert_eq!(c1.jobs, 2);
-        assert_eq!(c1.engine, c2.engine);
+        assert_eq!(c1.critpath, c2.critpath);
+        assert!(!spec.to_json().contains("engine"));
         for (a, b) in g1.platforms.iter().zip(&g2.platforms) {
             assert_eq!(
                 ovlp_core::sweep::platform_fingerprint(a),
@@ -505,6 +515,34 @@ mod tests {
         assert_eq!(grid.policies.len(), 4);
         assert_eq!(grid.platforms.len(), 1);
         assert_eq!(config.jobs, 1);
-        assert_eq!(config.engine, ReplayEngine::Sequential);
+    }
+
+    /// `engine` is deprecated: every value the schema used to accept
+    /// still parses, to the same spec as a document without it; any
+    /// other value is still a usage error.
+    #[test]
+    fn legacy_engine_values_parse_and_are_ignored() {
+        let base = r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"chunks":[1,4]"#;
+        let plain = SweepSpec::from_json(&format!("{base}}}")).unwrap();
+        for engine in [
+            "seq",
+            "sequential",
+            "par",
+            "parallel",
+            "par:2",
+            "parallel:8",
+        ] {
+            let spec = SweepSpec::from_json(&format!(r#"{base},"engine":"{engine}"}}"#))
+                .unwrap_or_else(|e| panic!("{engine}: {e}"));
+            assert_eq!(spec.to_json(), plain.to_json(), "{engine}");
+        }
+        for engine in ["warp", "par:0", "par:x", "parallel:", ""] {
+            let err =
+                SweepSpec::from_json(&format!(r#"{base},"engine":"{engine}"}}"#)).unwrap_err();
+            assert!(matches!(err, SpecError::Usage(_)), "{engine}");
+            assert!(err.to_string().contains("engine"), "{engine}: {err}");
+        }
+        let err = SweepSpec::from_json(&format!(r#"{base},"engine":2}}"#)).unwrap_err();
+        assert!(matches!(err, SpecError::Usage(_)));
     }
 }

@@ -75,9 +75,18 @@ def check_job(path, doc):
             for v in doc[axis]:
                 expect(pred(v), path, f"{axis} entry {v!r} is not {what}")
     if "engine" in doc:
+        # deprecated and ignored, but still accepted (older journals
+        # carry it): the values the field took when it selected a
+        # replay driver
         e = doc["engine"]
-        ok = e in ("seq", "par") or (e.startswith("par:") and e[4:].isdigit() and int(e[4:]) >= 1)
-        expect(isinstance(e, str) and ok, path, f"engine {e!r} is not seq|par[:N]")
+        ok = isinstance(e, str) and (
+            e in ("seq", "sequential", "par", "parallel")
+            or any(
+                e.startswith(p) and e[len(p):].isdigit() and int(e[len(p):]) >= 1
+                for p in ("par:", "parallel:")
+            )
+        )
+        expect(ok, path, f"engine {e!r} is not sequential|parallel[:N]")
     if "critpath" in doc:
         expect(isinstance(doc["critpath"], bool), path, "critpath must be a boolean")
 

@@ -5,16 +5,16 @@
 //! the help text cannot drift from what the binary accepts.
 
 use overlap_sim::core::chunk::ChunkPolicy;
-use overlap_sim::core::experiments::{run_variants, run_variants_full_with, run_variants_probed};
+use overlap_sim::core::experiments::{run_variants, run_variants_full, run_variants_probed};
 use overlap_sim::core::patterns::{consumption_stats, production_stats};
 use overlap_sim::core::pipeline::{build_variants, VariantBundle};
 use overlap_sim::core::presets::marenostrum_for;
 use overlap_sim::core::report::{pct, table2a, table2b};
 use overlap_sim::instr::TraceOptions;
 use overlap_sim::machine::{
-    replay_scale, simulate, simulate_probed_with, simulate_source_probed_with,
-    simulate_source_with, simulate_with, ContentionModel, CritPathRecorder, FaultSchedule,
-    Platform, ProbeSink, ReplayEngine, SimError, SimResult, TeeSink, Time, WindowedRecorder,
+    replay_scale, simulate, simulate_probed, simulate_source, simulate_source_probed,
+    ContentionModel, CritPathRecorder, FaultSchedule, Platform, ProbeSink, SimError, SimResult,
+    TeeSink, Time, WindowedRecorder,
 };
 use overlap_sim::trace::text;
 use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
@@ -81,8 +81,7 @@ const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "simulate",
         args: "<trace.trf|app> [bw] [buses] [--ranks N] [--stream] [--topology T] \
-               [--faults SPEC] [--metrics out.json] [--probe-window us] [--critpath] \
-               [--engine seq|par[:N]]",
+               [--faults SPEC] [--metrics out.json] [--probe-window us] [--critpath]",
         about: "replay a trace file or pool app on a platform",
     },
     Cmd {
@@ -129,7 +128,7 @@ const COMMANDS: &[Cmd] = &[
         name: "sweep",
         args: "<app> <ranks> [--jobs N] [--chunks a,b,..] [--bw a,b,..] [--buses a,b,..] \
                [--topology t1,t2,..] [--faults f1,f2,..] [--store dir] [--metrics dir] \
-               [--probe-window us] [--critpath] [--engine seq|par[:N]]",
+               [--probe-window us] [--critpath]",
         about: "parallel parameter sweep over platforms x policies",
     },
     Cmd {
@@ -290,10 +289,10 @@ enum SimInput<'a> {
 }
 
 impl SimInput<'_> {
-    fn run(&self, platform: &Platform, engine: ReplayEngine) -> Result<SimResult, SimError> {
+    fn run(&self, platform: &Platform) -> Result<SimResult, SimError> {
         match self {
-            SimInput::Trace(t) => simulate_with(t, platform, engine),
-            SimInput::Stream(s) => simulate_source_with(*s, platform, engine),
+            SimInput::Trace(t) => simulate(t, platform),
+            SimInput::Stream(s) => simulate_source(*s, platform),
         }
     }
 
@@ -301,11 +300,10 @@ impl SimInput<'_> {
         &self,
         platform: &Platform,
         probe: &mut P,
-        engine: ReplayEngine,
     ) -> Result<SimResult, SimError> {
         match self {
-            SimInput::Trace(t) => simulate_probed_with(t, platform, probe, engine),
-            SimInput::Stream(s) => simulate_source_probed_with(*s, platform, probe, engine),
+            SimInput::Trace(t) => simulate_probed(t, platform, probe),
+            SimInput::Stream(s) => simulate_source_probed(*s, platform, probe),
         }
     }
 }
@@ -498,6 +496,22 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     // Flags are parsed before the trace is read, so malformed flags
     // are reported as usage errors (exit 2) even when the file is also
     // missing or unreadable (exit 1).
+    let pos = match positionals(
+        "simulate",
+        rest,
+        &[
+            "--topology",
+            "--faults",
+            "--metrics",
+            "--probe-window",
+            "--ranks",
+        ],
+        &["--critpath", "--stream"],
+        2,
+    ) {
+        Ok(v) => v,
+        Err(e) => return fail_usage(e),
+    };
     let topology = match parse_flag(rest, "--topology", ContentionModel::Bus) {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
@@ -514,23 +528,12 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };
-    let engine = match parse_flag(rest, "--engine", ReplayEngine::Sequential) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
     let ranks_flag = match parse_opt_flag::<usize>(rest, "--ranks") {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };
     let want_critpath = rest.contains(&"--critpath");
     let stream = rest.contains(&"--stream");
-    if stream && matches!(engine, ReplayEngine::Parallel { .. }) {
-        return fail_usage(
-            "--stream drives the sequential engine (the parallel compile pass \
-             materializes the whole trace); drop --engine par"
-                .to_string(),
-        );
-    }
     // The positional either names a trace file on disk or a pool app
     // (`ovlp list`); files win when both exist.
     let entry = overlap_sim::apps::registry::by_name(path);
@@ -577,23 +580,6 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         (_, Some(s)) => SimInput::Stream(s.as_ref()),
         (None, None) => unreachable!("one input arm always fills"),
     };
-    // Positional args are what remains once the flag pairs are stripped.
-    let mut pos: Vec<&str> = Vec::new();
-    let mut skip = false;
-    for a in rest {
-        if skip {
-            skip = false;
-        } else if matches!(*a, "--critpath" | "--stream") {
-            // boolean flags, no value to strip
-        } else if matches!(
-            *a,
-            "--topology" | "--faults" | "--metrics" | "--probe-window" | "--engine" | "--ranks"
-        ) {
-            skip = true;
-        } else {
-            pos.push(a);
-        }
-    }
     // Pool apps start from their calibrated Table I platform; trace
     // files keep the historical default platform.
     let base = match (&entry, is_file) {
@@ -629,7 +615,7 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             None => {
                 // auto window: 1/256 of this trace's runtime, measured
                 // by an extra (cheap, deterministic) unprobed replay
-                let base = match input.run(&platform, engine) {
+                let base = match input.run(&platform) {
                     Ok(r) => r,
                     Err(e) => return fail(e.to_string()),
                 };
@@ -640,13 +626,13 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         None
     };
     let (r, metrics, critpath) = match (window, want_critpath) {
-        (None, false) => match input.run(&platform, engine) {
+        (None, false) => match input.run(&platform) {
             Ok(r) => (r, None, None),
             Err(e) => return fail(e.to_string()),
         },
         (Some(w), false) => {
             let mut rec = WindowedRecorder::new(w);
-            match input.run_probed(&platform, &mut rec, engine) {
+            match input.run_probed(&platform, &mut rec) {
                 Ok(r) => match rec.into_metrics() {
                     Ok(m) => (r, Some(m), None),
                     Err(e) => return fail(e.to_string()),
@@ -656,14 +642,14 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
         }
         (None, true) => {
             let mut rec = CritPathRecorder::new();
-            match input.run_probed(&platform, &mut rec, engine) {
+            match input.run_probed(&platform, &mut rec) {
                 Ok(r) => (r, None, Some(rec.into_critpath())),
                 Err(e) => return fail(e.to_string()),
             }
         }
         (Some(w), true) => {
             let mut tee = TeeSink(WindowedRecorder::new(w), CritPathRecorder::new());
-            match input.run_probed(&platform, &mut tee, engine) {
+            match input.run_probed(&platform, &mut tee) {
                 Ok(r) => {
                     let TeeSink(windowed, crit) = tee;
                     match windowed.into_metrics() {
@@ -751,6 +737,10 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
 /// Memory stays O(active ranks + in-flight traffic), so generated apps
 /// run at 100k–1M ranks where `simulate` would exhaust the machine.
 fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
+    let pos = match positionals("scale", rest, &[], &[], 2) {
+        Ok(v) => v,
+        Err(e) => return fail_usage(e),
+    };
     let ranks_n: usize = match ranks.parse() {
         Ok(n) => n,
         Err(e) => return fail_usage(format!("bad rank count: {e}")),
@@ -763,13 +753,13 @@ fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
         return fail_usage(e);
     }
     let mut platform = marenostrum_for(entry.name);
-    if let Some(bw) = rest.first() {
+    if let Some(bw) = pos.first() {
         match bw.parse() {
             Ok(v) => platform.bandwidth_mbs = v,
             Err(e) => return fail_usage(format!("bad bandwidth: {e}")),
         }
     }
-    if let Some(buses) = rest.get(1) {
+    if let Some(buses) = pos.get(1) {
         match buses.parse() {
             Ok(v) => platform.buses = v,
             Err(e) => return fail_usage(format!("bad bus count: {e}")),
@@ -876,6 +866,15 @@ fn advise_cmd(app: &str, ranks: &str) -> ExitCode {
 }
 
 fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
+    if let Err(e) = positionals(
+        "report",
+        rest,
+        &["--topology", "--probe-window"],
+        &["--critpath"],
+        0,
+    ) {
+        return fail_usage(e);
+    }
     let (bundle, run, mut platform) = match prepare(app, ranks, Scatter::Capture) {
         Ok(v) => v,
         Err(e) => return bail(e),
@@ -891,7 +890,7 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
     };
     let want_critpath = rest.contains(&"--critpath");
     let (r, metrics, critpaths) = if want_critpath {
-        match run_variants_full_with(&bundle, &platform, window, ReplayEngine::Sequential) {
+        match run_variants_full(&bundle, &platform, window) {
             Ok((r, m, c)) => (r, m, Some(c)),
             Err(e) => return fail(e.to_string()),
         }
@@ -975,6 +974,25 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     use overlap_sim::core::sweep::{sweep, SweepCache};
     use overlap_sim::serve::{SpecError, SweepSpec};
 
+    if let Err(e) = positionals(
+        "sweep",
+        rest,
+        &[
+            "--jobs",
+            "--chunks",
+            "--bw",
+            "--buses",
+            "--topology",
+            "--faults",
+            "--store",
+            "--metrics",
+            "--probe-window",
+        ],
+        &["--critpath"],
+        0,
+    ) {
+        return fail_usage(e);
+    }
     let ranks_n: usize = match ranks.parse() {
         Ok(n) => n,
         Err(e) => return fail_usage(format!("bad rank count: {e}")),
@@ -1004,10 +1022,6 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
         Err(e) => return fail_usage(e),
     };
     spec.faults = match parse_list_flag::<FaultSchedule>(rest, "--faults", Vec::new()) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    spec.engine = match parse_flag(rest, "--engine", ReplayEngine::Sequential) {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };
@@ -1119,15 +1133,23 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
     use overlap_sim::serve::{ServeConfig, Server};
     use std::time::Duration;
 
-    // The serve arg list is flag pairs only; a stray token is a typo,
-    // not a positional, so reject it up front.
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--addr" | "--store" | "--max-running" | "--max-conn" | "--point-deadline"
-            | "--retries" | "--backoff-ms" | "--drain-grace" => i += 2,
-            other => return fail_usage(format!("unknown `serve` argument `{other}`")),
-        }
+    if let Err(e) = positionals(
+        "serve",
+        rest,
+        &[
+            "--addr",
+            "--store",
+            "--max-running",
+            "--max-conn",
+            "--point-deadline",
+            "--retries",
+            "--backoff-ms",
+            "--drain-grace",
+        ],
+        &[],
+        0,
+    ) {
+        return fail_usage(e);
     }
     let defaults = ServeConfig::default();
     let default_deadline_s = defaults.point_deadline.map(|d| d.as_secs()).unwrap_or(0);
@@ -1220,6 +1242,34 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
     }
 }
 
+/// Check a subcommand's trailing arguments and return its positionals.
+/// `values` are the flags that take a value, `switches` those that take
+/// none; any other `--token`, and any positional past the first `max`,
+/// is a usage error that names the token — a misspelled flag must not
+/// silently fall back to a default.
+fn positionals<'a>(
+    cmd: &str,
+    rest: &[&'a str],
+    values: &[&str],
+    switches: &[&str],
+    max: usize,
+) -> Result<Vec<&'a str>, String> {
+    let mut pos = Vec::new();
+    let mut args = rest.iter();
+    while let Some(&a) = args.next() {
+        if values.contains(&a) {
+            // a missing value is reported by the flag's own parser
+            args.next();
+        } else if !switches.contains(&a) {
+            if a.starts_with("--") || pos.len() == max {
+                return Err(format!("unknown `{cmd}` argument `{a}`"));
+            }
+            pos.push(a);
+        }
+    }
+    Ok(pos)
+}
+
 /// `--flag value` lookup with a default.
 fn parse_flag<T: std::str::FromStr>(args: &[&str], flag: &str, default: T) -> Result<T, String>
 where
@@ -1279,6 +1329,9 @@ where
 }
 
 fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode {
+    if let Err(e) = positionals("paraver", rest, &["--topology", "--probe-window"], &[], 0) {
+        return fail_usage(e);
+    }
     let (bundle, _, mut platform) = match prepare(app, ranks, Scatter::Skip) {
         Ok(v) => v,
         Err(e) => return bail(e),

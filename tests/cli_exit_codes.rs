@@ -92,8 +92,41 @@ fn rank_overrides_are_validated_as_usage_errors() {
     );
     assert_usage_error(
         &["simulate", "ml-allreduce", "--stream", "--engine", "par:4"],
-        "--stream",
+        "--engine",
     );
+}
+
+#[test]
+fn unknown_flags_and_surplus_arguments_exit_two() {
+    // a misspelled flag must not silently fall back to its default
+    // (here: replaying on the bus instead of the fat-tree)
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/nas_cg_8r.trf");
+    assert_usage_error(
+        &["simulate", fixture, "250", "0", "--topologyy", "fat-tree:4"],
+        "`--topologyy`",
+    );
+    assert_usage_error(&["simulate", fixture, "250", "0", "7"], "`7`");
+    assert_usage_error(&["simulate", fixture, "--engine", "par"], "`--engine`");
+    assert_usage_error(
+        &["sweep", "nas-cg", "4", "--chunks", "1", "--bogus"],
+        "`--bogus`",
+    );
+    assert_usage_error(&["sweep", "nas-cg", "4", "--engine", "par"], "`--engine`");
+    assert_usage_error(&["sweep", "nas-cg", "4", "250"], "`250`");
+    assert_usage_error(
+        &["scale", "ml-allreduce", "64", "--frobnicate"],
+        "`--frobnicate`",
+    );
+    assert_usage_error(&["scale", "ml-allreduce", "64", "250", "0", "9"], "`9`");
+    assert_usage_error(
+        &["report", "nas-cg", "4", "/tmp/out.html", "--critpth"],
+        "`--critpth`",
+    );
+    assert_usage_error(
+        &["paraver", "nas-cg", "4", "/tmp/prv", "--critpath"],
+        "`--critpath`",
+    );
+    assert_usage_error(&["paraver", "nas-cg", "4", "/tmp/prv", "extra"], "`extra`");
 }
 
 #[test]

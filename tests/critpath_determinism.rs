@@ -1,6 +1,6 @@
 //! The causal critical-path layer must be an exact observer: attaching
 //! a `CritPathRecorder` never perturbs the replay, the recorded path is
-//! byte-identical across replay engines and sweep worker counts, and
+//! byte-identical across repeat runs and sweep worker counts, and
 //! every path is a *certified* partition — the blame totals sum exactly
 //! (not approximately) to the simulated runtime.
 
@@ -8,8 +8,8 @@ use overlap_sim::core::chunk::ChunkPolicy;
 use overlap_sim::core::sweep::{sweep, SweepApp, SweepCache, SweepConfig, SweepGrid};
 use overlap_sim::instr::trace_app;
 use overlap_sim::machine::{
-    simulate, simulate_probed_with, CritPath, CritPathRecorder, FaultSchedule, NoopSink, Platform,
-    ReplayEngine, SimResult, Topology,
+    simulate, simulate_probed, CritPath, CritPathRecorder, FaultSchedule, NoopSink, Platform,
+    SimResult, Topology,
 };
 use overlap_sim::trace::{synth, text, Trace};
 use std::path::PathBuf;
@@ -21,13 +21,9 @@ fn load_fixture(name: &str) -> Trace {
     text::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
-fn critpath_with(
-    trace: &Trace,
-    platform: &Platform,
-    engine: ReplayEngine,
-) -> (SimResult, CritPath) {
+fn critpath(trace: &Trace, platform: &Platform) -> (SimResult, CritPath) {
     let mut rec = CritPathRecorder::new();
-    let sim = simulate_probed_with(trace, platform, &mut rec, engine).unwrap();
+    let sim = simulate_probed(trace, platform, &mut rec).unwrap();
     (sim, rec.into_critpath())
 }
 
@@ -77,9 +73,8 @@ fn critpath_recorder_does_not_perturb_the_replay() {
     for (name, platform) in &golden_cases() {
         let trace = load_fixture(name);
         let mut noop = NoopSink;
-        let plain =
-            simulate_probed_with(&trace, platform, &mut noop, ReplayEngine::Sequential).unwrap();
-        let (recorded, _) = critpath_with(&trace, platform, ReplayEngine::Sequential);
+        let plain = simulate_probed(&trace, platform, &mut noop).unwrap();
+        let (recorded, _) = critpath(&trace, platform);
         assert_eq!(
             result_bits(&plain),
             result_bits(&recorded),
@@ -94,19 +89,16 @@ fn critpath_recorder_does_not_perturb_the_replay() {
 }
 
 #[test]
-fn critpath_is_byte_identical_across_replay_engines() {
+fn critpath_is_byte_identical_across_repeat_runs() {
     for (name, platform) in &golden_cases() {
         let trace = load_fixture(name);
-        let (_, seq) = critpath_with(&trace, platform, ReplayEngine::Sequential);
-        let want = seq.to_json();
-        for workers in [1, 2, 4, 8] {
-            let (_, par) = critpath_with(&trace, platform, ReplayEngine::Parallel { workers });
-            assert_eq!(
-                want,
-                par.to_json(),
-                "{name}: critpath diverged at workers={workers}"
-            );
-        }
+        let (_, first) = critpath(&trace, platform);
+        let (_, again) = critpath(&trace, platform);
+        assert_eq!(
+            first.to_json(),
+            again.to_json(),
+            "{name}: critpath diverged run to run"
+        );
     }
 }
 
@@ -114,7 +106,7 @@ fn critpath_is_byte_identical_across_replay_engines() {
 fn blame_totals_sum_exactly_to_runtime_on_golden_fixtures() {
     for (name, platform) in &golden_cases() {
         let trace = load_fixture(name);
-        let (sim, cp) = critpath_with(&trace, platform, ReplayEngine::Sequential);
+        let (sim, cp) = critpath(&trace, platform);
         assert!(
             cp.exact,
             "{name}: blame partition not certified exact (runtime {})",
@@ -187,10 +179,11 @@ fn sweep_critpaths_are_identical_for_any_worker_count() {
 
 /// Deterministic seeded sweep over generated applications: every seed,
 /// on every topology its rank count supports, yields a certified-exact
-/// path that is engine-invariant. (The proptest variant below explores
-/// the seed space further when `--features proptest-tests` is on.)
+/// path that is byte-identical run to run. (The proptest variant below
+/// explores the seed space further when `--features proptest-tests` is
+/// on.)
 #[test]
-fn generated_apps_have_exact_engine_invariant_paths() {
+fn generated_apps_have_exact_repeatable_paths() {
     for seed in [1u64, 7, 42, 1234, 0xFEED_5EED] {
         let trace = synth::generate(seed);
         let specs: &[&str] = if trace.nranks() == 4 {
@@ -200,13 +193,13 @@ fn generated_apps_have_exact_engine_invariant_paths() {
         };
         for spec in specs {
             let platform = Platform::default().with_contention(spec.parse().unwrap());
-            let (_, seq) = critpath_with(&trace, &platform, ReplayEngine::Sequential);
-            assert!(seq.exact, "seed {seed} on {spec}: partition not exact");
-            let (_, par) = critpath_with(&trace, &platform, ReplayEngine::Parallel { workers: 4 });
+            let (_, first) = critpath(&trace, &platform);
+            assert!(first.exact, "seed {seed} on {spec}: partition not exact");
+            let (_, again) = critpath(&trace, &platform);
             assert_eq!(
-                seq.to_json(),
-                par.to_json(),
-                "seed {seed} on {spec}: engines disagree"
+                first.to_json(),
+                again.to_json(),
+                "seed {seed} on {spec}: critpath diverged run to run"
             );
         }
     }
@@ -237,22 +230,9 @@ mod props {
         fn blame_sum_is_exact_for_generated_apps(trace in small_app(), spec_idx in 0usize..4) {
             let spec = contention_specs(trace.nranks())[spec_idx];
             let platform = Platform::default().with_contention(spec.parse().unwrap());
-            let (sim, cp) = critpath_with(&trace, &platform, ReplayEngine::Sequential);
+            let (sim, cp) = critpath(&trace, &platform);
             prop_assert!(cp.exact, "partition not exact on {}", spec);
             prop_assert_eq!(cp.runtime.as_secs().to_bits(), sim.runtime().to_bits());
-        }
-
-        /// Engine invariance holds pointwise over the seed space, not
-        /// just on the golden fixtures.
-        #[test]
-        fn critpath_is_engine_invariant_for_generated_apps(trace in small_app(), spec_idx in 0usize..4) {
-            let spec = contention_specs(trace.nranks())[spec_idx];
-            let platform = Platform::default().with_contention(spec.parse().unwrap());
-            let (_, seq) = critpath_with(&trace, &platform, ReplayEngine::Sequential);
-            for workers in [2, 8] {
-                let (_, par) = critpath_with(&trace, &platform, ReplayEngine::Parallel { workers });
-                prop_assert_eq!(seq.to_json(), par.to_json(), "workers={} on {}", workers, spec);
-            }
         }
     }
 }

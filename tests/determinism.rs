@@ -5,8 +5,8 @@ use overlap_sim::core::chunk::ChunkPolicy;
 use overlap_sim::core::pipeline::build_variants;
 use overlap_sim::core::sweep::{sweep, SweepApp, SweepCache, SweepConfig, SweepGrid};
 use overlap_sim::instr::trace_app;
-use overlap_sim::machine::{simulate, Platform};
-use overlap_sim::trace::text;
+use overlap_sim::machine::{render_exact, simulate, Platform};
+use overlap_sim::trace::{synth, text, Bytes, Rank, Record, ReqId, Tag, Trace, TransferId};
 
 #[test]
 fn tracing_is_deterministic_across_runs() {
@@ -172,3 +172,70 @@ fn simulation_events_are_deterministic() {
         assert_eq!(x, y);
     }
 }
+
+#[test]
+fn generated_traces_repeat_bit_for_bit() {
+    // generated traces, one per contention model, render to the same
+    // bytes run after run: host scheduling noise between the runs must
+    // not reach a single bit
+    for (seed, spec) in [
+        (3u64, "bus"),
+        (17, "crossbar"),
+        (40, "fat-tree:4"),
+        (9, "torus"),
+    ] {
+        let trace = synth::generate(seed);
+        let spec = match (spec, trace.nranks()) {
+            ("torus", 4) => "torus:2x2",
+            ("torus", _) => "torus:2x2x2",
+            _ => spec,
+        };
+        let p = Platform::default().with_contention(spec.parse().unwrap());
+        let first = render_exact(&simulate(&trace, &p));
+        let again = render_exact(&simulate(&trace, &p));
+        assert_eq!(first, again, "seed {seed} on {spec}: repeat run diverged");
+    }
+}
+
+#[test]
+fn failed_replays_render_identically() {
+    // failed replays are results too: a deadlock (a receive no rank
+    // ever sends to) and a wait on a request never issued render to
+    // the same diagnosis, byte for byte, every run
+    let mut deadlock = Trace::new(2);
+    deadlock.rank_mut(Rank(0)).push(Record::Recv {
+        src: Rank(1),
+        tag: Tag::user(3),
+        bytes: Bytes(4096),
+        transfer: TransferId::new(Rank(0), 0),
+    });
+    let mut unknown = Trace::new(1);
+    unknown
+        .rank_mut(Rank(0))
+        .push(Record::Wait { req: ReqId(77) });
+    for (trace, want) in [(&deadlock, DEADLOCK), (&unknown, UNKNOWN_REQUEST)] {
+        let got = render_exact(&simulate(trace, &Platform::default()));
+        assert_eq!(got, want);
+        assert_eq!(render_exact(&simulate(trace, &Platform::default())), got);
+    }
+}
+
+const DEADLOCK: &str = r#"Err(
+    Deadlock {
+        stuck: [
+            (
+                0,
+                "pc=1 of 1: waiting since Time(0.0) on recv(src=1, tag=3): no matching send was ever posted",
+            ),
+        ],
+    },
+)"#;
+
+const UNKNOWN_REQUEST: &str = r#"Err(
+    UnknownRequest {
+        rank: 0,
+        req: ReqId(
+            77,
+        ),
+    },
+)"#;

@@ -1,17 +1,18 @@
 //! The probe layer must observe without perturbing: a replay with a
 //! `WindowedRecorder` attached produces bit-identical simulation
-//! results to one with the `NoopSink`, the recorded metrics themselves
-//! are deterministic, and probed sweep points hash identically to
-//! unprobed ones for any worker count.
+//! results (and Paraver exports) to one with the `NoopSink`, the
+//! recorded metrics themselves are deterministic, and probed sweep
+//! points hash identically to unprobed ones for any worker count.
 
 use overlap_sim::core::chunk::ChunkPolicy;
 use overlap_sim::core::sweep::{sweep, SweepApp, SweepCache, SweepConfig, SweepGrid};
 use overlap_sim::instr::trace_app;
 use overlap_sim::machine::{
-    simulate, simulate_probed, Metrics, NoopSink, Platform, SimResult, Time, Topology,
-    WindowedRecorder,
+    render_exact, simulate, simulate_probed, Metrics, NoopSink, Platform, SimResult, Time,
+    Topology, WindowedRecorder,
 };
 use overlap_sim::trace::{text, Trace};
+use overlap_sim::viz::paraver;
 use std::path::PathBuf;
 
 fn load_fixture(name: &str) -> Trace {
@@ -37,6 +38,22 @@ fn probed(trace: &Trace, platform: &Platform, window: Time) -> (SimResult, Metri
     let mut rec = WindowedRecorder::new(window);
     let sim = simulate_probed(trace, platform, &mut rec).unwrap();
     (sim, rec.into_metrics().unwrap())
+}
+
+/// Both golden fixtures on the default platform under all four
+/// contention models: the bus plus the three flow topologies.
+fn fixture_topology_cases() -> Vec<(&'static str, Platform)> {
+    let mut cases = Vec::new();
+    for (name, torus) in [
+        ("sweep3d_4r.trf", "torus:2x2"),
+        ("nas_cg_8r.trf", "torus:2x2x2"),
+    ] {
+        for spec in ["bus", "crossbar", "fat-tree:4", torus] {
+            let platform = Platform::default().with_contention(spec.parse().unwrap());
+            cases.push((name, platform));
+        }
+    }
+    cases
 }
 
 #[test]
@@ -76,6 +93,34 @@ fn windowed_recorder_does_not_perturb_the_replay() {
 }
 
 #[test]
+fn probed_fixtures_match_unprobed_on_every_topology() {
+    for (name, platform) in fixture_topology_cases() {
+        let trace = load_fixture(name);
+        let mut noop = NoopSink;
+        let plain = simulate_probed(&trace, &platform, &mut noop).unwrap();
+        let (recorded, _) = probed(&trace, &platform, Time::micros(7.0));
+        // every observable, not just the timestamps, and the Paraver
+        // export built from them
+        assert_eq!(
+            render_exact(&Ok(plain.clone())),
+            render_exact(&Ok(recorded.clone())),
+            "{name}: recording probes changed the simulation"
+        );
+        assert_eq!(
+            paraver::export(name, &plain),
+            paraver::export(name, &recorded),
+            "{name}: recording probes changed the Paraver export"
+        );
+        // ...and the NoopSink path is the plain `simulate` path
+        assert_eq!(
+            result_bits(&plain),
+            result_bits(&simulate(&trace, &platform).unwrap()),
+            "{name}: NoopSink diverged from simulate()"
+        );
+    }
+}
+
+#[test]
 fn recorded_metrics_are_deterministic() {
     let trace = load_fixture("nas_cg_8r.trf");
     let platform = Platform::marenostrum(8).with_topology(Topology::FatTree {
@@ -87,6 +132,19 @@ fn recorded_metrics_are_deterministic() {
     assert_eq!(a, b, "same replay, same windows, different metrics");
     assert!(a.windows > 1, "degenerate window count");
     assert!(!a.links.is_empty(), "flow topology should expose links");
+    // repeat runs agree to the byte on every fixture and topology:
+    // the replay, the metrics JSON, and the Paraver export
+    for (name, platform) in fixture_topology_cases() {
+        let trace = load_fixture(name);
+        let (sim_a, a) = probed(&trace, &platform, Time::micros(20.0));
+        let (sim_b, b) = probed(&trace, &platform, Time::micros(20.0));
+        assert_eq!(
+            render_exact(&Ok(sim_a.clone())),
+            render_exact(&Ok(sim_b.clone()))
+        );
+        assert_eq!(a.to_json(), b.to_json(), "{name}: metrics JSON diverged");
+        assert_eq!(paraver::export(name, &sim_a), paraver::export(name, &sim_b));
+    }
 }
 
 fn small_grid() -> SweepGrid {

@@ -2,17 +2,16 @@
 //! path.
 //!
 //! The lazy `TraceSource` supply (per-rank cursors, on-demand
-//! collective expansion) is pure memory work: `simulate_source_with`
-//! must produce exactly the same replay — every timestamp, timeline,
-//! transfer, network statistic, and engine counter — as `simulate_with`
-//! on the materialized trace, on every topology and engine, with and
-//! without fault schedules. Any divergence is a correctness bug in the
+//! collective expansion) is pure memory work: `simulate_source` must
+//! produce exactly the same replay — every timestamp, timeline,
+//! transfer, network statistic, and engine counter — as `simulate` on
+//! the materialized trace, on every topology, with and without fault
+//! schedules. Any divergence is a correctness bug in the
 //! streaming path, never an acceptable tolerance. `render_exact`
 //! round-trips every float, so string equality is bit equality.
 
 use overlap_sim::machine::{
-    render_exact, replay_scale, simulate_source_with, simulate_with, Platform, ReplayEngine,
-    Topology,
+    render_exact, replay_scale, simulate, simulate_source, Platform, Topology,
 };
 use overlap_sim::trace::mlgen::{MlAllreduce, MlConfig};
 use overlap_sim::trace::{synth, text, Trace, TraceSource};
@@ -24,16 +23,6 @@ fn fixture(name: &str) -> Trace {
         .join(name);
     let content = std::fs::read_to_string(&path).unwrap();
     text::parse(&content).unwrap_or_else(|e| panic!("{name}: {e}"))
-}
-
-fn engines() -> Vec<(String, ReplayEngine)> {
-    std::iter::once(("seq".to_string(), ReplayEngine::Sequential))
-        .chain(
-            [1usize, 2, 4, 8]
-                .into_iter()
-                .map(|w| (format!("par:{w}"), ReplayEngine::Parallel { workers: w })),
-        )
-        .collect()
 }
 
 fn topologies(nranks: usize) -> Vec<(&'static str, Topology)> {
@@ -61,9 +50,9 @@ fn topologies(nranks: usize) -> Vec<(&'static str, Topology)> {
 
 /// Streamed supply vs materialized slice on one (trace, platform):
 /// byte-identical rendering or bust.
-fn assert_stream_identity(label: &str, trace: &Trace, platform: &Platform, engine: ReplayEngine) {
-    let materialized = simulate_with(trace, platform, engine);
-    let streamed = simulate_source_with(trace, platform, engine);
+fn assert_stream_identity(label: &str, trace: &Trace, platform: &Platform) {
+    let materialized = simulate(trace, platform);
+    let streamed = simulate_source(trace, platform);
     assert_eq!(
         render_exact(&streamed),
         render_exact(&materialized),
@@ -75,23 +64,11 @@ fn assert_stream_identity(label: &str, trace: &Trace, platform: &Platform, engin
 fn streamed_matches_materialized_on_fixtures() {
     for name in ["sweep3d_4r.trf", "nas_cg_8r.trf"] {
         let trace = fixture(name);
-        for (eng_name, engine) in engines() {
-            // bus model first — the weak-scaling configuration
-            assert_stream_identity(
-                &format!("{name}/bus/{eng_name}"),
-                &trace,
-                &Platform::default(),
-                engine,
-            );
-            for (topo_name, topo) in topologies(trace.nranks()) {
-                let platform = Platform::default().with_topology(topo);
-                assert_stream_identity(
-                    &format!("{name}/{topo_name}/{eng_name}"),
-                    &trace,
-                    &platform,
-                    engine,
-                );
-            }
+        // bus model first — the weak-scaling configuration
+        assert_stream_identity(&format!("{name}/bus"), &trace, &Platform::default());
+        for (topo_name, topo) in topologies(trace.nranks()) {
+            let platform = Platform::default().with_topology(topo);
+            assert_stream_identity(&format!("{name}/{topo_name}"), &trace, &platform);
         }
     }
 }
@@ -102,19 +79,9 @@ fn streamed_matches_materialized_on_synth_seeds() {
     // chains, and chunked exchanges the goldens don't
     for seed in 0..10u64 {
         let trace = synth::generate(seed);
-        for engine in [
-            ReplayEngine::Sequential,
-            ReplayEngine::Parallel { workers: 4 },
-        ] {
-            assert_stream_identity(
-                &format!("synth-{seed}/bus"),
-                &trace,
-                &Platform::default(),
-                engine,
-            );
-            let crossbar = Platform::default().with_topology(Topology::Crossbar);
-            assert_stream_identity(&format!("synth-{seed}/crossbar"), &trace, &crossbar, engine);
-        }
+        assert_stream_identity(&format!("synth-{seed}/bus"), &trace, &Platform::default());
+        let crossbar = Platform::default().with_topology(Topology::Crossbar);
+        assert_stream_identity(&format!("synth-{seed}/crossbar"), &trace, &crossbar);
     }
 }
 
@@ -123,12 +90,7 @@ fn streamed_matches_materialized_on_tiled_traces() {
     // rank-tiled copies exercise the supply's per-rank cursors well
     // past the base trace's width
     let tiled = synth::tile_ranks(&synth::generate(7), 8);
-    for engine in [
-        ReplayEngine::Sequential,
-        ReplayEngine::Parallel { workers: 8 },
-    ] {
-        assert_stream_identity("tiled/bus", &tiled, &Platform::default(), engine);
-    }
+    assert_stream_identity("tiled/bus", &tiled, &Platform::default());
 }
 
 #[test]
@@ -139,9 +101,7 @@ fn streamed_matches_materialized_under_faults() {
     let platform = Platform::default()
         .with_topology(Topology::Crossbar)
         .with_faults(schedule);
-    for (eng_name, engine) in engines() {
-        assert_stream_identity(&format!("faults/{eng_name}"), &trace, &platform, engine);
-    }
+    assert_stream_identity("faults", &trace, &platform);
 }
 
 #[test]
@@ -151,16 +111,13 @@ fn generated_workload_stream_equals_its_materialization() {
     let cfg = MlConfig::new(16, 0x6d6c_6172).unwrap();
     let source = MlAllreduce::new(cfg);
     let trace = source.materialize();
-    for (eng_name, engine) in engines() {
-        let from_source =
-            overlap_sim::machine::simulate_source_with(&source, &Platform::marenostrum(0), engine);
-        let from_trace = simulate_with(&trace, &Platform::marenostrum(0), engine);
-        assert_eq!(
-            render_exact(&from_source),
-            render_exact(&from_trace),
-            "ml-allreduce/{eng_name}: generator stream diverged from its materialization"
-        );
-    }
+    let from_source = simulate_source(&source, &Platform::marenostrum(0));
+    let from_trace = simulate(&trace, &Platform::marenostrum(0));
+    assert_eq!(
+        render_exact(&from_source),
+        render_exact(&from_trace),
+        "ml-allreduce: generator stream diverged from its materialization"
+    );
 }
 
 #[test]
@@ -170,7 +127,7 @@ fn scale_replay_cross_checks_full_fidelity_stream() {
     let cfg = MlConfig::new(64, 0x6d6c_6172).unwrap();
     let source = MlAllreduce::new(cfg);
     let platform = Platform::marenostrum(0);
-    let full = simulate_source_with(&source, &platform, ReplayEngine::Sequential).unwrap();
+    let full = simulate_source(&source, &platform).unwrap();
     let scale = replay_scale(&source, &platform).unwrap();
     assert_eq!(scale.nranks, 64);
     assert_eq!(scale.runtime, full.runtime, "summary-mode runtime drifted");
@@ -194,7 +151,7 @@ fn registry_rank_override_streams_identically() {
     let source = entry.source(24).unwrap();
     let run = entry.trace_run(24).unwrap();
     let platform = Platform::marenostrum(0);
-    let streamed = simulate_source_with(source.as_ref(), &platform, ReplayEngine::Sequential);
-    let materialized = simulate_with(&run.trace, &platform, ReplayEngine::Sequential);
+    let streamed = simulate_source(source.as_ref(), &platform);
+    let materialized = simulate(&run.trace, &platform);
     assert_eq!(render_exact(&streamed), render_exact(&materialized));
 }
