@@ -22,13 +22,13 @@ use ovlp_trace::{AccessDb, TraceSource};
 
 /// Thread-per-rank tracing spawns one OS thread per rank; beyond this
 /// the scheduler thrashes long before the trace finishes. Weak-scaling
-/// studies past the cap go through the generated/streamed path
-/// (`ovlp scale`, `--stream`).
+/// studies past the cap use a generated app (`ovlp scale`, or
+/// `ovlp simulate <app> --ranks N`, which streams it).
 pub const TRACED_RANK_CAP: usize = 4096;
 
 /// Materializing a generated workload builds the full O(ranks ×
-/// records) trace in memory; past this, stream it instead
-/// (`ovlp scale`, `simulate --stream`).
+/// records) trace in memory; past this, replay its source instead,
+/// which streams (`ovlp scale`, `ovlp simulate <app> --ranks N`).
 pub const GENERATED_MATERIALIZE_CAP: usize = 16_384;
 
 /// Fixed seed for the registry's generated workloads: lookups by name
@@ -157,8 +157,8 @@ impl AppEntry {
                     return Err(format!(
                         "materializing `{}` at {ranks} ranks exceeds the \
                          {GENERATED_MATERIALIZE_CAP}-rank cap; use `ovlp scale` or \
-                         `simulate --stream` for larger runs",
-                        self.name
+                         `ovlp simulate {} --ranks {ranks}`, which stream it",
+                        self.name, self.name
                     ));
                 }
                 let source = make(ranks)?;
@@ -328,16 +328,14 @@ mod tests {
         assert_eq!(src.nranks(), 8);
         let run = ml.trace_run(8).unwrap();
         assert_eq!(run.trace.nranks(), 8);
-        assert_eq!(
-            run.trace.total_records() as u64,
-            src.total_records_hint().unwrap()
-        );
+        assert_eq!(src.materialize(), run.trace);
         // identical by construction: same name, same seed
         let again = by_name("ml-allreduce").unwrap().trace_run(8).unwrap();
         assert_eq!(run.trace, again.trace);
         // materialization cap points at the streaming path
         let msg = ml.trace_run(GENERATED_MATERIALIZE_CAP * 8).unwrap_err();
         assert!(msg.contains("scale"), "{msg}");
+        assert!(msg.contains("simulate ml-allreduce --ranks"), "{msg}");
     }
 
     #[test]

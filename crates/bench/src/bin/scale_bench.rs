@@ -16,7 +16,7 @@
 //! ladder under a hard `ulimit -v`.
 //!
 //! A second, flow rung follows: the same streamed trace replayed in
-//! full ([`ovlp_machine::simulate_source`]) on the `fat-tree:32:4`
+//! full ([`ovlp_machine::simulate`]) on the `fat-tree:32:4`
 //! flow fabric at 1k, 2k, 4k and 8k ranks (1k and 4k with `--quick`),
 //! each next to the bus replay of the same trace. Those points go to
 //! `flow_points`, with the flow/bus wall ratio that shows whether
@@ -32,7 +32,7 @@
 //! dominates.
 
 use ovlp_core::presets::marenostrum_for;
-use ovlp_machine::{replay_scale, simulate_source, ContentionModel};
+use ovlp_machine::{replay_scale, simulate, ContentionModel};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -130,7 +130,7 @@ fn timed_full_replay(
     let mut last = None;
     for _ in 0..FLOW_REPS {
         let t0 = Instant::now();
-        let r = simulate_source(source.as_ref(), platform)
+        let r = simulate(source.as_ref(), platform)
             .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks on {}: {e}", platform.contention));
         best = best.min(t0.elapsed().as_secs_f64());
         last = Some(r);

@@ -82,9 +82,9 @@ fn expand_rank(
 /// steps (advancing the rank-local `instance` counter that keys the
 /// internal tags), everything else passes through verbatim.
 ///
-/// Both the eager rewriter above and the streaming trace supply
+/// Both the eager rewriter above and the replay's record supply
 /// (`replay::supply`) funnel through this function, which is what
-/// guarantees streamed and materialized replays see byte-identical
+/// guarantees a trace and its eager expansion replay as byte-identical
 /// record sequences.
 pub(crate) fn expand_one(
     nranks: usize,

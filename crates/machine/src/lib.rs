@@ -52,9 +52,12 @@ pub use probe::{
     EventKind, Metrics, NoopSink, ProbeSink, TeeSink, TooManyWindows, WaitEdge, WindowedRecorder,
     MAX_CELLS, MAX_WINDOWS,
 };
+/// Former name of [`simulate`], from when materialized traces and lazy
+/// sources took separate paths; kept for callers outside the workspace.
+pub use replay::simulate as simulate_source;
 pub use replay::{
-    render_exact, replay_scale, simulate, simulate_probed, simulate_source, simulate_source_probed,
-    NetworkStats, ScaleReport, SimError, SimResult,
+    render_exact, replay_scale, simulate, simulate_probed, NetworkStats, ScaleReport, SimError,
+    SimResult,
 };
 pub use time::Time;
 pub use timeline::{CommRecord, Interval, State, StateTotals, Timeline};

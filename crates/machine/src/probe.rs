@@ -181,13 +181,11 @@ pub trait ProbeSink {
     fn on_wait_edge(&mut self, rank: usize, since: Time, until: Time, msg: usize, edge: WaitEdge) {}
 
     /// High-water mark of trace records resident in the engine's record
-    /// supply: the whole trace for a materialized replay, buffered
-    /// cursor records for a streamed one ([`simulate_source`]). Emitted
-    /// once, just before [`ProbeSink::on_end`] — this is the counter
-    /// that makes the "streamed replay memory is O(active ranks)" claim
-    /// observable.
-    ///
-    /// [`simulate_source`]: crate::replay::simulate_source
+    /// supply: the collective steps buffered across the per-rank
+    /// cursors plus the record in hand, whether the source is a
+    /// materialized trace or a generator. Emitted once, just before
+    /// [`ProbeSink::on_end`] — this is the counter that makes the
+    /// "replay memory is O(active ranks)" claim observable.
     fn on_records_peak(&mut self, peak: u64) {}
 
     /// Replay finished: final runtime and the event-queue high-water
@@ -836,8 +834,7 @@ pub struct EngineCounters {
     /// Event-queue high-water mark.
     pub queue_peak: usize,
     /// High-water mark of trace records resident in the record supply
-    /// (total trace size for materialized replays, buffered cursor
-    /// records for streamed ones).
+    /// (buffered collective steps plus the record in hand).
     pub records_peak: u64,
     /// Peak concurrent network-level transfers.
     pub max_in_flight: u32,

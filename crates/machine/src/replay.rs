@@ -30,7 +30,6 @@
 //! `t_arrive`. Matching is first-in-first-out per `(src, dst, tag)`
 //! channel, like MPI's non-overtaking rule.
 
-use crate::collective::expand_collectives;
 use crate::event::{Event, EventQueue};
 use crate::fx::FxBuildHasher;
 use crate::net::fault::{AppliedFault, Partition, ResolvedFault};
@@ -43,7 +42,7 @@ use crate::time::Time;
 use crate::timeline::{CommRecord, State, StateTotals, Timeline};
 use ovlp_trace::record::{Record, SendMode};
 use ovlp_trace::source::TraceSource;
-use ovlp_trace::{Bytes, Rank, ReqId, Tag, Trace};
+use ovlp_trace::{Bytes, Rank, ReqId, Tag};
 use std::collections::{HashMap, VecDeque};
 
 mod supply;
@@ -204,15 +203,18 @@ impl SimResult {
     }
 }
 
-/// Simulate `trace` on `platform`.
+/// Simulate `source` on `platform`.
 ///
-/// Collective records are decomposed into point-to-point transfers
-/// first (per the platform's [`CollectiveAlgo`](crate::CollectiveAlgo)).
-pub fn simulate(trace: &Trace, platform: &Platform) -> Result<SimResult, SimError> {
-    simulate_probed(trace, platform, &mut NoopSink)
+/// The engine pulls records through one forward cursor per rank,
+/// expanding collectives into point-to-point transfers inline (per the
+/// platform's [`CollectiveAlgo`](crate::CollectiveAlgo)). A
+/// [`Trace`](ovlp_trace::Trace) coerces to a source; a generator is
+/// never materialized.
+pub fn simulate(source: &dyn TraceSource, platform: &Platform) -> Result<SimResult, SimError> {
+    simulate_probed(source, platform, &mut NoopSink)
 }
 
-/// Simulate `trace` on `platform`, streaming observability callbacks
+/// Simulate `source` on `platform`, streaming observability callbacks
 /// into `probe`.
 ///
 /// The probe observes the replay but never influences it: simulated
@@ -220,11 +222,11 @@ pub fn simulate(trace: &Trace, platform: &Platform) -> Result<SimResult, SimErro
 /// [`simulate`] for any [`ProbeSink`] implementation (a property the
 /// determinism test suite pins down).
 pub fn simulate_probed<P: ProbeSink>(
-    trace: &Trace,
+    source: &dyn TraceSource,
     platform: &Platform,
     probe: &mut P,
 ) -> Result<SimResult, SimError> {
-    simulate_inner(trace, platform, probe, false)
+    replay_full(source, platform, probe, false)
 }
 
 /// [`simulate`], but forcing the from-scratch max-min solver instead of
@@ -232,41 +234,11 @@ pub fn simulate_probed<P: ProbeSink>(
 /// entry exists so the test suite (and bisections) can cross-validate
 /// whole replays against the reference solver.
 #[doc(hidden)]
-pub fn simulate_reference(trace: &Trace, platform: &Platform) -> Result<SimResult, SimError> {
-    simulate_inner(trace, platform, &mut NoopSink, true)
-}
-
-/// Simulate a lazily supplied trace ([`TraceSource`]) on `platform`.
-///
-/// The engine streams records straight out of the source — collectives
-/// are expanded inline per cursor — so the trace is never materialized
-/// and the record footprint stays O(ranks). For any source
-/// that *can* be materialized, the result is byte-identical to
-/// [`simulate`] on [`TraceSource::materialize`]'s trace (pinned by the
-/// streaming differential suite).
-pub fn simulate_source(
+pub fn simulate_reference(
     source: &dyn TraceSource,
     platform: &Platform,
 ) -> Result<SimResult, SimError> {
-    simulate_source_probed(source, platform, &mut NoopSink)
-}
-
-/// [`simulate_source`], streaming observability callbacks into `probe`.
-pub fn simulate_source_probed<P: ProbeSink>(
-    source: &dyn TraceSource,
-    platform: &Platform,
-    probe: &mut P,
-) -> Result<SimResult, SimError> {
-    platform.check().map_err(SimError::BadPlatform)?;
-    let (flownet, faults) = net_setup(source.nranks(), platform, false)?;
-    Engine::new(
-        Supply::stream(source, platform.collective),
-        platform,
-        flownet,
-        faults,
-        probe,
-    )
-    .run()
+    replay_full(source, platform, &mut NoopSink, true)
 }
 
 /// Aggregate outcome of a summary-mode ([`replay_scale`]) replay.
@@ -341,7 +313,7 @@ pub fn replay_scale(
     let n = source.nranks();
     let mut probe = NoopSink;
     let mut eng = Engine::new(
-        Supply::stream(source, platform.collective),
+        Supply::new(source, platform.collective),
         platform,
         None,
         Vec::new(),
@@ -389,27 +361,22 @@ fn net_setup(
     }
 }
 
-fn simulate_inner<P: ProbeSink>(
-    trace: &Trace,
+fn replay_full<P: ProbeSink>(
+    source: &dyn TraceSource,
     platform: &Platform,
     probe: &mut P,
     reference: bool,
 ) -> Result<SimResult, SimError> {
     platform.check().map_err(SimError::BadPlatform)?;
-    let has_collectives = trace.ranks.iter().any(|rt| {
-        rt.records
-            .iter()
-            .any(|r| matches!(r, Record::Collective { .. }))
-    });
-    let expanded;
-    let trace = if has_collectives {
-        expanded = expand_collectives(trace, platform.collective);
-        &expanded
-    } else {
-        trace
-    };
-    let (flownet, faults) = net_setup(trace.nranks(), platform, reference)?;
-    Engine::new(Supply::Slice(trace), platform, flownet, faults, probe).run()
+    let (flownet, faults) = net_setup(source.nranks(), platform, reference)?;
+    Engine::new(
+        Supply::new(source, platform.collective),
+        platform,
+        flownet,
+        faults,
+        probe,
+    )
+    .run()
 }
 
 /// Lossless rendering of a replay outcome: Rust's `{:?}` for `f64`
@@ -877,7 +844,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
     }
 
     /// Error out if any rank is still blocked after the queue drained.
-    /// Takes `&mut self` because sizing a streamed rank's program for
+    /// Takes `&mut self` because sizing a rank's program for
     /// the report drains its remaining cursor — harmless on this cold
     /// path, where the replay is already dead.
     fn check_stuck(&mut self) -> Result<(), SimError> {
@@ -1765,7 +1732,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovlp_trace::{Instructions, TransferId};
+    use ovlp_trace::{Instructions, Trace, TransferId};
 
     const EPS: f64 = 1e-9;
 

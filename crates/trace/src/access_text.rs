@@ -22,6 +22,7 @@
 
 use crate::access::{AccessDb, AccessEvent, ConsumptionLog, ProductionLog, Stamp};
 use crate::ids::{Rank, TransferId};
+use crate::text::header_ranks;
 use crate::units::Instructions;
 use std::fmt::Write as _;
 
@@ -141,7 +142,10 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
         let rest: Vec<&str> = f.collect();
         match kw {
             "ranks" => {
-                let n: usize = parse_field(&rest, 0, lineno)?;
+                if db.is_some() {
+                    return Err(err(lineno, "repeated `ranks` header"));
+                }
+                let n = header_ranks(parse_field(&rest, 0, lineno)?).map_err(|m| err(lineno, m))?;
                 db = Some(AccessDb::new(n));
             }
             "p" | "c" => {
@@ -330,6 +334,25 @@ mod tests {
         let txt = "#OVLP-ACCESS 1\nranks 1\np 7.0 1 0 10\n";
         let e = parse(txt).unwrap_err();
         assert!(e.message.contains("out of range"));
+    }
+
+    #[test]
+    fn rejects_rank_headers_past_the_cap() {
+        // refused before any per-rank storage is allocated
+        let e = parse("#OVLP-ACCESS 1\nranks 4000000000\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message.contains(&crate::text::MAX_RANKS.to_string()),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_repeated_ranks_header() {
+        let txt = "#OVLP-ACCESS 1\nranks 1\np 0.0 1 0 10\nranks 2\n";
+        let e = parse(txt).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("repeated"), "{e}");
     }
 
     #[test]

@@ -93,7 +93,9 @@ impl MlConfig {
         (self.bucket_bytes / self.chunks as u64 / self.group as u64).max(1)
     }
 
-    /// Records one rank emits (before collective expansion).
+    /// Records one rank emits (before collective expansion); the
+    /// closed form the tests hold the generator to.
+    #[cfg(test)]
     fn records_per_rank(&self) -> u64 {
         let g = self.group as u64;
         let per_chunk = (g - 1) * 5 + 1 + (g - 1) * 4;
@@ -131,10 +133,6 @@ impl TraceSource for MlAllreduce {
 
     fn rank_records(&self, rank: usize) -> Box<dyn Iterator<Item = Record> + '_> {
         Box::new(RankProgram::new(self.cfg, rank as u32))
-    }
-
-    fn total_records_hint(&self) -> Option<u64> {
-        Some(self.cfg.records_per_rank() * self.cfg.ranks as u64)
     }
 
     fn meta(&self) -> BTreeMap<String, String> {
@@ -417,7 +415,10 @@ mod tests {
             let app = MlAllreduce::new(MlConfig::new(ranks, 42).unwrap());
             let t = app.materialize();
             assert_eq!(t.nranks(), ranks);
-            assert_eq!(t.total_records() as u64, app.total_records_hint().unwrap());
+            assert_eq!(
+                t.total_records() as u64,
+                app.config().records_per_rank() * ranks as u64
+            );
             assert!(validate(&t).is_empty(), "ml trace validates");
         }
     }

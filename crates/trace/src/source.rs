@@ -37,12 +37,6 @@ pub trait TraceSource: Send + Sync {
     /// Rank `rank`'s record stream, in program order.
     fn rank_records(&self, rank: usize) -> Box<dyn Iterator<Item = Record> + '_>;
 
-    /// Total record count across all ranks, when known without
-    /// enumerating the streams.
-    fn total_records_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Trace metadata describing this source (application name,
     /// generator parameters); attached to materialized traces.
     fn meta(&self) -> BTreeMap<String, String> {
@@ -52,8 +46,8 @@ pub trait TraceSource: Send + Sync {
     /// Drain every rank's stream into a concrete [`Trace`].
     ///
     /// This is the bridge back to the eager world (sweep pipeline,
-    /// text emission, parallel-replay compilation) and is only
-    /// affordable when ranks × records fits in memory.
+    /// text emission) and is only affordable when ranks × records fits
+    /// in memory.
     fn materialize(&self) -> Trace {
         let mut t = Trace::new(self.nranks());
         for r in 0..self.nranks() {
@@ -71,10 +65,6 @@ impl TraceSource for Trace {
 
     fn rank_records(&self, rank: usize) -> Box<dyn Iterator<Item = Record> + '_> {
         Box::new(self.ranks[rank].records.iter().copied())
-    }
-
-    fn total_records_hint(&self) -> Option<u64> {
-        Some(self.total_records() as u64)
     }
 
     fn meta(&self) -> BTreeMap<String, String> {
@@ -218,10 +208,6 @@ impl TraceSource for RankTiled {
         )
     }
 
-    fn total_records_hint(&self) -> Option<u64> {
-        Some(self.base.total_records() as u64 * self.copies as u64)
-    }
-
     fn meta(&self) -> BTreeMap<String, String> {
         let mut m = self.base.meta.clone();
         m.insert("rank-tiles".to_string(), self.copies.to_string());
@@ -247,7 +233,6 @@ mod tests {
             let streamed: Vec<Record> = t.rank_records(r).collect();
             assert_eq!(streamed, t.ranks[r].records);
         }
-        assert_eq!(t.total_records_hint(), Some(t.total_records() as u64));
     }
 
     #[test]
@@ -288,10 +273,7 @@ mod tests {
             let tiled = RankTiled::new(base.clone(), 4);
             let m = tiled.materialize();
             assert_eq!(m.nranks(), base.nranks() * 4);
-            assert_eq!(
-                m.total_records() as u64,
-                tiled.total_records_hint().unwrap()
-            );
+            assert_eq!(m.total_records(), base.total_records() * 4);
             assert!(validate(&m).is_empty(), "tiled synth trace validates");
         }
     }

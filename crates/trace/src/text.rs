@@ -26,6 +26,20 @@ use crate::trace::Trace;
 use crate::units::{Bytes, Instructions};
 use std::fmt::Write as _;
 
+/// Largest `ranks` header a trace or access-log file may declare.
+/// Both readers allocate per-rank storage from the header, so without a
+/// cap a two-line file could demand any amount of memory; 2^20 covers
+/// the 1M-rank weak-scaling point.
+pub const MAX_RANKS: usize = 1 << 20;
+
+/// The `ranks` header's rank count, refused past [`MAX_RANKS`].
+pub(crate) fn header_ranks(n: usize) -> Result<usize, String> {
+    if n > MAX_RANKS {
+        return Err(format!("`ranks {n}` exceeds the {MAX_RANKS}-rank cap"));
+    }
+    Ok(n)
+}
+
 /// Magic first line of the format.
 pub const MAGIC: &str = "#OVLP-TRACE 1";
 
@@ -221,7 +235,10 @@ pub fn parse(input: &str) -> Result<Trace, ParseError> {
         let rest: Vec<&str> = f.collect();
         match kw {
             "ranks" => {
-                let n: usize = field(&rest, 0, lineno)?;
+                if trace.is_some() {
+                    return Err(err(lineno, "repeated `ranks` header"));
+                }
+                let n = header_ranks(field(&rest, 0, lineno)?).map_err(|m| err(lineno, m))?;
                 let mut t = Trace::new(n);
                 for (k, v) in pending_meta.drain(..) {
                     t.meta.insert(k, v);
@@ -450,6 +467,24 @@ mod tests {
             back.meta.get("desc").map(String::as_str),
             Some("hello world trace")
         );
+    }
+
+    #[test]
+    fn rejects_rank_headers_past_the_cap() {
+        // refused before any per-rank storage is allocated
+        let e = parse("#OVLP-TRACE 1\nranks 4000000000\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains(&MAX_RANKS.to_string()), "{e}");
+        let at_cap = format!("#OVLP-TRACE 1\nranks {MAX_RANKS}\n");
+        assert_eq!(parse(&at_cap).unwrap().nranks(), MAX_RANKS);
+    }
+
+    #[test]
+    fn rejects_a_repeated_ranks_header() {
+        let txt = "#OVLP-TRACE 1\nranks 2\nrank 0\nc 5\nend\nranks 3\n";
+        let e = parse(txt).unwrap_err();
+        assert_eq!(e.line, 6);
+        assert!(e.message.contains("repeated"), "{e}");
     }
 
     #[test]

@@ -12,11 +12,10 @@ use overlap_sim::core::presets::marenostrum_for;
 use overlap_sim::core::report::{pct, table2a, table2b};
 use overlap_sim::instr::TraceOptions;
 use overlap_sim::machine::{
-    replay_scale, simulate, simulate_probed, simulate_source, simulate_source_probed,
-    ContentionModel, CritPathRecorder, FaultSchedule, Platform, ProbeSink, SimError, SimResult,
-    TeeSink, Time, WindowedRecorder,
+    replay_scale, simulate, simulate_probed, ContentionModel, CritPathRecorder, FaultSchedule,
+    Platform, TeeSink, Time, WindowedRecorder,
 };
-use overlap_sim::trace::text;
+use overlap_sim::trace::{text, TraceSource};
 use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
 use std::fs;
 use std::io::Write;
@@ -80,7 +79,7 @@ const COMMANDS: &[Cmd] = &[
     },
     Cmd {
         name: "simulate",
-        args: "<trace.trf|app> [bw] [buses] [--ranks N] [--stream] [--topology T] \
+        args: "<trace.trf|app> [bw] [buses] [--ranks N] [--topology T] \
                [--faults SPEC] [--metrics out.json] [--probe-window us] [--critpath]",
         about: "replay a trace file or pool app on a platform",
     },
@@ -280,34 +279,6 @@ fn fail_usage(msg: String) -> ExitCode {
     usage_error()
 }
 
-/// What `simulate` replays: a materialized trace (the classic path) or
-/// a lazily-streamed record supply (`--stream`, pool apps). Both feed
-/// the same engine and produce bit-identical results.
-enum SimInput<'a> {
-    Trace(&'a overlap_sim::trace::Trace),
-    Stream(&'a dyn overlap_sim::trace::TraceSource),
-}
-
-impl SimInput<'_> {
-    fn run(&self, platform: &Platform) -> Result<SimResult, SimError> {
-        match self {
-            SimInput::Trace(t) => simulate(t, platform),
-            SimInput::Stream(s) => simulate_source(*s, platform),
-        }
-    }
-
-    fn run_probed<P: ProbeSink>(
-        &self,
-        platform: &Platform,
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
-        match self {
-            SimInput::Trace(t) => simulate_probed(t, platform, probe),
-            SimInput::Stream(s) => simulate_source_probed(*s, platform, probe),
-        }
-    }
-}
-
 fn analyze(app: &str, ranks: &str) -> ExitCode {
     let (bundle, run, platform) = match prepare(app, ranks, Scatter::Capture) {
         Ok(v) => v,
@@ -496,65 +467,47 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     // Flags are parsed before the trace is read, so malformed flags
     // are reported as usage errors (exit 2) even when the file is also
     // missing or unreadable (exit 1).
-    let pos = match positionals(
-        "simulate",
-        rest,
-        &[
-            "--topology",
-            "--faults",
-            "--metrics",
-            "--probe-window",
-            "--ranks",
-        ],
-        &["--critpath", "--stream"],
-        2,
-    ) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let topology = match parse_flag(rest, "--topology", ContentionModel::Bus) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let metrics_out = match parse_opt_flag::<String>(rest, "--metrics") {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let window_us = match parse_opt_flag::<f64>(rest, "--probe-window") {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let faults = match parse_opt_flag::<FaultSchedule>(rest, "--faults") {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let ranks_flag = match parse_opt_flag::<usize>(rest, "--ranks") {
+    let flags = (|| -> Result<_, String> {
+        Ok((
+            positionals(
+                "simulate",
+                rest,
+                &[
+                    "--topology",
+                    "--faults",
+                    "--metrics",
+                    "--probe-window",
+                    "--ranks",
+                ],
+                &["--critpath"],
+                2,
+            )?,
+            parse_flag(rest, "--topology", ContentionModel::Bus)?,
+            parse_opt_flag::<String>(rest, "--metrics")?,
+            parse_opt_flag::<f64>(rest, "--probe-window")?,
+            parse_opt_flag::<FaultSchedule>(rest, "--faults")?,
+            parse_opt_flag::<usize>(rest, "--ranks")?,
+        ))
+    })();
+    let (pos, topology, metrics_out, window_us, faults, ranks_flag) = match flags {
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };
     let want_critpath = rest.contains(&"--critpath");
-    let stream = rest.contains(&"--stream");
     // The positional either names a trace file on disk or a pool app
-    // (`ovlp list`); files win when both exist.
-    let entry = overlap_sim::apps::registry::by_name(path);
-    let is_file = Path::new(path).exists();
-    let mut owned_trace = None;
-    let mut owned_source: Option<Box<dyn overlap_sim::trace::TraceSource>> = None;
-    if let (false, Some(entry)) = (is_file, &entry) {
+    // (`ovlp list`); files win when both exist. Pool apps replay their
+    // registry source (the lean trace of a traced app, or the generator
+    // itself, never materialized) on their calibrated Table I platform;
+    // trace files keep the historical default platform.
+    let app = overlap_sim::apps::registry::by_name(path).filter(|_| !Path::new(path).exists());
+    let (input, base): (Box<dyn TraceSource>, Platform) = if let Some(entry) = app {
         let ranks = ranks_flag.unwrap_or(entry.ranks);
         if let Err(e) = entry.validate_ranks(ranks) {
             return fail_usage(e);
         }
-        if stream {
-            match entry.source(ranks) {
-                Ok(s) => owned_source = Some(s),
-                Err(e) => return fail(e),
-            }
-        } else {
-            match entry.trace_run(ranks) {
-                Ok(run) => owned_trace = Some(run.trace),
-                Err(e) => return fail(e),
-            }
+        match entry.source(ranks) {
+            Ok(s) => (s, marenostrum_for(entry.name)),
+            Err(e) => return fail(e),
         }
     } else {
         if ranks_flag.is_some() {
@@ -568,39 +521,17 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             Err(e) => return fail(format!("{path}: {e}")),
         };
         match text::parse(&content) {
-            Ok(t) => owned_trace = Some(t),
+            Ok(t) => (Box::new(t), Platform::default()),
             Err(e) => return fail(e.to_string()),
         }
-    }
-    let input = match (&owned_trace, &owned_source) {
-        // a trace file under --stream exercises the lazy supply too
-        // (collectives expand on demand); results are bit-identical
-        (Some(t), _) if stream => SimInput::Stream(t),
-        (Some(t), _) => SimInput::Trace(t),
-        (_, Some(s)) => SimInput::Stream(s.as_ref()),
-        (None, None) => unreachable!("one input arm always fills"),
     };
-    // Pool apps start from their calibrated Table I platform; trace
-    // files keep the historical default platform.
-    let base = match (&entry, is_file) {
-        (Some(e), false) => marenostrum_for(e.name),
-        _ => Platform::default(),
-    };
+    let input = input.as_ref();
     let mut platform = base.with_contention(topology);
     if let Some(f) = faults {
         platform = platform.with_faults(f);
     }
-    if let Some(bw) = pos.first() {
-        match bw.parse() {
-            Ok(v) => platform.bandwidth_mbs = v,
-            Err(e) => return fail_usage(format!("bad bandwidth: {e}")),
-        }
-    }
-    if let Some(buses) = pos.get(1) {
-        match buses.parse() {
-            Ok(v) => platform.buses = v,
-            Err(e) => return fail_usage(format!("bad bus count: {e}")),
-        }
+    if let Err(e) = set_bw_buses(&mut platform, &pos) {
+        return fail_usage(e);
     }
     // Probing is on when either metrics flag is given; the replay
     // results are bit-identical with and without it (and with or
@@ -615,7 +546,7 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
             None => {
                 // auto window: 1/256 of this trace's runtime, measured
                 // by an extra (cheap, deterministic) unprobed replay
-                let base = match input.run(&platform) {
+                let base = match simulate(input, &platform) {
                     Ok(r) => r,
                     Err(e) => return fail(e.to_string()),
                 };
@@ -625,41 +556,36 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     } else {
         None
     };
-    let (r, metrics, critpath) = match (window, want_critpath) {
-        (None, false) => match input.run(&platform) {
-            Ok(r) => (r, None, None),
-            Err(e) => return fail(e.to_string()),
-        },
-        (Some(w), false) => {
-            let mut rec = WindowedRecorder::new(w);
-            match input.run_probed(&platform, &mut rec) {
-                Ok(r) => match rec.into_metrics() {
-                    Ok(m) => (r, Some(m), None),
-                    Err(e) => return fail(e.to_string()),
-                },
-                Err(e) => return fail(e.to_string()),
+    // the recorders the flags asked for: windowed metrics when a window
+    // is set, the critical path under --critpath
+    let replayed = (|| -> Result<_, Box<dyn std::error::Error>> {
+        Ok(match (window, want_critpath) {
+            (None, false) => (simulate(input, &platform)?, None, None),
+            (Some(w), false) => {
+                let mut rec = WindowedRecorder::new(w);
+                let r = simulate_probed(input, &platform, &mut rec)?;
+                (r, Some(rec.into_metrics()?), None)
             }
-        }
-        (None, true) => {
-            let mut rec = CritPathRecorder::new();
-            match input.run_probed(&platform, &mut rec) {
-                Ok(r) => (r, None, Some(rec.into_critpath())),
-                Err(e) => return fail(e.to_string()),
+            (None, true) => {
+                let mut rec = CritPathRecorder::new();
+                let r = simulate_probed(input, &platform, &mut rec)?;
+                (r, None, Some(rec.into_critpath()))
             }
-        }
-        (Some(w), true) => {
-            let mut tee = TeeSink(WindowedRecorder::new(w), CritPathRecorder::new());
-            match input.run_probed(&platform, &mut tee) {
-                Ok(r) => {
-                    let TeeSink(windowed, crit) = tee;
-                    match windowed.into_metrics() {
-                        Ok(m) => (r, Some(m), Some(crit.into_critpath())),
-                        Err(e) => return fail(e.to_string()),
-                    }
-                }
-                Err(e) => return fail(e.to_string()),
+            (Some(w), true) => {
+                let mut tee = TeeSink(WindowedRecorder::new(w), CritPathRecorder::new());
+                let r = simulate_probed(input, &platform, &mut tee)?;
+                let TeeSink(windowed, crit) = tee;
+                (
+                    r,
+                    Some(windowed.into_metrics()?),
+                    Some(crit.into_critpath()),
+                )
             }
-        }
+        })
+    })();
+    let (r, metrics, critpath) = match replayed {
+        Ok(v) => v,
+        Err(e) => return fail(e.to_string()),
     };
     outln!(
         "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
@@ -753,17 +679,8 @@ fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
         return fail_usage(e);
     }
     let mut platform = marenostrum_for(entry.name);
-    if let Some(bw) = pos.first() {
-        match bw.parse() {
-            Ok(v) => platform.bandwidth_mbs = v,
-            Err(e) => return fail_usage(format!("bad bandwidth: {e}")),
-        }
-    }
-    if let Some(buses) = pos.get(1) {
-        match buses.parse() {
-            Ok(v) => platform.buses = v,
-            Err(e) => return fail_usage(format!("bad bus count: {e}")),
-        }
+    if let Err(e) = set_bw_buses(&mut platform, &pos) {
+        return fail_usage(e);
     }
     let source = match entry.source(ranks_n) {
         Ok(s) => s,
@@ -805,6 +722,17 @@ fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
         }
         Err(e) => fail(e.to_string()),
     }
+}
+
+/// The optional `[bw] [buses]` positionals of `simulate` and `scale`.
+fn set_bw_buses(platform: &mut Platform, pos: &[&str]) -> Result<(), String> {
+    if let Some(bw) = pos.first() {
+        platform.bandwidth_mbs = bw.parse().map_err(|e| format!("bad bandwidth: {e}"))?;
+    }
+    if let Some(buses) = pos.get(1) {
+        platform.buses = buses.parse().map_err(|e| format!("bad bus count: {e}"))?;
+    }
+    Ok(())
 }
 
 /// A state total in seconds for printing. A state a rank never entered

@@ -91,7 +91,7 @@ fn rank_overrides_are_validated_as_usage_errors() {
         "multiple",
     );
     assert_usage_error(
-        &["simulate", "ml-allreduce", "--stream", "--engine", "par:4"],
+        &["simulate", "ml-allreduce", "--engine", "par:4"],
         "--engine",
     );
 }
@@ -107,6 +107,11 @@ fn unknown_flags_and_surplus_arguments_exit_two() {
     );
     assert_usage_error(&["simulate", fixture, "250", "0", "7"], "`7`");
     assert_usage_error(&["simulate", fixture, "--engine", "par"], "`--engine`");
+    // every replay streams, so `--stream` is not a flag
+    assert_usage_error(
+        &["simulate", "ml-allreduce", "--ranks", "16", "--stream"],
+        "`--stream`",
+    );
     assert_usage_error(
         &["sweep", "nas-cg", "4", "--chunks", "1", "--bogus"],
         "`--bogus`",
@@ -137,14 +142,15 @@ fn streamed_simulate_and_scale_succeed() {
     assert!(stdout.contains("records resident"), "{stdout}");
     assert!(stdout.contains("blocked transfers"), "{stdout}");
 
-    let streamed = ovlp(&["simulate", "ml-allreduce", "--ranks", "16", "--stream"]);
-    assert_eq!(streamed.status.code(), Some(0), "{streamed:?}");
-    let classic = ovlp(&["simulate", "ml-allreduce", "--ranks", "16"]);
-    assert_eq!(classic.status.code(), Some(0), "{classic:?}");
+    // the summary replay and the full replay of the same generator
+    // agree on the headline: runtime, events and efficiency
+    let full = ovlp(&["simulate", "ml-allreduce", "--ranks", "64"]);
+    assert_eq!(full.status.code(), Some(0), "{full:?}");
+    let full = String::from_utf8(full.stdout).unwrap();
     assert_eq!(
-        String::from_utf8(streamed.stdout).unwrap(),
-        String::from_utf8(classic.stdout).unwrap(),
-        "streamed and materialized CLI output must be identical"
+        full.lines().next(),
+        stdout.lines().next(),
+        "`simulate --ranks 64` and `scale 64` headlines must be identical"
     );
 }
 
@@ -164,6 +170,15 @@ fn runtime_failures_exit_one() {
     std::fs::write(&garbled, "this is not a trace\n").unwrap();
     let bad_trace = ovlp(&["simulate", garbled.to_str().unwrap()]);
     assert_eq!(bad_trace.status.code(), Some(1), "{bad_trace:?}");
+
+    // a header claiming billions of ranks is refused with the cap
+    // before any per-rank storage is allocated
+    let huge = dir.join("huge.trf");
+    std::fs::write(&huge, "#OVLP-TRACE 1\nranks 4000000000\n").unwrap();
+    let huge = ovlp(&["stats", huge.to_str().unwrap()]);
+    assert_eq!(huge.status.code(), Some(1), "{huge:?}");
+    let stderr = String::from_utf8(huge.stderr).unwrap();
+    assert!(stderr.contains("1048576-rank cap"), "{stderr}");
 
     // --store pointing at a path that exists as a *file* cannot be
     // opened as a store directory.
@@ -197,7 +212,6 @@ fn runtime_failures_exit_one() {
         "ml-allreduce",
         "--ranks",
         "4096",
-        "--stream",
         "--probe-window",
         "10",
     ]);
@@ -232,7 +246,7 @@ fn closed_stdout_ends_quietly() {
     // `ovlp ... | head -1`: the reader goes away before the report is
     // written, which must end the command without a panic
     let mut child = Command::new(env!("CARGO_BIN_EXE_ovlp"))
-        .args(["simulate", "ml-allreduce", "--ranks", "64", "--stream"])
+        .args(["simulate", "ml-allreduce", "--ranks", "64"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -249,7 +263,7 @@ fn state_totals_never_print_negative_zero() {
     // ml-allreduce ranks never wait on a send, so that total sums an
     // empty series
     for args in [
-        &["simulate", "ml-allreduce", "--ranks", "16", "--stream"][..],
+        &["simulate", "ml-allreduce", "--ranks", "16"][..],
         &["scale", "ml-allreduce", "64"][..],
     ] {
         let out = ovlp(args);

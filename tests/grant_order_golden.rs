@@ -22,9 +22,7 @@
 //! `OVLP_BLESS=1 cargo test --test grant_order_golden -- --nocapture`
 //! and paste the printed table.
 
-use overlap_sim::machine::{
-    render_exact, replay_scale, simulate, simulate_source, Platform, ScaleReport, Topology,
-};
+use overlap_sim::machine::{render_exact, replay_scale, simulate, Platform, ScaleReport, Topology};
 use overlap_sim::trace::{synth, text, MlAllreduce, MlConfig, Trace};
 use std::path::PathBuf;
 
@@ -124,7 +122,7 @@ fn cases() -> Vec<(String, String)> {
         }
         if pname != "torus-rdv4k" {
             let name = format!("ml64@{pname}");
-            out.push((name, render_exact(&simulate_source(&ml, &p))));
+            out.push((name, render_exact(&simulate(&ml, &p))));
         }
     }
     // mixed-capacity fabrics whose flows seldom share a link: the
@@ -138,7 +136,7 @@ fn cases() -> Vec<(String, String)> {
     for ranks in [64usize, 128] {
         let ml = MlAllreduce::new(MlConfig::new(ranks, 7).unwrap());
         let name = format!("ml{ranks}@fat-tree:16:4");
-        out.push((name, render_exact(&simulate_source(&ml, &ft16))));
+        out.push((name, render_exact(&simulate(&ml, &ft16))));
     }
     let degraded = Platform::default()
         .with_topology(Topology::FatTree {

@@ -1,17 +1,18 @@
-//! Bit-identity of the streamed record supply against the materialized
-//! path.
+//! Bit-identity of the record supply's inline collective expansion
+//! and lazy generators against materialized inputs.
 //!
-//! The lazy `TraceSource` supply (per-rank cursors, on-demand
-//! collective expansion) is pure memory work: `simulate_source` must
-//! produce exactly the same replay — every timestamp, timeline,
-//! transfer, network statistic, and engine counter — as `simulate` on
-//! the materialized trace, on every topology, with and without fault
-//! schedules. Any divergence is a correctness bug in the
-//! streaming path, never an acceptable tolerance. `render_exact`
-//! round-trips every float, so string equality is bit equality.
+//! Every replay pulls records through per-rank cursors that expand
+//! collectives inline. `simulate` on a trace must produce exactly the
+//! same replay — every timestamp, timeline, transfer, network
+//! statistic, and engine counter — as `simulate` on its eager
+//! `expand_collectives` rewrite (which the benchmark harness times as
+//! its own layer), and a generator must replay exactly as its
+//! materialization, on every topology, with and without fault
+//! schedules. `render_exact` round-trips every float, so string
+//! equality is bit equality.
 
 use overlap_sim::machine::{
-    render_exact, replay_scale, simulate, simulate_source, Platform, Topology,
+    expand_collectives, render_exact, replay_scale, simulate, Platform, Topology,
 };
 use overlap_sim::trace::mlgen::{MlAllreduce, MlConfig};
 use overlap_sim::trace::{synth, text, Trace, TraceSource};
@@ -48,15 +49,15 @@ fn topologies(nranks: usize) -> Vec<(&'static str, Topology)> {
     ]
 }
 
-/// Streamed supply vs materialized slice on one (trace, platform):
-/// byte-identical rendering or bust.
+/// Inline (per-cursor) vs eager (whole-trace) collective expansion on
+/// one (trace, platform): byte-identical rendering or bust.
 fn assert_stream_identity(label: &str, trace: &Trace, platform: &Platform) {
-    let materialized = simulate(trace, platform);
-    let streamed = simulate_source(trace, platform);
+    let eager = simulate(&expand_collectives(trace, platform.collective), platform);
+    let inline = simulate(trace, platform);
     assert_eq!(
-        render_exact(&streamed),
-        render_exact(&materialized),
-        "{label}: streamed replay diverged from the materialized path"
+        render_exact(&inline),
+        render_exact(&eager),
+        "{label}: inline collective expansion diverged from the eager rewrite"
     );
 }
 
@@ -111,7 +112,7 @@ fn generated_workload_stream_equals_its_materialization() {
     let cfg = MlConfig::new(16, 0x6d6c_6172).unwrap();
     let source = MlAllreduce::new(cfg);
     let trace = source.materialize();
-    let from_source = simulate_source(&source, &Platform::marenostrum(0));
+    let from_source = simulate(&source, &Platform::marenostrum(0));
     let from_trace = simulate(&trace, &Platform::marenostrum(0));
     assert_eq!(
         render_exact(&from_source),
@@ -127,7 +128,7 @@ fn scale_replay_cross_checks_full_fidelity_stream() {
     let cfg = MlConfig::new(64, 0x6d6c_6172).unwrap();
     let source = MlAllreduce::new(cfg);
     let platform = Platform::marenostrum(0);
-    let full = simulate_source(&source, &platform).unwrap();
+    let full = simulate(&source, &platform).unwrap();
     let scale = replay_scale(&source, &platform).unwrap();
     assert_eq!(scale.nranks, 64);
     assert_eq!(scale.runtime, full.runtime, "summary-mode runtime drifted");
@@ -151,7 +152,7 @@ fn registry_rank_override_streams_identically() {
     let source = entry.source(24).unwrap();
     let run = entry.trace_run(24).unwrap();
     let platform = Platform::marenostrum(0);
-    let streamed = simulate_source(source.as_ref(), &platform);
+    let streamed = simulate(source.as_ref(), &platform);
     let materialized = simulate(&run.trace, &platform);
     assert_eq!(render_exact(&streamed), render_exact(&materialized));
 }
