@@ -205,6 +205,48 @@ fn generated_apps_have_exact_repeatable_paths() {
     }
 }
 
+/// The CLI's `ovlp.metrics.v2` document (windowed metrics plus the
+/// critical path, whose segments name their messages by initiation
+/// order) for a fixture on a flow fabric, pinned as text. The checks
+/// above compare runs with each other; this one compares against an
+/// absolute reference, so a change that renumbers every message the
+/// same way in every run still fails. Re-bless deliberately with
+/// `OVLP_BLESS=1 cargo test --test critpath_determinism`.
+#[test]
+fn cli_critpath_documents_match_committed_goldens() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = std::env::temp_dir().join(format!("ovlp-critpath-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (trf, topology, golden) in [
+        ("nas_cg_8r.trf", "fat-tree:4", "nas_cg_8r_fattree.json"),
+        ("sweep3d_4r.trf", "torus:2x2", "sweep3d_4r_torus.json"),
+    ] {
+        let out = dir.join(golden);
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_ovlp"))
+            .args(["simulate", fixtures.join(trf).to_str().unwrap(), "250", "0"])
+            .args(["--topology", topology, "--critpath", "--metrics"])
+            .arg(&out)
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "{trf}: {run:?}");
+        let body = std::fs::read_to_string(&out).unwrap();
+        let path = fixtures.join("critpath").join(golden);
+        if std::env::var_os("OVLP_BLESS").is_some() {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &body).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e}; bless with OVLP_BLESS=1", path.display()));
+        assert!(
+            want == body,
+            "{trf} on {topology}: the critpath/metrics document drifted from {}",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(feature = "proptest-tests")]
 mod props {
     use super::*;
