@@ -8,6 +8,7 @@ use ovlp_core::experiments::{bandwidth_relaxation, equivalent_bandwidth, run_var
 use ovlp_core::patterns::{consumption_stats, production_stats};
 use ovlp_core::report::{csv, fig6a_row, fig6b_row, fig6c_row, table2a, table2b};
 use ovlp_machine::simulate;
+use ovlp_machine::NoopSink;
 use std::fs;
 use std::path::Path;
 
@@ -42,7 +43,8 @@ fn main() {
     println!("=== Figure 6(a) — speedup ===\n");
     let mut fig6a_rows = Vec::new();
     for p in &pool {
-        let r = run_variants(&p.bundle, &p.platform).expect("simulation failed");
+        let (r, _) = run_variants(&p.bundle, &p.platform, || NoopSink, |_| Ok(()))
+            .expect("simulation failed");
         println!("{}", fig6a_row(&r));
         fig6a_rows.push(r);
     }

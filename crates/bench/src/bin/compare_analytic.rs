@@ -9,6 +9,7 @@ use ovlp_bench::prepare_pool;
 use ovlp_core::analytic::estimate;
 use ovlp_core::experiments::run_variants;
 use ovlp_core::patterns::{consumption_stats, production_stats};
+use ovlp_machine::NoopSink;
 
 fn main() {
     println!("Analytical baseline (Sancho et al.) vs simulated overlap speedup");
@@ -18,7 +19,8 @@ fn main() {
         "app", "f", "Tc (ms)", "Tm (ms)", "analytic", "analytic-ub", "simulated"
     );
     for p in prepare_pool() {
-        let r = run_variants(&p.bundle, &p.platform).expect("simulation failed");
+        let (r, _) = run_variants(&p.bundle, &p.platform, || NoopSink, |_| Ok(()))
+            .expect("simulation failed");
         let mut db = p.run.access.clone();
         if p.name != "alya" {
             for rank in &mut db.ranks {

@@ -9,12 +9,14 @@
 use ovlp_bench::{parse_jobs, prepare_pool_jobs};
 use ovlp_core::experiments::run_variants;
 use ovlp_core::report::fig6a_row;
+use ovlp_machine::NoopSink;
 
 fn main() {
     println!("Figure 6(a) — speedup of overlapped execution (4 chunks, Marenostrum)");
     println!();
     for p in prepare_pool_jobs(parse_jobs()) {
-        let r = run_variants(&p.bundle, &p.platform).expect("simulation failed");
+        let (r, _) = run_variants(&p.bundle, &p.platform, || NoopSink, |_| Ok(()))
+            .expect("simulation failed");
         println!(
             "{}  ({} ranks, {} buses)",
             fig6a_row(&r),

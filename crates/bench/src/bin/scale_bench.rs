@@ -1,4 +1,4 @@
-//! Weak-scaling trajectory of the streamed summary-mode replay.
+//! Weak-scaling trajectory of the streamed totals-only replay.
 //!
 //! Replays the registry's generated `ml-allreduce` workload through
 //! [`ovlp_machine::replay_scale`] at a ladder of rank counts and

@@ -10,7 +10,4 @@ pub use bandwidth::{
     EquivalentBandwidth,
 };
 pub use chunks::{chunk_search, default_candidates, ChunkPoint, ChunkSearch};
-pub use speedup::{
-    run_variants, run_variants_critpath, run_variants_full, run_variants_probed, SpeedupResult,
-    VariantCritPaths, VariantMetrics,
-};
+pub use speedup::{run_variants, SpeedupResult, Variants};

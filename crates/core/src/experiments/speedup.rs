@@ -1,10 +1,8 @@
 //! Figure 6(a): speedup of the overlapped executions over the original.
 
 use crate::pipeline::VariantBundle;
-use ovlp_machine::{
-    simulate, simulate_probed, CritPath, CritPathRecorder, Metrics, Platform, SimError, SimResult,
-    TeeSink, Time, WindowedRecorder,
-};
+use ovlp_machine::{simulate_probed, Platform, ProbeSink, SimError, SimResult};
+use ovlp_trace::Trace;
 
 /// Simulated runtimes of all three variants on one platform.
 #[derive(Debug, Clone)]
@@ -27,32 +25,17 @@ impl SpeedupResult {
     }
 }
 
-/// Simulate all three variants of `bundle` on `platform`.
-pub fn run_variants(
-    bundle: &VariantBundle,
-    platform: &Platform,
-) -> Result<SpeedupResult, SimError> {
-    Ok(SpeedupResult {
-        app: bundle.app_name().to_string(),
-        original: simulate(&bundle.original, platform)?,
-        overlapped: simulate(&bundle.overlapped, platform)?,
-        ideal: simulate(&bundle.ideal, platform)?,
-    })
-}
-
-/// Windowed metrics of all three variants (one recorder per variant,
-/// all with the same window width).
+/// One value per simulation variant.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VariantMetrics {
-    pub original: Metrics,
-    pub overlapped: Metrics,
-    pub ideal: Metrics,
+pub struct Variants<T> {
+    pub original: T,
+    pub overlapped: T,
+    pub ideal: T,
 }
 
-impl VariantMetrics {
-    /// The three metric documents labelled like the simulation
-    /// variants.
-    pub fn labelled(&self) -> [(&'static str, &Metrics); 3] {
+impl<T> Variants<T> {
+    /// The three values labelled like the simulation variants.
+    pub fn labelled(&self) -> [(&'static str, &T); 3] {
         [
             ("original", &self.original),
             ("overlapped", &self.overlapped),
@@ -61,71 +44,48 @@ impl VariantMetrics {
     }
 }
 
-/// [`run_variants`] with a [`WindowedRecorder`] attached to each
-/// replay. The simulated results are bit-identical to the unprobed
-/// ones — probes observe without perturbing.
-pub fn run_variants_probed(
-    bundle: &VariantBundle,
-    platform: &Platform,
-    window: Time,
-) -> Result<(SpeedupResult, VariantMetrics), SimError> {
-    let probed = |trace| -> Result<(SimResult, Metrics), SimError> {
-        let mut rec = WindowedRecorder::new(window);
-        let sim = simulate_probed(trace, platform, &mut rec)?;
-        Ok((sim, rec.into_metrics()?))
-    };
-    let (original, m_original) = probed(&bundle.original)?;
-    let (overlapped, m_overlapped) = probed(&bundle.overlapped)?;
-    let (ideal, m_ideal) = probed(&bundle.ideal)?;
-    Ok((
-        SpeedupResult {
-            app: bundle.app_name().to_string(),
-            original,
-            overlapped,
-            ideal,
-        },
-        VariantMetrics {
-            original: m_original,
-            overlapped: m_overlapped,
-            ideal: m_ideal,
-        },
-    ))
-}
-
-/// Critical paths of all three variants.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VariantCritPaths {
-    pub original: CritPath,
-    pub overlapped: CritPath,
-    pub ideal: CritPath,
-}
-
-impl VariantCritPaths {
-    /// The three paths labelled like the simulation variants.
-    pub fn labelled(&self) -> [(&'static str, &CritPath); 3] {
-        [
-            ("original", &self.original),
-            ("overlapped", &self.overlapped),
-            ("ideal", &self.ideal),
-        ]
+impl<A, B> Variants<(A, B)> {
+    /// Split each variant's pair into two sets of variants.
+    pub fn unzip(self) -> (Variants<A>, Variants<B>) {
+        let Variants {
+            original: (a0, b0),
+            overlapped: (a1, b1),
+            ideal: (a2, b2),
+        } = self;
+        (
+            Variants {
+                original: a0,
+                overlapped: a1,
+                ideal: a2,
+            },
+            Variants {
+                original: b0,
+                overlapped: b1,
+                ideal: b2,
+            },
+        )
     }
 }
 
-/// [`run_variants`] with a [`CritPathRecorder`] attached to each
-/// replay. Probes observe without perturbing, so the simulated results
-/// are bit-identical to the unprobed ones.
-pub fn run_variants_critpath(
+/// Simulate all three variants of `bundle` on `platform`, each observed
+/// by a fresh sink from `sink` that `finish` turns into that variant's
+/// record (`|| NoopSink, |_| Ok(())` records nothing). Sinks observe
+/// without perturbing, so the simulated results are bit-identical
+/// whatever the sink.
+pub fn run_variants<S: ProbeSink, T>(
     bundle: &VariantBundle,
     platform: &Platform,
-) -> Result<(SpeedupResult, VariantCritPaths), SimError> {
-    let probed = |trace| -> Result<(SimResult, CritPath), SimError> {
-        let mut rec = CritPathRecorder::new();
-        let sim = simulate_probed(trace, platform, &mut rec)?;
-        Ok((sim, rec.into_critpath()))
+    sink: impl Fn() -> S,
+    finish: impl Fn(S) -> Result<T, SimError>,
+) -> Result<(SpeedupResult, Variants<T>), SimError> {
+    let run = |trace: &Trace| -> Result<(SimResult, T), SimError> {
+        let mut s = sink();
+        let sim = simulate_probed(trace, platform, &mut s)?;
+        Ok((sim, finish(s)?))
     };
-    let (original, c_original) = probed(&bundle.original)?;
-    let (overlapped, c_overlapped) = probed(&bundle.overlapped)?;
-    let (ideal, c_ideal) = probed(&bundle.ideal)?;
+    let (original, rec_original) = run(&bundle.original)?;
+    let (overlapped, rec_overlapped) = run(&bundle.overlapped)?;
+    let (ideal, rec_ideal) = run(&bundle.ideal)?;
     Ok((
         SpeedupResult {
             app: bundle.app_name().to_string(),
@@ -133,46 +93,10 @@ pub fn run_variants_critpath(
             overlapped,
             ideal,
         },
-        VariantCritPaths {
-            original: c_original,
-            overlapped: c_overlapped,
-            ideal: c_ideal,
-        },
-    ))
-}
-
-/// Windowed metrics *and* critical paths from a single replay per
-/// variant, via a [`TeeSink`] feeding both recorders.
-pub fn run_variants_full(
-    bundle: &VariantBundle,
-    platform: &Platform,
-    window: Time,
-) -> Result<(SpeedupResult, VariantMetrics, VariantCritPaths), SimError> {
-    let probed = |trace| -> Result<(SimResult, Metrics, CritPath), SimError> {
-        let mut tee = TeeSink(WindowedRecorder::new(window), CritPathRecorder::new());
-        let sim = simulate_probed(trace, platform, &mut tee)?;
-        let TeeSink(windowed, crit) = tee;
-        Ok((sim, windowed.into_metrics()?, crit.into_critpath()))
-    };
-    let (original, m_original, c_original) = probed(&bundle.original)?;
-    let (overlapped, m_overlapped, c_overlapped) = probed(&bundle.overlapped)?;
-    let (ideal, m_ideal, c_ideal) = probed(&bundle.ideal)?;
-    Ok((
-        SpeedupResult {
-            app: bundle.app_name().to_string(),
-            original,
-            overlapped,
-            ideal,
-        },
-        VariantMetrics {
-            original: m_original,
-            overlapped: m_overlapped,
-            ideal: m_ideal,
-        },
-        VariantCritPaths {
-            original: c_original,
-            overlapped: c_overlapped,
-            ideal: c_ideal,
+        Variants {
+            original: rec_original,
+            overlapped: rec_overlapped,
+            ideal: rec_ideal,
         },
     ))
 }

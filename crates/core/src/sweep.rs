@@ -29,10 +29,13 @@ pub mod scheduler;
 pub mod store;
 
 use crate::chunk::ChunkPolicy;
-use crate::experiments::speedup::{VariantCritPaths, VariantMetrics};
+use crate::experiments::speedup::{run_variants, Variants};
 use crate::pipeline::{build_variants, VariantBundle};
 use ovlp_instr::TraceRun;
-use ovlp_machine::{Platform, Time};
+use ovlp_machine::{
+    CritPath, CritPathRecorder, Metrics, NoopSink, Platform, SimError, TeeSink, Time,
+    WindowedRecorder,
+};
 use ovlp_trace::record::SendMode;
 use ovlp_trace::text;
 use std::collections::HashMap;
@@ -393,12 +396,12 @@ pub struct PointResult {
     /// sweep ran with [`SweepConfig::probe_window_us`]. Deliberately
     /// excluded from [`PointResult::result_hash`], so replay
     /// fingerprints are identical with probes on or off.
-    pub metrics: Option<Arc<VariantMetrics>>,
+    pub metrics: Option<Arc<Variants<Metrics>>>,
     /// Critical paths of the three variants, recorded only when the
     /// sweep ran with [`SweepConfig::critpath`]. Excluded from
     /// [`PointResult::result_hash`] and never persisted, exactly like
     /// `metrics`, so attribution never changes a replay fingerprint.
-    pub critpaths: Option<Arc<VariantCritPaths>>,
+    pub critpaths: Option<Arc<Variants<CritPath>>>,
 }
 
 impl PointResult {
@@ -1272,8 +1275,8 @@ struct SimNumbers {
     t_original: f64,
     t_overlapped: f64,
     t_ideal: f64,
-    metrics: Option<Arc<VariantMetrics>>,
-    critpaths: Option<Arc<VariantCritPaths>>,
+    metrics: Option<Arc<Variants<Metrics>>>,
+    critpaths: Option<Arc<Variants<CritPath>>>,
 }
 
 /// Run the three-variant replay for one point. Pure: no cache, no
@@ -1284,40 +1287,34 @@ fn simulate_point(
     probe_window_us: Option<f64>,
     critpath: bool,
 ) -> Result<SimNumbers, String> {
-    let simfail = |e: ovlp_machine::SimError| e.to_string();
-    let (sim, metrics, critpaths) = match (probe_window_us, critpath) {
-        (None, false) => (
-            crate::experiments::speedup::run_variants(bundle, platform).map_err(simfail)?,
-            None,
-            None,
-        ),
-        (Some(us), false) => {
-            let (sim, m) = crate::experiments::speedup::run_variants_probed(
-                bundle,
-                platform,
-                Time::micros(us),
-            )
-            .map_err(simfail)?;
-            (sim, Some(Arc::new(m)), None)
-        }
-        (None, true) => {
-            let (sim, c) = crate::experiments::speedup::run_variants_critpath(bundle, platform)
-                .map_err(simfail)?;
-            (sim, None, Some(Arc::new(c)))
-        }
-        (Some(us), true) => {
-            let (sim, m, c) =
-                crate::experiments::speedup::run_variants_full(bundle, platform, Time::micros(us))
-                    .map_err(simfail)?;
-            (sim, Some(Arc::new(m)), Some(Arc::new(c)))
-        }
+    let window = probe_window_us.map(Time::micros);
+    let metrics = |w: WindowedRecorder| -> Result<Metrics, SimError> { Ok(w.into_metrics()?) };
+    let critpath_of = |c: CritPathRecorder| -> Result<CritPath, SimError> { Ok(c.into_critpath()) };
+    let replayed = match (window, critpath) {
+        (None, false) => run_variants(bundle, platform, || NoopSink, |_| Ok(()))
+            .map(|(sim, _)| (sim, None, None)),
+        (Some(w), false) => run_variants(bundle, platform, || WindowedRecorder::new(w), metrics)
+            .map(|(sim, m)| (sim, Some(m), None)),
+        (None, true) => run_variants(bundle, platform, CritPathRecorder::new, critpath_of)
+            .map(|(sim, c)| (sim, None, Some(c))),
+        (Some(w), true) => run_variants(
+            bundle,
+            platform,
+            || TeeSink(WindowedRecorder::new(w), CritPathRecorder::new()),
+            |TeeSink(w, c)| Ok((metrics(w)?, critpath_of(c)?)),
+        )
+        .map(|(sim, both)| {
+            let (m, c) = both.unzip();
+            (sim, Some(m), Some(c))
+        }),
     };
+    let (sim, metrics, critpaths) = replayed.map_err(|e| e.to_string())?;
     Ok(SimNumbers {
         t_original: sim.original.runtime(),
         t_overlapped: sim.overlapped.runtime(),
         t_ideal: sim.ideal.runtime(),
-        metrics,
-        critpaths,
+        metrics: metrics.map(Arc::new),
+        critpaths: critpaths.map(Arc::new),
     })
 }
 

@@ -42,12 +42,16 @@
 //! Everything on the reshare path is allocation-free after warm-up:
 //!
 //! * flows live in dense reusable **slots** (`slots` + `free`), found
-//!   from a message id through the direct-indexed `slot_of` table;
-//! * the active flows are an unordered `(id, slot)` list, `flows`: a
-//!   flow joins by push and leaves by swap-remove (its slot records its
-//!   position), so neither walks the others. A pass that emits events
-//!   first sorts the list by id (`sorted` says when it already is):
-//!   ascending-id order is the order every emission depends on;
+//!   from the engine's message slot id through the direct-indexed
+//!   `slot_of` table (the engine recycles its message slots, so an id
+//!   names one flow at a time, and `slot_of` stays as small as the
+//!   engine's live message table);
+//! * the active flows are an unordered `(seq, slot)` list, `flows`,
+//!   where `seq` is the message's initiation order: a flow joins by
+//!   push and leaves by swap-remove (its slot records its position), so
+//!   neither walks the others. A pass that emits events first sorts
+//!   the list by `seq` (`sorted` says when it already is): initiation
+//!   order is the order every emission depends on;
 //! * routes are interned per `(src, dst)` pair into a shared **path
 //!   arena**, so each distinct pair is routed once per replay;
 //! * `active_links`, the set of links currently carrying flows, is an
@@ -71,7 +75,7 @@
 //! the new flow's estimate and a finish emits nothing, without touching
 //! the other flows. Otherwise (or when the flows' rates came from a
 //! general solve or predate a fault) the reshare runs the full
-//! ascending-id emit loop, as the general path always does. Once a link
+//! initiation-order emit loop, as the general path always does. Once a link
 //! is shared, [`max_min_rates_active`] solves.
 //!
 //! The from-scratch solver is retained as a debug oracle: debug builds
@@ -92,7 +96,7 @@ use std::sync::Arc;
 /// A (re-)estimated completion the engine must schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowEvent {
-    /// Message index of the flow.
+    /// The engine's message slot id of the flow.
     pub msg: usize,
     /// Estimated completion time.
     pub at: Time,
@@ -135,6 +139,8 @@ struct FlowSlot {
     epoch: u64,
     /// Index of this flow in `FlowNet::flows`.
     pos: u32,
+    /// The engine's message slot id (what [`FlowEvent::msg`] names).
+    msg: u32,
 }
 
 /// Flow-level network state for one replay.
@@ -145,11 +151,13 @@ pub struct FlowNet {
     /// Dense flow storage; freed slots are recycled through `free`.
     slots: Vec<FlowSlot>,
     free: Vec<u32>,
-    /// Message id -> slot + 1 (0 = not active), grown on demand.
+    /// Message slot id -> flow slot + 1 (0 = not active), grown on
+    /// demand.
     slot_of: Vec<u32>,
-    /// Active flows as `(message id, slot)`, unordered.
+    /// Active flows as `(initiation seq, slot)`, unordered. The seq is
+    /// kept to 32 bits, like the message ids it replaced.
     flows: Vec<(u32, u32)>,
-    /// Whether `flows` is in ascending id order.
+    /// Whether `flows` is in ascending seq order.
     sorted: bool,
     /// Interned routes: `(src, dst) -> (offset, len)` into `arena`.
     route_cache: HashMap<(u32, u32), (u32, u32), FxBuildHasher>,
@@ -251,14 +259,16 @@ impl FlowNet {
         self
     }
 
-    /// Register a new flow granted at `now` and reshare. Emits a
-    /// completion estimate for the new flow and for every existing flow
-    /// whose rate changed. Errs when killed links leave no path from
-    /// `src_node` to `dst_node`.
+    /// Register message `msg` (initiation order `seq`) as a flow granted
+    /// at `now` and reshare. Emits a completion estimate for the new
+    /// flow and for every existing flow whose rate changed. Errs when
+    /// killed links leave no path from `src_node` to `dst_node`. Probes
+    /// see the flow as `seq`.
     #[allow(clippy::too_many_arguments)]
     pub fn start<P: ProbeSink>(
         &mut self,
         msg: usize,
+        seq: u64,
         src_node: usize,
         dst_node: usize,
         bytes: f64,
@@ -274,7 +284,10 @@ impl FlowNet {
             // the bottleneck capacity — same float ops as a lone-flow
             // reshare, so an uncontended transfer's estimate matches the
             // actual arrival bit for bit
-            probe.on_flow_path(msg, now + Time::secs(latency_s + bytes / bottleneck));
+            probe.on_flow_path(
+                seq as usize,
+                now + Time::secs(latency_s + bytes / bottleneck),
+            );
         }
         self.join_links(off, len, now);
         let slot = match self.free.pop() {
@@ -297,6 +310,7 @@ impl FlowNet {
             bottleneck,
             epoch: 0,
             pos: self.flows.len() as u32,
+            msg: msg as u32,
         };
         self.join_class(bottleneck);
         if self.slot_of.len() <= msg {
@@ -304,9 +318,10 @@ impl FlowNet {
         }
         debug_assert!(self.slot_of[msg] == 0, "flow {msg} started twice");
         self.slot_of[msg] = slot + 1;
-        self.sorted &= self.flows.last().is_none_or(|&(m, _)| m < msg as u32);
-        self.flows.push((msg as u32, slot));
-        self.reshare(now, out, probe, Some(msg as u32));
+        let seq = seq as u32;
+        self.sorted &= self.flows.last().is_none_or(|&(s, _)| s < seq);
+        self.flows.push((seq, slot));
+        self.reshare(now, out, probe, Some(slot));
         Ok(())
     }
 
@@ -339,7 +354,7 @@ impl FlowNet {
         }
         self.leave_links(f.off, f.len, f.joined, now);
         let pos = f.pos as usize;
-        debug_assert!(self.flows[pos] == (msg as u32, slot));
+        debug_assert!(self.flows[pos].1 == slot);
         self.flows.swap_remove(pos);
         if let Some(&(_, moved)) = self.flows.get(pos) {
             self.slots[moved as usize].pos = pos as u32;
@@ -425,7 +440,7 @@ impl FlowNet {
     }
 
     /// Move every active flow whose path crosses a dead link onto an
-    /// alive route (ascending message id, so the pass is deterministic).
+    /// alive route (initiation order, so the pass is deterministic).
     /// Each moved flow is brought up to date first, so its old links
     /// are credited what it carried over them.
     fn reroute_dead_flows<P: ProbeSink>(
@@ -437,7 +452,7 @@ impl FlowNet {
         self.sort_flows();
         self.visits += self.flows.len() as u64;
         for k in 0..self.flows.len() {
-            let (msg, slot) = self.flows[k];
+            let (seq, slot) = self.flows[k];
             let f = self.slots[slot as usize];
             if !self.path(f.off, f.len).iter().any(|l| self.dead[l.idx()]) {
                 continue;
@@ -452,7 +467,7 @@ impl FlowNet {
             f.len = len;
             f.joined = f.remaining;
             if P::ENABLED {
-                probe.on_flow_rerouted(msg as usize);
+                probe.on_flow_rerouted(seq as usize);
             }
             rerouted += 1;
         }
@@ -518,23 +533,25 @@ impl FlowNet {
             .collect()
     }
 
-    /// Current `(msg, rate)` pairs in ascending message order. For the
+    /// Current `(msg, rate)` pairs in initiation order. For the
     /// property suite that cross-checks the incremental solver against
     /// the from-scratch oracle; not a stable API.
     #[doc(hidden)]
     pub fn debug_rates(&self) -> Vec<(usize, f64)> {
-        let mut rates: Vec<(usize, f64)> = self
-            .flows
+        let mut flows = self.flows.clone();
+        flows.sort_unstable();
+        flows
             .iter()
-            .map(|&(m, s)| (m as usize, self.slots[s as usize].rate))
-            .collect();
-        rates.sort_unstable_by_key(|&(m, _)| m);
-        rates
+            .map(|&(_, s)| {
+                let f = &self.slots[s as usize];
+                (f.msg as usize, f.rate)
+            })
+            .collect()
     }
 
     /// Flows visited by per-event work: one per flow brought up to
     /// date (a rate change, a finish or a reroute), plus every active
-    /// flow each time a pass walks them all (the sort by id, the emit
+    /// flow each time a pass walks them all (the sort by seq, the emit
     /// loop after a chain change or a solve, a class rebuild or a
     /// reroute scan). A work counter for the tests that pin lazy
     /// settlement (a link-disjoint start or finish touches only the
@@ -679,7 +696,7 @@ impl FlowNet {
         }
     }
 
-    /// Put `flows` in ascending id order (and the slots' positions with
+    /// Put `flows` in initiation order (and the slots' positions with
     /// it), unless it already is.
     fn sort_flows(&mut self) {
         if self.sorted {
@@ -725,7 +742,7 @@ impl FlowNet {
 
     /// Recompute the max-min allocation and re-estimate completions.
     /// Flows whose rate is bitwise unchanged keep their scheduled event.
-    /// `arrived` names the flow a `start` just registered.
+    /// `arrived` is the slot of the flow a `start` just registered.
     fn reshare<P: ProbeSink>(
         &mut self,
         now: Time,
@@ -760,18 +777,17 @@ impl FlowNet {
                 // did: only a new flow needs an estimate
                 #[cfg(debug_assertions)]
                 for k in 0..n {
-                    let (msg, slot) = self.flows[k];
+                    let (seq, slot) = self.flows[k];
                     let f = &self.slots[slot as usize];
                     debug_assert!(
-                        Some(msg) == arrived
+                        Some(slot) == arrived
                             || (f.epoch != 0 && f.rate.to_bits() == self.rates[k].to_bits()),
-                        "flow {msg} changed rate under an unchanged chain"
+                        "flow {seq} changed rate under an unchanged chain"
                     );
                 }
-                if let Some(msg) = arrived {
-                    let slot = self.slot_of[msg as usize] - 1;
+                if let Some(slot) = arrived {
                     let rate = self.class_rate(self.slots[slot as usize].bottleneck);
-                    self.estimate(msg, slot, rate, now, out, probe);
+                    self.estimate(slot, rate, now, out, probe);
                 }
                 return;
             }
@@ -803,12 +819,12 @@ impl FlowNet {
         self.visits += n as u64;
         for k in 0..n {
             let rate = self.rates[k];
-            let (msg, slot) = self.flows[k];
+            let slot = self.flows[k].1;
             let f = &self.slots[slot as usize];
             if f.epoch != 0 && rate.to_bits() == f.rate.to_bits() {
                 continue;
             }
-            self.estimate(msg, slot, rate, now, out, probe);
+            self.estimate(slot, rate, now, out, probe);
         }
     }
 
@@ -816,7 +832,6 @@ impl FlowNet {
     /// schedule its completion under a fresh epoch.
     fn estimate<P: ProbeSink>(
         &mut self,
-        msg: u32,
         slot: u32,
         rate: f64,
         now: Time,
@@ -837,7 +852,7 @@ impl FlowNet {
         f.epoch = self.next_epoch;
         self.next_epoch += 1;
         out.push(FlowEvent {
-            msg: msg as usize,
+            msg: f.msg as usize,
             at: eta,
             epoch: f.epoch,
         });
@@ -883,6 +898,7 @@ mod tests {
         n.start(
             0,
             0,
+            0,
             1,
             1_000_000.0,
             10e-6,
@@ -912,6 +928,7 @@ mod tests {
         n.start(
             0,
             0,
+            0,
             1,
             1_000_000.0,
             0.0,
@@ -923,6 +940,7 @@ mod tests {
         let first = out[0];
         out.clear();
         n.start(
+            1,
             1,
             0,
             2,
@@ -949,6 +967,7 @@ mod tests {
         n.start(
             0,
             0,
+            0,
             1,
             1_000_000.0,
             5e-6,
@@ -960,6 +979,7 @@ mod tests {
         let first = out[0];
         out.clear();
         n.start(
+            1,
             1,
             2,
             3,
@@ -982,6 +1002,7 @@ mod tests {
         n.start(
             0,
             0,
+            0,
             1,
             1_000_000.0,
             0.0,
@@ -990,8 +1011,18 @@ mod tests {
             &mut NoopSink,
         )
         .unwrap();
-        n.start(1, 0, 2, 500_000.0, 0.0, Time::ZERO, &mut out, &mut NoopSink)
-            .unwrap();
+        n.start(
+            1,
+            1,
+            0,
+            2,
+            500_000.0,
+            0.0,
+            Time::ZERO,
+            &mut out,
+            &mut NoopSink,
+        )
+        .unwrap();
         out.clear();
         // flow 1 (500 kB at 50 MB/s) completes at 10 ms
         let t = Time::secs(0.01);
@@ -1015,6 +1046,7 @@ mod tests {
         n.start(
             0,
             0,
+            0,
             1,
             1_000_000.0,
             0.0,
@@ -1024,6 +1056,7 @@ mod tests {
         )
         .unwrap();
         n.start(
+            1,
             1,
             0,
             2,
@@ -1049,14 +1082,15 @@ mod tests {
         let mut n = net(6, 100.0);
         // start 3, finish the middle one, then start a *lower* id than
         // the current maximum (as rendezvous grants can) and a higher one
-        n.start(5, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        n.start(5, 5, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
-        n.start(7, 2, 3, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        n.start(7, 7, 2, 3, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
-        n.start(9, 4, 5, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        n.start(9, 9, 4, 5, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         n.finish(7, Time::secs(0.001), &mut out, &mut NoopSink);
         n.start(
+            6,
             6,
             2,
             3,
@@ -1068,6 +1102,7 @@ mod tests {
         )
         .unwrap();
         n.start(
+            11,
             11,
             1,
             0,
@@ -1095,15 +1130,15 @@ mod tests {
         // drain the net to empty (the last finish skips its reshare),
         // so node 0's up link must leave the active set and rejoin it
         // once
-        n.start(0, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        n.start(0, 0, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         n.finish(0, Time::secs(0.02), &mut out, &mut NoopSink);
         // re-populate that same link with two flows; a duplicate active
         // entry would double-charge it and halve both rates
         let t = Time::secs(0.03);
-        n.start(1, 0, 1, 1e6, 0.0, t, &mut out, &mut NoopSink)
+        n.start(1, 1, 0, 1, 1e6, 0.0, t, &mut out, &mut NoopSink)
             .unwrap();
-        n.start(2, 0, 2, 1e6, 0.0, t, &mut out, &mut NoopSink)
+        n.start(2, 2, 0, 2, 1e6, 0.0, t, &mut out, &mut NoopSink)
             .unwrap();
         for (msg, r) in n.debug_rates() {
             assert_eq!(r, 50e6, "flow {msg} must get half the shared link");
@@ -1126,7 +1161,7 @@ mod tests {
         let mut n = FlowNet::new(g);
         let mut out = Vec::new();
         // cross-pod flow occupying the default ECMP path
-        n.start(0, 0, 4, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        n.start(0, 0, 0, 4, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         assert_eq!(n.usage()[fabric.idx()].peak_flows, 1);
         let eta = out[0].at;
@@ -1187,7 +1222,7 @@ mod tests {
             .unwrap(),
         );
         let mut host = host;
-        host.start(0, 0, 4, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        host.start(0, 0, 0, 4, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         let up = host.graph.route(0, 4)[0];
         let err = host
@@ -1207,7 +1242,7 @@ mod tests {
     fn degrade_then_restore_recovers_full_rate() {
         let mut out = Vec::new();
         let mut n = net(2, 100.0);
-        n.start(0, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        n.start(0, 0, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         let up = LinkId(0);
         let o = n
@@ -1252,7 +1287,7 @@ mod tests {
     fn fault_on_idle_link_does_not_reshare() {
         let mut out = Vec::new();
         let mut n = net(3, 100.0);
-        n.start(0, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
+        n.start(0, 0, 0, 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
             .unwrap();
         let reshares_before = n.reshares();
         // node 2's links carry nothing: fault must not touch flow state
@@ -1290,12 +1325,12 @@ mod tests {
             let mut steps = Vec::new();
             let mut out = Vec::new();
             // host links only (both hosts under edge switch e0)
-            n.start(0, 0, 1, 1e6, 1e-5, Time::ZERO, &mut out, &mut NoopSink)
+            n.start(0, 0, 0, 1, 1e6, 1e-5, Time::ZERO, &mut out, &mut NoopSink)
                 .unwrap();
             steps.push(std::mem::take(&mut out));
             // cross-pod: bottlenecked by the fabric, disjoint from flow 0
             let t = Time::secs(1e-4);
-            n.start(1, 2, 4, 1e5, 1e-5, t, &mut out, &mut NoopSink)
+            n.start(1, 1, 2, 4, 1e5, 1e-5, t, &mut out, &mut NoopSink)
                 .unwrap();
             steps.push(std::mem::take(&mut out));
             n.finish(1, Time::secs(2e-4), &mut out, &mut NoopSink);
@@ -1322,9 +1357,10 @@ mod tests {
                 FlowNet::new(g)
             };
             let mut out = Vec::new();
-            n.start(0, 0, 1, 1e6, 1e-5, Time::ZERO, &mut out, &mut NoopSink)
+            n.start(0, 0, 0, 1, 1e6, 1e-5, Time::ZERO, &mut out, &mut NoopSink)
                 .unwrap();
             n.start(
+                1,
                 1,
                 0,
                 2,
@@ -1336,6 +1372,7 @@ mod tests {
             )
             .unwrap();
             n.start(
+                2,
                 2,
                 1,
                 2,

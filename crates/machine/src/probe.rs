@@ -1,10 +1,12 @@
 //! Time-resolved observability probes for the replay engine.
 //!
 //! A [`ProbeSink`] receives callbacks from the engine at every state
-//! transition, transfer start/finish, flow reshare, and event dispatch.
-//! The engine is generic over the sink, so the default [`NoopSink`]
-//! (with [`ProbeSink::ENABLED`]` = false`) monomorphizes every hook to
-//! nothing — `simulate` pays zero cost for the instrumentation.
+//! transition, transfer start/finish, flow reshare, event dispatch and
+//! message retirement. The engine is generic over the sink and builds
+//! no results itself: [`simulate`](crate::simulate) tees a recorder that
+//! keeps timelines and communication records with the caller's sink,
+//! and [`replay_scale`](crate::replay_scale) runs one that keeps only
+//! state totals. A hook no sink overrides inlines to nothing.
 //!
 //! [`WindowedRecorder`] is the production sink: it folds the callback
 //! stream into fixed-width time windows and produces a [`Metrics`]
@@ -27,7 +29,8 @@
 use crate::net::fault::FaultAction;
 use crate::net::topology::{Link, LinkId};
 use crate::time::Time;
-use crate::timeline::State;
+use crate::timeline::{CommRecord, State};
+use ovlp_trace::record::Marker;
 
 /// Which engine event was dispatched (payload-free mirror of
 /// [`Event`](crate::event::Event), used for per-kind counters).
@@ -80,7 +83,8 @@ impl EventKind {
 /// ones you need. Implementations must not assume callbacks arrive in
 /// global time order — the engine emits them in *event processing*
 /// order, and a state interval is reported when it closes, not when it
-/// opens.
+/// opens. Every `msg` argument is the message's initiation order (its
+/// position among the executed send records), never an engine slot.
 #[allow(unused_variables)]
 pub trait ProbeSink {
     /// `false` compiles every engine-side hook away ([`NoopSink`]).
@@ -180,6 +184,15 @@ pub trait ProbeSink {
     /// [`ProbeSink::on_state`] wait interval (never zero-length).
     fn on_wait_edge(&mut self, rank: usize, since: Time, until: Time, msg: usize, edge: WaitEdge) {}
 
+    /// A rank passed a structural marker at its local time `at`.
+    fn on_marker(&mut self, rank: usize, marker: Marker, at: Time) {}
+
+    /// Message `msg`'s transfer is final. Emitted once per message: when
+    /// the engine retires it (delivered, sender released, receiver
+    /// consumed), or, for a message still live when the replay ends, in
+    /// ascending `msg` order just before [`ProbeSink::on_records_peak`].
+    fn on_comm(&mut self, msg: usize, comm: &CommRecord) {}
+
     /// High-water mark of trace records resident in the engine's record
     /// supply: the collective steps buffered across the per-rank
     /// cursors plus the record in hand, whether the source is a
@@ -193,6 +206,92 @@ pub trait ProbeSink {
     fn on_end(&mut self, runtime: Time, queue_peak: usize) {}
 }
 
+/// Implements every [`ProbeSink`] hook by calling it on each `$sink` in
+/// turn; `$me` names the receiver for the sink expressions.
+macro_rules! forward_hooks {
+    ($me:ident => $($sink:expr),+) => {
+        fn on_begin(&mut $me, nranks: usize, links: &[Link]) {
+            $($sink.on_begin(nranks, links);)+
+        }
+        fn on_state(&mut $me, rank: usize, start: Time, end: Time, state: State) {
+            $($sink.on_state(rank, start, end, state);)+
+        }
+        fn on_event(&mut $me, at: Time, kind: EventKind, queue_depth: usize) {
+            $($sink.on_event(at, kind, queue_depth);)+
+        }
+        fn on_transfer_start(&mut $me, at: Time, in_flight: u32, buses: u32, ports: u32) {
+            $($sink.on_transfer_start(at, in_flight, buses, ports);)+
+        }
+        fn on_transfer_done(&mut $me, at: Time, in_flight: u32, buses: u32, ports: u32) {
+            $($sink.on_transfer_done(at, in_flight, buses, ports);)+
+        }
+        fn on_injected(&mut $me, rank: usize, at: Time, bytes: u64) {
+            $($sink.on_injected(rank, at, bytes);)+
+        }
+        fn on_link_traffic(&mut $me, link: usize, t0: Time, t1: Time, bytes: f64) {
+            $($sink.on_link_traffic(link, t0, t1, bytes);)+
+        }
+        fn on_reshare(&mut $me, at: Time, active_flows: usize) {
+            $($sink.on_reshare(at, active_flows);)+
+        }
+        fn on_stale_flow_done(&mut $me, at: Time) {
+            $($sink.on_stale_flow_done(at);)+
+        }
+        fn on_fault(
+            &mut $me,
+            at: Time,
+            links: &[LinkId],
+            action: &FaultAction,
+            rerouted: u32,
+            reshared: bool,
+        ) {
+            $($sink.on_fault(at, links, action, rerouted, reshared);)+
+        }
+        fn on_send_posted(
+            &mut $me,
+            msg: usize,
+            src: usize,
+            dst: usize,
+            tag: u32,
+            bytes: u64,
+            rendezvous: bool,
+            at: Time,
+        ) {
+            $($sink.on_send_posted(msg, src, dst, tag, bytes, rendezvous, at);)+
+        }
+        fn on_transfer_granted(
+            &mut $me,
+            msg: usize,
+            at: Time,
+            latency: Time,
+            uncontended_arrival: Option<Time>,
+        ) {
+            $($sink.on_transfer_granted(msg, at, latency, uncontended_arrival);)+
+        }
+        fn on_flow_path(&mut $me, msg: usize, uncontended_eta: Time) {
+            $($sink.on_flow_path(msg, uncontended_eta);)+
+        }
+        fn on_flow_rerouted(&mut $me, msg: usize) {
+            $($sink.on_flow_rerouted(msg);)+
+        }
+        fn on_wait_edge(&mut $me, rank: usize, since: Time, until: Time, msg: usize, edge: WaitEdge) {
+            $($sink.on_wait_edge(rank, since, until, msg, edge);)+
+        }
+        fn on_marker(&mut $me, rank: usize, marker: Marker, at: Time) {
+            $($sink.on_marker(rank, marker, at);)+
+        }
+        fn on_comm(&mut $me, msg: usize, comm: &CommRecord) {
+            $($sink.on_comm(msg, comm);)+
+        }
+        fn on_records_peak(&mut $me, peak: u64) {
+            $($sink.on_records_peak(peak);)+
+        }
+        fn on_end(&mut $me, runtime: Time, queue_peak: usize) {
+            $($sink.on_end(runtime, queue_peak);)+
+        }
+    };
+}
+
 /// Fans every probe callback out to two sinks, so one replay can feed
 /// e.g. a [`WindowedRecorder`] and a
 /// [`CritPathRecorder`](crate::critpath::CritPathRecorder) at once.
@@ -203,122 +302,20 @@ pub struct TeeSink<A, B>(pub A, pub B);
 
 impl<A: ProbeSink, B: ProbeSink> ProbeSink for TeeSink<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn on_begin(&mut self, nranks: usize, links: &[Link]) {
-        self.0.on_begin(nranks, links);
-        self.1.on_begin(nranks, links);
-    }
-
-    fn on_state(&mut self, rank: usize, start: Time, end: Time, state: State) {
-        self.0.on_state(rank, start, end, state);
-        self.1.on_state(rank, start, end, state);
-    }
-
-    fn on_event(&mut self, at: Time, kind: EventKind, queue_depth: usize) {
-        self.0.on_event(at, kind, queue_depth);
-        self.1.on_event(at, kind, queue_depth);
-    }
-
-    fn on_transfer_start(&mut self, at: Time, in_flight: u32, buses: u32, ports: u32) {
-        self.0.on_transfer_start(at, in_flight, buses, ports);
-        self.1.on_transfer_start(at, in_flight, buses, ports);
-    }
-
-    fn on_transfer_done(&mut self, at: Time, in_flight: u32, buses: u32, ports: u32) {
-        self.0.on_transfer_done(at, in_flight, buses, ports);
-        self.1.on_transfer_done(at, in_flight, buses, ports);
-    }
-
-    fn on_injected(&mut self, rank: usize, at: Time, bytes: u64) {
-        self.0.on_injected(rank, at, bytes);
-        self.1.on_injected(rank, at, bytes);
-    }
-
-    fn on_link_traffic(&mut self, link: usize, t0: Time, t1: Time, bytes: f64) {
-        self.0.on_link_traffic(link, t0, t1, bytes);
-        self.1.on_link_traffic(link, t0, t1, bytes);
-    }
-
-    fn on_reshare(&mut self, at: Time, active_flows: usize) {
-        self.0.on_reshare(at, active_flows);
-        self.1.on_reshare(at, active_flows);
-    }
-
-    fn on_stale_flow_done(&mut self, at: Time) {
-        self.0.on_stale_flow_done(at);
-        self.1.on_stale_flow_done(at);
-    }
-
-    fn on_fault(
-        &mut self,
-        at: Time,
-        links: &[LinkId],
-        action: &FaultAction,
-        rerouted: u32,
-        reshared: bool,
-    ) {
-        self.0.on_fault(at, links, action, rerouted, reshared);
-        self.1.on_fault(at, links, action, rerouted, reshared);
-    }
-
-    fn on_send_posted(
-        &mut self,
-        msg: usize,
-        src: usize,
-        dst: usize,
-        tag: u32,
-        bytes: u64,
-        rendezvous: bool,
-        at: Time,
-    ) {
-        self.0
-            .on_send_posted(msg, src, dst, tag, bytes, rendezvous, at);
-        self.1
-            .on_send_posted(msg, src, dst, tag, bytes, rendezvous, at);
-    }
-
-    fn on_transfer_granted(
-        &mut self,
-        msg: usize,
-        at: Time,
-        latency: Time,
-        uncontended_arrival: Option<Time>,
-    ) {
-        self.0
-            .on_transfer_granted(msg, at, latency, uncontended_arrival);
-        self.1
-            .on_transfer_granted(msg, at, latency, uncontended_arrival);
-    }
-
-    fn on_flow_path(&mut self, msg: usize, uncontended_eta: Time) {
-        self.0.on_flow_path(msg, uncontended_eta);
-        self.1.on_flow_path(msg, uncontended_eta);
-    }
-
-    fn on_flow_rerouted(&mut self, msg: usize) {
-        self.0.on_flow_rerouted(msg);
-        self.1.on_flow_rerouted(msg);
-    }
-
-    fn on_wait_edge(&mut self, rank: usize, since: Time, until: Time, msg: usize, edge: WaitEdge) {
-        self.0.on_wait_edge(rank, since, until, msg, edge);
-        self.1.on_wait_edge(rank, since, until, msg, edge);
-    }
-
-    fn on_records_peak(&mut self, peak: u64) {
-        self.0.on_records_peak(peak);
-        self.1.on_records_peak(peak);
-    }
-
-    fn on_end(&mut self, runtime: Time, queue_peak: usize) {
-        self.0.on_end(runtime, queue_peak);
-        self.1.on_end(runtime, queue_peak);
-    }
+    forward_hooks!(self => self.0, self.1);
 }
 
-/// The do-nothing sink [`simulate`](crate::simulate) uses. With
-/// [`ProbeSink::ENABLED`]` = false` every hook call sits behind a
-/// constant-false branch and is removed by the compiler.
+/// A borrowed sink observes like the sink itself, so a caller's probe
+/// can be teed with a recorder it does not own.
+impl<P: ProbeSink + ?Sized> ProbeSink for &mut P {
+    const ENABLED: bool = P::ENABLED;
+    forward_hooks!(self => (**self));
+}
+
+/// The do-nothing sink: what a caller of
+/// [`simulate_probed`](crate::simulate_probed) passes when it wants only
+/// the result. With [`ProbeSink::ENABLED`]` = false` its side of a
+/// [`TeeSink`] compiles to nothing.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopSink;
 

@@ -36,11 +36,11 @@ use crate::net::fault::{AppliedFault, Partition, ResolvedFault};
 use crate::net::flows::{FlowEvent, FlowNet};
 use crate::net::{ContentionModel, LinkGraph, LinkUsage};
 use crate::platform::Platform;
-use crate::probe::{EventKind, NoopSink, ProbeSink, WaitEdge};
+use crate::probe::{EventKind, NoopSink, ProbeSink, TeeSink, WaitEdge};
 use crate::resources::{Pool, Resources, Unit, WaitLists};
 use crate::time::Time;
 use crate::timeline::{CommRecord, State, StateTotals, Timeline};
-use ovlp_trace::record::{Record, SendMode};
+use ovlp_trace::record::{Marker, Record, SendMode};
 use ovlp_trace::source::TraceSource;
 use ovlp_trace::{Bytes, Rank, ReqId, Tag};
 use std::collections::{HashMap, VecDeque};
@@ -220,13 +220,14 @@ pub fn simulate(source: &dyn TraceSource, platform: &Platform) -> Result<SimResu
 /// The probe observes the replay but never influences it: simulated
 /// time, timelines, and communication records are bit-identical to
 /// [`simulate`] for any [`ProbeSink`] implementation (a property the
-/// determinism test suite pins down).
+/// determinism test suite pins down). The result itself is built by a
+/// recorder on the same hooks, teed with `probe`.
 pub fn simulate_probed<P: ProbeSink>(
     source: &dyn TraceSource,
     platform: &Platform,
     probe: &mut P,
 ) -> Result<SimResult, SimError> {
-    replay_full(source, platform, probe, false)
+    simulate_with(source, platform, probe, false)
 }
 
 /// [`simulate`], but forcing the from-scratch max-min solver instead of
@@ -238,15 +239,23 @@ pub fn simulate_reference(
     source: &dyn TraceSource,
     platform: &Platform,
 ) -> Result<SimResult, SimError> {
-    replay_full(source, platform, &mut NoopSink, true)
+    simulate_with(source, platform, &mut NoopSink, true)
 }
 
-/// Aggregate outcome of a summary-mode ([`replay_scale`]) replay.
-///
-/// Summary mode recycles engine state, so the per-message and
-/// per-interval artifacts of a [`SimResult`] don't exist; what remains
-/// is the aggregate picture plus the engine's own footprint counters —
-/// which are exactly the quantities a weak-scaling study plots.
+fn simulate_with<P: ProbeSink>(
+    source: &dyn TraceSource,
+    platform: &Platform,
+    probe: &mut P,
+    reference: bool,
+) -> Result<SimResult, SimError> {
+    let mut sinks = TeeSink(ResultRecorder::default(), probe);
+    let outcome = replay(source, platform, &mut sinks, reference)?;
+    Ok(sinks.0.finish(outcome, platform))
+}
+
+/// Aggregate outcome of a [`replay_scale`] replay: the aggregate
+/// picture plus the engine's own footprint counters, which are exactly
+/// the quantities a weak-scaling study plots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleReport {
     /// Ranks simulated.
@@ -287,41 +296,130 @@ impl ScaleReport {
     }
 }
 
-/// Replay a [`TraceSource`] in summary mode: streamed record supply
-/// *plus* recycled engine state, making live memory O(in-flight
-/// traffic) instead of O(total transfers). This is the 100k–1M-rank
-/// path.
+/// Replay `source` on `platform` keeping only aggregates: the engine
+/// [`simulate`] runs, with a totals-only recorder in place of the one
+/// that builds timelines and communication records. Engine state is
+/// recycled on every replay, so live memory is O(in-flight traffic),
+/// not O(total transfers); this is the 100k–1M-rank path, on any
+/// contention model.
 ///
-/// Restricted to the bus contention model: flow-level contention keeps
-/// per-link state the summary mode has no business approximating.
-/// `runtime` and `events_processed` are bit-identical to the
-/// full-fidelity streamed replay (pinned by the scale cross-check
-/// test); the folded state totals may differ in the last ulp because
-/// they are accumulated per push rather than per merged interval.
+/// `runtime`, `events_processed` and `transfers` are bit-identical to
+/// [`simulate`] (pinned by the scale cross-check test); the state
+/// totals are folded per reported interval rather than per merged
+/// timeline interval, so they may differ in the last ulp.
 pub fn replay_scale(
     source: &dyn TraceSource,
     platform: &Platform,
 ) -> Result<ScaleReport, SimError> {
-    platform.check().map_err(SimError::BadPlatform)?;
-    if !matches!(platform.contention, ContentionModel::Bus) {
-        return Err(SimError::BadPlatform(
-            "scale replay supports only the bus contention model \
-             (use the streaming full-fidelity path for flow-level studies)"
-                .to_string(),
-        ));
+    let mut totals = TotalsRecorder::default();
+    let report = replay(source, platform, &mut totals, false)?.report;
+    Ok(ScaleReport {
+        totals: totals.sum(),
+        ..report
+    })
+}
+
+/// Builds a [`SimResult`]'s artifacts from the probe hooks: per-rank
+/// timelines and markers, the communication records in initiation
+/// order, and the network statistics folded over those records.
+#[derive(Default)]
+struct ResultRecorder {
+    timelines: Vec<Timeline>,
+    markers: Vec<Vec<(Marker, Time)>>,
+    /// Indexed by initiation order (messages retire out of order).
+    comms: Vec<CommRecord>,
+}
+
+impl ResultRecorder {
+    /// Assemble the result of a replay on `platform`. The network fold
+    /// runs in initiation order — floating-point addition is not
+    /// associative, so it must never be parallelized or reordered. A
+    /// message that never started has `t_arrive == t_start`, so it adds
+    /// an exact zero to `bus_seconds`.
+    fn finish(self, o: Outcome, platform: &Platform) -> SimResult {
+        let mut network = o.network;
+        for c in &self.comms {
+            match link_class(platform, c.src.idx(), c.dst.idx()) {
+                Link::Intra => network.intra_node += 1,
+                Link::Wan => network.inter_machine += 1,
+                Link::Net => network.bus_seconds += (c.t_arrive - c.t_start).as_secs(),
+            }
+            network.queue_seconds += (c.t_start - c.t_send).as_secs();
+        }
+        SimResult {
+            runtime: o.report.runtime,
+            totals: self.timelines.iter().map(StateTotals::of).collect(),
+            timelines: self.timelines,
+            comms: self.comms,
+            markers: self.markers,
+            network,
+            links: o.links,
+            events_processed: o.report.events_processed,
+            queue_peak: o.report.queue_peak,
+            stale_events: o.stale_events,
+            fault_log: o.fault_log,
+        }
     }
-    let n = source.nranks();
-    let mut probe = NoopSink;
-    let mut eng = Engine::new(
-        Supply::new(source, platform.collective),
-        platform,
-        None,
-        Vec::new(),
-        &mut probe,
-    );
-    eng.recycle = true;
-    eng.sum_totals = vec![StateTotals::default(); n];
-    eng.run_scale()
+}
+
+impl ProbeSink for ResultRecorder {
+    fn on_begin(&mut self, nranks: usize, _links: &[crate::net::topology::Link]) {
+        self.timelines = vec![Timeline::default(); nranks];
+        self.markers = vec![Vec::new(); nranks];
+    }
+
+    fn on_state(&mut self, rank: usize, start: Time, end: Time, state: State) {
+        self.timelines[rank].push(start, end, state);
+    }
+
+    fn on_marker(&mut self, rank: usize, marker: Marker, at: Time) {
+        self.markers[rank].push((marker, at));
+    }
+
+    fn on_comm(&mut self, msg: usize, comm: &CommRecord) {
+        // every message reports exactly once, so any filler is
+        // overwritten before the result is read
+        if self.comms.len() <= msg {
+            self.comms.resize(msg + 1, *comm);
+        }
+        self.comms[msg] = *comm;
+    }
+}
+
+/// Folds every state interval into its rank's totals as the engine
+/// reports it: [`replay_scale`]'s only recorder.
+#[derive(Default)]
+struct TotalsRecorder(Vec<StateTotals>);
+
+impl TotalsRecorder {
+    /// The per-rank totals summed in rank order.
+    fn sum(&self) -> StateTotals {
+        let mut sum = StateTotals::default();
+        for t in &self.0 {
+            sum.compute += t.compute;
+            sum.wait_recv += t.wait_recv;
+            sum.wait_send += t.wait_send;
+            sum.collective += t.collective;
+        }
+        sum
+    }
+}
+
+impl ProbeSink for TotalsRecorder {
+    fn on_begin(&mut self, nranks: usize, _links: &[crate::net::topology::Link]) {
+        self.0 = vec![StateTotals::default(); nranks];
+    }
+
+    fn on_state(&mut self, rank: usize, start: Time, end: Time, state: State) {
+        let (d, t) = (end - start, &mut self.0[rank]);
+        match state {
+            State::Compute => t.compute += d,
+            State::WaitRecv => t.wait_recv += d,
+            State::WaitSend => t.wait_send += d,
+            State::Collective => t.collective += d,
+            State::Done => {}
+        }
+    }
 }
 
 /// Build the flow-level network state (and resolved fault schedule)
@@ -361,12 +459,13 @@ fn net_setup(
     }
 }
 
-fn replay_full<P: ProbeSink>(
+/// Run the engine over `source` with `probe` as its only recorder.
+fn replay<P: ProbeSink>(
     source: &dyn TraceSource,
     platform: &Platform,
     probe: &mut P,
     reference: bool,
-) -> Result<SimResult, SimError> {
+) -> Result<Outcome, SimError> {
     platform.check().map_err(SimError::BadPlatform)?;
     let (flownet, faults) = net_setup(source.nranks(), platform, reference)?;
     Engine::new(
@@ -408,6 +507,17 @@ enum Link {
     Wan,
 }
 
+/// The link class a `src -> dst` transfer uses on `platform`.
+fn link_class(platform: &Platform, src: usize, dst: usize) -> Link {
+    if platform.node_of(src) == platform.node_of(dst) {
+        Link::Intra
+    } else if platform.machine_of(src) == platform.machine_of(dst) {
+        Link::Net
+    } else {
+        Link::Wan
+    }
+}
+
 impl Link {
     /// The shared pool a transfer over this link draws from, if it
     /// needs network resources at all.
@@ -428,7 +538,8 @@ struct Msg {
     bytes: Bytes,
     mode: SendMode,
     /// Initiation order: the message's position in first-fit grant
-    /// order (slot ids stop being that once summary mode recycles them).
+    /// order, and the id probes and communication records know it by
+    /// (its slot id is recycled once the message retires).
     seq: u64,
     t_send: Time,
     t_start: Time,
@@ -440,8 +551,8 @@ struct Msg {
     waiter: Option<usize>,
     waiter_since: Time,
     /// The sender has fully observed this message (its wait consumed
-    /// the release time, or its parked waiter was resumed). Maintained
-    /// for slot retirement in summary mode; meaningless otherwise.
+    /// the release time, or its parked waiter was resumed); one of the
+    /// conditions for retiring its slot.
     send_done: bool,
 }
 
@@ -545,8 +656,6 @@ struct RankState {
     clock: Time,
     blocked: Blocked,
     reqs: ReqTable,
-    timeline: Timeline,
-    markers: Vec<(ovlp_trace::record::Marker, Time)>,
 }
 
 #[derive(Default)]
@@ -555,6 +664,24 @@ struct Channel {
     unmatched_reqs: VecDeque<usize>,
 }
 
+/// The engine's own account of a finished replay; the recorders hold
+/// everything else.
+struct Outcome {
+    /// Runtime and footprint counters; `totals` is a recorder's.
+    report: ScaleReport,
+    stale_events: u64,
+    fault_log: Vec<AppliedFault>,
+    links: Vec<LinkUsage>,
+    /// Transfers and the flow fabric's counters; the per-message folds
+    /// are the result recorder's.
+    network: NetworkStats,
+}
+
+/// One replay in flight. Message, receive-request and channel slots
+/// are recycled as soon as nothing can reference them again, so live
+/// state is O(in-flight traffic) instead of O(total transfers); the
+/// result artifacts are built by the probe's recorders, which know
+/// every message by its initiation order (`Msg::seq`), never its slot.
 struct Engine<'a, P: ProbeSink> {
     supply: Supply<'a>,
     platform: &'a Platform,
@@ -583,31 +710,20 @@ struct Engine<'a, P: ProbeSink> {
     fault_log: Vec<AppliedFault>,
     /// Reusable scratch buffer for flow (re-)estimates.
     flow_scratch: Vec<FlowEvent>,
-    /// Observability sink; [`NoopSink`] monomorphizes all hooks away.
+    /// The recorders: the result builder plus any caller probe.
     probe: &'a mut P,
-    /// Network-level transfers currently holding resources (maintained
-    /// only when the probe is enabled).
+    /// Network-level transfers currently holding resources (a probe
+    /// gauge).
     in_flight: u32,
     /// Stale `FlowDone` events popped and discarded.
     stale_popped: u64,
-    /// Summary (scale) replay: recycle retired message/request slots,
-    /// fold timelines into running totals, and garbage-collect drained
-    /// channels, so live state is O(in-flight traffic) instead of
-    /// O(total transfers). Never set on the full-fidelity paths — the
-    /// freelists below stay empty there, which keeps message ids equal
-    /// to initiation order and results bit-identical to before the
-    /// field existed.
-    recycle: bool,
-    /// Free message slots (summary mode only).
+    /// Free message slots.
     msg_free: Vec<usize>,
-    /// Free receive-request slots (summary mode only).
+    /// Free receive-request slots.
     req_free: Vec<usize>,
-    /// Free channel slots (summary mode only).
+    /// Free channel slots.
     chan_free: Vec<u32>,
-    /// Per-rank state totals accumulated per push (summary mode only;
-    /// replaces the interval timelines).
-    sum_totals: Vec<StateTotals>,
-    /// Transfers initiated (survives slot recycling).
+    /// Transfers initiated; the next message's `seq`.
     transfers_total: u64,
 }
 
@@ -639,8 +755,6 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                     clock: Time::ZERO,
                     blocked: Blocked::None,
                     reqs: ReqTable::default(),
-                    timeline: Timeline::default(),
-                    markers: Vec::new(),
                 })
                 .collect(),
             msgs: Vec::new(),
@@ -663,18 +777,14 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             probe,
             in_flight: 0,
             stale_popped: 0,
-            recycle: false,
             msg_free: Vec::new(),
             req_free: Vec::new(),
             chan_free: Vec::new(),
-            sum_totals: Vec::new(),
             transfers_total: 0,
         }
     }
 
     /// The channel id for `(src, dst, tag)`, interned on first use.
-    /// Outside summary mode `chan_free` is always empty, so ids are
-    /// allocated densely in first-touch order exactly as before.
     fn channel_id(&mut self, src: usize, dst: usize, tag: Tag) -> u32 {
         let key = (src as u32, dst as u32, tag.0);
         if let Some(&id) = self.chan_ids.get(&key) {
@@ -691,14 +801,11 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         id
     }
 
-    /// Summary mode: drop a drained channel's interning entry so the
-    /// channel table tracks *live* channels, not every `(src, dst, tag)`
-    /// ever seen. Streamed collectives mint a fresh tag per instance —
-    /// without this the table grows O(instances × fan-out).
+    /// Drop a drained channel's interning entry so the channel table
+    /// tracks *live* channels, not every `(src, dst, tag)` ever seen.
+    /// Streamed collectives mint a fresh tag per instance — without
+    /// this the table grows O(instances × fan-out).
     fn channel_gc(&mut self, src: usize, dst: usize, tag: Tag, id: u32) {
-        if !self.recycle {
-            return;
-        }
         let ch = &self.channels[id as usize];
         if ch.unmatched_msgs.is_empty() && ch.unmatched_reqs.is_empty() {
             self.chan_ids.remove(&(src as u32, dst as u32, tag.0));
@@ -706,29 +813,11 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         }
     }
 
-    /// Append a state interval to a rank's timeline, mirroring it to
-    /// the probe (zero-length intervals are dropped by both).
+    /// Report a rank's state interval to the recorders (zero-length
+    /// intervals are dropped).
     fn push_state(&mut self, rank: usize, start: Time, end: Time, state: State) {
-        if P::ENABLED && end > start {
+        if end > start {
             self.probe.on_state(rank, start, end, state);
-        }
-        if self.recycle {
-            // summary mode: fold the interval into running totals
-            // instead of storing it (the only timeline consumer is the
-            // aggregate report)
-            if end > start {
-                let d = end - start;
-                let t = &mut self.sum_totals[rank];
-                match state {
-                    State::Compute => t.compute += d,
-                    State::WaitRecv => t.wait_recv += d,
-                    State::WaitSend => t.wait_send += d,
-                    State::Collective => t.collective += d,
-                    State::Done => {}
-                }
-            }
-        } else {
-            self.ranks[rank].timeline.push(start, end, state);
         }
     }
 
@@ -743,10 +832,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
     /// Announce the replay to the probe and seed the queue: one resume
     /// per rank at t=0, plus the resolved fault schedule.
     fn begin(&mut self) {
-        if P::ENABLED {
-            let links = self.flownet.as_ref().map(|n| n.links()).unwrap_or(&[]);
-            self.probe.on_begin(self.ranks.len(), links);
-        }
+        let links = self.flownet.as_ref().map(|n| n.links()).unwrap_or(&[]);
+        self.probe.on_begin(self.ranks.len(), links);
         for r in 0..self.ranks.len() {
             self.queue.push(Time::ZERO, Event::Resume { rank: r });
             self.ranks[r].blocked = Blocked::ResumeScheduled;
@@ -758,19 +845,15 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         }
     }
 
-    /// Handle one popped event. Both event loops ([`run`](Self::run)
-    /// and [`run_scale`](Self::run_scale)) funnel every event through
-    /// here, so the semantics live in exactly one place.
+    /// Handle one popped event.
     fn dispatch(&mut self, t: Time, ev: Event) -> Result<(), SimError> {
-        if P::ENABLED {
-            let kind = match ev {
-                Event::Resume { .. } => EventKind::Resume,
-                Event::TransferDone { .. } => EventKind::TransferDone,
-                Event::FlowDone { .. } => EventKind::FlowDone,
-                Event::Fault { .. } => EventKind::Fault,
-            };
-            self.probe.on_event(t, kind, self.queue.len());
-        }
+        let kind = match ev {
+            Event::Resume { .. } => EventKind::Resume,
+            Event::TransferDone { .. } => EventKind::TransferDone,
+            Event::FlowDone { .. } => EventKind::FlowDone,
+            Event::Fault { .. } => EventKind::Fault,
+        };
+        self.probe.on_event(t, kind, self.queue.len());
         match ev {
             Event::Resume { rank } => self.step(rank, t),
             Event::TransferDone { msg } => self.on_transfer_done(msg, t),
@@ -787,60 +870,19 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                     // finished): drop it here so the handler only
                     // ever sees live completions
                     self.stale_popped += 1;
-                    if P::ENABLED {
-                        self.probe.on_stale_flow_done(t);
-                    }
+                    self.probe.on_stale_flow_done(t);
                     Ok(())
                 }
             }
         }
     }
 
-    fn run(mut self) -> Result<SimResult, SimError> {
+    fn run(mut self) -> Result<Outcome, SimError> {
         self.begin();
         while let Some((t, ev)) = self.queue.pop() {
             self.dispatch(t, ev)?;
         }
         self.finish()
-    }
-
-    /// Summary-mode driver: same event loop as [`run`](Self::run), but
-    /// the epilogue reports aggregates instead of materializing
-    /// per-message/per-interval artifacts (which recycling already
-    /// destroyed).
-    fn run_scale(mut self) -> Result<ScaleReport, SimError> {
-        debug_assert!(self.recycle, "run_scale requires summary mode");
-        self.begin();
-        while let Some((t, ev)) = self.queue.pop() {
-            self.dispatch(t, ev)?;
-        }
-        self.finish_scale()
-    }
-
-    fn finish_scale(mut self) -> Result<ScaleReport, SimError> {
-        self.check_stuck()?;
-        let runtime = self.final_runtime();
-        let mut totals = StateTotals::default();
-        for t in &self.sum_totals {
-            totals.compute += t.compute;
-            totals.wait_recv += t.wait_recv;
-            totals.wait_send += t.wait_send;
-            totals.collective += t.collective;
-        }
-        Ok(ScaleReport {
-            nranks: self.ranks.len(),
-            runtime,
-            events_processed: self.queue.processed,
-            queue_peak: self.queue.peak,
-            transfers: self.transfers_total,
-            records_streamed: self.supply.records_fetched(),
-            records_peak: self.supply.records_peak(),
-            msg_slots: self.msgs.len(),
-            req_slots: self.recv_reqs.len(),
-            chan_slots: self.channels.len(),
-            waiters_peak: self.waits.peak(),
-            totals,
-        })
     }
 
     /// Error out if any rank is still blocked after the queue drained.
@@ -885,75 +927,57 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             .unwrap_or(Time::ZERO)
     }
 
-    /// Drained-queue epilogue: deadlock check, then assemble the
-    /// [`SimResult`].
-    fn finish(mut self) -> Result<SimResult, SimError> {
+    /// Drained-queue epilogue: deadlock check, the records of the
+    /// messages still live in initiation order, then the engine's own
+    /// counters.
+    fn finish(mut self) -> Result<Outcome, SimError> {
         self.check_stuck()?;
         let runtime = self.final_runtime();
-        if P::ENABLED {
-            self.probe.on_records_peak(self.supply.records_peak());
-            self.probe.on_end(runtime, self.queue.peak);
+        // the messages that never retired, reported in initiation order
+        let mut free = vec![false; self.msgs.len()];
+        for &mid in &self.msg_free {
+            free[mid] = true;
         }
-        let totals = self
-            .ranks
-            .iter()
-            .map(|rs| StateTotals::of(&rs.timeline))
+        let mut live: Vec<&Msg> = (self.msgs.iter().zip(free))
+            .filter_map(|(m, free)| (!free).then_some(m))
             .collect();
-        let network = self.network_stats();
-        let links = self.flownet.as_ref().map(|n| n.usage()).unwrap_or_default();
-        let comms = self
-            .msgs
-            .iter()
-            .map(|m| Self::comm_record(&self.recv_reqs, m))
-            .collect();
-        let (timelines, markers) = self
-            .ranks
-            .into_iter()
-            .map(|rs| (rs.timeline, rs.markers))
-            .unzip();
-        Ok(SimResult {
-            runtime,
-            timelines,
-            comms,
-            totals,
-            markers,
-            network,
-            links,
-            events_processed: self.queue.processed,
-            queue_peak: self.queue.peak,
-            stale_events: self.stale_popped,
-            fault_log: self.fault_log,
-        })
-    }
-
-    /// Fold the aggregate network statistics. The `f64` accumulations
-    /// run in message-initiation order — floating-point addition is not
-    /// associative, so this fold must never be parallelized or
-    /// reordered.
-    fn network_stats(&self) -> NetworkStats {
+        live.sort_unstable_by_key(|m| m.seq);
+        for m in live {
+            let comm = Self::comm_record(&self.recv_reqs, m);
+            self.probe.on_comm(m.seq as usize, &comm);
+        }
+        self.probe.on_records_peak(self.supply.records_peak());
+        self.probe.on_end(runtime, self.queue.peak);
         let mut network = NetworkStats {
-            transfers: self.msgs.len(),
+            transfers: self.transfers_total as usize,
             ..NetworkStats::default()
         };
-        for m in &self.msgs {
-            match m.link {
-                Link::Intra => network.intra_node += 1,
-                Link::Wan => network.inter_machine += 1,
-                Link::Net => {
-                    if let MsgState::Done { t1 } | MsgState::Flying { t1 } = m.state {
-                        network.bus_seconds += (t1 - m.t_start).as_secs();
-                    }
-                }
-            }
-            network.queue_seconds += (m.t_start - m.t_send).as_secs();
-        }
         if let Some(n) = &self.flownet {
             network.reshares = n.reshares();
             network.faults_applied = n.faults_applied();
             network.flows_rerouted = n.flows_rerouted();
             network.reroute_reshares = n.reroute_reshares();
         }
-        network
+        Ok(Outcome {
+            report: ScaleReport {
+                nranks: self.ranks.len(),
+                runtime,
+                events_processed: self.queue.processed,
+                queue_peak: self.queue.peak,
+                transfers: self.transfers_total,
+                records_streamed: self.supply.records_fetched(),
+                records_peak: self.supply.records_peak(),
+                msg_slots: self.msgs.len(),
+                req_slots: self.recv_reqs.len(),
+                chan_slots: self.channels.len(),
+                waiters_peak: self.waits.peak(),
+                totals: StateTotals::default(),
+            },
+            stale_events: self.stale_popped,
+            fault_log: self.fault_log,
+            links: self.flownet.as_ref().map(|n| n.usage()).unwrap_or_default(),
+            network,
+        })
     }
 
     /// The externally visible record of one message transfer.
@@ -1034,10 +1058,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             let clock = self.ranks[rank].clock;
             match rec {
                 Record::Marker { marker } => {
-                    // summary mode reports no markers
-                    if !self.recycle {
-                        self.ranks[rank].markers.push((marker, clock));
-                    }
+                    self.probe.on_marker(rank, marker, clock);
                     self.ranks[rank].pc += 1;
                 }
                 Record::Compute { instr } => {
@@ -1133,8 +1154,6 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             consumed_at: None,
             msg: None,
         };
-        // outside summary mode the freelist is empty and ids are dense
-        // posting order, exactly as before
         let idx = match self.req_free.pop() {
             Some(i) => {
                 self.recv_reqs[i] = fresh;
@@ -1178,20 +1197,15 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         now: Time,
     ) -> Result<usize, SimError> {
         let mode = self.platform.effective_mode(mode, bytes);
-        let link = if self.platform.node_of(src) == self.platform.node_of(dst) {
-            Link::Intra
-        } else if self.platform.machine_of(src) == self.platform.machine_of(dst) {
-            Link::Net
-        } else {
-            Link::Wan
-        };
+        let link = link_class(self.platform, src, dst);
+        let seq = self.transfers_total;
         let fresh = Msg {
             src,
             dst,
             tag,
             bytes,
             mode,
-            seq: self.transfers_total,
+            seq,
             t_send: now,
             t_start: now,
             link,
@@ -1202,8 +1216,6 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             send_done: false,
         };
         self.transfers_total += 1;
-        // outside summary mode the freelist is empty and message ids
-        // are dense initiation order, exactly as before
         let mid = match self.msg_free.pop() {
             Some(i) => {
                 self.msgs[i] = fresh;
@@ -1214,17 +1226,15 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 self.msgs.len() - 1
             }
         };
-        if P::ENABLED {
-            self.probe.on_send_posted(
-                mid,
-                src,
-                dst,
-                tag.0,
-                bytes.get(),
-                mode == SendMode::Rendezvous,
-                now,
-            );
-        }
+        self.probe.on_send_posted(
+            seq as usize,
+            src,
+            dst,
+            tag.0,
+            bytes.get(),
+            mode == SendMode::Rendezvous,
+            now,
+        );
         let id = self.channel_id(src, dst, tag);
         let ch = &mut self.channels[id as usize];
         if let Some(req) = ch.unmatched_reqs.pop_front() {
@@ -1255,17 +1265,14 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         // (grant attempted by the caller via try_grant where needed)
     }
 
-    /// Summary mode: recycle a message slot (and its paired receive
-    /// request) once no live path can reference it again — delivered,
-    /// sender fully released, receiver consumed. Each condition is
-    /// reported by exactly one code path, and this is called from all
-    /// of them, so whichever fires last retires the slot. A no-op
-    /// outside summary mode and whenever any condition is still open
+    /// Retire a message once no live path can reference it again —
+    /// delivered, sender fully released, receiver consumed: report its
+    /// final record and recycle its slot and its paired receive
+    /// request's. Each condition is reported by exactly one code path,
+    /// and this is called from all of them, so whichever fires last
+    /// retires the slot. A no-op whenever any condition is still open
     /// (retries harmlessly until the last one closes).
     fn try_retire(&mut self, mid: usize) {
-        if !self.recycle {
-            return;
-        }
         let m = &self.msgs[mid];
         if !matches!(m.state, MsgState::Done { .. }) || !m.send_done || m.waiter.is_some() {
             return;
@@ -1274,6 +1281,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         if self.recv_reqs[req].consumed_at.is_none() {
             return;
         }
+        let comm = Self::comm_record(&self.recv_reqs, m);
+        self.probe.on_comm(m.seq as usize, &comm);
         // scrub the links so a stale retire attempt on the freed slot
         // (before reuse) sees no pairing and no-ops
         self.msgs[mid].paired = None;
@@ -1296,10 +1305,11 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             if r == req {
                 let resume = t1.max(since);
                 self.push_state(owner, since, resume, state);
-                if P::ENABLED && resume > since {
+                if resume > since {
                     if let Some(mid) = self.recv_reqs[req].msg {
+                        let seq = self.msgs[mid].seq as usize;
                         self.probe
-                            .on_wait_edge(owner, since, resume, mid, WaitEdge::Arrival);
+                            .on_wait_edge(owner, since, resume, seq, WaitEdge::Arrival);
                     }
                 }
                 self.recv_reqs[req].consumed_at = Some(resume);
@@ -1307,10 +1317,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 self.ranks[owner].blocked = Blocked::ResumeScheduled;
             }
         }
-        if self.recycle {
-            if let Some(mid) = self.recv_reqs[req].msg {
-                self.try_retire(mid);
-            }
+        if let Some(mid) = self.recv_reqs[req].msg {
+            self.try_retire(mid);
         }
     }
 
@@ -1380,17 +1388,15 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             (m.src, m.dst, m.mode, m.bytes, m.link)
         };
         self.msgs[mid].t_start = now;
-        if P::ENABLED {
-            self.probe.on_injected(src, now, bytes.get());
-            if link != Link::Intra {
-                self.in_flight += 1;
-                self.probe.on_transfer_start(
-                    now,
-                    self.in_flight,
-                    self.resources.buses_in_use(),
-                    self.resources.ports_in_use(),
-                );
-            }
+        self.probe.on_injected(src, now, bytes.get());
+        if link != Link::Intra {
+            self.in_flight += 1;
+            self.probe.on_transfer_start(
+                now,
+                self.in_flight,
+                self.resources.buses_in_use(),
+                self.resources.ports_in_use(),
+            );
         }
         let flow_mode = self.flownet.is_some() && link == Link::Net;
         let t1 = if flow_mode {
@@ -1409,14 +1415,13 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             t1
         };
         self.msgs[mid].state = MsgState::Flying { t1 };
-        if P::ENABLED {
-            // the uncontended arrival of a flow-level transfer is
-            // reported by the allocator (`on_flow_path`); closed-form
-            // link classes arrive exactly at `t1`
-            let unc = if flow_mode { None } else { Some(t1) };
-            self.probe
-                .on_transfer_granted(mid, now, self.injection_latency(link), unc);
-        }
+        // the uncontended arrival of a flow-level transfer is
+        // reported by the allocator (`on_flow_path`); closed-form
+        // link classes arrive exactly at `t1`
+        let unc = if flow_mode { None } else { Some(t1) };
+        let seq = self.msgs[mid].seq as usize;
+        self.probe
+            .on_transfer_granted(seq, now, self.injection_latency(link), unc);
         // a sender parked on this message can now compute its
         // release time (a rendezvous sender in flow mode cannot:
         // it stays parked until the actual FlowDone)
@@ -1430,13 +1435,14 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 let since = self.msgs[mid].waiter_since;
                 if let Blocked::OnMsg { state, .. } = self.ranks[w].blocked {
                     self.push_state(w, since, resume, state);
-                    if P::ENABLED && resume > since {
+                    if resume > since {
                         let edge = if mode == SendMode::Eager {
                             WaitEdge::Injection
                         } else {
                             WaitEdge::Arrival
                         };
-                        self.probe.on_wait_edge(w, since, resume, mid, edge);
+                        let seq = self.msgs[mid].seq as usize;
+                        self.probe.on_wait_edge(w, since, resume, seq, edge);
                     }
                     self.queue.push(resume, Event::Resume { rank: w });
                     self.ranks[w].blocked = Blocked::ResumeScheduled;
@@ -1474,6 +1480,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         let net = self.flownet.as_mut().expect("flow mode");
         net.start(
             mid,
+            self.msgs[mid].seq,
             self.platform.node_of(src),
             self.platform.node_of(dst),
             bytes.get() as f64,
@@ -1512,10 +1519,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         let outcome = net
             .apply_fault(&f.action, &f.links, now, &mut evs, self.probe)
             .map_err(Self::partitioned)?;
-        if P::ENABLED {
-            self.probe
-                .on_fault(now, &f.links, &f.action, outcome.rerouted, outcome.reshared);
-        }
+        self.probe
+            .on_fault(now, &f.links, &f.action, outcome.rerouted, outcome.reshared);
         self.fault_log.push(AppliedFault {
             at: now,
             desc: f.desc.clone(),
@@ -1559,15 +1564,13 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         self.resources
             .release(Pool::Bus, src, dst)
             .map_err(SimError::Accounting)?;
-        if P::ENABLED {
-            self.in_flight -= 1;
-            self.probe.on_transfer_done(
-                t1,
-                self.in_flight,
-                self.resources.buses_in_use(),
-                self.resources.ports_in_use(),
-            );
-        }
+        self.in_flight -= 1;
+        self.probe.on_transfer_done(
+            t1,
+            self.in_flight,
+            self.resources.buses_in_use(),
+            self.resources.ports_in_use(),
+        );
         self.regrant(Pool::Bus, src, dst, t1)?;
         // a rendezvous sender may still be parked on this message
         if let Some(w) = self.msgs[mid].waiter {
@@ -1575,9 +1578,10 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             if let Blocked::OnMsg { state, .. } = self.ranks[w].blocked {
                 let resume = t1.max(since);
                 self.push_state(w, since, resume, state);
-                if P::ENABLED && resume > since {
+                if resume > since {
+                    let seq = self.msgs[mid].seq as usize;
                     self.probe
-                        .on_wait_edge(w, since, resume, mid, WaitEdge::Arrival);
+                        .on_wait_edge(w, since, resume, seq, WaitEdge::Arrival);
                 }
                 self.queue.push(resume, Event::Resume { rank: w });
                 self.ranks[w].blocked = Blocked::ResumeScheduled;
@@ -1590,6 +1594,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 self.complete_recv_req(req, t1);
             }
         }
+        self.try_retire(mid);
         Ok(())
     }
 
@@ -1609,15 +1614,13 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             self.resources
                 .release(pool, src, dst)
                 .map_err(SimError::Accounting)?;
-            if P::ENABLED {
-                self.in_flight -= 1;
-                self.probe.on_transfer_done(
-                    t1,
-                    self.in_flight,
-                    self.resources.buses_in_use(),
-                    self.resources.ports_in_use(),
-                );
-            }
+            self.in_flight -= 1;
+            self.probe.on_transfer_done(
+                t1,
+                self.in_flight,
+                self.resources.buses_in_use(),
+                self.resources.ports_in_use(),
+            );
             self.regrant(pool, src, dst, t1)?;
         }
         if let Some(req) = self.msgs[mid].paired {
@@ -1645,28 +1648,23 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         match known {
             Some(tc) if tc <= clock => {
                 self.recv_reqs[req].consumed_at = Some(clock);
-                if self.recycle {
-                    if let Some(mid) = self.recv_reqs[req].msg {
-                        self.try_retire(mid);
-                    }
+                if let Some(mid) = self.recv_reqs[req].msg {
+                    self.try_retire(mid);
                 }
                 Flow::Continue
             }
             Some(tc) => {
                 self.push_state(rank, clock, tc, state);
-                if P::ENABLED {
-                    if let Some(mid) = self.recv_reqs[req].msg {
-                        self.probe
-                            .on_wait_edge(rank, clock, tc, mid, WaitEdge::Arrival);
-                    }
+                if let Some(mid) = self.recv_reqs[req].msg {
+                    let seq = self.msgs[mid].seq as usize;
+                    self.probe
+                        .on_wait_edge(rank, clock, tc, seq, WaitEdge::Arrival);
                 }
                 self.recv_reqs[req].consumed_at = Some(tc);
                 self.queue.push(tc, Event::Resume { rank });
                 self.ranks[rank].blocked = Blocked::ResumeScheduled;
-                if self.recycle {
-                    if let Some(mid) = self.recv_reqs[req].msg {
-                        self.try_retire(mid);
-                    }
+                if let Some(mid) = self.recv_reqs[req].msg {
+                    self.try_retire(mid);
                 }
                 Flow::Yield
             }
@@ -1702,14 +1700,13 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             }
             Some(tc) => {
                 self.push_state(rank, clock, tc, state);
-                if P::ENABLED {
-                    let edge = if self.msgs[mid].mode == SendMode::Eager {
-                        WaitEdge::Injection
-                    } else {
-                        WaitEdge::Arrival
-                    };
-                    self.probe.on_wait_edge(rank, clock, tc, mid, edge);
-                }
+                let edge = if self.msgs[mid].mode == SendMode::Eager {
+                    WaitEdge::Injection
+                } else {
+                    WaitEdge::Arrival
+                };
+                let seq = self.msgs[mid].seq as usize;
+                self.probe.on_wait_edge(rank, clock, tc, seq, edge);
                 self.queue.push(tc, Event::Resume { rank });
                 self.ranks[rank].blocked = Blocked::ResumeScheduled;
                 self.msgs[mid].send_done = true;

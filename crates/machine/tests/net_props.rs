@@ -230,7 +230,7 @@ proptest! {
                 next_msg += 1;
                 net.start(
                     msg,
-                    src,
+                    msg as u64,src,
                     dst,
                     kb as f64 * 1024.0,
                     1e-5,
@@ -363,8 +363,8 @@ proptest! {
                     let msg = next_msg;
                     next_msg += 1;
                     let bytes = kb as f64 * 1024.0;
-                    let x = net.start(msg, src, dst, bytes, 1e-5, t, &mut got, &mut NoopSink);
-                    let y = reference.start(msg, src, dst, bytes, 1e-5, t, &mut want, &mut NoopSink);
+                    let x = net.start(msg, msg as u64,src, dst, bytes, 1e-5, t, &mut got, &mut NoopSink);
+                    let y = reference.start(msg, msg as u64,src, dst, bytes, 1e-5, t, &mut want, &mut NoopSink);
                     prop_assert_eq!(format!("{x:?}"), format!("{y:?}"));
                     if x.is_ok() {
                         active.push((msg, src, dst));

@@ -28,6 +28,16 @@ use std::fmt::Write as _;
 
 pub const MAGIC: &str = "#OVLP-ACCESS 1";
 
+/// Most elements one `p`/`c` line may declare. The reader allocates an
+/// 8-byte stamp per declared element when it reads the line, so
+/// without a cap a three-line file could demand any amount of memory.
+/// A whole file may declare one element per byte of its text (at least
+/// this cap), so its stamps take at most eight times its size. `ovlp
+/// trace` writes at most 5,000 per line and 0.032 per byte (every pool
+/// app at 16–256 ranks), since each accessed element also costs an
+/// `ls`/`fl` line.
+pub const MAX_ELEMS: u32 = 1 << 24;
+
 /// Errors produced when parsing an access-log file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessParseError {
@@ -122,6 +132,8 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
     }
     let mut db: Option<AccessDb> = None;
     let mut open = Open::None;
+    let budget = input.len().max(MAX_ELEMS as usize);
+    let mut declared = 0usize;
 
     fn flush(db: &mut AccessDb, open: &mut Open) {
         match std::mem::replace(open, Open::None) {
@@ -158,6 +170,16 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
                     return Err(err(lineno, format!("rank {} out of range", tid.rank)));
                 }
                 let elems: u32 = parse_field(&rest, 1, lineno)?;
+                declared += elems as usize;
+                if elems > MAX_ELEMS || declared > budget {
+                    return Err(err(
+                        lineno,
+                        format!(
+                            "{elems} elements pass the element cap: {MAX_ELEMS} per line, \
+                             {budget} in this file (one per byte of text)"
+                        ),
+                    ));
+                }
                 let start: u64 = parse_field(&rest, 2, lineno)?;
                 let end: u64 = parse_field(&rest, 3, lineno)?;
                 if kw == "p" {
@@ -353,6 +375,19 @@ mod tests {
         let e = parse(txt).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.message.contains("repeated"), "{e}");
+    }
+
+    #[test]
+    fn rejects_element_counts_past_the_caps() {
+        // refused before the stamps are allocated
+        let e = parse("#OVLP-ACCESS 1\nranks 8\np 0.0 4000000000 0 10\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains(&MAX_ELEMS.to_string()), "{e}");
+        // each line under the cap, together past the file's budget
+        let line = format!("p 0.0 {MAX_ELEMS} 0 10\n");
+        let e = parse(&format!("#OVLP-ACCESS 1\nranks 1\n{line}{line}")).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("one per byte"), "{e}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the help text cannot drift from what the binary accepts.
 
 use overlap_sim::core::chunk::ChunkPolicy;
-use overlap_sim::core::experiments::{run_variants, run_variants_full, run_variants_probed};
+use overlap_sim::core::experiments::run_variants;
 use overlap_sim::core::patterns::{consumption_stats, production_stats};
 use overlap_sim::core::pipeline::{build_variants, VariantBundle};
 use overlap_sim::core::presets::marenostrum_for;
@@ -13,7 +13,7 @@ use overlap_sim::core::report::{pct, table2a, table2b};
 use overlap_sim::instr::TraceOptions;
 use overlap_sim::machine::{
     replay_scale, simulate, simulate_probed, ContentionModel, CritPathRecorder, FaultSchedule,
-    Platform, TeeSink, Time, WindowedRecorder,
+    Metrics, NoopSink, Platform, SimError, TeeSink, Time, WindowedRecorder,
 };
 use overlap_sim::trace::{text, TraceSource};
 use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
@@ -288,8 +288,8 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
     let c = consumption_stats(&run.access);
     outln!("{}", table2a(&[(app.to_string(), p)]));
     outln!("{}", table2b(&[(app.to_string(), c)]));
-    match run_variants(&bundle, &platform) {
-        Ok(r) => {
+    match run_variants(&bundle, &platform, || NoopSink, |_| Ok(())) {
+        Ok((r, _)) => {
             outln!(
                 "runtime: original {:.4}s  overlapped {:.4}s (x{:.3})  ideal {:.4}s (x{:.3})",
                 r.original.runtime(),
@@ -406,8 +406,8 @@ fn waits_cmd(app: &str, ranks: &str) -> ExitCode {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
-    match run_variants(&bundle, &platform) {
-        Ok(r) => {
+    match run_variants(&bundle, &platform, || NoopSink, |_| Ok(())) {
+        Ok((r, _)) => {
             outln!("== non-overlapped ==");
             outln!("{}", overlap_sim::viz::wait_report(&r.original, 48));
             outln!("== overlapped ==");
@@ -659,9 +659,10 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `ovlp scale`: streamed summary-mode replay for weak-scaling studies.
-/// Memory stays O(active ranks + in-flight traffic), so generated apps
-/// run at 100k–1M ranks where `simulate` would exhaust the machine.
+/// `ovlp scale`: streamed totals-only replay for weak-scaling studies.
+/// It keeps no timelines or comm records, so memory stays O(active
+/// ranks + in-flight traffic) and generated apps run at 100k–1M ranks
+/// where `simulate` would exhaust the machine.
 fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     let pos = match positionals("scale", rest, &[], &[], 2) {
         Ok(v) => v,
@@ -760,8 +761,8 @@ fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
-    match run_variants(&bundle, &platform) {
-        Ok(r) => {
+    match run_variants(&bundle, &platform, || NoopSink, |_| Ok(())) {
+        Ok((r, _)) => {
             outln!(
                 "{}",
                 gantt_comparison(
@@ -816,17 +817,20 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
         Ok(w) => w,
         Err(e) => return bail(e),
     };
-    let want_critpath = rest.contains(&"--critpath");
-    let (r, metrics, critpaths) = if want_critpath {
-        match run_variants_full(&bundle, &platform, window) {
-            Ok((r, m, c)) => (r, m, Some(c)),
-            Err(e) => return fail(e.to_string()),
-        }
+    // each variant's windowed metrics, and its critical path under
+    // --critpath
+    let replayed = if rest.contains(&"--critpath") {
+        let tee = || TeeSink(WindowedRecorder::new(window), CritPathRecorder::new());
+        run_variants(&bundle, &platform, tee, |TeeSink(w, c)| {
+            Ok((metrics_of(w)?, Some(c.into_critpath())))
+        })
     } else {
-        match run_variants_probed(&bundle, &platform, window) {
-            Ok((r, m)) => (r, m, None),
-            Err(e) => return fail(e.to_string()),
-        }
+        let windowed = || WindowedRecorder::new(window);
+        run_variants(&bundle, &platform, windowed, |w| Ok((metrics_of(w)?, None)))
+    };
+    let (r, recorded) = match replayed {
+        Ok(v) => v,
+        Err(e) => return fail(e.to_string()),
     };
     let mut tables = table2a(&[(app.to_string(), production_stats(&run.access))]);
     tables.push('\n');
@@ -862,27 +866,27 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
         advice,
         notes,
     };
-    let cps = critpaths.as_ref();
+    let (o, v, i) = (&recorded.original, &recorded.overlapped, &recorded.ideal);
     let html = overlap_sim::viz::report_full(
         &inputs,
         &[
             (
                 "non-overlapped (original)",
                 &r.original,
-                Some(&metrics.original),
-                cps.map(|c| &c.original),
+                Some(&o.0),
+                o.1.as_ref(),
             ),
             (
                 "overlapped (measured patterns)",
                 &r.overlapped,
-                Some(&metrics.overlapped),
-                cps.map(|c| &c.overlapped),
+                Some(&v.0),
+                v.1.as_ref(),
             ),
             (
                 "overlapped (ideal patterns)",
                 &r.ideal,
-                Some(&metrics.ideal),
-                cps.map(|c| &c.ideal),
+                Some(&i.0),
+                i.1.as_ref(),
             ),
         ],
     );
@@ -1273,7 +1277,8 @@ fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode 
         Ok(w) => w,
         Err(e) => return bail(e),
     };
-    let (r, metrics) = match run_variants_probed(&bundle, &platform, window) {
+    let windowed = || WindowedRecorder::new(window);
+    let (r, metrics) = match run_variants(&bundle, &platform, windowed, metrics_of) {
         Ok(v) => v,
         Err(e) => return fail(e.to_string()),
     };
@@ -1300,6 +1305,12 @@ fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode 
     }
     outln!("wrote Paraver + SVG artifacts to {}", dir.display());
     ExitCode::SUCCESS
+}
+
+/// A windowed recorder's document; a run past its window ceiling fails
+/// like the replay.
+fn metrics_of(w: WindowedRecorder) -> Result<Metrics, SimError> {
+    Ok(w.into_metrics()?)
 }
 
 /// Resolve `--probe-window` for the app-level commands: explicit value

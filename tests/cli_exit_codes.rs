@@ -180,6 +180,25 @@ fn runtime_failures_exit_one() {
     let stderr = String::from_utf8(huge.stderr).unwrap();
     assert!(stderr.contains("1048576-rank cap"), "{stderr}");
 
+    // an access log line declaring billions of elements is refused
+    // before its stamps are allocated (the address-space limit turns a
+    // regression into an allocation abort instead of a 32 GB allocation)
+    let big = dir.join("big.acc");
+    std::fs::write(&big, "#OVLP-ACCESS 1\nranks 8\np 0.0 4000000000 0 10\n").unwrap();
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/nas_cg_8r.trf");
+    let big = Command::new("sh")
+        .args(["-c", "ulimit -v 2000000 && exec \"$0\" \"$@\""])
+        .args([env!("CARGO_BIN_EXE_ovlp"), "transform", fixture])
+        .arg(&big)
+        .output()
+        .unwrap();
+    assert_eq!(big.status.code(), Some(1), "{big:?}");
+    let stderr = String::from_utf8(big.stderr).unwrap();
+    assert!(
+        stderr.contains("line 3") && stderr.contains("element cap"),
+        "{stderr}"
+    );
+
     // --store pointing at a path that exists as a *file* cannot be
     // opened as a store directory.
     let blocker = dir.join("not-a-dir");

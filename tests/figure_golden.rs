@@ -12,6 +12,7 @@ use overlap_sim::core::experiments::{bandwidth_relaxation, run_variants};
 use overlap_sim::core::pipeline::build_variants;
 use overlap_sim::core::presets::marenostrum_for;
 use overlap_sim::core::report::{fig6a_row, fig6b_row};
+use overlap_sim::machine::NoopSink;
 use std::path::PathBuf;
 
 /// The `fig6a` and `fig6b` rows of every traced app, as the binaries
@@ -22,7 +23,8 @@ fn figure6() -> String {
         let run = entry.trace_run(entry.ranks).unwrap();
         let bundle = build_variants(&run, &ChunkPolicy::paper_default());
         let platform = marenostrum_for(entry.name);
-        a.push(fig6a_row(&run_variants(&bundle, &platform).unwrap()));
+        let (r, _) = run_variants(&bundle, &platform, || NoopSink, |_| Ok(())).unwrap();
+        a.push(fig6a_row(&r));
         let relaxation = bandwidth_relaxation(&bundle, &platform).unwrap();
         b.push(fig6b_row(entry.name, platform.bandwidth_mbs, &relaxation));
     }

@@ -51,6 +51,7 @@ fn drive(net: &mut FlowNet, starts: &[Start]) -> Vec<(f64, f64)> {
                 spans[msg].0 = at;
                 net.start(
                     msg,
+                    msg as u64,
                     src,
                     dst,
                     bytes,
@@ -84,7 +85,7 @@ fn a_lone_flow_takes_latency_plus_size_over_capacity() {
         let mut out = Vec::new();
         let now = Time::secs(at);
         let latency = platform.latency().as_secs();
-        net.start(0, 0, 1, size, latency, now, &mut out, &mut NoopSink)
+        net.start(0, 0, 0, 1, size, latency, now, &mut out, &mut NoopSink)
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].at, now + Time::secs(latency + size / CAP));
@@ -100,8 +101,18 @@ fn k_flows_on_one_bottleneck_each_get_a_kth() {
         let mut net = crossbar(k + 1);
         let mut out = Vec::new();
         for m in 0..k {
-            net.start(m, 0, m + 1, 1e6, 0.0, Time::ZERO, &mut out, &mut NoopSink)
-                .unwrap();
+            net.start(
+                m,
+                m as u64,
+                0,
+                m + 1,
+                1e6,
+                0.0,
+                Time::ZERO,
+                &mut out,
+                &mut NoopSink,
+            )
+            .unwrap();
         }
         let share = CAP / k as f64;
         for (msg, rate) in net.debug_rates() {
@@ -214,6 +225,7 @@ fn visits_per_op(n: usize) -> f64 {
     for m in 0..n {
         net.start(
             m,
+            m as u64,
             2 * m,
             2 * m + 1,
             1e6,
@@ -232,6 +244,7 @@ fn visits_per_op(n: usize) -> f64 {
         net.finish(r, now, &mut out, &mut NoopSink);
         net.start(
             msg,
+            msg as u64,
             2 * old,
             2 * old + 1,
             1e6,

@@ -17,7 +17,9 @@
 //! capacities differed; the class-chain reshare reproduces them. Nine
 //! flow-fabric digests were re-blessed when flows began to settle
 //! lazily: only link `bytes` and `busy_secs` totals moved, by at most
-//! 4.3e-15 relative, and no runtime or event count changed. To re-bless
+//! 4.3e-15 relative, and no runtime or event count changed. The
+//! `scale256@fat-tree:16:4` digest was recorded when the totals-only
+//! replay first ran on flow fabrics. To re-bless
 //! after a deliberate model change, run
 //! `OVLP_BLESS=1 cargo test --test grant_order_golden -- --nocapture`
 //! and paste the printed table.
@@ -157,6 +159,9 @@ fn cases() -> Vec<(String, String)> {
         let r = replay_scale(&ml, &Platform::default().with_buses(buses)).unwrap();
         out.push((format!("scale256@bus{buses}"), scale_rendering(&r)));
     }
+    let ml = MlAllreduce::new(MlConfig::new(256, 3).unwrap());
+    let r = replay_scale(&ml, &ft16).unwrap();
+    out.push(("scale256@fat-tree:16:4".to_string(), scale_rendering(&r)));
     out
 }
 
@@ -260,6 +265,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("nas_cg_8r@fat-tree:8:2+degrade", 0x73c602adfc24f7c3),
     ("scale256@bus1", 0x5a19702ef6629bae),
     ("scale256@bus4", 0x54cda1b763e1c3e2),
+    ("scale256@fat-tree:16:4", 0xeeb45dbe53ca10a0),
 ];
 
 #[test]

@@ -123,15 +123,15 @@ fn generated_workload_stream_equals_its_materialization() {
 
 #[test]
 fn scale_replay_cross_checks_full_fidelity_stream() {
-    // summary mode recycles engine state; runtime and event count must
-    // still be bit-identical to the full-fidelity streamed replay
+    // the totals-only recorder sees the same replay as the result
+    // recorder: runtime and event count are bit-identical
     let cfg = MlConfig::new(64, 0x6d6c_6172).unwrap();
     let source = MlAllreduce::new(cfg);
     let platform = Platform::marenostrum(0);
     let full = simulate(&source, &platform).unwrap();
     let scale = replay_scale(&source, &platform).unwrap();
     assert_eq!(scale.nranks, 64);
-    assert_eq!(scale.runtime, full.runtime, "summary-mode runtime drifted");
+    assert_eq!(scale.runtime, full.runtime, "totals-only runtime drifted");
     assert_eq!(scale.events_processed, full.events_processed);
     assert!(
         scale.records_peak < scale.records_streamed,
@@ -139,9 +139,39 @@ fn scale_replay_cross_checks_full_fidelity_stream() {
         scale.records_peak,
         scale.records_streamed
     );
-    // summary mode refuses flow topologies instead of approximating them
-    let flowed = Platform::marenostrum(0).with_topology(Topology::Crossbar);
-    assert!(replay_scale(&source, &flowed).is_err());
+    // the same recycling engine runs flow fabrics: it must agree with
+    // the result-building replay there too, from a fraction of the
+    // message slots
+    for topology in [
+        Topology::Crossbar,
+        Topology::FatTree {
+            radix: 16,
+            oversubscription: 4,
+        },
+    ] {
+        let flowed = Platform::marenostrum(0).with_topology(topology.clone());
+        let full = simulate(&source, &flowed).unwrap();
+        let scale = replay_scale(&source, &flowed).unwrap();
+        assert_eq!(
+            scale.runtime.as_secs().to_bits(),
+            full.runtime().to_bits(),
+            "{topology:?}: runtime drifted"
+        );
+        assert_eq!(
+            scale.events_processed, full.events_processed,
+            "{topology:?}"
+        );
+        assert_eq!(
+            scale.transfers, full.network.transfers as u64,
+            "{topology:?}"
+        );
+        assert!(
+            scale.msg_slots < full.network.transfers,
+            "{topology:?}: {} message slots for {} transfers",
+            scale.msg_slots,
+            full.network.transfers
+        );
+    }
 }
 
 #[test]
