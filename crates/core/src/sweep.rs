@@ -33,11 +33,11 @@ use crate::experiments::speedup::{run_variants, Variants};
 use crate::pipeline::{build_variants, VariantBundle};
 use ovlp_instr::TraceRun;
 use ovlp_machine::{
-    CritPath, CritPathRecorder, Metrics, NoopSink, Platform, SimError, TeeSink, Time,
+    replay_scale, CritPath, CritPathRecorder, Metrics, Platform, SimError, TeeSink, Time,
     WindowedRecorder,
 };
 use ovlp_trace::record::SendMode;
-use ovlp_trace::text;
+use ovlp_trace::{text, Trace};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -787,6 +787,11 @@ pub struct SweepReport {
     /// `(app, policy)` combination, none for a combination whose every
     /// point hit the cache.
     pub bundles_built: u64,
+    /// Engine replays actually run during this sweep. A plain point
+    /// replays only the variants no earlier point of the sweep replayed
+    /// on the same platform, so this is at most three per simulated
+    /// point; probed and critpath points replay all three.
+    pub replays: u64,
     /// Wall-clock duration of the grid evaluation.
     pub elapsed: Duration,
 }
@@ -1028,7 +1033,11 @@ fn fmt_buses(buses: u32) -> String {
 /// once, by the first point of that combination that misses the cache
 /// (platform sweeps share it), and a deferred [`SweepApp`] is re-traced
 /// only then. A sweep whose every point hits builds no bundle and
-/// traces nothing.
+/// traces nothing. A plain point (no probe window, no critpath) replays
+/// only the variants whose record streams no earlier point of this
+/// sweep replayed on the same platform, and keeps only their runtimes:
+/// the original trace is shared by every chunk policy, and a transform
+/// that changed nothing is the original again.
 ///
 /// Failures (platform validation, transform failures, simulation
 /// errors, worker panics) are per-point [`PointError`]s; the report
@@ -1051,6 +1060,7 @@ pub fn sweep_observed(
     let started = std::time::Instant::now();
     let (hits0, misses0) = cache.stats();
     let bundles = LazyBundles::new(grid);
+    let memo = Arc::new(ReplayMemo::default());
 
     let points = grid.points();
     let outcomes: Vec<PointOutcome> = scheduler::run_indexed(
@@ -1069,7 +1079,7 @@ pub fn sweep_observed(
                     message: "job cancelled before this point ran".to_string(),
                 })
             } else {
-                evaluate_point(grid, &point, i, &bundles, cache, config)
+                evaluate_point(grid, &point, i, &bundles, &memo, cache, config)
             };
             observe(i, &outcome);
             outcome
@@ -1102,6 +1112,7 @@ pub fn sweep_observed(
         cache_hits: hits1 - hits0,
         cache_misses: misses1 - misses0,
         bundles_built: bundles.built.into_inner(),
+        replays: memo.replays.load(Ordering::Relaxed),
         elapsed: started.elapsed(),
     }
 }
@@ -1110,10 +1121,32 @@ pub fn sweep_observed(
 /// combination, each filled by the first point of its combination that
 /// needs a replay. Concurrent points of the same combination wait for
 /// that one build instead of repeating it.
+///
+/// A built bundle's three traces are interned per app by content: a
+/// variant whose record streams equal an earlier variant's (the original
+/// under every policy, or a transform that changed nothing) gets that
+/// variant's id, so the [`ReplayMemo`] replays it once per platform.
+/// Only [`Trace::ranks`] is compared; the replay never reads `meta`.
 struct LazyBundles<'g> {
     grid: &'g SweepGrid,
-    slots: Vec<OnceLock<Result<Arc<VariantBundle>, String>>>,
+    slots: Vec<OnceLock<Result<Combo, String>>>,
+    /// Per app, one `(bundle, variant index)` per distinct variant
+    /// trace; a variant's id is its position here.
+    distinct: Vec<Mutex<Vec<(Arc<VariantBundle>, usize)>>>,
     built: AtomicU64,
+}
+
+/// One `(app, policy)` combination's bundle with the per-app ids of its
+/// original, overlapped and ideal variants.
+#[derive(Clone)]
+struct Combo {
+    bundle: Arc<VariantBundle>,
+    ids: [usize; 3],
+}
+
+/// The original, overlapped and ideal traces, in [`Combo::ids`] order.
+fn variant_traces(bundle: &VariantBundle) -> [&Trace; 3] {
+    [&bundle.original, &bundle.overlapped, &bundle.ideal]
 }
 
 impl<'g> LazyBundles<'g> {
@@ -1123,6 +1156,7 @@ impl<'g> LazyBundles<'g> {
             slots: (0..grid.apps.len() * grid.policies.len())
                 .map(|_| OnceLock::new())
                 .collect(),
+            distinct: (0..grid.apps.len()).map(|_| Mutex::default()).collect(),
             built: AtomicU64::new(0),
         }
     }
@@ -1130,7 +1164,7 @@ impl<'g> LazyBundles<'g> {
     /// The bundle for `point`'s combination, building it (and
     /// re-tracing a deferred app) on first use. A panic in either is
     /// caught here and fails only this combination's points.
-    fn get(&self, point: &SweepPoint) -> Result<&Arc<VariantBundle>, &str> {
+    fn get(&self, point: &SweepPoint) -> Result<&Combo, &str> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         self.slots[point.app * self.grid.policies.len() + point.policy]
             .get_or_init(|| {
@@ -1140,10 +1174,64 @@ impl<'g> LazyBundles<'g> {
                     catch_unwind(AssertUnwindSafe(|| Arc::new(build_variants(run, policy))))
                         .map_err(|p| format!("transform panicked: {}", panic_message(p)))?;
                 self.built.fetch_add(1, Ordering::Relaxed);
-                Ok(bundle)
+                let mut distinct = lock_ok(&self.distinct[point.app]);
+                let ids = std::array::from_fn(|v| {
+                    let ranks = &variant_traces(&bundle)[v].ranks;
+                    match distinct
+                        .iter()
+                        .position(|(b, w)| variant_traces(b)[*w].ranks == *ranks)
+                    {
+                        Some(id) => id,
+                        None => {
+                            distinct.push((Arc::clone(&bundle), v));
+                            distinct.len() - 1
+                        }
+                    }
+                });
+                Ok(Combo { bundle, ids })
             })
             .as_ref()
             .map_err(String::as_str)
+    }
+}
+
+/// Runtimes of the variants one sweep has replayed, keyed by `(app,
+/// variant id, platform index)`. Plain points read and fill it. Two
+/// points that miss the same key concurrently both replay it (the bits
+/// are identical, and the first insert wins), so no point ever waits on
+/// another and deadlines, chaos actions and retries keep their
+/// per-attempt meaning. A failed or panicking replay inserts nothing.
+#[derive(Debug, Default)]
+struct ReplayMemo {
+    runtimes: Mutex<HashMap<(usize, usize, usize), f64>>,
+    /// Engine replays started, memoized or not ([`SweepReport::replays`]).
+    replays: AtomicU64,
+}
+
+impl ReplayMemo {
+    /// Count one replay about to start, passing through its input (the
+    /// trace or the recorder).
+    fn counted<T>(&self, input: T) -> T {
+        self.replays.fetch_add(1, Ordering::Relaxed);
+        input
+    }
+
+    /// The runtime of `trace` on `platform`, replayed with the
+    /// totals-only recorder unless `key` is already known.
+    fn runtime(
+        &self,
+        key: (usize, usize, usize),
+        trace: &Trace,
+        platform: &Platform,
+    ) -> Result<f64, SimError> {
+        if let Some(&t) = lock_ok(&self.runtimes).get(&key) {
+            return Ok(t);
+        }
+        let t = replay_scale(self.counted(trace), platform)?
+            .runtime
+            .as_secs();
+        lock_ok(&self.runtimes).entry(key).or_insert(t);
+        Ok(t)
     }
 }
 
@@ -1152,6 +1240,7 @@ fn evaluate_point(
     point: &SweepPoint,
     index: usize,
     bundles: &LazyBundles,
+    memo: &Arc<ReplayMemo>,
     cache: &SweepCache,
     config: &SweepConfig,
 ) -> PointOutcome {
@@ -1199,9 +1288,17 @@ fn evaluate_point(
         .map_err(|e| fail(FailKind::Platform, format!("invalid platform: {e}")))?;
     // Built outside the attempt loop, so neither the transform nor a
     // deferred re-trace counts against the per-attempt deadline.
-    let bundle = bundles
+    let combo = bundles
         .get(point)
         .map_err(|e| fail(FailKind::Transform, format!("transform failed: {e}")))?;
+    let replay = PointReplay {
+        combo: combo.clone(),
+        point: *point,
+        platform: platform.clone(),
+        probe_window_us: config.probe_window_us,
+        critpath: config.critpath,
+        memo: Arc::clone(memo),
+    };
 
     let (max_attempts, deadline) = match config.guard.as_deref() {
         Some(g) => (g.policy().max_attempts.max(1), g.policy().deadline),
@@ -1214,14 +1311,7 @@ fn evaluate_point(
             .as_deref()
             .and_then(|g| g.chaos())
             .and_then(|c| c.point_action(index, attempt));
-        match run_attempt(
-            bundle,
-            platform,
-            config.probe_window_us,
-            config.critpath,
-            action,
-            deadline,
-        ) {
+        match run_attempt(replay.clone(), action, deadline) {
             Ok(sim) => {
                 let result = PointResult {
                     point: *point,
@@ -1279,43 +1369,88 @@ struct SimNumbers {
     critpaths: Option<Arc<Variants<CritPath>>>,
 }
 
-/// Run the three-variant replay for one point. Pure: no cache, no
-/// claim, no grid bookkeeping — safe to run on a watchdog thread.
-fn simulate_point(
-    bundle: &VariantBundle,
-    platform: &Platform,
+/// What one attempt at a point replays. Owned, so an attempt can run on
+/// a detached watchdog thread; no cache, claim or grid bookkeeping.
+#[derive(Clone)]
+struct PointReplay {
+    combo: Combo,
+    point: SweepPoint,
+    platform: Platform,
     probe_window_us: Option<f64>,
     critpath: bool,
-) -> Result<SimNumbers, String> {
-    let window = probe_window_us.map(Time::micros);
-    let metrics = |w: WindowedRecorder| -> Result<Metrics, SimError> { Ok(w.into_metrics()?) };
-    let critpath_of = |c: CritPathRecorder| -> Result<CritPath, SimError> { Ok(c.into_critpath()) };
-    let replayed = match (window, critpath) {
-        (None, false) => run_variants(bundle, platform, || NoopSink, |_| Ok(()))
-            .map(|(sim, _)| (sim, None, None)),
-        (Some(w), false) => run_variants(bundle, platform, || WindowedRecorder::new(w), metrics)
+    memo: Arc<ReplayMemo>,
+}
+
+impl PointReplay {
+    /// The three-variant replay. A plain point needs only the runtimes,
+    /// so it takes them from the sweep's [`ReplayMemo`]; a probed or
+    /// critpath point replays all three variants itself, because each
+    /// recorder must observe its own replay.
+    fn simulate(&self) -> Result<SimNumbers, String> {
+        let bundle = &*self.combo.bundle;
+        let platform = &self.platform;
+        let window = self.probe_window_us.map(Time::micros);
+        let metrics = |w: WindowedRecorder| -> Result<Metrics, SimError> { Ok(w.into_metrics()?) };
+        let critpath_of =
+            |c: CritPathRecorder| -> Result<CritPath, SimError> { Ok(c.into_critpath()) };
+        let replayed = match (window, self.critpath) {
+            (None, false) => return self.runtimes().map_err(|e| e.to_string()),
+            (Some(w), false) => run_variants(
+                bundle,
+                platform,
+                || self.memo.counted(WindowedRecorder::new(w)),
+                metrics,
+            )
             .map(|(sim, m)| (sim, Some(m), None)),
-        (None, true) => run_variants(bundle, platform, CritPathRecorder::new, critpath_of)
+            (None, true) => run_variants(
+                bundle,
+                platform,
+                || self.memo.counted(CritPathRecorder::new()),
+                critpath_of,
+            )
             .map(|(sim, c)| (sim, None, Some(c))),
-        (Some(w), true) => run_variants(
-            bundle,
-            platform,
-            || TeeSink(WindowedRecorder::new(w), CritPathRecorder::new()),
-            |TeeSink(w, c)| Ok((metrics(w)?, critpath_of(c)?)),
-        )
-        .map(|(sim, both)| {
-            let (m, c) = both.unzip();
-            (sim, Some(m), Some(c))
-        }),
-    };
-    let (sim, metrics, critpaths) = replayed.map_err(|e| e.to_string())?;
-    Ok(SimNumbers {
-        t_original: sim.original.runtime(),
-        t_overlapped: sim.overlapped.runtime(),
-        t_ideal: sim.ideal.runtime(),
-        metrics: metrics.map(Arc::new),
-        critpaths: critpaths.map(Arc::new),
-    })
+            (Some(w), true) => run_variants(
+                bundle,
+                platform,
+                || {
+                    self.memo
+                        .counted(TeeSink(WindowedRecorder::new(w), CritPathRecorder::new()))
+                },
+                |TeeSink(w, c)| Ok((metrics(w)?, critpath_of(c)?)),
+            )
+            .map(|(sim, both)| {
+                let (m, c) = both.unzip();
+                (sim, Some(m), Some(c))
+            }),
+        };
+        let (sim, metrics, critpaths) = replayed.map_err(|e| e.to_string())?;
+        Ok(SimNumbers {
+            t_original: sim.original.runtime(),
+            t_overlapped: sim.overlapped.runtime(),
+            t_ideal: sim.ideal.runtime(),
+            metrics: metrics.map(Arc::new),
+            critpaths: critpaths.map(Arc::new),
+        })
+    }
+
+    /// The runtimes of the three variants, each replayed at most once
+    /// per sweep and platform.
+    fn runtimes(&self) -> Result<SimNumbers, SimError> {
+        let mut t = [0.0; 3];
+        let traces = variant_traces(&self.combo.bundle);
+        for ((slot, trace), id) in t.iter_mut().zip(traces).zip(self.combo.ids) {
+            let key = (self.point.app, id, self.point.platform);
+            *slot = self.memo.runtime(key, trace, &self.platform)?;
+        }
+        let [t_original, t_overlapped, t_ideal] = t;
+        Ok(SimNumbers {
+            t_original,
+            t_overlapped,
+            t_ideal,
+            metrics: None,
+            critpaths: None,
+        })
+    }
 }
 
 /// One isolated attempt at a point: chaos action (if armed), then the
@@ -1325,25 +1460,18 @@ fn simulate_point(
 /// attempt is abandoned and its eventual result sent into a closed
 /// channel.
 fn run_attempt(
-    bundle: &Arc<VariantBundle>,
-    platform: &Platform,
-    probe_window_us: Option<f64>,
-    critpath: bool,
+    replay: PointReplay,
     action: Option<chaos::ChaosAction>,
     deadline: Option<Duration>,
 ) -> Result<SimNumbers, (FailKind, String)> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let work = {
-        let bundle = Arc::clone(bundle);
-        let platform = platform.clone();
-        move || {
-            match action {
-                Some(chaos::ChaosAction::Panic) => panic!("chaos: injected point panic"),
-                Some(chaos::ChaosAction::Stall(pause)) => std::thread::sleep(pause),
-                None => {}
-            }
-            simulate_point(&bundle, &platform, probe_window_us, critpath)
+    let work = move || {
+        match action {
+            Some(chaos::ChaosAction::Panic) => panic!("chaos: injected point panic"),
+            Some(chaos::ChaosAction::Stall(pause)) => std::thread::sleep(pause),
+            None => {}
         }
+        replay.simulate()
     };
     let settle = |outcome: Result<Result<SimNumbers, String>, String>| match outcome {
         Ok(Ok(sim)) => Ok(sim),
@@ -1861,6 +1989,132 @@ mod tests {
             .all(|o| o.as_ref().unwrap_err().kind == FailKind::Quarantined));
         assert_eq!(r.bundles_built, 0);
         assert!(grid.apps[0].run.retraced().is_none());
+    }
+
+    /// `tiny_grid` with a flow fabric added to its two buses.
+    fn mixed_grid() -> SweepGrid {
+        let mut grid = tiny_grid();
+        grid.platforms
+            .push(Platform::marenostrum(0).with_topology(ovlp_machine::Topology::Crossbar));
+        grid
+    }
+
+    /// Distinct variant record streams of every `(app, policy)` bundle,
+    /// counted independently of the sweep's interning.
+    fn distinct_variants(grid: &SweepGrid) -> usize {
+        let mut distinct: Vec<(usize, Trace)> = Vec::new();
+        for (a, app) in grid.apps.iter().enumerate() {
+            for policy in &grid.policies {
+                let bundle = build_variants(&app.run, policy);
+                for trace in [bundle.original, bundle.overlapped, bundle.ideal] {
+                    if !distinct
+                        .iter()
+                        .any(|(b, t)| *b == a && t.ranks == trace.ranks)
+                    {
+                        distinct.push((a, trace));
+                    }
+                }
+            }
+        }
+        distinct.len()
+    }
+
+    #[test]
+    fn plain_sweep_replays_each_distinct_variant_once_per_platform() {
+        let grid = mixed_grid();
+        let r = sweep(&grid, &SweepConfig::with_jobs(1), &SweepCache::new());
+        assert_eq!(r.err_count(), 0, "{:?}", r.outcomes);
+        let distinct = distinct_variants(&grid);
+        // the original is shared by both policies
+        assert!(distinct < 3 * grid.policies.len(), "{distinct}");
+        assert_eq!(r.replays, (grid.platforms.len() * distinct) as u64);
+        // an all-hit repeat replays nothing
+        let cache = SweepCache::new();
+        sweep(&grid, &SweepConfig::with_jobs(1), &cache);
+        assert_eq!(sweep(&grid, &SweepConfig::with_jobs(2), &cache).replays, 0);
+    }
+
+    #[test]
+    fn unchanged_transform_replays_once_per_platform() {
+        // alya's transforms leave its trace as traced: all variants of
+        // every policy are one record stream
+        let alya = ovlp_apps::paper_pool()
+            .into_iter()
+            .find(|e| e.name == "alya")
+            .unwrap();
+        let grid = SweepGrid {
+            apps: vec![SweepApp::new("alya", alya.trace_run(4).unwrap())],
+            ..mixed_grid()
+        };
+        assert_eq!(distinct_variants(&grid), 1);
+        let r = sweep(&grid, &SweepConfig::with_jobs(1), &SweepCache::new());
+        assert_eq!(r.err_count(), 0, "{:?}", r.outcomes);
+        assert_eq!(r.replays, grid.platforms.len() as u64);
+        for o in r.outcomes.iter().flatten() {
+            assert_eq!(o.t_original.to_bits(), o.t_overlapped.to_bits());
+            assert_eq!(o.t_original.to_bits(), o.t_ideal.to_bits());
+        }
+    }
+
+    #[test]
+    fn memoized_hashes_match_full_per_point_replays() {
+        use crate::experiments::speedup::run_variants;
+        use ovlp_machine::NoopSink;
+        let grid = mixed_grid();
+        let r = sweep(&grid, &SweepConfig::with_jobs(2), &SweepCache::new());
+        for (point, outcome) in grid.points().into_iter().zip(&r.outcomes) {
+            let app = &grid.apps[point.app];
+            let policy = &grid.policies[point.policy];
+            let platform = &grid.platforms[point.platform];
+            let bundle = build_variants(&app.run, policy);
+            let (sim, _) = run_variants(&bundle, platform, || NoopSink, |_| Ok(())).unwrap();
+            let full = PointResult {
+                point,
+                key: point_key(app.fingerprint(), platform, policy),
+                app: app.name.clone(),
+                t_original: sim.original.runtime(),
+                t_overlapped: sim.overlapped.runtime(),
+                t_ideal: sim.ideal.runtime(),
+                metrics: None,
+                critpaths: None,
+            };
+            assert_eq!(outcome.as_ref().unwrap().result_hash(), full.result_hash());
+        }
+    }
+
+    #[test]
+    fn probed_and_critpath_points_replay_every_variant() {
+        let grid = mixed_grid();
+        let plain = sweep(&grid, &SweepConfig::with_jobs(1), &SweepCache::new());
+        for (window, critpath) in [(Some(50.0), false), (None, true), (Some(50.0), true)] {
+            let mut config = SweepConfig::with_jobs(2);
+            config.probe_window_us = window;
+            config.critpath = critpath;
+            let r = sweep(&grid, &config, &SweepCache::new());
+            assert_eq!(r.err_count(), 0, "{:?}", r.outcomes);
+            assert_eq!(r.replays, 3 * grid.len() as u64, "{window:?} {critpath}");
+            assert_eq!(r.result_hashes(), plain.result_hashes());
+        }
+    }
+
+    #[test]
+    fn chaos_panic_retry_gives_the_same_bytes() {
+        let grid = mixed_grid();
+        let clean = sweep(&grid, &SweepConfig::with_jobs(1), &SweepCache::new());
+        for spec in ["panic@0", "panic@1:2"] {
+            let guard = guard::PointGuard::new(guard::RetryPolicy {
+                backoff_base: Duration::from_millis(1),
+                ..guard::RetryPolicy::default()
+            })
+            .with_chaos(Arc::new(spec.parse().unwrap()));
+            let guard = Arc::new(guard);
+            let mut config = SweepConfig::with_jobs(1);
+            config.guard = Some(Arc::clone(&guard));
+            let r = sweep(&grid, &config, &SweepCache::new());
+            assert!(guard.stats().retries > 0, "{spec}");
+            assert_eq!(r.render(&grid), clean.render(&grid), "{spec}");
+            assert_eq!(r.replays, clean.replays, "{spec}");
+        }
     }
 
     #[test]

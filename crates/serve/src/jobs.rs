@@ -296,6 +296,8 @@ pub struct DaemonMetrics {
     pub trace_memo_hits: AtomicU64,
     /// Variant bundles built by job sweeps.
     pub variant_bundles_built: AtomicU64,
+    /// Engine replays run by job sweeps.
+    pub replays: AtomicU64,
 }
 
 /// Trace fingerprints of every `(app, ranks)` pair this daemon traced
@@ -540,6 +542,7 @@ fn run_job(job: Arc<Job>, grid: SweepGrid, config: SweepConfig, runner: Runner) 
     metrics
         .variant_bundles_built
         .fetch_add(report.bundles_built, Ordering::Relaxed);
+    metrics.replays.fetch_add(report.replays, Ordering::Relaxed);
     for app in &grid.apps {
         let Some(retraced) = app.run.retraced() else {
             continue;

@@ -573,6 +573,12 @@ pub fn prometheus_metrics(registry: &Registry) -> String {
             load(&m.variant_bundles_built),
         ),
         (
+            "ovlp_replays_total",
+            "counter",
+            "Engine replays run by job sweeps (memoized runtimes are not replayed again).",
+            load(&m.replays),
+        ),
+        (
             "ovlp_points_retried_total",
             "counter",
             "Point attempts re-run after a transient failure.",

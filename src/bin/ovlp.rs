@@ -1000,16 +1000,17 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     let jobs = config.jobs;
     if config.probe_window_us.is_some() || config.critpath {
         eprintln!(
-            "({} points in {:.2}s with {} jobs; probed, cache bypassed)",
+            "({} points in {:.2}s with {} jobs; probed, cache bypassed; {} replays)",
             report.outcomes.len(),
             report.elapsed.as_secs_f64(),
             jobs,
+            report.replays,
         );
     } else if let Some(dir) = &store_dir {
         let disk = cache.disk().map(|d| d.stats()).unwrap_or_default();
         eprintln!(
             "({} points in {:.2}s with {} jobs; {} simulated, {} from cache; \
-             store {dir}: {} hits, {} misses)",
+             store {dir}: {} hits, {} misses; {} replays)",
             report.outcomes.len(),
             report.elapsed.as_secs_f64(),
             jobs,
@@ -1017,15 +1018,17 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
             report.cache_hits,
             disk.hits,
             disk.misses,
+            report.replays,
         );
     } else {
         eprintln!(
-            "({} points in {:.2}s with {} jobs; {} simulated, {} from cache)",
+            "({} points in {:.2}s with {} jobs; {} simulated, {} from cache; {} replays)",
             report.outcomes.len(),
             report.elapsed.as_secs_f64(),
             jobs,
             report.cache_misses,
             report.cache_hits,
+            report.replays,
         );
     }
     if let Some(dirname) = &metrics_dir {

@@ -330,7 +330,13 @@ fn resubmission_reuses_the_trace_fingerprint_and_builds_nothing() {
     let first = submit(addr);
     wait_summary(addr, &first);
     let (_, first_stream) = http(addr, "GET", &format!("/v1/sweeps/{first}"), "");
-    assert_eq!(counts(&scrape()), [1, 0, 4]);
+    let after_first = scrape();
+    assert_eq!(counts(&after_first), [1, 0, 4]);
+    // The four policies share the original variant, so the job replays
+    // fewer than three variants per point (concurrent misses of one
+    // variant may both replay it, so the count is only bounded).
+    let replays = metric(&after_first, "ovlp_replays_total");
+    assert!(replays > 0 && replays < 3 * JOB_POINTS, "{replays}");
 
     let second = submit(addr);
     let summary = wait_summary(addr, &second);
@@ -340,6 +346,11 @@ fn resubmission_reuses_the_trace_fingerprint_and_builds_nothing() {
         counts(&scrape()),
         [1, 1, 4],
         "0 traces, 1 memo hit, 0 bundles"
+    );
+    assert_eq!(
+        metric(&scrape(), "ovlp_replays_total"),
+        replays,
+        "an all-hit job replays nothing"
     );
     assert_eq!(first_stream, second_stream);
 
@@ -478,6 +489,7 @@ fn fresh_daemon_scrapes_robustness_families_as_zeros() {
         "ovlp_points_quarantined_total",
         "ovlp_quarantine_rejections_total",
         "ovlp_store_orphans_removed_total",
+        "ovlp_replays_total",
     ] {
         assert_eq!(metric(&body, family), 0, "{family}");
     }
