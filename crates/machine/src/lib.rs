@@ -47,7 +47,7 @@ pub use net::{
     AppliedFault, ContentionModel, FaultAction, FaultEvent, FaultSchedule, LinkSelector, LinkUsage,
     Topology,
 };
-pub use platform::{CollectiveAlgo, Platform};
+pub use platform::{CollectiveAlgo, Platform, BANDWIDTH_RANGE_MBS, LATENCY_RANGE_US, MIPS_RANGE};
 pub use probe::{
     EventKind, Metrics, NoopSink, ProbeSink, TeeSink, TooManyWindows, WaitEdge, WindowedRecorder,
     MAX_CELLS, MAX_WINDOWS,

@@ -30,6 +30,20 @@ impl CollectiveAlgo {
     }
 }
 
+/// Bandwidths a request may ask for, MB/s. The floor (1 kB/s) is the
+/// floor of the Fig. 6(b) relaxation search; the ceiling (1 PB/s) is
+/// 4·10⁵ times the fastest network any sweep in the docs or tests uses
+/// (2500 MB/s). The engine itself also takes `f64::INFINITY` (the
+/// equivalent-bandwidth divergence probe); a request never does.
+pub const BANDWIDTH_RANGE_MBS: std::ops::RangeInclusive<f64> = 1e-3..=1e9;
+/// Per-message latencies a request may ask for, µs: from the ideal
+/// zero up to one second, beyond any wide-area round trip.
+pub const LATENCY_RANGE_US: std::ops::RangeInclusive<f64> = 0.0..=1e6;
+/// CPU speeds a request may ask for, MIPS: a millionth to a million
+/// times the presets' MareNostrum-class cores (hundreds to thousands
+/// of MIPS).
+pub const MIPS_RANGE: std::ops::RangeInclusive<f64> = 1e-3..=1e9;
+
 /// The simulated parallel platform.
 ///
 /// ```
@@ -316,6 +330,30 @@ impl Platform {
         self.latency() + self.wire_time(bytes)
     }
 
+    /// Refuse a requested bandwidth, latency or CPU speed that is not
+    /// finite or lies outside [`BANDWIDTH_RANGE_MBS`],
+    /// [`LATENCY_RANGE_US`] or [`MIPS_RANGE`], with the reason. Input
+    /// layers (CLI arguments, sweep job specs) call this; [`check`]
+    /// stays the engine's looser consistency check.
+    ///
+    /// [`check`]: Platform::check
+    pub fn check_ranges(&self) -> Result<(), String> {
+        for (what, unit, v, range) in [
+            ("bandwidth", "MB/s", self.bandwidth_mbs, BANDWIDTH_RANGE_MBS),
+            ("latency", "us", self.latency_us, LATENCY_RANGE_US),
+            ("mips", "MIPS", self.mips, MIPS_RANGE),
+        ] {
+            if !range.contains(&v) {
+                return Err(format!(
+                    "{what} {v:?} {unit} is outside the accepted range {:e}..={:e} {unit}",
+                    range.start(),
+                    range.end()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Validate internal consistency; used by constructors in the
     /// experiment layer before long sweeps.
     pub fn check(&self) -> Result<(), String> {
@@ -353,6 +391,40 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn requested_numbers_are_bounded() {
+        let p = Platform::marenostrum(4);
+        assert!(p.check_ranges().is_ok());
+        for bw in [
+            *BANDWIDTH_RANGE_MBS.start(),
+            2500.0,
+            *BANDWIDTH_RANGE_MBS.end(),
+        ] {
+            assert!(p.with_bandwidth(bw).check_ranges().is_ok(), "{bw}");
+        }
+        for bw in [1e-300, 0.0, -1.0, 1e10, f64::INFINITY, f64::NAN] {
+            let e = Platform {
+                bandwidth_mbs: bw,
+                ..p.clone()
+            }
+            .check_ranges()
+            .unwrap_err();
+            assert!(e.contains("bandwidth") && e.contains("1e-3..=1e9"), "{e}");
+        }
+        let slow = Platform {
+            latency_us: 2e6,
+            ..p.clone()
+        };
+        assert!(slow.check_ranges().unwrap_err().contains("latency"));
+        let fast = Platform {
+            mips: f64::INFINITY,
+            ..p.clone()
+        };
+        assert!(fast.check_ranges().unwrap_err().contains("mips"));
+        // the engine still replays an infinitely fast network
+        assert!(p.with_bandwidth(f64::INFINITY).check().is_ok());
+    }
 
     #[test]
     fn linear_model() {

@@ -14,7 +14,7 @@ use ovlp_apps::registry::AppEntry;
 use ovlp_core::chunk::ChunkPolicy;
 use ovlp_core::presets::marenostrum_for;
 use ovlp_core::sweep::{SweepApp, SweepConfig, SweepGrid};
-use ovlp_machine::{ContentionModel, FaultSchedule};
+use ovlp_machine::{ContentionModel, FaultSchedule, Platform};
 use ovlp_trace::Tag;
 
 /// What determines a spec's trace: `(canonical app name, ranks)`.
@@ -272,6 +272,15 @@ impl SweepSpec {
         } else {
             self.bandwidths.clone()
         };
+        for &bw in &bandwidths {
+            let requested = Platform {
+                bandwidth_mbs: bw,
+                ..base.clone()
+            };
+            requested
+                .check_ranges()
+                .map_err(|e| usage(format!("bad --bw entry: {e}")))?;
+        }
         let bus_counts = if self.buses.is_empty() {
             vec![base.buses]
         } else {
@@ -479,6 +488,14 @@ mod tests {
         let mut s = SweepSpec::new("nas-cg", 8);
         s.topologies = vec!["torus:2x2".parse().unwrap()];
         assert!(s.build().unwrap_err().to_string().contains("endpoints"));
+        // bandwidth outside the accepted range, before any tracing
+        for bw in [1e-300, 0.0, 1e10, f64::INFINITY] {
+            let mut s = SweepSpec::new("nas-cg", 4);
+            s.bandwidths = vec![250.0, bw];
+            let e = s.build().unwrap_err();
+            assert!(matches!(e, SpecError::Usage(_)), "{bw}");
+            assert!(e.to_string().contains("accepted range"), "{bw}: {e}");
+        }
     }
 
     #[test]

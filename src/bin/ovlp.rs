@@ -733,7 +733,7 @@ fn set_bw_buses(platform: &mut Platform, pos: &[&str]) -> Result<(), String> {
     if let Some(buses) = pos.get(1) {
         platform.buses = buses.parse().map_err(|e| format!("bad bus count: {e}"))?;
     }
-    Ok(())
+    platform.check_ranges()
 }
 
 /// A state total in seconds for printing. A state a rank never entered

@@ -48,6 +48,14 @@ fn usage_and_parse_errors_exit_two() {
     assert_usage_error(&["sweep", "nas-cg", "4", "--chunks", "0"], "--chunks");
     assert_usage_error(&["sweep", "nas-cg", "4", "--engine", "warp"], "--engine");
     assert_usage_error(&["sweep", "nas-cg", "4", "--bw"], "--bw");
+    // platform numbers outside their documented ranges are refused
+    // with the range, before any tracing or replay
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/nas_cg_8r.trf");
+    assert_usage_error(&["simulate", fixture, "inf", "0"], "accepted range");
+    assert_usage_error(&["simulate", fixture, "0"], "accepted range");
+    assert_usage_error(&["sweep", "nas-cg", "8", "--bw", "1e-300"], "--bw");
+    assert_usage_error(&["sweep", "nas-cg", "8", "--bw", "250,1e10"], "1e-3..=1e9");
+    assert_usage_error(&["scale", "ml-allreduce", "64", "1e-300"], "accepted range");
     assert_usage_error(
         &["sweep", "nas-cg", "4", "--probe-window", "-5"],
         "--probe-window",

@@ -416,6 +416,10 @@ fn malformed_and_unknown_requests_are_rejected() {
             r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"zap":1}"#,
             "unknown field",
         ),
+        (
+            r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"bw":[1e-300]}"#,
+            "accepted range",
+        ),
     ] {
         let (status, reply) = http(addr, "POST", "/v1/sweeps", body);
         assert_eq!(status, 400, "{body} -> {reply}");
