@@ -24,7 +24,7 @@ use crate::access::{AccessDb, AccessEvent, ConsumptionLog, ProductionLog, Stamp}
 use crate::ids::{Rank, TransferId};
 use crate::text::header_ranks;
 use crate::units::Instructions;
-use std::fmt::Write as _;
+use std::io::{self, BufRead, BufWriter, Write};
 
 pub const MAGIC: &str = "#OVLP-ACCESS 1";
 
@@ -64,17 +64,18 @@ fn err(line: usize, message: impl ToString) -> AccessParseError {
     }
 }
 
-/// Serialize an access database.
-pub fn emit(db: &AccessDb) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    let _ = writeln!(out, "ranks {}", db.ranks.len());
+/// Serialize an access database to `out`, one line at a time (a
+/// traced run's log can run to gigabytes, so it is never held as one
+/// string). `out` is buffered here.
+pub fn emit(db: &AccessDb, out: impl Write) -> io::Result<()> {
+    let mut out = BufWriter::new(out);
+    writeln!(out, "{MAGIC}")?;
+    writeln!(out, "ranks {}", db.ranks.len())?;
     for rank in &db.ranks {
         let mut prods: Vec<&ProductionLog> = rank.productions.values().collect();
         prods.sort_by_key(|p| p.transfer.seq);
         for p in prods {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "p {}.{} {} {} {}",
                 p.transfer.rank.get(),
@@ -82,20 +83,20 @@ pub fn emit(db: &AccessDb) -> String {
                 p.elems,
                 p.interval_start.get(),
                 p.interval_end.get()
-            );
+            )?;
             for (i, t) in p.last_store.iter().enumerate() {
                 if let Some(t) = t.get() {
-                    let _ = writeln!(out, "ls {} {}", i, t.get());
+                    writeln!(out, "ls {} {}", i, t.get())?;
                 }
             }
             for e in &p.events {
-                let _ = writeln!(out, "e {} {}", e.offset, e.at.get());
+                writeln!(out, "e {} {}", e.offset, e.at.get())?;
             }
         }
         let mut cons: Vec<&ConsumptionLog> = rank.consumptions.values().collect();
         cons.sort_by_key(|c| c.transfer.seq);
         for c in cons {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "c {}.{} {} {} {}",
                 c.transfer.rank.get(),
@@ -103,18 +104,18 @@ pub fn emit(db: &AccessDb) -> String {
                 c.elems,
                 c.interval_start.get(),
                 c.interval_end.get()
-            );
+            )?;
             for (i, t) in c.first_load.iter().enumerate() {
                 if let Some(t) = t.get() {
-                    let _ = writeln!(out, "fl {} {}", i, t.get());
+                    writeln!(out, "fl {} {}", i, t.get())?;
                 }
             }
             for e in &c.events {
-                let _ = writeln!(out, "e {} {}", e.offset, e.at.get());
+                writeln!(out, "e {} {}", e.offset, e.at.get())?;
             }
         }
     }
-    out
+    out.flush()
 }
 
 enum Open {
@@ -123,17 +124,17 @@ enum Open {
     Cons(ConsumptionLog),
 }
 
-/// Parse an access database.
-pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
-    let mut lines = input.lines().enumerate();
-    let (_, first) = lines.next().ok_or_else(|| err(0, "empty input"))?;
-    if first.trim() != MAGIC {
-        return Err(err(1, format!("bad magic line `{first}`")));
-    }
+/// Parse an access database from `input`, one line at a time. A file
+/// may declare, up to any line, one element per byte read so far (at
+/// least [`MAX_ELEMS`]), so the stamps never take more than eight times
+/// the text behind them.
+pub fn parse(mut input: impl BufRead) -> Result<AccessDb, AccessParseError> {
     let mut db: Option<AccessDb> = None;
     let mut open = Open::None;
-    let budget = input.len().max(MAX_ELEMS as usize);
     let mut declared = 0usize;
+    let mut read = 0usize;
+    let mut raw = String::new();
+    let mut lineno = 0usize;
 
     fn flush(db: &mut AccessDb, open: &mut Open) {
         match std::mem::replace(open, Open::None) {
@@ -143,8 +144,21 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
         }
     }
 
-    for (idx, raw) in lines {
-        let lineno = idx + 1;
+    loop {
+        raw.clear();
+        let n = input.read_line(&mut raw).map_err(|e| err(lineno + 1, e))?;
+        if n == 0 {
+            break;
+        }
+        lineno += 1;
+        read += n;
+        if lineno == 1 {
+            let first = raw.trim_end_matches(['\n', '\r']);
+            if first.trim() != MAGIC {
+                return Err(err(1, format!("bad magic line `{first}`")));
+            }
+            continue;
+        }
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -171,12 +185,13 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
                 }
                 let elems: u32 = parse_field(&rest, 1, lineno)?;
                 declared += elems as usize;
+                let budget = read.max(MAX_ELEMS as usize);
                 if elems > MAX_ELEMS || declared > budget {
                     return Err(err(
                         lineno,
                         format!(
                             "{elems} elements pass the element cap: {MAX_ELEMS} per line, \
-                             {budget} in this file (one per byte of text)"
+                             {budget} in this file so far (one per byte of text)"
                         ),
                     ));
                 }
@@ -242,6 +257,9 @@ pub fn parse(input: &str) -> Result<AccessDb, AccessParseError> {
             other => return Err(err(lineno, format!("unknown keyword `{other}`"))),
         }
     }
+    if lineno == 0 {
+        return Err(err(0, "empty input"));
+    }
     let mut db = db.ok_or_else(|| err(0, "missing `ranks` header"))?;
     flush(&mut db, &mut open);
     Ok(db)
@@ -286,6 +304,16 @@ mod tests {
     use super::*;
     use crate::access::{consumption_log_for_test, production_log_for_test};
 
+    fn emit_text(db: &AccessDb) -> String {
+        let mut out = Vec::new();
+        emit(db, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    fn parse_text(text: &str) -> Result<AccessDb, AccessParseError> {
+        parse(text.as_bytes())
+    }
+
     fn sample() -> AccessDb {
         let mut db = AccessDb::new(2);
         let mut p = production_log_for_test(0, 3, 100, 900, &[Some(200), None, Some(850)]);
@@ -314,54 +342,54 @@ mod tests {
     #[test]
     fn roundtrip_preserves_db() {
         let db = sample();
-        let back = parse(&emit(&db)).expect("roundtrip");
+        let back = parse_text(&emit_text(&db)).expect("roundtrip");
         assert_eq!(db, back);
     }
 
     #[test]
     fn emit_is_stable() {
         let db = sample();
-        let a = emit(&db);
-        let b = emit(&parse(&a).unwrap());
+        let a = emit_text(&db);
+        let b = emit_text(&parse_text(&a).unwrap());
         assert_eq!(a, b);
     }
 
     #[test]
     fn rejects_bad_magic() {
-        assert!(parse("#WRONG\n").is_err());
+        assert!(parse_text("#WRONG\n").is_err());
     }
 
     #[test]
     fn rejects_summary_outside_block() {
-        let e = parse("#OVLP-ACCESS 1\nranks 1\nls 0 5\n").unwrap_err();
+        let e = parse_text("#OVLP-ACCESS 1\nranks 1\nls 0 5\n").unwrap_err();
         assert!(e.message.contains("outside production"));
     }
 
     #[test]
     fn rejects_out_of_range_offset() {
         let txt = "#OVLP-ACCESS 1\nranks 1\np 0.0 2 0 10\nls 5 3\n";
-        let e = parse(txt).unwrap_err();
+        let e = parse_text(txt).unwrap_err();
         assert!(e.message.contains("out of range"));
     }
 
     #[test]
     fn rejects_unpackable_access_time() {
         let txt = format!("#OVLP-ACCESS 1\nranks 1\np 0.0 1 0 10\nls 0 {}\n", u64::MAX);
-        let e = parse(&txt).unwrap_err();
+        let e = parse_text(&txt).unwrap_err();
         assert!(e.message.contains("access time out of range"), "{e}");
     }
 
     #[test]
     fn rejects_rank_overflow() {
         let txt = "#OVLP-ACCESS 1\nranks 1\np 7.0 1 0 10\n";
-        let e = parse(txt).unwrap_err();
+        let e = parse_text(txt).unwrap_err();
         assert!(e.message.contains("out of range"));
     }
 
     #[test]
     fn rejects_rank_headers_past_the_cap() {
         // refused before any per-rank storage is allocated
-        let e = parse("#OVLP-ACCESS 1\nranks 4000000000\n").unwrap_err();
+        let e = parse_text("#OVLP-ACCESS 1\nranks 4000000000\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(
             e.message.contains(&crate::text::MAX_RANKS.to_string()),
@@ -372,7 +400,7 @@ mod tests {
     #[test]
     fn rejects_a_repeated_ranks_header() {
         let txt = "#OVLP-ACCESS 1\nranks 1\np 0.0 1 0 10\nranks 2\n";
-        let e = parse(txt).unwrap_err();
+        let e = parse_text(txt).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.message.contains("repeated"), "{e}");
     }
@@ -380,19 +408,25 @@ mod tests {
     #[test]
     fn rejects_element_counts_past_the_caps() {
         // refused before the stamps are allocated
-        let e = parse("#OVLP-ACCESS 1\nranks 8\np 0.0 4000000000 0 10\n").unwrap_err();
+        let e = parse_text("#OVLP-ACCESS 1\nranks 8\np 0.0 4000000000 0 10\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains(&MAX_ELEMS.to_string()), "{e}");
         // each line under the cap, together past the file's budget
         let line = format!("p 0.0 {MAX_ELEMS} 0 10\n");
-        let e = parse(&format!("#OVLP-ACCESS 1\nranks 1\n{line}{line}")).unwrap_err();
+        let e = parse_text(&format!("#OVLP-ACCESS 1\nranks 1\n{line}{line}")).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.message.contains("one per byte"), "{e}");
     }
 
     #[test]
+    fn unreadable_input_fails_at_its_line() {
+        let e = parse(&b"#OVLP-ACCESS 1\nranks 1\n\xff\n"[..]).unwrap_err();
+        assert_eq!(e.line, 3);
+    }
+
+    #[test]
     fn empty_db_roundtrips() {
         let db = AccessDb::new(3);
-        assert_eq!(parse(&emit(&db)).unwrap(), db);
+        assert_eq!(parse_text(&emit_text(&db)).unwrap(), db);
     }
 }

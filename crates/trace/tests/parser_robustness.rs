@@ -44,7 +44,7 @@ mod fuzzing {
 
         #[test]
         fn access_parser_never_panics_on_arbitrary_input(s in ".{0,400}") {
-            let _ = access_text::parse(&s);
+            let _ = access_text::parse(s.as_bytes());
         }
 
         #[test]

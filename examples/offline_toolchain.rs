@@ -23,7 +23,7 @@ fn main() {
     let trf = dir.join("original.trf");
     let acc = dir.join("access.acc");
     fs::write(&trf, text::emit(&run.trace)).unwrap();
-    fs::write(&acc, access_text::emit(&run.access)).unwrap();
+    access_text::emit(&run.access, fs::File::create(&acc).unwrap()).unwrap();
     println!(
         "wrote {} ({} bytes)",
         trf.display(),
@@ -38,7 +38,8 @@ fn main() {
     // stage 2: transform (a different process, in principle) — read
     // the artifacts back and rewrite
     let trace = text::parse(&fs::read_to_string(&trf).unwrap()).expect("parse trace");
-    let access = access_text::parse(&fs::read_to_string(&acc).unwrap()).expect("parse access");
+    let access = access_text::parse(std::io::BufReader::new(fs::File::open(&acc).unwrap()))
+        .expect("parse access");
     let overlapped = transform(&trace, &access, &ChunkPolicy::paper_default());
     let out = dir.join("overlapped.trf");
     fs::write(&out, text::emit(&overlapped)).unwrap();

@@ -343,10 +343,6 @@ fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
         ("original.trf", text::emit(&bundle.original)),
         ("overlapped.trf", text::emit(&bundle.overlapped)),
         ("ideal.trf", text::emit(&bundle.ideal)),
-        (
-            "access.acc",
-            overlap_sim::trace::access_text::emit(&run.access),
-        ),
     ] {
         let path = dir.join(name);
         if let Err(e) = fs::write(&path, body) {
@@ -354,6 +350,14 @@ fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
         }
         outln!("wrote {}", path.display());
     }
+    // the access log runs to gigabytes at a few hundred ranks: stream it
+    let path = dir.join("access.acc");
+    if let Err(e) =
+        fs::File::create(&path).and_then(|f| overlap_sim::trace::access_text::emit(&run.access, f))
+    {
+        return fail(format!("{}: {e}", path.display()));
+    }
+    outln!("wrote {}", path.display());
     ExitCode::SUCCESS
 }
 
@@ -367,10 +371,12 @@ fn transform_cmd(trf: &str, acc: &str) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(format!("{trf}: {e}")),
     };
-    let access = match fs::read_to_string(acc)
+    let access = match fs::File::open(acc)
         .map_err(|e| e.to_string())
-        .and_then(|c| overlap_sim::trace::access_text::parse(&c).map_err(|e| e.to_string()))
-    {
+        .and_then(|f| {
+            overlap_sim::trace::access_text::parse(std::io::BufReader::new(f))
+                .map_err(|e| e.to_string())
+        }) {
         Ok(a) => a,
         Err(e) => return fail(format!("{acc}: {e}")),
     };

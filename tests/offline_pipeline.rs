@@ -19,9 +19,10 @@ fn offline_transform_matches_in_memory() {
 
     // through serialized artifacts
     let trace_file = text::emit(&run.trace);
-    let acc_file = access_text::emit(&run.access);
+    let mut acc_file = Vec::new();
+    access_text::emit(&run.access, &mut acc_file).unwrap();
     let trace_back = text::parse(&trace_file).unwrap();
-    let acc_back = access_text::parse(&acc_file).unwrap();
+    let acc_back = access_text::parse(&acc_file[..]).unwrap();
     let offline = transform(&trace_back, &acc_back, &policy);
 
     assert_eq!(direct, offline);
@@ -40,8 +41,10 @@ fn access_log_roundtrips_for_every_pool_app() {
     ];
     for app in apps {
         let run = trace_app(app.as_ref(), 4).unwrap();
-        let back = access_text::parse(&access_text::emit(&run.access))
-            .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
+        let mut acc_file = Vec::new();
+        access_text::emit(&run.access, &mut acc_file).unwrap();
+        let back =
+            access_text::parse(&acc_file[..]).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
         assert_eq!(run.access, back, "{}", app.name());
     }
 }
