@@ -1130,11 +1130,14 @@ pub fn sweep_observed(
 struct LazyBundles<'g> {
     grid: &'g SweepGrid,
     slots: Vec<OnceLock<Result<Combo, String>>>,
-    /// Per app, one `(bundle, variant index)` per distinct variant
-    /// trace; a variant's id is its position here.
-    distinct: Vec<Mutex<Vec<(Arc<VariantBundle>, usize)>>>,
+    /// Per app, one reference per distinct variant trace; a variant's
+    /// id is its position here.
+    distinct: Vec<Mutex<Vec<VariantRef>>>,
     built: AtomicU64,
 }
+
+/// A variant trace: its bundle and its index in [`variant_traces`].
+type VariantRef = (Arc<VariantBundle>, usize);
 
 /// One `(app, policy)` combination's bundle with the per-app ids of its
 /// original, overlapped and ideal variants.
