@@ -153,9 +153,8 @@ pub fn parse(mut input: impl BufRead) -> Result<AccessDb, AccessParseError> {
         lineno += 1;
         read += n;
         if lineno == 1 {
-            let first = raw.trim_end_matches(['\n', '\r']);
-            if first.trim() != MAGIC {
-                return Err(err(1, format!("bad magic line `{first}`")));
+            if raw.trim() != MAGIC {
+                return Err(err(1, format!("bad magic line `{}`", raw.trim_end())));
             }
             continue;
         }

@@ -54,6 +54,7 @@ fn usage_and_parse_errors_exit_two() {
     assert_usage_error(&["simulate", fixture, "inf", "0"], "accepted range");
     assert_usage_error(&["simulate", fixture, "0"], "accepted range");
     assert_usage_error(&["sweep", "nas-cg", "8", "--bw", "1e-300"], "--bw");
+    assert_usage_error(&["sweep", "nas-cg", "4", "--bw", "0"], "accepted range");
     assert_usage_error(&["sweep", "nas-cg", "8", "--bw", "250,1e10"], "1e-3..=1e9");
     assert_usage_error(&["scale", "ml-allreduce", "64", "1e-300"], "accepted range");
     assert_usage_error(
