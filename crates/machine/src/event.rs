@@ -82,6 +82,13 @@ impl EventQueue {
         Some((e.at, e.event))
     }
 
+    /// The events in the heap's first three slots: the next to pop,
+    /// then both candidates for the one after it (in no particular
+    /// order). For cache prefetching only.
+    pub(crate) fn upcoming(&self) -> impl Iterator<Item = Event> + '_ {
+        self.heap.as_slice().iter().take(3).map(|e| e.event)
+    }
+
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

@@ -79,18 +79,77 @@ impl Topology {
 
     /// Number of host endpoints the topology provides. `None` means the
     /// topology scales to any node count (the crossbar grows a port per
-    /// node).
+    /// node). Saturates at `usize::MAX`.
     pub fn endpoints(&self) -> Option<usize> {
-        match self {
-            Topology::Crossbar => None,
+        let n: u128 = match self {
+            Topology::Crossbar => return None,
             Topology::FatTree { radix, .. } => {
-                let k = *radix as usize;
-                Some(k * k * k / 4)
+                let k = u128::from(*radix);
+                k * k * k / 4
             }
-            Topology::Torus { dims } => Some(dims.iter().map(|&d| d as usize).product()),
+            Topology::Torus { dims } => dims.iter().map(|&d| u128::from(d)).product(),
+        };
+        Some(usize::try_from(n).unwrap_or(usize::MAX))
+    }
+
+    /// Refuse a fixed-size fabric that cannot host `nodes` nodes, or
+    /// whose compilation would cost far more than any replay on it:
+    /// more than 2^20 endpoints or 2^22 links, or more than 64
+    /// endpoints per node needed (16,384 endpoints always pass, so
+    /// small traces can still use the usual radices). The crossbar
+    /// grows with the nodes and always fits. Input layers call this
+    /// before tracing or compiling anything.
+    pub fn check_size(&self, nodes: usize) -> Result<(), String> {
+        let Some(cap) = self.endpoints() else {
+            return Ok(());
+        };
+        if nodes > cap {
+            return Err(format!(
+                "topology `{self}` has {cap} endpoints but the trace needs {nodes} nodes"
+            ));
         }
+        if cap > MAX_FABRIC_ENDPOINTS {
+            return Err(format!(
+                "topology `{self}` has {cap} endpoints, over the limit of {MAX_FABRIC_ENDPOINTS}"
+            ));
+        }
+        // six links per fat-tree host (host, edge–aggregation and
+        // aggregation–core, both ways), two per torus node and dimension
+        let per_endpoint = match self {
+            Topology::Torus { dims } => 2 * dims.len(),
+            _ => 6,
+        };
+        let links = cap.saturating_mul(per_endpoint);
+        if links > MAX_FABRIC_LINKS {
+            return Err(format!(
+                "topology `{self}` compiles to {links} links, over the limit of {MAX_FABRIC_LINKS}"
+            ));
+        }
+        let limit = nodes.saturating_mul(FABRIC_SLACK).max(FABRIC_FLOOR);
+        if cap > limit {
+            return Err(format!(
+                "topology `{self}` has {cap} endpoints for {nodes} nodes, over the limit of \
+                 {limit} ({FABRIC_SLACK} per node, at least {FABRIC_FLOOR}); pick a smaller fabric"
+            ));
+        }
+        Ok(())
     }
 }
+
+/// Most host endpoints a fixed-size fabric may have: as many as the
+/// largest trace has ranks (`text::MAX_RANKS`), since a rank needs at
+/// most one node.
+const MAX_FABRIC_ENDPOINTS: usize = 1 << 20;
+
+/// Most links a fabric may compile into (each carries a label and
+/// per-replay state).
+const MAX_FABRIC_LINKS: usize = 1 << 22;
+
+/// Endpoints a fixed-size fabric may have per node the ranks need.
+const FABRIC_SLACK: usize = 64;
+
+/// Endpoints any fabric may have, however few nodes the ranks need.
+const FABRIC_FLOOR: usize = 1 << 14;
 
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -240,13 +299,7 @@ impl LinkGraph {
     /// host links. Errors if the topology cannot host that many nodes.
     pub fn build(topo: &Topology, nodes: usize, bandwidth_mbs: f64) -> Result<LinkGraph, String> {
         topo.check()?;
-        if let Some(cap) = topo.endpoints() {
-            if nodes > cap {
-                return Err(format!(
-                    "topology `{topo}` has {cap} endpoints but the trace needs {nodes} nodes"
-                ));
-            }
-        }
+        topo.check_size(nodes)?;
         let host_cap = bandwidth_mbs * 1e6;
         let mut links = Vec::new();
         let router = match topo {
@@ -839,6 +892,43 @@ mod tests {
                 assert!(l.idx() < g.len());
             }
         }
+    }
+
+    /// A fixed-size fabric must fit the nodes and may not dwarf them;
+    /// the paper grid and the scale ladder's flow rung still fit.
+    #[test]
+    fn fabric_size_is_bounded_by_ceilings_and_by_the_nodes() {
+        let t = |spec: &str| match ContentionModel::parse(spec).unwrap() {
+            ContentionModel::Flow(t) => t,
+            ContentionModel::Bus => unreachable!(),
+        };
+        for (spec, nodes) in [
+            ("fat-tree:16", 64),
+            ("torus:8x4x4", 64),
+            ("fat-tree:32:4", 8),
+            ("fat-tree:32:4", 1000),
+            ("fat-tree:64", 1024),
+            ("torus:1024x1024", 1 << 20),
+            ("crossbar", 1 << 20),
+        ] {
+            assert_eq!(t(spec).check_size(nodes), Ok(()), "{spec} at {nodes}");
+        }
+        for (spec, nodes, why) in [
+            ("torus:2x2", 8, "needs 8 nodes"),
+            ("fat-tree:100000", 8, "over the limit of 1048576"),
+            (
+                "torus:4294967295x4294967295x4294967295",
+                8,
+                "endpoints, over",
+            ),
+            ("torus:100x100x100", 1_000_000, "6000000 links"),
+            ("fat-tree:64", 8, "over the limit of 16384"),
+            ("fat-tree:64", 1000, "over the limit of 64000"),
+        ] {
+            let err = t(spec).check_size(nodes).unwrap_err();
+            assert!(err.contains(why), "{spec} at {nodes}: {err}");
+        }
+        assert!(LinkGraph::build(&t("fat-tree:64"), 8, 100.0).is_err());
     }
 
     #[test]

@@ -228,6 +228,11 @@ impl Platform {
         rank / self.ranks_per_node.max(1) as usize
     }
 
+    /// Nodes that `nranks` ranks occupy.
+    pub fn nodes(&self, nranks: usize) -> usize {
+        nranks.div_ceil(self.ranks_per_node.max(1) as usize)
+    }
+
     /// The machine hosting `rank` (0 when the machine level is
     /// disabled).
     pub fn machine_of(&self, rank: usize) -> usize {

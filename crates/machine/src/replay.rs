@@ -43,6 +43,7 @@ use crate::timeline::{CommRecord, State, StateTotals, Timeline};
 use ovlp_trace::record::{Marker, Record, SendMode};
 use ovlp_trace::source::TraceSource;
 use ovlp_trace::{Bytes, Rank, ReqId, Tag};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 mod supply;
@@ -277,7 +278,8 @@ pub struct ScaleReport {
     pub msg_slots: usize,
     /// Receive-request-slot high-water mark.
     pub req_slots: usize,
-    /// Channel-slot high-water mark.
+    /// High-water mark of live matching channels: `(src, dst, tag)`
+    /// triples with unmatched sends or receives queued.
     pub chan_slots: usize,
     /// High-water mark of transfers blocked on a busy resource at once.
     pub waiters_peak: usize,
@@ -433,11 +435,7 @@ fn net_setup(
     match &platform.contention {
         ContentionModel::Bus => Ok((None, Vec::new())),
         ContentionModel::Flow(topo) => {
-            let nodes = if nranks == 0 {
-                0
-            } else {
-                platform.node_of(nranks - 1) + 1
-            };
+            let nodes = platform.nodes(nranks);
             // sweeps replay thousands of traces on the same platform:
             // reuse the compiled topology across replays (and threads)
             let graph = LinkGraph::cached(topo, nodes, platform.bandwidth_mbs)
@@ -476,6 +474,38 @@ fn replay<P: ProbeSink>(
         probe,
     )
     .run()
+}
+
+/// Ranks from which the engine prefetches ahead of each event. Below
+/// it the per-rank state stays in a core's private cache and the
+/// prefetches only cost: on ml-allreduce over the bus they slowed a
+/// replay by about 20% at 1,000 ranks and 10% at 2,000, and sped it up
+/// by 15% at 4,000 and 27% at 8,000 (docs/perf.md §13).
+const PREFETCH_MIN_RANKS: usize = 3_000;
+
+/// Hint the CPU to pull every cache line `obj` spans into L1. A no-op
+/// off x86-64; it never changes what the engine computes.
+#[inline(always)]
+fn prefetch<T: ?Sized>(obj: &T) {
+    prefetch_bytes((obj as *const T).cast::<u8>(), std::mem::size_of_val(obj));
+}
+
+/// [`prefetch`] for `len` bytes at `p` (one line when `len` is 0).
+#[inline(always)]
+fn prefetch_bytes(p: *const u8, len: usize) {
+    const LINE: usize = 64;
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let (start, end) = (p as usize, p as usize + len.max(1));
+        for line in (start & !(LINE - 1)..end).step_by(LINE) {
+            // SAFETY: a prefetch is a hint that reads no memory
+            // architecturally and never faults, whatever the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line as *const i8) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (p, len);
 }
 
 /// Lossless rendering of a replay outcome: Rust's `{:?}` for `f64`
@@ -658,10 +688,48 @@ struct RankState {
     reqs: ReqTable,
 }
 
-#[derive(Default)]
-struct Channel {
-    unmatched_msgs: VecDeque<usize>,
-    unmatched_reqs: VecDeque<usize>,
+/// The key of a `(src, dst, tag)` matching channel.
+type ChanKey = (u32, u32, u32);
+
+/// One live channel's unmatched posts. A post on one side matches the
+/// other side's oldest item at once, so at any moment a channel queues
+/// unmatched sends or unmatched receives, never both.
+struct ChanQ {
+    /// Whether the queued items are message slots (`true`) or
+    /// receive-request slots.
+    sends: bool,
+    fifo: Fifo,
+}
+
+/// A FIFO of slot ids that holds its one item inline and spills into a
+/// `VecDeque` only while more than one waits.
+enum Fifo {
+    One(usize),
+    /// Always holds at least two items.
+    Many(VecDeque<usize>),
+}
+
+impl Fifo {
+    fn push(&mut self, item: usize) {
+        match self {
+            Fifo::One(first) => *self = Fifo::Many(VecDeque::from([*first, item])),
+            Fifo::Many(q) => q.push_back(item),
+        }
+    }
+
+    /// Take the oldest item; `true` when that drained the FIFO.
+    fn pop(&mut self) -> (usize, bool) {
+        match self {
+            Fifo::One(item) => (*item, true),
+            Fifo::Many(q) => {
+                let item = q.pop_front().expect("a spilled FIFO holds two or more");
+                if q.len() == 1 {
+                    *self = Fifo::One(q[0]);
+                }
+                (item, false)
+            }
+        }
+    }
 }
 
 /// The engine's own account of a finished replay; the recorders hold
@@ -677,11 +745,12 @@ struct Outcome {
     network: NetworkStats,
 }
 
-/// One replay in flight. Message, receive-request and channel slots
-/// are recycled as soon as nothing can reference them again, so live
-/// state is O(in-flight traffic) instead of O(total transfers); the
-/// result artifacts are built by the probe's recorders, which know
-/// every message by its initiation order (`Msg::seq`), never its slot.
+/// One replay in flight. Message and receive-request slots are
+/// recycled as soon as nothing can reference them again, and a channel
+/// is dropped once it drains, so live state is O(in-flight traffic)
+/// instead of O(total transfers); the result artifacts are built by the
+/// probe's recorders, which know every message by its initiation order
+/// (`Msg::seq`), never its slot.
 struct Engine<'a, P: ProbeSink> {
     supply: Supply<'a>,
     platform: &'a Platform,
@@ -689,11 +758,13 @@ struct Engine<'a, P: ProbeSink> {
     ranks: Vec<RankState>,
     msgs: Vec<Msg>,
     recv_reqs: Vec<RecvReq>,
-    /// Channels in dense storage; `(src, dst, tag)` triples are interned
-    /// into ids on first use so the hot matching path is a cheap hash
-    /// plus a vector index.
-    chan_ids: HashMap<(u32, u32, u32), u32, FxBuildHasher>,
-    channels: Vec<Channel>,
+    /// Live matching channels: a `(src, dst, tag)` triple has an entry
+    /// exactly while it queues unmatched posts. Streamed collectives
+    /// mint a fresh tag per instance, so drained entries are removed
+    /// and the map tracks live channels, not every triple ever seen.
+    chans: HashMap<ChanKey, ChanQ, FxBuildHasher>,
+    /// High-water mark of `chans.len()`.
+    chans_peak: usize,
     resources: Resources,
     /// Messages blocked on a busy resource, parked on that resource.
     /// Rendezvous messages still waiting for their receive are parked
@@ -721,8 +792,6 @@ struct Engine<'a, P: ProbeSink> {
     msg_free: Vec<usize>,
     /// Free receive-request slots.
     req_free: Vec<usize>,
-    /// Free channel slots.
-    chan_free: Vec<u32>,
     /// Transfers initiated; the next message's `seq`.
     transfers_total: u64,
 }
@@ -759,8 +828,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 .collect(),
             msgs: Vec::new(),
             recv_reqs: Vec::new(),
-            chan_ids: HashMap::default(),
-            channels: Vec::new(),
+            chans: HashMap::default(),
+            chans_peak: 0,
             recv_req_tags: Vec::new(),
             resources: Resources::with_wan(
                 n,
@@ -779,37 +848,34 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             stale_popped: 0,
             msg_free: Vec::new(),
             req_free: Vec::new(),
-            chan_free: Vec::new(),
             transfers_total: 0,
         }
     }
 
-    /// The channel id for `(src, dst, tag)`, interned on first use.
-    fn channel_id(&mut self, src: usize, dst: usize, tag: Tag) -> u32 {
-        let key = (src as u32, dst as u32, tag.0);
-        if let Some(&id) = self.chan_ids.get(&key) {
-            return id;
-        }
-        let id = match self.chan_free.pop() {
-            Some(id) => id, // recycled slot; its queues drained before GC
-            None => {
-                self.channels.push(Channel::default());
-                (self.channels.len() - 1) as u32
+    /// Post `item` on channel `key` from one side (`sends`): take the
+    /// other side's oldest queued item if it has one, dropping the
+    /// channel once drained, or else queue `item` behind this side's.
+    fn match_or_queue(&mut self, key: ChanKey, sends: bool, item: usize) -> Option<usize> {
+        match self.chans.entry(key) {
+            Entry::Occupied(mut e) if e.get().sends != sends => {
+                let (other, drained) = e.get_mut().fifo.pop();
+                if drained {
+                    e.remove();
+                }
+                Some(other)
             }
-        };
-        self.chan_ids.insert(key, id);
-        id
-    }
-
-    /// Drop a drained channel's interning entry so the channel table
-    /// tracks *live* channels, not every `(src, dst, tag)` ever seen.
-    /// Streamed collectives mint a fresh tag per instance — without
-    /// this the table grows O(instances × fan-out).
-    fn channel_gc(&mut self, src: usize, dst: usize, tag: Tag, id: u32) {
-        let ch = &self.channels[id as usize];
-        if ch.unmatched_msgs.is_empty() && ch.unmatched_reqs.is_empty() {
-            self.chan_ids.remove(&(src as u32, dst as u32, tag.0));
-            self.chan_free.push(id);
+            Entry::Occupied(mut e) => {
+                e.get_mut().fifo.push(item);
+                None
+            }
+            Entry::Vacant(e) => {
+                e.insert(ChanQ {
+                    sends,
+                    fifo: Fifo::One(item),
+                });
+                self.chans_peak = self.chans_peak.max(self.chans.len());
+                None
+            }
         }
     }
 
@@ -879,10 +945,60 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
 
     fn run(mut self) -> Result<Outcome, SimError> {
         self.begin();
+        let prefetch = self.ranks.len() >= PREFETCH_MIN_RANKS;
         while let Some((t, ev)) = self.queue.pop() {
+            if prefetch {
+                self.prefetch_upcoming();
+            }
             self.dispatch(t, ev)?;
         }
         self.finish()
+    }
+
+    /// Start loading the state the next events will touch while this
+    /// one is dispatched: past a few thousand ranks the per-rank state
+    /// outgrows the cache, and each event would otherwise wait on
+    /// several misses in turn.
+    ///
+    /// Two stages, so no prefetch waits on a miss itself: the lines an
+    /// event's slot ids name directly are requested while the event is
+    /// still only a candidate (heap slots 1 and 2), and the lines found
+    /// through pointers in those are requested once it is next to pop
+    /// (slot 0), by which time the first lines have arrived.
+    fn prefetch_upcoming(&self) {
+        let mut upcoming = self.queue.upcoming();
+        if let Some(next) = upcoming.next() {
+            self.prefetch_event(next, true);
+        }
+        for ev in upcoming {
+            self.prefetch_event(ev, false);
+        }
+    }
+
+    /// Prefetch the lines dispatching `ev` reads: the first stage, plus
+    /// the second when `deep`.
+    fn prefetch_event(&self, ev: Event, deep: bool) {
+        match ev {
+            Event::Resume { rank } => {
+                let rs = &self.ranks[rank];
+                prefetch(rs);
+                self.supply.prefetch(rank, deep);
+                if deep {
+                    prefetch_bytes(rs.reqs.window.as_slices().0.as_ptr().cast(), 0);
+                }
+            }
+            Event::TransferDone { msg } | Event::FlowDone { msg, .. } => {
+                let m = &self.msgs[msg];
+                prefetch(m);
+                if deep {
+                    if let Some(req) = m.paired {
+                        prefetch(&self.recv_reqs[req]);
+                    }
+                    prefetch(&self.ranks[m.dst]);
+                }
+            }
+            Event::Fault { .. } => {}
+        }
     }
 
     /// Error out if any rank is still blocked after the queue drained.
@@ -969,7 +1085,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 records_peak: self.supply.records_peak(),
                 msg_slots: self.msgs.len(),
                 req_slots: self.recv_reqs.len(),
-                chan_slots: self.channels.len(),
+                chan_slots: self.chans_peak,
                 waiters_peak: self.waits.peak(),
                 totals: StateTotals::default(),
             },
@@ -1166,16 +1282,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 self.recv_reqs.len() - 1
             }
         };
-        let id = self.channel_id(src, rank, tag);
-        let ch = &mut self.channels[id as usize];
-        let matched = if let Some(mid) = ch.unmatched_msgs.pop_front() {
-            self.channel_gc(src, rank, tag, id);
-            Some(mid)
-        } else {
-            ch.unmatched_reqs.push_back(idx);
-            None
-        };
-        if let Some(mid) = matched {
+        let key = (src as u32, rank as u32, tag.0);
+        if let Some(mid) = self.match_or_queue(key, false, idx) {
             self.pair(mid, idx);
             // a rendezvous message may have been waiting for this match
             if self.msgs[mid].mode == SendMode::Rendezvous
@@ -1235,13 +1343,9 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             mode == SendMode::Rendezvous,
             now,
         );
-        let id = self.channel_id(src, dst, tag);
-        let ch = &mut self.channels[id as usize];
-        if let Some(req) = ch.unmatched_reqs.pop_front() {
-            self.channel_gc(src, dst, tag, id);
+        let key = (src as u32, dst as u32, tag.0);
+        if let Some(req) = self.match_or_queue(key, true, mid) {
             self.pair(mid, req);
-        } else {
-            ch.unmatched_msgs.push_back(mid);
         }
         self.try_grant(mid, now)?;
         Ok(mid)
@@ -2247,6 +2351,143 @@ mod tests {
         });
         let res = simulate(&t, &plat()).unwrap();
         assert!((res.runtime() - 0.001).abs() < EPS);
+    }
+
+    fn isend(dst: u32, tag: u32, bytes: u64, req: u64) -> Record {
+        Record::ISend {
+            dst: Rank(dst),
+            tag: Tag::user(tag),
+            bytes: Bytes(bytes),
+            mode: SendMode::Eager,
+            req: ovlp_trace::ReqId(req),
+            transfer: tid(97, req as u32),
+        }
+    }
+
+    fn irecv(src: u32, tag: u32, bytes: u64, req: u64) -> Record {
+        Record::IRecv {
+            src: Rank(src),
+            tag: Tag::user(tag),
+            bytes: Bytes(bytes),
+            req: ovlp_trace::ReqId(req),
+            transfer: tid(96, req as u32),
+        }
+    }
+
+    /// A channel's FIFO holds one item inline, spills into a deque from
+    /// the second, falls back inline when one is left, and hands items
+    /// out oldest first throughout; the channel is dropped once it
+    /// drains. Both sides queue the same way.
+    #[test]
+    fn channel_queue_matches_in_order_through_spills() {
+        let t = Trace::new(2);
+        let p = plat();
+        let mut probe = NoopSink;
+        let mut e = Engine::new(
+            Supply::new(&t, p.collective),
+            &p,
+            None,
+            Vec::new(),
+            &mut probe,
+        );
+        let key = (0, 1, Tag::user(0).0);
+        for sends in [true, false] {
+            for item in 10..14 {
+                assert_eq!(e.match_or_queue(key, sends, item), None);
+                let spilled = matches!(e.chans[&key].fifo, Fifo::Many(_));
+                assert_eq!(spilled, item > 10, "after queueing {item}");
+            }
+            for (i, want) in (10..14).enumerate() {
+                assert_eq!(e.match_or_queue(key, !sends, 99), Some(want));
+                let left = 3 - i;
+                match e.chans.get(&key).map(|c| &c.fifo) {
+                    None => assert_eq!(left, 0),
+                    Some(Fifo::One(_)) => assert_eq!(left, 1),
+                    Some(Fifo::Many(q)) => assert_eq!(q.len(), left),
+                }
+            }
+            assert!(e.chans.is_empty());
+        }
+        assert_eq!(e.chans_peak, 1);
+    }
+
+    /// Four eager sends queued on one channel before their receives,
+    /// and four receives queued before their sends, pair in initiation
+    /// order: the receiver passes the marker after its k-th wait exactly
+    /// when the k-th message arrives (sizes differ, so any other pairing
+    /// moves a marker).
+    #[test]
+    fn queued_posts_pair_in_initiation_order() {
+        let sizes = [1_000_000u64, 2_000_000, 500_000, 3_000_000];
+        for recvs_first in [false, true] {
+            let mut t = Trace::new(2);
+            let r0 = t.rank_mut(Rank(0));
+            if recvs_first {
+                r0.push(compute(1_000_000)); // 1 ms: all receives are posted
+            }
+            for (i, &b) in sizes.iter().enumerate() {
+                r0.push(isend(1, 0, b, i as u64));
+            }
+            for i in 0..sizes.len() {
+                r0.push(Record::Wait {
+                    req: ovlp_trace::ReqId(i as u64),
+                });
+            }
+            let r1 = t.rank_mut(Rank(1));
+            if !recvs_first {
+                r1.push(compute(1_000_000)); // 1 ms: all sends are queued
+            }
+            for (i, &b) in sizes.iter().enumerate() {
+                r1.push(irecv(0, 0, b, i as u64));
+            }
+            for i in 0..sizes.len() {
+                r1.push(Record::Wait {
+                    req: ovlp_trace::ReqId(i as u64),
+                });
+                r1.push(Record::Marker {
+                    marker: Marker::IterEnd(i as u32),
+                });
+            }
+            let res = simulate(&t, &plat()).unwrap();
+            let passed: Vec<Time> = res.markers[1].iter().map(|&(_, at)| at).collect();
+            let arrivals: Vec<Time> = res.comms.iter().map(|c| c.t_arrive).collect();
+            assert_eq!(passed, arrivals, "receives first: {recvs_first}");
+            assert!(arrivals.windows(2).all(|w| w[0] < w[1]));
+            let rep = replay_scale(&t, &plat()).unwrap();
+            assert_eq!(rep.chan_slots, 1, "one channel, whichever side waits");
+        }
+    }
+
+    /// `chan_slots` is the peak number of live channels: three tags
+    /// queued at once, then two, read 3.
+    #[test]
+    fn chan_slots_is_the_live_channel_peak() {
+        let mut t = Trace::new(2);
+        let r0 = t.rank_mut(Rank(0));
+        for (req, tag) in [0u32, 1, 2].into_iter().enumerate() {
+            r0.push(isend(1, tag, 1000, req as u64));
+        }
+        for req in 0..3 {
+            r0.push(Record::Wait {
+                req: ovlp_trace::ReqId(req),
+            });
+        }
+        r0.push(compute(10_000_000));
+        for (req, tag) in [3u32, 4].into_iter().enumerate() {
+            r0.push(isend(1, tag, 1000, 3 + req as u64));
+        }
+        let r1 = t.rank_mut(Rank(1));
+        r1.push(compute(1_000_000));
+        for tag in 0..3 {
+            r1.push(recv(0, tag, 1000, tag));
+        }
+        r1.push(compute(20_000_000));
+        for tag in 3..5 {
+            r1.push(recv(0, tag, 1000, tag));
+        }
+        let rep = replay_scale(&t, &plat()).unwrap();
+        assert_eq!(rep.chan_slots, 3);
+        assert_eq!(rep.transfers, 5);
     }
 
     /// Empty trace simulates to zero time.

@@ -113,6 +113,21 @@ impl<'a> Supply<'a> {
         }
     }
 
+    /// Hint the cache to load `rank`'s cursor ahead of a fetch, and
+    /// with `deep` what it points to (which reads the cursor): the
+    /// source iterator and the next buffered expansion step.
+    #[inline]
+    pub(crate) fn prefetch(&self, rank: usize, deep: bool) {
+        let c = &self.cursors[rank];
+        super::prefetch(c);
+        if deep {
+            super::prefetch(&*c.iter);
+            if let Some(step) = c.buf.get(c.next) {
+                super::prefetch(step);
+            }
+        }
+    }
+
     /// Total (post-expansion) record count of one rank. This drains the
     /// rank's remaining stream — only called on the cold deadlock-report
     /// path, where the engine is already dead.

@@ -308,19 +308,14 @@ impl SweepSpec {
                 )));
             }
         }
-        // Reject fixed-size fabrics that are too small before any point
-        // runs, mirroring the chunk-range check above.
+        // Reject fixed-size fabrics that are too small, or far too
+        // large, before any point runs, mirroring the chunk-range check
+        // above.
+        let nodes = base.nodes(self.ranks);
         for model in &topologies {
             if let ContentionModel::Flow(topo) = model {
-                if let Some(cap) = topo.endpoints() {
-                    let nodes = base.node_of(self.ranks - 1) + 1;
-                    if nodes > cap {
-                        return Err(usage(format!(
-                            "bad --topology entry `{model}`: {cap} endpoints but {} ranks need {nodes} nodes",
-                            self.ranks
-                        )));
-                    }
-                }
+                topo.check_size(nodes)
+                    .map_err(|e| usage(format!("bad --topology entry `{model}`: {e}")))?;
             }
         }
 

@@ -28,7 +28,6 @@ use crate::record::{Marker, Record, SendMode};
 use crate::source::TraceSource;
 use crate::units::{Bytes, Instructions};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// Ring group size used whenever the rank count allows it.
 pub const GROUP: usize = 8;
@@ -191,8 +190,8 @@ enum Stage {
 /// One rank's lazily-generated record stream.
 ///
 /// All world cursors are opened at replay start, so this holds only
-/// counters plus a refill buffer bounded by the largest segment (five
-/// records) — never the rank's full program.
+/// counters plus the current segment (at most five records, held
+/// inline) — never the rank's full program.
 struct RankProgram {
     cfg: MlConfig,
     rank: u32,
@@ -204,7 +203,46 @@ struct RankProgram {
     stage: Stage,
     next_req: u64,
     next_seq: u32,
-    buf: VecDeque<Record>,
+    buf: Segment,
+}
+
+/// The records of one program segment not yet handed out: an inline
+/// FIFO sized to the largest segment (a reduce-scatter ring stage), so
+/// a generator is one heap object however many ranks run.
+struct Segment {
+    recs: [Record; Segment::CAP],
+    head: u8,
+    len: u8,
+}
+
+impl Segment {
+    const CAP: usize = 5;
+
+    fn new() -> Segment {
+        Segment {
+            recs: [Record::Wait { req: ReqId(0) }; Segment::CAP],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// Append a record. A segment is refilled only once drained, so
+    /// the records of one segment fill `recs` from the front.
+    fn push_back(&mut self, rec: Record) {
+        self.recs[usize::from(self.head + self.len)] = rec;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<Record> {
+        if self.len == 0 {
+            self.head = 0;
+            return None;
+        }
+        let rec = self.recs[usize::from(self.head)];
+        self.head += 1;
+        self.len -= 1;
+        Some(rec)
+    }
 }
 
 impl RankProgram {
@@ -223,7 +261,7 @@ impl RankProgram {
             },
             next_req: 0,
             next_seq: 0,
-            buf: VecDeque::with_capacity(5),
+            buf: Segment::new(),
         }
     }
 

@@ -539,6 +539,12 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     if let Err(e) = set_bw_buses(&mut platform, &pos) {
         return fail_usage(e);
     }
+    // refuse a fabric far too large before compiling it
+    if let ContentionModel::Flow(topo) = &platform.contention {
+        if let Err(e) = topo.check_size(platform.nodes(input.nranks())) {
+            return fail_usage(e);
+        }
+    }
     // Probing is on when either metrics flag is given; the replay
     // results are bit-identical with and without it (and with or
     // without --critpath — probes observe, never influence).

@@ -83,6 +83,46 @@ fn usage_and_parse_errors_exit_two() {
     );
 }
 
+/// Fixed-size fabrics far larger than any replay needs are refused
+/// with the limit before anything is traced or compiled, so the
+/// refusal is quick; the paper grid's fabrics are still accepted.
+#[test]
+fn oversized_fabrics_are_refused_at_once() {
+    use std::time::{Duration, Instant};
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/nas_cg_8r.trf");
+    let simulate = |topology| vec!["simulate", fixture, "250", "0", "--topology", topology];
+    let sweep = |topology| {
+        let grid = ["sweep", "nas-cg", "8", "--chunks", "1", "--bw", "250"];
+        [&grid[..], &["--topology", topology]].concat()
+    };
+    for (args, needle) in [
+        (simulate("fat-tree:100000"), "over the limit of 1048576"),
+        (
+            simulate("torus:100000x100000x1000"),
+            "over the limit of 1048576",
+        ),
+        (
+            simulate("torus:100x100x100"),
+            "links, over the limit of 4194304",
+        ),
+        (simulate("fat-tree:64"), "64 per node, at least 16384"),
+        (sweep("fat-tree:2000"), "over the limit of"),
+        (sweep("bus,torus:2x2"), "4 endpoints but the trace needs"),
+    ] {
+        let started = Instant::now();
+        assert_usage_error(&args, needle);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{args:?} took {:?}",
+            started.elapsed()
+        );
+    }
+    for topology in ["fat-tree:16", "torus:8x4x4", "fat-tree:32:4"] {
+        let out = ovlp(&simulate(topology));
+        assert_eq!(out.status.code(), Some(0), "{topology}: {out:?}");
+    }
+}
+
 #[test]
 fn rank_overrides_are_validated_as_usage_errors() {
     // untileable rank counts are the caller's mistake, caught before

@@ -19,7 +19,8 @@
 //! lazily: only link `bytes` and `busy_secs` totals moved, by at most
 //! 4.3e-15 relative, and no runtime or event count changed. The
 //! `scale256@fat-tree:16:4` digest was recorded when the totals-only
-//! replay first ran on flow fabrics. To re-bless
+//! replay first ran on flow fabrics, and `scale2048@bus4` from the
+//! engine before it prefetched and kept channels in one map. To re-bless
 //! after a deliberate model change, run
 //! `OVLP_BLESS=1 cargo test --test grant_order_golden -- --nocapture`
 //! and paste the printed table.
@@ -162,6 +163,11 @@ fn cases() -> Vec<(String, String)> {
     let ml = MlAllreduce::new(MlConfig::new(256, 3).unwrap());
     let r = replay_scale(&ml, &ft16).unwrap();
     out.push(("scale256@fat-tree:16:4".to_string(), scale_rendering(&r)));
+    // large enough that the per-rank state outgrows a core's private
+    // cache, where the engine prefetches ahead of each event
+    let ml = MlAllreduce::new(MlConfig::new(2048, 3).unwrap());
+    let r = replay_scale(&ml, &Platform::default().with_buses(4)).unwrap();
+    out.push(("scale2048@bus4".to_string(), scale_rendering(&r)));
     out
 }
 
@@ -266,6 +272,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("scale256@bus1", 0x5a19702ef6629bae),
     ("scale256@bus4", 0x54cda1b763e1c3e2),
     ("scale256@fat-tree:16:4", 0xeeb45dbe53ca10a0),
+    ("scale2048@bus4", 0xfc465f967fb7789c),
 ];
 
 #[test]

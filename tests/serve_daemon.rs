@@ -420,10 +420,30 @@ fn malformed_and_unknown_requests_are_rejected() {
             r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":4,"bw":[1e-300]}"#,
             "accepted range",
         ),
+        // fabrics far beyond what the ranks need are refused before
+        // any topology is compiled, so the answer comes at once
+        (
+            r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":8,"topology":["fat-tree:2000"]}"#,
+            "over the limit of",
+        ),
+        (
+            r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":8,"topology":["fat-tree:100000"]}"#,
+            "over the limit of",
+        ),
+        (
+            r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":8,"topology":["fat-tree:64"]}"#,
+            "per node",
+        ),
     ] {
+        let sent = std::time::Instant::now();
         let (status, reply) = http(addr, "POST", "/v1/sweeps", body);
         assert_eq!(status, 400, "{body} -> {reply}");
         assert!(reply.contains(needle), "{body} -> {reply}");
+        assert!(
+            sent.elapsed() < std::time::Duration::from_secs(5),
+            "{body} took {:?}",
+            sent.elapsed()
+        );
     }
 
     let (status, _) = http(addr, "GET", "/v1/sweeps/j999", "");
