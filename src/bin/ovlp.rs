@@ -539,7 +539,8 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     if let Err(e) = set_bw_buses(&mut platform, &pos) {
         return fail_usage(e);
     }
-    // refuse a fabric far too large before compiling it
+    // refuse a fabric too small for the ranks, or far too large,
+    // before compiling it
     if let ContentionModel::Flow(topo) = &platform.contention {
         if let Err(e) = topo.check_size(platform.nodes(input.nranks())) {
             return fail_usage(e);
