@@ -487,17 +487,12 @@ const PREFETCH_MIN_RANKS: usize = 3_000;
 /// off x86-64; it never changes what the engine computes.
 #[inline(always)]
 fn prefetch<T: ?Sized>(obj: &T) {
-    prefetch_bytes((obj as *const T).cast::<u8>(), std::mem::size_of_val(obj));
-}
-
-/// [`prefetch`] for `len` bytes at `p` (one line when `len` is 0).
-#[inline(always)]
-fn prefetch_bytes(p: *const u8, len: usize) {
-    const LINE: usize = 64;
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let (start, end) = (p as usize, p as usize + len.max(1));
+        const LINE: usize = 64;
+        let start = (obj as *const T).cast::<u8>() as usize;
+        let end = start + std::mem::size_of_val(obj).max(1);
         for line in (start & !(LINE - 1)..end).step_by(LINE) {
             // SAFETY: a prefetch is a hint that reads no memory
             // architecturally and never faults, whatever the address.
@@ -505,7 +500,7 @@ fn prefetch_bytes(p: *const u8, len: usize) {
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (p, len);
+    let _ = obj;
 }
 
 /// Lossless rendering of a replay outcome: Rust's `{:?}` for `f64`
@@ -984,7 +979,9 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 prefetch(rs);
                 self.supply.prefetch(rank, deep);
                 if deep {
-                    prefetch_bytes(rs.reqs.window.as_slices().0.as_ptr().cast(), 0);
+                    if let Some(front) = rs.reqs.window.front() {
+                        prefetch(front);
+                    }
                 }
             }
             Event::TransferDone { msg } | Event::FlowDone { msg, .. } => {

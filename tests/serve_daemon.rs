@@ -427,10 +427,6 @@ fn malformed_and_unknown_requests_are_rejected() {
             "over the limit of",
         ),
         (
-            r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":8,"topology":["fat-tree:100000"]}"#,
-            "over the limit of",
-        ),
-        (
             r#"{"schema":"ovlp.sweep-job.v1","app":"nas-cg","ranks":8,"topology":["fat-tree:64"]}"#,
             "per node",
         ),
