@@ -478,9 +478,9 @@ fn replay<P: ProbeSink>(
 
 /// Ranks from which the engine prefetches ahead of each event. Below
 /// it the per-rank state stays in a core's private cache and the
-/// prefetches only cost: on ml-allreduce over the bus they slowed a
-/// replay by about 20% at 1,000 ranks and 10% at 2,000, and sped it up
-/// by 15% at 4,000 and 27% at 8,000 (docs/perf.md §13).
+/// prefetches only cost: prefetching at every rank count made
+/// ml-allreduce bus replays about 20% slower at 1,000 ranks and 10% at
+/// 2,000, while from 4,000 ranks up it pays (docs/perf.md §13).
 const PREFETCH_MIN_RANKS: usize = 3_000;
 
 /// Hint the CPU to pull every cache line `obj` spans into L1. A no-op
