@@ -94,9 +94,9 @@ impl Topology {
 
     /// Refuse a fixed-size fabric that cannot host `nodes` nodes, or
     /// whose compilation would cost far more than any replay on it:
-    /// more than 2^20 endpoints or 2^22 links, or more than 64
-    /// endpoints per node needed (16,384 endpoints always pass, so
-    /// small traces can still use the usual radices). The crossbar
+    /// more than 2^22 links, or more than 64 endpoints per node needed
+    /// (16,384 endpoints always pass, so small traces can still use the
+    /// usual radices). The crossbar
     /// grows with the nodes and always fits. Input layers call this
     /// before tracing or compiling anything.
     pub fn check_size(&self, nodes: usize) -> Result<(), String> {
@@ -106,11 +106,6 @@ impl Topology {
         if nodes > cap {
             return Err(format!(
                 "topology `{self}` has {cap} endpoints but the trace needs {nodes} nodes"
-            ));
-        }
-        if cap > MAX_FABRIC_ENDPOINTS {
-            return Err(format!(
-                "topology `{self}` has {cap} endpoints, over the limit of {MAX_FABRIC_ENDPOINTS}"
             ));
         }
         // six links per fat-tree host (host, edge–aggregation and
@@ -135,11 +130,6 @@ impl Topology {
         Ok(())
     }
 }
-
-/// Most host endpoints a fixed-size fabric may have: as many as the
-/// largest trace has ranks (`text::MAX_RANKS`), since a rank needs at
-/// most one node.
-const MAX_FABRIC_ENDPOINTS: usize = 1 << 20;
 
 /// Most links a fabric may compile into (each carries a label and
 /// per-replay state).
@@ -915,12 +905,8 @@ mod tests {
         }
         for (spec, nodes, why) in [
             ("torus:2x2", 8, "needs 8 nodes"),
-            ("fat-tree:100000", 8, "over the limit of 1048576"),
-            (
-                "torus:4294967295x4294967295x4294967295",
-                8,
-                "endpoints, over",
-            ),
+            ("fat-tree:100000", 8, "links, over the limit of 4194304"),
+            ("torus:4294967295x4294967295x4294967295", 8, "links, over"),
             ("torus:100x100x100", 1_000_000, "6000000 links"),
             ("fat-tree:64", 8, "over the limit of 16384"),
             ("fat-tree:64", 1000, "over the limit of 64000"),

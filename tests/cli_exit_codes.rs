@@ -96,10 +96,13 @@ fn oversized_fabrics_are_refused_at_once() {
         [&grid[..], &["--topology", topology]].concat()
     };
     for (args, needle) in [
-        (simulate("fat-tree:100000"), "over the limit of 1048576"),
+        (
+            simulate("fat-tree:100000"),
+            "links, over the limit of 4194304",
+        ),
         (
             simulate("torus:100000x100000x1000"),
-            "over the limit of 1048576",
+            "links, over the limit of 4194304",
         ),
         (
             simulate("torus:100x100x100"),
