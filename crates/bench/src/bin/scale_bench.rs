@@ -8,13 +8,20 @@
 //! events/sec, and the process RSS high-water mark from
 //! `/proc/self/status` (ground truth that the engine-level counter is
 //! honest). The measurements are written to `BENCH_scale.json` (schema
-//! `ovlp.bench_scale.v1`) together with the machine they ran on
+//! `ovlp.bench_scale.v2`) together with the machine they ran on
 //! (`hardware_threads`, `git describe` of the checkout) and the
 //! events/sec spread across the ladder, so the memory and throughput
 //! trajectory is tracked in-repo; `scripts/check_scale_bench.py`
 //! validates the document and CI's `scale-smoke` job re-runs the quick
 //! ladder under a hard `ulimit -v`. Rungs up to 10k ranks are timed as
 //! the median of five replays, larger ones by a single replay.
+//!
+//! Every replay of the ladder runs between two samples of a host-speed
+//! gauge ([`ovlp_bench::gauge`]), and each point records the gauged
+//! time (`gauged_wall_s`) beside the wall time: the events/s spread is
+//! computed from the gauged times, which the host's drift over the
+//! ladder moves far less than the wall times. The gauge's 8 MiB table
+//! is part of every point's `rss_peak_bytes`.
 //!
 //! A second, flow rung follows: the same streamed trace replayed in
 //! full ([`ovlp_machine::simulate`]) on the `fat-tree:32:4`
@@ -32,6 +39,7 @@
 //! — still a valid sublinearity witness, since the largest point
 //! dominates.
 
+use ovlp_bench::gauge::{Gauge, Timing};
 use ovlp_core::presets::marenostrum_for;
 use ovlp_machine::{replay_scale, simulate, ContentionModel};
 use std::path::PathBuf;
@@ -93,6 +101,7 @@ struct Point {
     chan_slots: usize,
     waiters_peak: usize,
     wall_s: f64,
+    gauged_wall_s: f64,
     events_per_sec: f64,
     sim_runtime_s: f64,
     efficiency: f64,
@@ -181,18 +190,28 @@ fn flow_ladder(ladder: &[usize]) -> Vec<FlowPoint> {
     points
 }
 
-/// The median wall time of `reps` calls of `replay`, with the last
-/// call's report (every call replays the same trace).
-fn median_replay<R>(reps: usize, mut replay: impl FnMut() -> (R, f64)) -> (R, f64) {
+/// The median wall and median gauged time of `reps` calls of
+/// `replay`, with the last call's report (every call replays the same
+/// trace).
+fn median_replay<R>(reps: usize, mut replay: impl FnMut() -> (R, Timing)) -> (R, Timing) {
     let mut walls = Vec::with_capacity(reps);
+    let mut gauged = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps.max(1) {
-        let (rep, wall) = replay();
-        walls.push(wall);
+        let (rep, t) = replay();
+        walls.push(t.wall);
+        gauged.push(t.gauged);
         last = Some(rep);
     }
-    walls.sort_by(f64::total_cmp);
-    (last.expect("at least one replay"), walls[walls.len() / 2])
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let t = Timing {
+        wall: median(walls),
+        gauged: median(gauged),
+    };
+    (last.expect("at least one replay"), t)
 }
 
 /// Fastest over slowest events/s: 1.0 is perfectly flat weak scaling.
@@ -245,14 +264,15 @@ fn main() {
 
     let entry = ovlp_apps::registry::by_name(APP).expect("registry app missing");
     let platform = marenostrum_for(APP);
-    let replay = |ranks: usize| {
+    let mut gauge = Gauge::new();
+    let mut replay = |ranks: usize| {
         let source = entry
             .source(ranks)
             .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks: {e}"));
-        let t0 = Instant::now();
-        let rep = replay_scale(source.as_ref(), &platform)
-            .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks: {e}"));
-        (rep, t0.elapsed().as_secs_f64())
+        gauge.time(|| {
+            replay_scale(source.as_ref(), &platform)
+                .unwrap_or_else(|e| panic!("{APP} at {ranks} ranks: {e}"))
+        })
     };
     // One untimed replay of the smallest point first, so the first timed
     // point does not pay the process's page faults and allocator growth.
@@ -266,7 +286,7 @@ fn main() {
         } else {
             1
         };
-        let (rep, wall) = median_replay(reps, || replay(ranks));
+        let (rep, t) = median_replay(reps, || replay(ranks));
         assert_eq!(rep.nranks, ranks);
         assert!(
             rep.records_peak < rep.records_streamed || rep.records_streamed == 0,
@@ -283,15 +303,17 @@ fn main() {
             req_slots: rep.req_slots,
             chan_slots: rep.chan_slots,
             waiters_peak: rep.waiters_peak,
-            wall_s: wall,
-            events_per_sec: rep.events_processed as f64 / wall,
+            wall_s: t.wall,
+            gauged_wall_s: t.gauged,
+            events_per_sec: rep.events_processed as f64 / t.wall,
             sim_runtime_s: rep.runtime.as_secs(),
             efficiency: rep.efficiency(),
             rss_peak_bytes: rss_peak_bytes(),
         };
         println!(
             "{APP} {:>8} ranks  {:>11} records ({:>9} resident peak)  {:>11} events  \
-             {:>7} blocked peak  {:>12.0} events/s  wall {:>8.3} s  rss peak {}",
+             {:>7} blocked peak  {:>12.0} events/s  wall {:>8.3} s  gauged {:>8.3} s  \
+             rss peak {}",
             p.ranks,
             p.records_total,
             p.records_peak,
@@ -299,6 +321,7 @@ fn main() {
             p.waiters_peak,
             p.events_per_sec,
             p.wall_s,
+            p.gauged_wall_s,
             p.rss_peak_bytes
                 .map(|b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)))
                 .unwrap_or_else(|| "n/a".to_string()),
@@ -312,7 +335,7 @@ fn main() {
     });
 
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ovlp.bench_scale.v1\",\n");
+    s.push_str("{\n  \"schema\": \"ovlp.bench_scale.v2\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"app\": \"{APP}\",\n"));
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -322,7 +345,9 @@ fn main() {
     ));
     s.push_str(&format!(
         "  \"events_per_sec_spread\": {},\n",
-        json_f64(spread(results.iter().map(|p| p.events_per_sec)))
+        json_f64(spread(
+            results.iter().map(|p| p.events as f64 / p.gauged_wall_s)
+        ))
     ));
     s.push_str("  \"points\": [\n");
     for (i, p) in results.iter().enumerate() {
@@ -330,7 +355,8 @@ fn main() {
             "    {{\"ranks\": {}, \"records_total\": {}, \"records_peak\": {}, \
              \"events\": {}, \"transfers\": {}, \"queue_peak\": {}, \"msg_slots\": {}, \
              \"req_slots\": {}, \"chan_slots\": {}, \"waiters_peak\": {}, \"wall_s\": {}, \
-             \"events_per_sec\": {}, \"sim_runtime_s\": {}, \"efficiency\": {}, \
+             \"gauged_wall_s\": {}, \"events_per_sec\": {}, \"sim_runtime_s\": {}, \
+             \"efficiency\": {}, \
              \"rss_peak_bytes\": {}}}{}",
             p.ranks,
             p.records_total,
@@ -343,6 +369,7 @@ fn main() {
             p.chan_slots,
             p.waiters_peak,
             json_f64(p.wall_s),
+            json_f64(p.gauged_wall_s),
             json_f64(p.events_per_sec),
             json_f64(p.sim_runtime_s),
             json_f64(p.efficiency),

@@ -18,6 +18,7 @@ use ovlp_core::sweep::scheduler;
 use ovlp_instr::{trace_app, TraceOptions, TraceRun};
 use ovlp_machine::Platform;
 
+pub mod gauge;
 pub mod timing;
 
 /// `git describe --always --dirty` of the working directory, so a

@@ -28,10 +28,17 @@ fn runtime_at(trace: &Trace, platform: &Platform, bw: f64) -> Result<f64, SimErr
     Ok(simulate(trace, &platform.with_bandwidth(bw))?.runtime())
 }
 
-/// Smallest bandwidth in `[lo, hi]` at which `trace` runs in at most
-/// `target` seconds; `None` if even `hi` is too slow. Runtime is
-/// monotone non-increasing in bandwidth in the Dimemas model, so plain
-/// bisection applies.
+/// A bandwidth in `[lo, hi]` at which `trace` runs in at most `target`
+/// seconds, found by bisection; `None` if even `hi` is too slow.
+///
+/// Bisection finds the smallest such bandwidth only where runtime is
+/// monotone non-increasing in bandwidth, and in this model it is not
+/// always. Measured counterexample: at 16 ranks and 4 chunks on the
+/// preset platform (the Fig. 6(b) setting), specfem3d's overlapped
+/// trace meets its target on [125.85, 153.56) MB/s, misses it on
+/// [153.56, 157.68) and meets it again from there up. The answer
+/// (125.92 MB/s) is a bandwidth that meets the target, but not the one
+/// from which every higher bandwidth does.
 pub fn min_bandwidth_matching(
     trace: &Trace,
     platform: &Platform,

@@ -956,10 +956,10 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
     /// several misses in turn.
     ///
     /// Two stages, so no prefetch waits on a miss itself: the lines an
-    /// event's slot ids name directly are requested while the event is
-    /// still only a candidate (heap slots 1 and 2), and the lines found
-    /// through pointers in those are requested once it is next to pop
-    /// (slot 0), by which time the first lines have arrived.
+    /// event's slot ids name directly are requested while it is the
+    /// second or third to pop, and the lines found through pointers in
+    /// those once it is next, by which time the first lines have
+    /// arrived.
     fn prefetch_upcoming(&self) {
         let mut upcoming = self.queue.upcoming();
         if let Some(next) = upcoming.next() {

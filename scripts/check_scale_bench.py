@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate an `ovlp.bench_scale.v1` document (stdlib only, no deps).
+"""Validate an `ovlp.bench_scale.v2` document (stdlib only, no deps).
 
 Checks the weak-scaling trajectory contract emitted by `scale_bench`:
 key presence and types, the machine block, strictly increasing rank
@@ -15,7 +15,9 @@ least N ranks (CI's scale-smoke job pins 10000; the committed document
 carries 1000000). `--max-spread F` requires the fastest point's
 events/s to be at most F times the slowest one's: a replay whose work
 per event grows with the rank count shows up as a spread that grows
-with the ladder.
+with the ladder. The spread is computed from each point's
+`gauged_wall_s` (its wall time divided by a host-speed gauge sampled
+around it), so the host's drift between rungs does not move it.
 
 The document also carries `flow_points`: the same trace replayed on a
 flow fabric next to its bus replay. Every point's flow/bus wall ratio
@@ -38,6 +40,7 @@ POINT_KEYS = {
     "chan_slots": int,
     "waiters_peak": int,
     "wall_s": float,
+    "gauged_wall_s": float,
     "events_per_sec": float,
     "sim_runtime_s": float,
     "efficiency": float,
@@ -123,7 +126,7 @@ def check(path, min_ranks, max_spread):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
 
-    expect(doc.get("schema") == "ovlp.bench_scale.v1", path, f"bad schema id {doc.get('schema')!r}")
+    expect(doc.get("schema") == "ovlp.bench_scale.v2", path, f"bad schema id {doc.get('schema')!r}")
     expect(isinstance(doc.get("quick"), bool), path, "quick not a bool")
     expect(isinstance(doc.get("app"), str) and doc["app"], path, "app missing")
     machine = doc.get("machine")
@@ -141,6 +144,7 @@ def check(path, min_ranks, max_spread):
         expect(rss is None or (isinstance(rss, int) and rss > 0), path, f"point {i}: bad rss_peak_bytes {rss!r}")
         expect(p["ranks"] > prev_ranks, path, f"point {i}: ranks not strictly increasing")
         prev_ranks = p["ranks"]
+        expect(p["gauged_wall_s"] > 0, path, f"point {i}: zero gauged_wall_s")
         expect(
             p["records_peak"] <= RESIDENT_FRACTION_CAP * p["records_total"],
             path,
@@ -155,7 +159,7 @@ def check(path, min_ranks, max_spread):
             path,
             f"largest point is {top} ranks, want >= {min_ranks}",
         )
-    eps = [p["events_per_sec"] for p in points]
+    eps = [p["events"] / p["gauged_wall_s"] for p in points]
     spread = max(eps) / max(min(eps), 1e-9)
     recorded = doc.get("events_per_sec_spread")
     expect(
@@ -167,14 +171,14 @@ def check(path, min_ranks, max_spread):
         expect(
             spread <= max_spread,
             path,
-            f"events/s spread {spread:.2f}x across the ladder, want <= {max_spread}x",
+            f"gauged events/s spread {spread:.2f}x across the ladder, want <= {max_spread}x",
         )
     worst = check_flow(path, doc)
     frac = points[-1]["records_peak"] / max(points[-1]["records_total"], 1)
     print(
         f"{path}: ok ({len(points)} points, top {top} ranks, "
         f"resident peak {100.0 * frac:.2f}% of streamed records, "
-        f"events/s spread {spread:.2f}x, {len(doc['flow_points'])} flow points, "
+        f"gauged events/s spread {spread:.2f}x, {len(doc['flow_points'])} flow points, "
         f"worst flow/bus {worst:.2f}x)"
     )
 

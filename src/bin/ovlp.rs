@@ -238,10 +238,15 @@ enum Scatter {
     Skip,
 }
 
+/// Trace `app_name` at `ranks` and build its variants, with the app's
+/// platform on `topology` when one is given. Every usage error, a
+/// fabric that cannot hold the ranks included, is found before the
+/// trace runs.
 fn prepare(
     app_name: &str,
     ranks: &str,
     scatter: Scatter,
+    topology: Option<ContentionModel>,
 ) -> Result<
     (
         overlap_sim::core::pipeline::VariantBundle,
@@ -258,13 +263,21 @@ fn prepare(
     // Rank-count violations (odd counts on XOR apps, counts past the
     // thread-per-rank cap) are the caller's mistake: exit 2, not 1.
     entry.validate_ranks(ranks).map_err(CliError::Usage)?;
+    let mut platform = marenostrum_for(entry.name);
+    if let Some(model) = topology {
+        platform = platform.with_contention(model);
+    }
+    if let ContentionModel::Flow(topo) = &platform.contention {
+        topo.check_size(platform.nodes(ranks))
+            .map_err(CliError::Usage)?;
+    }
     let run = match scatter {
         Scatter::Capture => entry.trace_run_with(ranks, &TraceOptions::default()),
         Scatter::Skip => entry.trace_run(ranks),
     }
     .map_err(CliError::Run)?;
     let bundle = build_variants(&run, &ChunkPolicy::paper_default());
-    Ok((bundle, run, marenostrum_for(entry.name)))
+    Ok((bundle, run, platform))
 }
 
 /// Runtime failure (exit 1): I/O, tracing, or simulation errors.
@@ -280,7 +293,7 @@ fn fail_usage(msg: String) -> ExitCode {
 }
 
 fn analyze(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, run, platform) = match prepare(app, ranks, Scatter::Capture) {
+    let (bundle, run, platform) = match prepare(app, ranks, Scatter::Capture, None) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -331,7 +344,7 @@ fn analyze(app: &str, ranks: &str) -> ExitCode {
 }
 
 fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
-    let (bundle, run, _) = match prepare(app, ranks, Scatter::Capture) {
+    let (bundle, run, _) = match prepare(app, ranks, Scatter::Capture, None) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -408,7 +421,7 @@ fn stats_cmd(path: &str) -> ExitCode {
 }
 
 fn waits_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip) {
+    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip, None) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -770,7 +783,7 @@ fn auto_window(runtime_s: f64) -> Time {
 }
 
 fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip) {
+    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip, None) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -793,7 +806,7 @@ fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
 }
 
 fn advise_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (_, run, platform) = match prepare(app, ranks, Scatter::Skip) {
+    let (_, run, platform) = match prepare(app, ranks, Scatter::Skip, None) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
@@ -817,15 +830,14 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
     ) {
         return fail_usage(e);
     }
-    let (bundle, run, mut platform) = match prepare(app, ranks, Scatter::Capture) {
+    let topology = match parse_opt_flag::<ContentionModel>(rest, "--topology") {
+        Ok(t) => t,
+        Err(e) => return fail_usage(e),
+    };
+    let (bundle, run, platform) = match prepare(app, ranks, Scatter::Capture, topology) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
-    match parse_opt_flag::<ContentionModel>(rest, "--topology") {
-        Ok(Some(model)) => platform = platform.with_contention(model),
-        Ok(None) => {}
-        Err(e) => return fail_usage(e),
-    }
     let window = match probe_window_arg(rest, &bundle, &platform) {
         Ok(w) => w,
         Err(e) => return bail(e),
@@ -1280,15 +1292,14 @@ fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode 
     if let Err(e) = positionals("paraver", rest, &["--topology", "--probe-window"], &[], 0) {
         return fail_usage(e);
     }
-    let (bundle, _, mut platform) = match prepare(app, ranks, Scatter::Skip) {
+    let topology = match parse_opt_flag::<ContentionModel>(rest, "--topology") {
+        Ok(t) => t,
+        Err(e) => return fail_usage(e),
+    };
+    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip, topology) {
         Ok(v) => v,
         Err(e) => return bail(e),
     };
-    match parse_opt_flag::<ContentionModel>(rest, "--topology") {
-        Ok(Some(model)) => platform = platform.with_contention(model),
-        Ok(None) => {}
-        Err(e) => return fail_usage(e),
-    }
     let window = match probe_window_arg(rest, &bundle, &platform) {
         Ok(w) => w,
         Err(e) => return bail(e),

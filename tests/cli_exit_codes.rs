@@ -95,6 +95,25 @@ fn oversized_fabrics_are_refused_at_once() {
         let grid = ["sweep", "nas-cg", "8", "--chunks", "1", "--bw", "250"];
         [&grid[..], &["--topology", topology]].concat()
     };
+    // report and paraver trace the app: the fabric is sized first
+    let html = format!("{}/oversized.html", env!("CARGO_TARGET_TMPDIR"));
+    let prv_dir = format!("{}/oversized-paraver", env!("CARGO_TARGET_TMPDIR"));
+    let report = vec![
+        "report",
+        "nas-cg",
+        "4",
+        &html,
+        "--topology",
+        "fat-tree:100000",
+    ];
+    let paraver = vec![
+        "paraver",
+        "nas-cg",
+        "4",
+        &prv_dir,
+        "--topology",
+        "fat-tree:100000",
+    ];
     for (args, needle) in [
         (
             simulate("fat-tree:100000"),
@@ -111,6 +130,8 @@ fn oversized_fabrics_are_refused_at_once() {
         (simulate("fat-tree:64"), "64 per node, at least 16384"),
         (sweep("fat-tree:2000"), "over the limit of"),
         (sweep("bus,torus:2x2"), "4 endpoints but the trace needs"),
+        (report, "links, over the limit of 4194304"),
+        (paraver, "links, over the limit of 4194304"),
     ] {
         let started = Instant::now();
         assert_usage_error(&args, needle);
@@ -120,6 +141,7 @@ fn oversized_fabrics_are_refused_at_once() {
             started.elapsed()
         );
     }
+    assert!(!std::path::Path::new(&html).exists() && !std::path::Path::new(&prv_dir).exists());
     for topology in ["fat-tree:16", "torus:8x4x4", "fat-tree:32:4"] {
         let out = ovlp(&simulate(topology));
         assert_eq!(out.status.code(), Some(0), "{topology}: {out:?}");

@@ -3,7 +3,7 @@
 //! these tests fail loudly instead of silently shifting every
 //! downstream number.
 //!
-//! Regenerate deliberately with `OVLP_REGEN=1 cargo test --test fixtures`.
+//! Re-bless deliberately with `OVLP_BLESS=1 cargo test --test fixtures`.
 
 use overlap_sim::instr::trace_app;
 use overlap_sim::instr::MpiApp;
@@ -18,23 +18,23 @@ fn fixture_path(name: &str) -> PathBuf {
 }
 
 /// Trace `app` at `nranks`, emit it, and compare against the committed
-/// fixture (or rewrite the fixture under `OVLP_REGEN=1`).
+/// fixture (or rewrite the fixture under `OVLP_BLESS=1`).
 fn check_fixture(name: &str, app: &dyn MpiApp, nranks: usize) -> String {
     let run = trace_app(app, nranks).unwrap();
     let emitted = text::emit(&run.trace);
     let path = fixture_path(name);
-    if std::env::var_os("OVLP_REGEN").is_some() {
+    if std::env::var_os("OVLP_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &emitted).unwrap();
-        eprintln!("regenerated {}", path.display());
+        eprintln!("blessed {}", path.display());
         return emitted;
     }
     let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e}; run OVLP_REGEN=1 to create", path.display()));
+        .unwrap_or_else(|e| panic!("{}: {e}; run OVLP_BLESS=1 to create", path.display()));
     assert_eq!(
         golden, emitted,
         "{name}: tracer output drifted from the committed fixture; \
-         if intentional, regenerate with OVLP_REGEN=1"
+         if intentional, re-bless with OVLP_BLESS=1"
     );
     emitted
 }

@@ -5,8 +5,8 @@
 //! in the exporter fails loudly here instead of silently changing what
 //! wxParaver displays.
 //!
-//! Regenerate deliberately with
-//! `OVLP_REGEN=1 cargo test --test paraver_golden`.
+//! Re-bless deliberately with
+//! `OVLP_BLESS=1 cargo test --test paraver_golden`.
 
 use overlap_sim::machine::{
     simulate, simulate_probed, Platform, SimResult, Time, Topology, WindowedRecorder,
@@ -27,21 +27,21 @@ fn load(trf: &str) -> Trace {
 }
 
 /// Compare `body` against `tests/fixtures/paraver/<name>` (or rewrite
-/// it under `OVLP_REGEN=1`).
+/// it under `OVLP_BLESS=1`).
 fn check_golden(name: &str, body: &str) {
     let path = fixture_path("paraver").join(name);
-    if std::env::var_os("OVLP_REGEN").is_some() {
+    if std::env::var_os("OVLP_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, body).unwrap();
-        eprintln!("regenerated {}", path.display());
+        eprintln!("blessed {}", path.display());
         return;
     }
     let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e}; run OVLP_REGEN=1 to create", path.display()));
+        .unwrap_or_else(|e| panic!("{}: {e}; run OVLP_BLESS=1 to create", path.display()));
     assert_eq!(
         golden, body,
         "{name}: Paraver export drifted from the committed golden; \
-         if intentional, regenerate with OVLP_REGEN=1"
+         if intentional, re-bless with OVLP_BLESS=1"
     );
 }
 
