@@ -38,4 +38,4 @@ pub use hazard::{double_buffer_demand, DoubleBufferDemand};
 pub use ideal::ideal_transform;
 pub use pipeline::{build_variants, VariantBundle};
 pub use sweep::{sweep, SweepCache, SweepConfig, SweepGrid};
-pub use transform::transform;
+pub use transform::{check_intervals, transform};

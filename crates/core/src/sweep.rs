@@ -20,7 +20,8 @@
 //! Determinism rests on three facts: the replay engine is a pure
 //! function of `(trace, platform)`; the scheduler assigns results by
 //! input index; and fingerprints/hashes are computed with FNV-1a over
-//! canonical byte encodings (`f64::to_bits`, sorted access-log keys),
+//! canonical byte encodings (`f64::to_bits`, sorted access-log keys;
+//! access stamps through a word-wise digest folded into that chain),
 //! never over pointer identity or iteration order of hash maps.
 
 pub mod chaos;
@@ -37,7 +38,7 @@ use ovlp_machine::{
     WindowedRecorder,
 };
 use ovlp_trace::record::SendMode;
-use ovlp_trace::{text, Trace};
+use ovlp_trace::{text, Stamp, Trace};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -98,18 +99,26 @@ impl Fnv {
 // Fingerprints and cache keys
 // ---------------------------------------------------------------------
 
-/// Content fingerprint of one traced run: the canonical text emission
-/// of the trace plus every access log in sorted-transfer order (the
+/// Generation of [`trace_fingerprint`]'s definition, hashed first. A
+/// new definition takes a new tag, so its keys are visibly apart from
+/// every earlier one; stores written under an older generation miss
+/// once per point and are re-filled.
+const TRACE_FINGERPRINT_GEN: &str = "ovlp.trace-fingerprint.2";
+
+/// Content fingerprint of one traced run: an FNV-1a chain over the
+/// generation tag, the rank count and the canonical text emission of
+/// the trace, then every access log in sorted-transfer order (the
 /// access DB is hash-map backed, so its iteration order must not leak
-/// into the fingerprint). Each element contributes its packed
-/// [`Stamp`](ovlp_trace::Stamp) word. Scatter events are not hashed, so
-/// a lean trace and a scatter-capturing one share a fingerprint.
+/// into the fingerprint): its header fields and the `stamp_digest` of
+/// its packed [`Stamp`] words. Scatter events are not hashed, so a lean
+/// trace and a scatter-capturing one share a fingerprint.
 pub fn trace_fingerprint(run: &TraceRun) -> u64 {
     // The rank count is hashed explicitly (it is also inside the text
     // emission, but the weak-scaling axis makes it a first-class sweep
     // dimension: two rank counts of the same app must never share a
     // store entry, regardless of how the text format evolves).
     let mut h = Fnv::new()
+        .str(TRACE_FINGERPRINT_GEN)
         .u64(run.trace.nranks() as u64)
         .str(&text::emit(&run.trace));
     for (r, rank) in run.access.ranks.iter().enumerate() {
@@ -122,10 +131,8 @@ pub fn trace_fingerprint(run: &TraceRun) -> u64 {
                 .u32(p.transfer.seq)
                 .u32(p.elems)
                 .u64(p.interval_start.0)
-                .u64(p.interval_end.0);
-            for s in &p.last_store {
-                h = h.u64(s.bits());
-            }
+                .u64(p.interval_end.0)
+                .u64(stamp_digest(p.last_store()));
         }
         let mut cons: Vec<_> = rank.consumptions.values().collect();
         cons.sort_by_key(|c| (c.transfer.rank.0, c.transfer.seq));
@@ -135,13 +142,52 @@ pub fn trace_fingerprint(run: &TraceRun) -> u64 {
                 .u32(c.transfer.seq)
                 .u32(c.elems)
                 .u64(c.interval_start.0)
-                .u64(c.interval_end.0);
-            for l in &c.first_load {
-                h = h.u64(l.bits());
-            }
+                .u64(c.interval_end.0)
+                .u64(stamp_digest(c.first_load()));
         }
     }
     h.finish()
+}
+
+/// Odd multipliers of the [`stamp_digest`] lanes.
+const LANE_MUL: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0xd6e8_feb8_6659_fd93,
+];
+
+/// Digest of one log's packed stamps: word `i` enters lane `i % 4` as
+/// `lane = rotl((lane ^ word) * LANE_MUL[lane], 29)`, then the lanes and
+/// the slice length are merged and finalized. Each step is a bijection
+/// of the lane, so changing any one word always changes the digest;
+/// the four independent chains keep the multiplier pipeline full where
+/// one FNV-1a chain waits on every byte.
+fn stamp_digest(stamps: &[Stamp]) -> u64 {
+    #[inline(always)]
+    fn step(lane: u64, word: u64, mul: u64) -> u64 {
+        (lane ^ word).wrapping_mul(mul).rotate_left(29)
+    }
+    let mut lanes = LANE_MUL;
+    let mut quads = stamps.chunks_exact(4);
+    for q in &mut quads {
+        for j in 0..4 {
+            lanes[j] = step(lanes[j], q[j].bits(), LANE_MUL[j]);
+        }
+    }
+    for (j, s) in quads.remainder().iter().enumerate() {
+        lanes[j] = step(lanes[j], s.bits(), LANE_MUL[j]);
+    }
+    let mut h = stamps.len() as u64;
+    for lane in lanes {
+        h = step(h, lane, LANE_MUL[0]);
+    }
+    // murmur3's 64-bit finalizer: every lane bit reaches every output bit
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Fingerprint of every field that influences simulated time.
@@ -212,8 +258,8 @@ pub fn point_key(trace_fp: u64, platform: &Platform, policy: &ChunkPolicy) -> Po
 // ---------------------------------------------------------------------
 
 /// One traced application entering a sweep. The trace fingerprint is
-/// known at construction (it is the expensive part of cache keying)
-/// and shared by every grid point of this app.
+/// known at construction (one pass over the access stamps) and shared
+/// by every grid point of this app.
 ///
 /// An app is either *eager* ([`SweepApp::new`]: the run is held from
 /// the start) or *deferred* ([`SweepApp::deferred`]: only the
@@ -1569,6 +1615,30 @@ mod tests {
         assert_ne!(
             policy_fingerprint(&ChunkPolicy::with_chunks(2)),
             policy_fingerprint(&ChunkPolicy::with_chunks(4))
+        );
+    }
+
+    #[test]
+    fn stamp_digest_sees_each_word_its_position_and_the_length() {
+        let stamps: Vec<Stamp> = (0..11).map(|t| Stamp::at(t * 7)).collect();
+        let base = stamp_digest(&stamps);
+        for i in 0..stamps.len() {
+            let mut flipped = stamps.clone();
+            flipped[i] = Stamp::NEVER;
+            assert_ne!(stamp_digest(&flipped), base, "word {i} cleared");
+            if i + 1 < stamps.len() {
+                let mut swapped = stamps.clone();
+                swapped.swap(i, i + 1);
+                assert_ne!(stamp_digest(&swapped), base, "words {i}, {} swapped", i + 1);
+            }
+            // every proper prefix and suffix digests apart from the whole
+            assert_ne!(stamp_digest(&stamps[..i]), base);
+            assert_ne!(stamp_digest(&stamps[i + 1..]), base);
+        }
+        assert_ne!(stamp_digest(&[]), stamp_digest(&[Stamp::NEVER]));
+        assert_ne!(
+            stamp_digest(&[Stamp::NEVER; 4]),
+            stamp_digest(&[Stamp::NEVER; 5])
         );
     }
 

@@ -184,8 +184,53 @@ fn max_req(rt: &RankTrace) -> u64 {
         .unwrap_or(0)
 }
 
+/// Check that `access` fits `trace`: every production interval starts
+/// at or before its send, and every consumption interval ends at or
+/// after its receive, a record's position being the instructions
+/// computed before it. A traced run always fits its own trace;
+/// [`transform`] assumes it and panics on a log that does not, so a
+/// caller handed logs from elsewhere (an `.acc` file) checks first.
+/// The error names the first transfer that does not fit.
+pub fn check_intervals(trace: &Trace, access: &AccessDb) -> Result<(), String> {
+    for rt in &trace.ranks {
+        let mut at = 0u64;
+        for rec in &rt.records {
+            match *rec {
+                Record::Compute { instr } => at += instr.get(),
+                Record::Send { transfer, .. } => {
+                    if let Some(p) = access.production(transfer) {
+                        let start = p.interval_start.get();
+                        if start > at {
+                            return Err(format!(
+                                "production {}.{} starts at {start}, after its send at {at}",
+                                transfer.rank.get(),
+                                transfer.seq
+                            ));
+                        }
+                    }
+                }
+                Record::Recv { transfer, .. } => {
+                    if let Some(c) = access.consumption(transfer) {
+                        let end = c.interval_end.get();
+                        if end < at {
+                            return Err(format!(
+                                "consumption {}.{} ends at {end}, before its receive at {at}",
+                                transfer.rank.get(),
+                                transfer.seq
+                            ));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Rewrite `trace` into the overlapped trace using the measured
-/// production/consumption patterns in `access`.
+/// production/consumption patterns in `access`, which must pass
+/// [`check_intervals`].
 pub fn transform(trace: &Trace, access: &AccessDb, policy: &ChunkPolicy) -> Trace {
     let matches = match_p2p(trace, Some(access));
     let mut out = Trace::new(trace.nranks());
@@ -507,5 +552,32 @@ mod tests {
             Some("overlapped")
         );
         assert_eq!(out.meta.get("chunks").map(String::as_str), Some("4"));
+    }
+
+    #[test]
+    fn check_intervals_names_the_transfer_that_does_not_fit() {
+        let (t, db) = fixture();
+        assert_eq!(check_intervals(&t, &db), Ok(()));
+        // the send sits at 1000 on rank 0, the receive at 0 on rank 1
+        let mut late = db.clone();
+        late.insert_production(production_log_for_test(0, 0, 1001, 2000, &[None; 4]));
+        let e = check_intervals(&t, &late).unwrap_err();
+        assert!(e.contains("production 0.0") && e.contains("1001"), "{e}");
+        let mut early = AccessDb::new(2);
+        early.insert_consumption(consumption_log_for_test(1, 0, 0, 0, &[None; 4]));
+        assert_eq!(
+            check_intervals(&t, &early),
+            Ok(()),
+            "an empty interval fits"
+        );
+        let mut t2 = t.clone();
+        t2.rank_mut(Rank(1)).records.insert(
+            0,
+            Record::Compute {
+                instr: Instructions(5),
+            },
+        );
+        let e = check_intervals(&t2, &early).unwrap_err();
+        assert!(e.contains("consumption 1.0") && e.contains("at 5"), "{e}");
     }
 }

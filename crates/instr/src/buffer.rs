@@ -150,32 +150,32 @@ impl TrackedBuf {
 
     /// Close the current production interval at `now`, returning its log
     /// keyed by `transfer`, and open the next interval. The summary moves
-    /// into the log as is; the next interval starts from fresh stamps.
+    /// into the log as is and is indexed there while still hot in cache;
+    /// the next interval starts from fresh stamps.
     pub(crate) fn take_production(&mut self, now: u64, transfer: TransferId) -> ProductionLog {
         let fresh = vec![Stamp::NEVER; self.data.len()];
-        let log = ProductionLog {
+        let mut log = ProductionLog::new(
             transfer,
-            elems: self.data.len() as u32,
-            interval_start: Instructions(self.prod_start),
-            interval_end: Instructions(now),
-            last_store: std::mem::replace(&mut self.last_store, fresh),
-            events: std::mem::take(&mut self.prod_events),
-        };
+            Instructions(self.prod_start),
+            Instructions(now),
+            std::mem::replace(&mut self.last_store, fresh),
+        );
+        log.events = std::mem::take(&mut self.prod_events);
         self.prod_start = now;
         log
     }
 
-    /// Close the open consumption interval (if any) at `now`.
+    /// Close the open consumption interval (if any) at `now`, indexing
+    /// its summary while still hot in cache.
     pub(crate) fn end_consumption(&mut self, now: u64) -> Option<ConsumptionLog> {
         let transfer = self.open_consumption.take()?;
-        let log = ConsumptionLog {
+        let mut log = ConsumptionLog::new(
             transfer,
-            elems: self.data.len() as u32,
-            interval_start: Instructions(self.cons_start),
-            interval_end: Instructions(now),
-            first_load: std::mem::take(&mut self.first_load),
-            events: std::mem::take(&mut self.cons_events),
-        };
+            Instructions(self.cons_start),
+            Instructions(now),
+            std::mem::take(&mut self.first_load),
+        );
+        log.events = std::mem::take(&mut self.cons_events);
         Some(log)
     }
 
@@ -245,9 +245,9 @@ mod tests {
         b.store(2, 3.0);
         let now = sh.now();
         let log = b.take_production(now, tid(0));
-        assert_eq!(log.last_store[0].get(), Some(Instructions(12))); // 1 + 10 + 1
-        assert_eq!(log.last_store[1], Stamp::NEVER);
-        assert_eq!(log.last_store[2].get(), Some(Instructions(13)));
+        assert_eq!(log.last_store()[0].get(), Some(Instructions(12))); // 1 + 10 + 1
+        assert_eq!(log.last_store()[1], Stamp::NEVER);
+        assert_eq!(log.last_store()[2].get(), Some(Instructions(13)));
         assert_eq!(log.interval_start, Instructions(0));
         assert_eq!(log.interval_end, Instructions(now));
         assert_eq!(b.raw()[0], 2.0);
@@ -265,11 +265,11 @@ mod tests {
         let log = b.take_production(t2, tid(1));
         assert_eq!(log.interval_start, Instructions(t1));
         assert_eq!(
-            log.last_store[0],
+            log.last_store()[0],
             Stamp::NEVER,
             "store from previous interval"
         );
-        assert!(!log.last_store[1].is_never());
+        assert!(!log.last_store()[1].is_never());
     }
 
     #[test]
@@ -284,9 +284,9 @@ mod tests {
         assert_eq!(b.load(1), 1.0);
         assert_eq!(b.load(1), 1.0); // second load doesn't move first_load
         let log = b.end_consumption(sh.now()).unwrap();
-        assert_eq!(log.first_load[0], Stamp::NEVER);
-        assert_eq!(log.first_load[1].get(), Some(Instructions(102)));
-        assert_eq!(log.first_load[2], Stamp::NEVER);
+        assert_eq!(log.first_load()[0], Stamp::NEVER);
+        assert_eq!(log.first_load()[1].get(), Some(Instructions(102)));
+        assert_eq!(log.first_load()[2], Stamp::NEVER);
     }
 
     #[test]
@@ -313,7 +313,7 @@ mod tests {
         assert_eq!(log.events.len(), 3, "capped");
         assert_eq!(log.events[0].offset, 0);
         // summaries are not capped
-        assert!(log.last_store.iter().all(|o| !o.is_never()));
+        assert!(log.last_store().iter().all(|o| !o.is_never()));
     }
 
     #[test]
@@ -342,6 +342,6 @@ mod tests {
         b.init(|_| 7.0);
         assert_eq!(sh.now(), 0);
         let log = b.take_production(0, tid(0));
-        assert!(log.last_store.iter().all(|o| o.is_never()));
+        assert!(log.last_store().iter().all(|o| o.is_never()));
     }
 }

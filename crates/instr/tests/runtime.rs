@@ -56,7 +56,7 @@ fn ping_trace_structure() {
         .production(TransferId::new(Rank(0), 0))
         .expect("production log");
     assert_eq!(p.elems, 8);
-    assert!(p.last_store.iter().all(|o| !o.is_never()));
+    assert!(p.last_store().iter().all(|o| !o.is_never()));
 
     // consumption log for rank 1 (flushed at buffer drop)
     let c = run
@@ -64,7 +64,7 @@ fn ping_trace_structure() {
         .consumption(TransferId::new(Rank(1), 0))
         .expect("consumption log");
     assert_eq!(c.elems, 8);
-    assert!(c.first_load.iter().all(|o| !o.is_never()));
+    assert!(c.first_load().iter().all(|o| !o.is_never()));
 }
 
 #[test]
@@ -251,14 +251,14 @@ fn consumption_interval_closed_by_next_recv() {
         .access
         .consumption(TransferId::new(Rank(1), 0))
         .expect("first consumption interval");
-    assert_eq!(c0.first_load[2].get(), Some(Instructions(100)));
-    assert_eq!(c0.first_load[0], Stamp::NEVER);
+    assert_eq!(c0.first_load()[2].get(), Some(Instructions(100)));
+    assert_eq!(c0.first_load()[0], Stamp::NEVER);
     // second interval flushed at drop, no loads
     let c1 = run
         .access
         .consumption(TransferId::new(Rank(1), 1))
         .expect("second consumption interval");
-    assert!(c1.first_load.iter().all(|o| o.is_never()));
+    assert!(c1.first_load().iter().all(|o| o.is_never()));
 }
 
 #[test]
@@ -283,8 +283,8 @@ fn production_interval_spans_between_sends() {
         .access
         .production(TransferId::new(Rank(0), 1))
         .expect("second production log");
-    assert!(!p1.last_store[0].is_never());
-    assert_eq!(p1.last_store[1], Stamp::NEVER, "elem 1 not rewritten");
+    assert!(!p1.last_store()[0].is_never());
+    assert_eq!(p1.last_store()[1], Stamp::NEVER, "elem 1 not rewritten");
 }
 
 #[test]
@@ -370,7 +370,7 @@ fn scatter_capture_can_be_disabled() {
     let p = run.access.production(TransferId::new(Rank(0), 0)).unwrap();
     assert!(p.events.is_empty(), "scatter disabled");
     // summaries still captured
-    assert!(p.last_store.iter().all(|o| !o.is_never()));
+    assert!(p.last_store().iter().all(|o| !o.is_never()));
 }
 
 #[test]

@@ -43,6 +43,17 @@ pub const MAX_ELEMS: u32 = 1 << 24;
 pub struct AccessParseError {
     pub line: usize,
     pub message: String,
+    pub kind: AccessErrorKind,
+}
+
+/// What is wrong with a refused access log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessErrorKind {
+    /// Unreadable, malformed or past a cap.
+    Malformed,
+    /// Well formed, but a log contradicts itself (an interval that
+    /// starts after it ends).
+    Inconsistent,
 }
 
 impl std::fmt::Display for AccessParseError {
@@ -61,6 +72,7 @@ fn err(line: usize, message: impl ToString) -> AccessParseError {
     AccessParseError {
         line,
         message: message.to_string(),
+        kind: AccessErrorKind::Malformed,
     }
 }
 
@@ -84,7 +96,7 @@ pub fn emit(db: &AccessDb, out: impl Write) -> io::Result<()> {
                 p.interval_start.get(),
                 p.interval_end.get()
             )?;
-            for (i, t) in p.last_store.iter().enumerate() {
+            for (i, t) in p.last_store().iter().enumerate() {
                 if let Some(t) = t.get() {
                     writeln!(out, "ls {} {}", i, t.get())?;
                 }
@@ -105,7 +117,7 @@ pub fn emit(db: &AccessDb, out: impl Write) -> io::Result<()> {
                 c.interval_start.get(),
                 c.interval_end.get()
             )?;
-            for (i, t) in c.first_load.iter().enumerate() {
+            for (i, t) in c.first_load().iter().enumerate() {
                 if let Some(t) = t.get() {
                     writeln!(out, "fl {} {}", i, t.get())?;
                 }
@@ -118,29 +130,43 @@ pub fn emit(db: &AccessDb, out: impl Write) -> io::Result<()> {
     out.flush()
 }
 
-enum Open {
-    None,
-    Prod(ProductionLog),
-    Cons(ConsumptionLog),
+/// The log being read: its header line and the stamps and scatter
+/// read so far. It is sealed (and indexed) when the next header or the
+/// end of input closes it.
+struct Open {
+    production: bool,
+    transfer: TransferId,
+    start: Instructions,
+    end: Instructions,
+    stamps: Vec<Stamp>,
+    events: Vec<AccessEvent>,
 }
 
 /// Parse an access database from `input`, one line at a time. A file
 /// may declare, up to any line, one element per byte read so far (at
 /// least [`MAX_ELEMS`]), so the stamps never take more than eight times
-/// the text behind them.
+/// the text behind them. An interval that starts after it ends is
+/// refused with [`AccessErrorKind::Inconsistent`].
 pub fn parse(mut input: impl BufRead) -> Result<AccessDb, AccessParseError> {
     let mut db: Option<AccessDb> = None;
-    let mut open = Open::None;
+    let mut open: Option<Open> = None;
     let mut declared = 0usize;
     let mut read = 0usize;
     let mut raw = String::new();
     let mut lineno = 0usize;
 
-    fn flush(db: &mut AccessDb, open: &mut Open) {
-        match std::mem::replace(open, Open::None) {
-            Open::None => {}
-            Open::Prod(p) => db.insert_production(p),
-            Open::Cons(c) => db.insert_consumption(c),
+    fn flush(db: &mut AccessDb, open: &mut Option<Open>) {
+        let Some(o) = open.take() else {
+            return;
+        };
+        if o.production {
+            let mut p = ProductionLog::new(o.transfer, o.start, o.end, o.stamps);
+            p.events = o.events;
+            db.insert_production(p);
+        } else {
+            let mut c = ConsumptionLog::new(o.transfer, o.start, o.end, o.stamps);
+            c.events = o.events;
+            db.insert_consumption(c);
         }
     }
 
@@ -196,47 +222,44 @@ pub fn parse(mut input: impl BufRead) -> Result<AccessDb, AccessParseError> {
                 }
                 let start: u64 = parse_field(&rest, 2, lineno)?;
                 let end: u64 = parse_field(&rest, 3, lineno)?;
-                if kw == "p" {
-                    open = Open::Prod(ProductionLog {
-                        transfer: tid,
-                        elems,
-                        interval_start: Instructions(start),
-                        interval_end: Instructions(end),
-                        last_store: vec![Stamp::NEVER; elems as usize],
-                        events: Vec::new(),
-                    });
-                } else {
-                    open = Open::Cons(ConsumptionLog {
-                        transfer: tid,
-                        elems,
-                        interval_start: Instructions(start),
-                        interval_end: Instructions(end),
-                        first_load: vec![Stamp::NEVER; elems as usize],
-                        events: Vec::new(),
+                let production = kw == "p";
+                if start > end {
+                    let what = if production {
+                        "production"
+                    } else {
+                        "consumption"
+                    };
+                    return Err(AccessParseError {
+                        line: lineno,
+                        message: format!(
+                            "{what} {}.{} has an interval that starts after it ends \
+                             ({start} > {end})",
+                            tid.rank.get(),
+                            tid.seq
+                        ),
+                        kind: AccessErrorKind::Inconsistent,
                     });
                 }
+                open = Some(Open {
+                    production,
+                    transfer: tid,
+                    start: Instructions(start),
+                    end: Instructions(end),
+                    stamps: vec![Stamp::NEVER; elems as usize],
+                    events: Vec::new(),
+                });
             }
-            "ls" => {
+            "ls" | "fl" => {
                 let i: usize = parse_field(&rest, 0, lineno)?;
                 let t = parse_stamp(&rest, lineno)?;
+                let production = kw == "ls";
                 match &mut open {
-                    Open::Prod(p) => {
-                        *p.last_store
+                    Some(o) if o.production == production => {
+                        *o.stamps
                             .get_mut(i)
-                            .ok_or_else(|| err(lineno, "ls offset out of range"))? = t;
+                            .ok_or_else(|| err(lineno, format!("{kw} offset out of range")))? = t;
                     }
-                    _ => return Err(err(lineno, "`ls` outside production block")),
-                }
-            }
-            "fl" => {
-                let i: usize = parse_field(&rest, 0, lineno)?;
-                let t = parse_stamp(&rest, lineno)?;
-                match &mut open {
-                    Open::Cons(c) => {
-                        *c.first_load
-                            .get_mut(i)
-                            .ok_or_else(|| err(lineno, "fl offset out of range"))? = t;
-                    }
+                    _ if production => return Err(err(lineno, "`ls` outside production block")),
                     _ => return Err(err(lineno, "`fl` outside consumption block")),
                 }
             }
@@ -248,9 +271,8 @@ pub fn parse(mut input: impl BufRead) -> Result<AccessDb, AccessParseError> {
                     at: Instructions(at),
                 };
                 match &mut open {
-                    Open::Prod(p) => p.events.push(ev),
-                    Open::Cons(c) => c.events.push(ev),
-                    Open::None => return Err(err(lineno, "`e` outside any block")),
+                    Some(o) => o.events.push(ev),
+                    None => return Err(err(lineno, "`e` outside any block")),
                 }
             }
             other => return Err(err(lineno, format!("unknown keyword `{other}`"))),
@@ -376,6 +398,22 @@ mod tests {
         let txt = format!("#OVLP-ACCESS 1\nranks 1\np 0.0 1 0 10\nls 0 {}\n", u64::MAX);
         let e = parse_text(&txt).unwrap_err();
         assert!(e.message.contains("access time out of range"), "{e}");
+    }
+
+    #[test]
+    fn rejects_intervals_that_start_after_they_end() {
+        for (txt, what) in [
+            ("p 0.0 5000 7000 5000", "production 0.0"),
+            ("c 0.1 5000 5000 0", "consumption 0.1"),
+        ] {
+            let e = parse_text(&format!("#OVLP-ACCESS 1\nranks 1\n{txt}\n")).unwrap_err();
+            assert_eq!((e.line, e.kind), (3, AccessErrorKind::Inconsistent), "{e}");
+            assert!(e.message.contains(what), "{e}");
+        }
+        // an empty interval is consistent
+        assert!(parse_text("#OVLP-ACCESS 1\nranks 1\nc 0.1 2 9 9\n").is_ok());
+        let e = parse_text("#OVLP-ACCESS 1\nranks 1\nls 0 5\n").unwrap_err();
+        assert_eq!(e.kind, AccessErrorKind::Malformed);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use overlap_sim::machine::{
     replay_scale, simulate, simulate_probed, ContentionModel, CritPathRecorder, FaultSchedule,
     Metrics, NoopSink, Platform, SimError, TeeSink, Time, WindowedRecorder,
 };
+use overlap_sim::trace::access_text::{self, AccessErrorKind};
 use overlap_sim::trace::{text, TraceSource};
 use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
 use std::fs;
@@ -365,9 +366,7 @@ fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
     }
     // the access log runs to gigabytes at a few hundred ranks: stream it
     let path = dir.join("access.acc");
-    if let Err(e) =
-        fs::File::create(&path).and_then(|f| overlap_sim::trace::access_text::emit(&run.access, f))
-    {
+    if let Err(e) = fs::File::create(&path).and_then(|f| access_text::emit(&run.access, f)) {
         return fail(format!("{}: {e}", path.display()));
     }
     outln!("wrote {}", path.display());
@@ -385,14 +384,21 @@ fn transform_cmd(trf: &str, acc: &str) -> ExitCode {
         Err(e) => return fail(format!("{trf}: {e}")),
     };
     let access = match fs::File::open(acc)
-        .map_err(|e| e.to_string())
+        .map_err(|e| CliError::Run(e.to_string()))
         .and_then(|f| {
-            overlap_sim::trace::access_text::parse(std::io::BufReader::new(f))
-                .map_err(|e| e.to_string())
+            access_text::parse(std::io::BufReader::new(f)).map_err(|e| match e.kind {
+                AccessErrorKind::Inconsistent => CliError::Usage(e.to_string()),
+                AccessErrorKind::Malformed => CliError::Run(e.to_string()),
+            })
         }) {
         Ok(a) => a,
-        Err(e) => return fail(format!("{acc}: {e}")),
+        Err(CliError::Usage(e)) => return fail_usage(format!("{acc}: {e}")),
+        Err(CliError::Run(e)) => return fail(format!("{acc}: {e}")),
     };
+    // logs that contradict the trace would make the rewrite panic
+    if let Err(e) = overlap_sim::core::check_intervals(&trace, &access) {
+        return fail_usage(format!("{acc} does not fit {trf}: {e}"));
+    }
     let out = overlap_sim::core::transform(&trace, &access, &ChunkPolicy::paper_default());
     out!("{}", text::emit(&out));
     ExitCode::SUCCESS

@@ -229,6 +229,45 @@ fn streamed_simulate_and_scale_succeed() {
 }
 
 #[test]
+fn inconsistent_access_logs_are_refused() {
+    // In the fixture, rank 0 sends 0.0 and receives 0.1 after 64
+    // instructions. Each log below would make the rewrite clamp with
+    // min > max; it is refused with exit 2 and the transfer it names.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/nas_cg_8r.trf");
+    let dir = std::env::temp_dir().join(format!("ovlp-acc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (log, needle)) in [
+        // an interval that starts after it ends
+        (
+            "p 0.0 5000 7000 5000",
+            "production 0.0 has an interval that starts after",
+        ),
+        (
+            "c 0.1 5000 5000 0",
+            "consumption 0.1 has an interval that starts after",
+        ),
+        // a production that starts after its send, a consumption that
+        // ends before its receive
+        (
+            "p 0.0 64 100 200",
+            "production 0.0 starts at 100, after its send at 64",
+        ),
+        (
+            "c 0.1 64 0 10",
+            "consumption 0.1 ends at 10, before its receive at 64",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let acc = dir.join(format!("bad{i}.acc"));
+        std::fs::write(&acc, format!("#OVLP-ACCESS 1\nranks 8\n{log}\n")).unwrap();
+        assert_usage_error(&["transform", fixture, acc.to_str().unwrap()], needle);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn runtime_failures_exit_one() {
     // Well-formed invocations that fail while running: missing input
     // file, unreadable trace content, unwritable store directory.

@@ -4,7 +4,7 @@
 //! the way the Dimemas toolchain is (files between stages).
 
 use overlap_sim::core::chunk::ChunkPolicy;
-use overlap_sim::core::transform;
+use overlap_sim::core::{check_intervals, transform};
 use overlap_sim::instr::trace_app;
 use overlap_sim::trace::{access_text, text};
 
@@ -46,5 +46,7 @@ fn access_log_roundtrips_for_every_pool_app() {
         let back =
             access_text::parse(&acc_file[..]).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
         assert_eq!(run.access, back, "{}", app.name());
+        // a traced run always fits its own trace
+        check_intervals(&run.trace, &back).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
     }
 }
