@@ -21,8 +21,8 @@
 //! application properties" than this model — chunk-level windows,
 //! bus/port contention, pipelining across ranks. This module implements
 //! the analytical baseline so the claim is testable: compare
-//! [`estimate`] against the simulated speedups (see the
-//! `compare_analytic` binary).
+//! [`estimate`] against the simulated speedups (the `analytic` section
+//! of `ovlp paper`).
 
 use crate::patterns::{ConsumptionStats, ProductionStats};
 use ovlp_machine::SimResult;

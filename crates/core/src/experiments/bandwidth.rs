@@ -14,7 +14,7 @@
 //!   [`EquivalentBandwidth::Divergent`].
 
 use crate::pipeline::VariantBundle;
-use ovlp_machine::{simulate, Platform, SimError};
+use ovlp_machine::{replay_scale, Platform, SimError};
 use ovlp_trace::Trace;
 
 /// Relative tolerance for runtime comparisons and search convergence.
@@ -24,8 +24,12 @@ const ITERS: usize = 60;
 /// Lower bandwidth bound for relaxation searches, MB/s.
 const MIN_BW: f64 = 1e-3;
 
+/// Runtime (s) of `trace` at bandwidth `bw`. The searches need only the
+/// runtime, so they replay totals-only: bit-identical to `simulate`'s.
 fn runtime_at(trace: &Trace, platform: &Platform, bw: f64) -> Result<f64, SimError> {
-    Ok(simulate(trace, &platform.with_bandwidth(bw))?.runtime())
+    Ok(replay_scale(trace, &platform.with_bandwidth(bw))?
+        .runtime
+        .as_secs())
 }
 
 /// A bandwidth in `[lo, hi]` at which `trace` runs in at most `target`
@@ -88,7 +92,7 @@ pub fn bandwidth_relaxation(
     platform: &Platform,
 ) -> Result<BandwidthRelaxation, SimError> {
     let base_bw = platform.bandwidth_mbs;
-    let baseline_runtime = simulate(&bundle.original, platform)?.runtime();
+    let baseline_runtime = replay_scale(&bundle.original, platform)?.runtime.as_secs();
     let real_mbs = min_bandwidth_matching(
         &bundle.overlapped,
         platform,
@@ -165,6 +169,7 @@ pub fn equivalent_bandwidth(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovlp_machine::simulate;
     use ovlp_trace::record::{Record, SendMode};
     use ovlp_trace::{Bytes, Instructions, Rank, Tag, TransferId};
 

@@ -138,6 +138,11 @@ const COMMANDS: &[Cmd] = &[
         about: "sweep-as-a-service HTTP daemon over the persistent result store",
     },
     Cmd {
+        name: "paper",
+        args: "[--jobs N] [--out DIR]",
+        about: "the paper's evaluation: Tables I-II, Figs. 4-6, SC'06 model, ablations",
+    },
+    Cmd {
         name: "help",
         args: "",
         about: "show this help",
@@ -199,6 +204,7 @@ fn main() -> ExitCode {
         ["paraver", app, ranks, outdir, rest @ ..] => paraver_cmd(app, ranks, outdir, rest),
         ["sweep", app, ranks, rest @ ..] => sweep_cmd(app, ranks, rest),
         ["serve", rest @ ..] => serve_cmd(rest),
+        ["paper", rest @ ..] => paper_cmd(rest),
         ["help"] | ["--help"] | ["-h"] => {
             out!("{}", usage());
             ExitCode::SUCCESS
@@ -1206,6 +1212,46 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(e.to_string()),
     }
+}
+
+/// `ovlp paper`: print the evaluation document; with `--out DIR`, also
+/// write its Fig. 4 timelines and Paraver traces and its CSV series
+/// there. The document is identical for any `--jobs` value.
+fn paper_cmd(rest: &[&str]) -> ExitCode {
+    if let Err(e) = positionals("paper", rest, &["--jobs", "--out"], &[], 0) {
+        return fail_usage(e);
+    }
+    let jobs = match parse_flag(rest, "--jobs", 1usize) {
+        Ok(0) => return fail_usage("bad --jobs value `0`: must be at least 1".into()),
+        Ok(n) => n,
+        Err(e) => return fail_usage(e),
+    };
+    let out_dir = match parse_opt_flag::<String>(rest, "--out") {
+        Ok(d) => d,
+        Err(e) => return fail_usage(e),
+    };
+    // an unusable output directory fails before the evaluation runs
+    if let Some(dir) = &out_dir {
+        if let Err(e) = fs::create_dir_all(dir) {
+            return fail(format!("{dir}: {e}"));
+        }
+    }
+    let paper = match overlap_sim::paper::render(jobs) {
+        Ok(p) => p,
+        Err(e) => return fail(e.to_string()),
+    };
+    if let Some(dir) = out_dir {
+        let dir = Path::new(&dir);
+        for (name, body) in &paper.files {
+            let path = dir.join(name);
+            if let Err(e) = fs::write(&path, body) {
+                return fail(format!("{}: {e}", path.display()));
+            }
+        }
+        eprintln!("wrote {} files to {}", paper.files.len(), dir.display());
+    }
+    out!("{}", paper.text);
+    ExitCode::SUCCESS
 }
 
 /// Check a subcommand's trailing arguments and return its positionals.

@@ -24,7 +24,10 @@
 //!   (`ovlp-apps`);
 //! * [`serve`] — sweep-as-a-service: the `ovlp serve` HTTP daemon and
 //!   the shared sweep-job specification, backed by the persistent
-//!   content-addressed result store (`ovlp-serve`).
+//!   content-addressed result store (`ovlp-serve`);
+//! * [`paper`] — the paper's whole evaluation (Tables I–II, Figs. 4–6,
+//!   the SC'06 model comparison, the ablations) as one document, the
+//!   output of `ovlp paper`.
 //!
 //! ## Quickstart
 //!
@@ -55,6 +58,8 @@ pub use ovlp_machine as machine;
 pub use ovlp_serve as serve;
 pub use ovlp_trace as trace;
 pub use ovlp_viz as viz;
+
+pub mod paper;
 
 /// Commonly used items, importable with one `use`.
 pub mod prelude {

@@ -57,6 +57,10 @@ fn usage_and_parse_errors_exit_two() {
     assert_usage_error(&["sweep", "nas-cg", "4", "--bw", "0"], "accepted range");
     assert_usage_error(&["sweep", "nas-cg", "8", "--bw", "250,1e10"], "1e-3..=1e9");
     assert_usage_error(&["scale", "ml-allreduce", "64", "1e-300"], "accepted range");
+    // the evaluation runs on at least one worker, never on a fallback
+    assert_usage_error(&["paper", "--jobs", "0"], "--jobs");
+    assert_usage_error(&["paper", "--jobs", "x"], "--jobs");
+    assert_usage_error(&["paper", "--out"], "--out");
     assert_usage_error(
         &["sweep", "nas-cg", "4", "--probe-window", "-5"],
         "--probe-window",
@@ -206,6 +210,8 @@ fn unknown_flags_and_surplus_arguments_exit_two() {
         "`--critpath`",
     );
     assert_usage_error(&["paraver", "nas-cg", "4", "/tmp/prv", "extra"], "`extra`");
+    assert_usage_error(&["paper", "extra"], "`extra`");
+    assert_usage_error(&["paper", "--jobs", "2", "--quick"], "`--quick`");
 }
 
 #[test]
@@ -283,6 +289,10 @@ fn runtime_failures_exit_one() {
     std::fs::write(&garbled, "this is not a trace\n").unwrap();
     let bad_trace = ovlp(&["simulate", garbled.to_str().unwrap()]);
     assert_eq!(bad_trace.status.code(), Some(1), "{bad_trace:?}");
+    // `paper --out` under a regular file cannot be created
+    let bad_out = ovlp(&["paper", "--out", garbled.join("out").to_str().unwrap()]);
+    assert_eq!(bad_out.status.code(), Some(1), "{bad_out:?}");
+    assert!(bad_out.stdout.is_empty(), "{bad_out:?}");
 
     // a header claiming billions of ranks is refused with the cap
     // before any per-rank storage is allocated
@@ -377,17 +387,25 @@ fn runtime_failures_exit_one() {
 fn closed_stdout_ends_quietly() {
     // `ovlp ... | head -1`: the reader goes away before the report is
     // written, which must end the command without a panic
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ovlp"))
-        .args(["simulate", "ml-allreduce", "--ranks", "64"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    drop(child.stdout.take());
-    let out = child.wait_with_output().unwrap();
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(stderr.is_empty(), "closed stdout must be quiet: {stderr}");
+    for args in [
+        &["simulate", "ml-allreduce", "--ranks", "64"][..],
+        &["paper", "--jobs", "2"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ovlp"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(
+            stderr.is_empty(),
+            "{args:?}: closed stdout must be quiet: {stderr}"
+        );
+    }
 }
 
 #[test]
