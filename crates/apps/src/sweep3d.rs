@@ -27,6 +27,7 @@
 use crate::util::{advance_to, copy_in};
 use ovlp_instr::{MpiApp, RankCtx};
 use ovlp_trace::Rank;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration of the Sweep3D mini-kernel.
 #[derive(Debug, Clone)]
@@ -72,6 +73,42 @@ impl Sweep3dApp {
             ..Sweep3dApp::default()
         }
     }
+
+    /// The finalization pass's completion fraction of each face element,
+    /// `min(1, final_pass_at + span·(i/face)^profile_exp)`. The table
+    /// depends only on the configuration, so it is computed once and
+    /// shared read-only by every rank thread of every run with the same
+    /// configuration, instead of `face × mk × iters` calls to `powf` on
+    /// every rank.
+    fn final_profile(&self) -> Arc<[f64]> {
+        type Key = (usize, u64, u64);
+        /// Distinct configurations kept; a sweep traces one or two.
+        const CAP: usize = 8;
+        static PROFILES: Mutex<Vec<(Key, Arc<[f64]>)>> = Mutex::new(Vec::new());
+        let key = (
+            self.face,
+            self.final_pass_at.to_bits(),
+            self.profile_exp.to_bits(),
+        );
+        let mut cache = PROFILES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(table);
+        }
+        let (n, span) = (self.face, 1.0 - self.final_pass_at);
+        let table: Arc<[f64]> = (0..n)
+            .map(|i| {
+                // x = i/n so the first element's final version lands
+                // exactly at `final_pass_at` (the measured 66.3%)
+                let x = i as f64 / n as f64;
+                (self.final_pass_at + span * x.powf(self.profile_exp)).min(1.0)
+            })
+            .collect();
+        if cache.len() >= CAP {
+            cache.clear();
+        }
+        cache.push((key, Arc::clone(&table)));
+        table
+    }
 }
 
 impl MpiApp for Sweep3dApp {
@@ -85,7 +122,7 @@ impl MpiApp for Sweep3dApp {
         let mut face_in = ctx.buffer(self.face);
         let mut face_out = ctx.buffer(self.face);
         let n = self.face;
-        let span = 1.0 - self.final_pass_at;
+        let profile = self.final_profile();
 
         for it in 0..self.iters {
             ctx.iter_begin(it);
@@ -109,12 +146,8 @@ impl MpiApp for Sweep3dApp {
                         face_out.store(i, inflow + (pass * 7) as f64 + i as f64 * 0.25);
                     }
                 }
-                for i in 0..n {
-                    // x = i/n so the first element's final version lands
-                    // exactly at `final_pass_at` (the measured 66.3%)
-                    let x = i as f64 / n as f64;
-                    let frac = self.final_pass_at + span * x.powf(self.profile_exp);
-                    advance_to(ctx, start, frac.min(1.0), self.sweep_instr);
+                for (i, &frac) in profile.iter().enumerate() {
+                    advance_to(ctx, start, frac, self.sweep_instr);
                     face_out.store(i, inflow * 0.5 + i as f64);
                 }
                 advance_to(ctx, start, 1.0, self.sweep_instr);

@@ -39,27 +39,6 @@ pub fn linear_pack(
     }
 }
 
-/// Load every element of `buf` once, in order, spread uniformly over
-/// `[from, to]` of the phase; returns the running sum (so the data is
-/// actually used).
-pub fn linear_consume(
-    ctx: &mut RankCtx,
-    buf: &mut TrackedBuf,
-    burst_start: u64,
-    total: u64,
-    from: f64,
-    to: f64,
-) -> f64 {
-    let n = buf.len();
-    let mut acc = 0.0;
-    for i in 0..n {
-        let frac = from + (to - from) * (i as f64) / n as f64;
-        advance_to(ctx, burst_start, frac.min(to), total);
-        acc += buf.load(i);
-    }
-    acc
-}
-
 /// Load every element back-to-back (a wholesale copy-in, the NAS-BT
 /// consumption shape), `passes` times. Returns the sum of the last
 /// pass.

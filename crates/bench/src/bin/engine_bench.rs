@@ -6,11 +6,16 @@
 //! events/sec and reshares/sec (quoted against the fastest iteration;
 //! the replay is deterministic, so iteration-to-iteration variance is
 //! machine noise), per-replay wall time, and the event-queue
-//! high-water mark. The measurements are written to `BENCH_engine.json`
-//! (schema `ovlp.bench_engine.v3`) so the engine's perf trajectory is
-//! tracked in-repo; see `docs/perf.md`. The document records the
-//! machine it ran on: `hardware_threads` and the `commit` (`git
-//! describe --always --dirty` of the working directory).
+//! high-water mark. Each fixture's timed replays run between two
+//! samples of the host-speed gauge ([`ovlp_bench::gauge`], as in
+//! `scale_bench`), so every row also carries its mean replay time in
+//! gauge units (`gauged_wall_s`) and the events/s computed from it
+//! (`gauged_events_per_sec`), which host drift moves far less than the
+//! wall-time figures. The measurements are written to
+//! `BENCH_engine.json` (schema `ovlp.bench_engine.v4`) so the engine's
+//! perf trajectory is tracked in-repo; see `docs/perf.md`. The document
+//! records the machine it ran on: `hardware_threads` and the `commit`
+//! (`git describe --always --dirty` of the working directory).
 //!
 //! ```text
 //! engine_bench [--quick] [--out PATH] [--baseline EVENTS_PER_SEC] [--fixtures DIR]
@@ -21,6 +26,7 @@
 //! `nas_cg_8r` fat-tree replay measured at the parent commit) so the
 //! emitted document records both sides of a before/after comparison.
 
+use ovlp_bench::gauge::{Gauge, Timing};
 use ovlp_machine::{simulate, Platform, SimResult};
 use ovlp_trace::{text, Trace};
 use std::path::{Path, PathBuf};
@@ -73,8 +79,11 @@ struct Measurement {
     iterations: usize,
     wall_median_s: f64,
     wall_min_s: f64,
+    /// Mean replay time over the timed iterations, in gauge units.
+    gauged_wall_s: f64,
     events: u64,
     events_per_sec: f64,
+    gauged_events_per_sec: f64,
     reshares: u64,
     reshares_per_sec: f64,
     stale_events: u64,
@@ -108,27 +117,32 @@ fn replay(trace: &Trace, platform: &Platform) -> SimResult {
 }
 
 /// Repeat the replay until `budget` wall time is spent (at least
-/// `min_iters` times) and report the median/min per-iteration wall.
+/// `min_iters` times) and report the sorted per-iteration walls, with
+/// the timing of the whole batch between two gauge samples.
 fn measure(
+    gauge: &mut Gauge,
     trace: &Trace,
     platform: &Platform,
     budget: Duration,
     min_iters: usize,
-) -> (Vec<Duration>, SimResult) {
+) -> (Vec<Duration>, Timing, SimResult) {
     let sim = replay(trace, platform); // warmup + canonical result
-    let mut times = Vec::new();
-    let start = Instant::now();
-    while times.len() < min_iters || start.elapsed() < budget {
-        let t0 = Instant::now();
-        let s = replay(trace, platform);
-        times.push(t0.elapsed());
-        assert_eq!(
-            s.events_processed, sim.events_processed,
-            "nondeterministic replay"
-        );
-    }
+    let (mut times, batch) = gauge.time(|| {
+        let mut times = Vec::new();
+        let start = Instant::now();
+        while times.len() < min_iters || start.elapsed() < budget {
+            let t0 = Instant::now();
+            let s = replay(trace, platform);
+            times.push(t0.elapsed());
+            assert_eq!(
+                s.events_processed, sim.events_processed,
+                "nondeterministic replay"
+            );
+        }
+        times
+    });
     times.sort();
-    (times, sim)
+    (times, batch, sim)
 }
 
 fn json_f64(v: f64) -> String {
@@ -184,6 +198,7 @@ fn main() {
     };
     let dir = fixture_dir(fixtures.as_deref());
 
+    let mut gauge = Gauge::new();
     let mut results = Vec::new();
     for cfg in CONFIGS {
         let trace = load(&dir, cfg.fixture);
@@ -191,9 +206,10 @@ fn main() {
             Platform::default().with_contention(cfg.topology.parse().unwrap_or_else(|e| {
                 panic!("bad topology {}: {e}", cfg.topology);
             }));
-        let (times, sim) = measure(&trace, &platform, budget, min_iters);
+        let (times, batch, sim) = measure(&mut gauge, &trace, &platform, budget, min_iters);
         let median = times[times.len() / 2].as_secs_f64();
         let min = times[0].as_secs_f64();
+        let gauged = batch.gauged / times.len() as f64;
         // throughput is quoted from the fastest iteration: each replay
         // is deterministic and identical, so wall-time variance is pure
         // scheduler/frequency noise and the minimum is the least-biased
@@ -205,8 +221,10 @@ fn main() {
             iterations: times.len(),
             wall_median_s: median,
             wall_min_s: min,
+            gauged_wall_s: gauged,
             events: sim.events_processed,
             events_per_sec: sim.events_processed as f64 / min,
+            gauged_events_per_sec: sim.events_processed as f64 / gauged,
             reshares: sim.network.reshares,
             reshares_per_sec: sim.network.reshares as f64 / min,
             stale_events: sim.stale_events,
@@ -214,11 +232,12 @@ fn main() {
             sim_runtime_s: sim.runtime(),
         };
         println!(
-            "{:<11} {:<13} {:>9} events  {:>12.0} events/s  {:>9} reshares  {:>12.0} reshares/s  min {:.3} ms  median {:.3} ms",
+            "{:<11} {:<13} {:>9} events  {:>12.0} events/s  {:>12.0} gauged  {:>9} reshares  {:>12.0} reshares/s  min {:.3} ms  median {:.3} ms",
             m.fixture,
             m.topology,
             m.events,
             m.events_per_sec,
+            m.gauged_events_per_sec,
             m.reshares,
             m.reshares_per_sec,
             m.wall_min_s * 1e3,
@@ -241,13 +260,14 @@ fn main() {
     let headline_events_per_sec = headline.events_per_sec;
 
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ovlp.bench_engine.v3\",\n");
+    s.push_str("{\n  \"schema\": \"ovlp.bench_engine.v4\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"hardware_threads\": {hw_threads},\n"));
     s.push_str(&format!("  \"commit\": \"{}\",\n", ovlp_bench::commit()));
     s.push_str(&format!(
-        "  \"headline\": {{\"fixture\": \"nas_cg_8r\", \"topology\": \"fat-tree:4\", \"events_per_sec\": {}}},\n",
-        json_f64(headline_events_per_sec)
+        "  \"headline\": {{\"fixture\": \"nas_cg_8r\", \"topology\": \"fat-tree:4\", \"events_per_sec\": {}, \"gauged_events_per_sec\": {}}},\n",
+        json_f64(headline_events_per_sec),
+        json_f64(headline.gauged_events_per_sec)
     ));
     match baseline {
         Some(b) => {
@@ -268,7 +288,8 @@ fn main() {
     for (i, m) in results.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"fixture\": \"{}\", \"topology\": \"{}\", \"ranks\": {}, \"iterations\": {}, \
-             \"wall_median_s\": {}, \"wall_min_s\": {}, \"events\": {}, \"events_per_sec\": {}, \
+             \"wall_median_s\": {}, \"wall_min_s\": {}, \"gauged_wall_s\": {}, \"events\": {}, \
+             \"events_per_sec\": {}, \"gauged_events_per_sec\": {}, \
              \"reshares\": {}, \"reshares_per_sec\": {}, \"stale_events\": {}, \"queue_peak\": {}, \
              \"sim_runtime_s\": {}}}{}",
             m.fixture,
@@ -277,8 +298,10 @@ fn main() {
             m.iterations,
             json_f64(m.wall_median_s),
             json_f64(m.wall_min_s),
+            json_f64(m.gauged_wall_s),
             m.events,
             json_f64(m.events_per_sec),
+            json_f64(m.gauged_events_per_sec),
             m.reshares,
             json_f64(m.reshares_per_sec),
             m.stale_events,

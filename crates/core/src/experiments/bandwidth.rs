@@ -14,7 +14,7 @@
 //!   [`EquivalentBandwidth::Divergent`].
 
 use crate::pipeline::VariantBundle;
-use ovlp_machine::{replay_scale, Platform, SimError};
+use ovlp_machine::{Platform, Replayer, SimError};
 use ovlp_trace::Trace;
 
 /// Relative tolerance for runtime comparisons and search convergence.
@@ -26,8 +26,15 @@ const MIN_BW: f64 = 1e-3;
 
 /// Runtime (s) of `trace` at bandwidth `bw`. The searches need only the
 /// runtime, so they replay totals-only: bit-identical to `simulate`'s.
-fn runtime_at(trace: &Trace, platform: &Platform, bw: f64) -> Result<f64, SimError> {
-    Ok(replay_scale(trace, &platform.with_bandwidth(bw))?
+/// Each search replays all its steps on one `rp`.
+fn runtime_at(
+    rp: &mut Replayer,
+    trace: &Trace,
+    platform: &Platform,
+    bw: f64,
+) -> Result<f64, SimError> {
+    Ok(rp
+        .replay_scale(trace, &platform.with_bandwidth(bw))?
         .runtime
         .as_secs())
 }
@@ -50,18 +57,30 @@ pub fn min_bandwidth_matching(
     lo: f64,
     hi: f64,
 ) -> Result<Option<f64>, SimError> {
+    bisect(&mut Replayer::new(), trace, platform, target, lo, hi)
+}
+
+/// [`min_bandwidth_matching`], replaying on `rp`.
+fn bisect(
+    rp: &mut Replayer,
+    trace: &Trace,
+    platform: &Platform,
+    target: f64,
+    lo: f64,
+    hi: f64,
+) -> Result<Option<f64>, SimError> {
     let tol_target = target * (1.0 + REL_TOL);
-    if runtime_at(trace, platform, hi)? > tol_target {
+    if runtime_at(rp, trace, platform, hi)? > tol_target {
         return Ok(None);
     }
-    if runtime_at(trace, platform, lo)? <= tol_target {
+    if runtime_at(rp, trace, platform, lo)? <= tol_target {
         return Ok(Some(lo));
     }
     let (mut lo, mut hi) = (lo, hi);
     for _ in 0..ITERS {
         // geometric midpoint: the search spans orders of magnitude
         let mid = (lo * hi).sqrt().clamp(lo, hi);
-        if runtime_at(trace, platform, mid)? <= tol_target {
+        if runtime_at(rp, trace, platform, mid)? <= tol_target {
             hi = mid;
         } else {
             lo = mid;
@@ -92,16 +111,27 @@ pub fn bandwidth_relaxation(
     platform: &Platform,
 ) -> Result<BandwidthRelaxation, SimError> {
     let base_bw = platform.bandwidth_mbs;
-    let baseline_runtime = replay_scale(&bundle.original, platform)?.runtime.as_secs();
-    let real_mbs = min_bandwidth_matching(
+    let mut rp = Replayer::new();
+    let baseline_runtime = rp
+        .replay_scale(&bundle.original, platform)?
+        .runtime
+        .as_secs();
+    let real_mbs = bisect(
+        &mut rp,
         &bundle.overlapped,
         platform,
         baseline_runtime,
         MIN_BW,
         base_bw,
     )?;
-    let ideal_mbs =
-        min_bandwidth_matching(&bundle.ideal, platform, baseline_runtime, MIN_BW, base_bw)?;
+    let ideal_mbs = bisect(
+        &mut rp,
+        &bundle.ideal,
+        platform,
+        baseline_runtime,
+        MIN_BW,
+        base_bw,
+    )?;
     Ok(BandwidthRelaxation {
         baseline_runtime,
         real_mbs,
@@ -142,25 +172,33 @@ pub fn equivalent_bandwidth(
 ) -> Result<EquivalentBandwidth, SimError> {
     // already matched at the baseline bandwidth (no-benefit case, e.g.
     // Alya where nothing could be transformed)
+    let mut rp = Replayer::new();
     let mut hi = platform.bandwidth_mbs;
-    if runtime_at(original, platform, hi)? <= target * (1.0 + REL_TOL) {
+    if runtime_at(&mut rp, original, platform, hi)? <= target * (1.0 + REL_TOL) {
         return Ok(EquivalentBandwidth::Finite(hi));
     }
     // divergence probe: the infinitely fast network must beat the
     // target by a clear margin, otherwise the match is only asymptotic
     // ("tends to infinity", the paper's Sweep3D note)
-    let at_inf = runtime_at(original, platform, f64::INFINITY)?;
+    let at_inf = runtime_at(&mut rp, original, platform, f64::INFINITY)?;
     if at_inf > target * (1.0 - REL_TOL) {
         return Ok(EquivalentBandwidth::Divergent);
     }
     // exponential growth to bracket, then bisect
     for _ in 0..60 {
         hi *= 2.0;
-        if runtime_at(original, platform, hi)? <= target * (1.0 + REL_TOL) {
+        if runtime_at(&mut rp, original, platform, hi)? <= target * (1.0 + REL_TOL) {
             break;
         }
     }
-    match min_bandwidth_matching(original, platform, target, platform.bandwidth_mbs, hi)? {
+    match bisect(
+        &mut rp,
+        original,
+        platform,
+        target,
+        platform.bandwidth_mbs,
+        hi,
+    )? {
         Some(bw) => Ok(EquivalentBandwidth::Finite(bw)),
         None => Ok(EquivalentBandwidth::Divergent),
     }

@@ -1,7 +1,7 @@
 //! Figure 6(a): speedup of the overlapped executions over the original.
 
 use crate::pipeline::VariantBundle;
-use ovlp_machine::{simulate_probed, Platform, ProbeSink, SimError, SimResult};
+use ovlp_machine::{Platform, ProbeSink, Replayer, SimError, SimResult};
 use ovlp_trace::Trace;
 
 /// Simulated runtimes of all three variants on one platform.
@@ -78,9 +78,20 @@ pub fn run_variants<S: ProbeSink, T>(
     sink: impl Fn() -> S,
     finish: impl Fn(S) -> Result<T, SimError>,
 ) -> Result<(SpeedupResult, Variants<T>), SimError> {
-    let run = |trace: &Trace| -> Result<(SimResult, T), SimError> {
+    run_variants_on(&mut Replayer::new(), bundle, platform, sink, finish)
+}
+
+/// [`run_variants`], replaying on `rp`.
+pub(crate) fn run_variants_on<S: ProbeSink, T>(
+    rp: &mut Replayer,
+    bundle: &VariantBundle,
+    platform: &Platform,
+    sink: impl Fn() -> S,
+    finish: impl Fn(S) -> Result<T, SimError>,
+) -> Result<(SpeedupResult, Variants<T>), SimError> {
+    let mut run = |trace: &Trace| -> Result<(SimResult, T), SimError> {
         let mut s = sink();
-        let sim = simulate_probed(trace, platform, &mut s)?;
+        let sim = rp.simulate_probed(trace, platform, &mut s)?;
         Ok((sim, finish(s)?))
     };
     let (original, rec_original) = run(&bundle.original)?;

@@ -30,11 +30,11 @@ pub mod scheduler;
 pub mod store;
 
 use crate::chunk::ChunkPolicy;
-use crate::experiments::speedup::{run_variants, Variants};
+use crate::experiments::speedup::{run_variants_on, Variants};
 use crate::pipeline::{build_variants, VariantBundle};
 use ovlp_instr::TraceRun;
 use ovlp_machine::{
-    replay_scale, CritPath, CritPathRecorder, Metrics, Platform, SimError, TeeSink, Time,
+    CritPath, CritPathRecorder, Metrics, Platform, Replayer, SimError, TeeSink, Time,
     WindowedRecorder,
 };
 use ovlp_trace::record::SendMode;
@@ -1250,14 +1250,31 @@ impl<'g> LazyBundles<'g> {
 /// are identical, and the first insert wins), so no point ever waits on
 /// another and deadlines, chaos actions and retries keep their
 /// per-attempt meaning. A failed or panicking replay inserts nothing.
-#[derive(Debug, Default)]
+///
+/// It also pools the sweep's [`Replayer`]s: each attempt checks one out
+/// and replays on it, and only an attempt that returned normally checks
+/// it back in. A panicked attempt drops its replayer, and one abandoned
+/// at its deadline keeps it, so a replayer in the pool never carries
+/// the state of an unfinished replay.
+#[derive(Default)]
 struct ReplayMemo {
     runtimes: Mutex<HashMap<(usize, usize, usize), f64>>,
     /// Engine replays started, memoized or not ([`SweepReport::replays`]).
     replays: AtomicU64,
+    replayers: Mutex<Vec<Replayer>>,
 }
 
 impl ReplayMemo {
+    /// A replayer for one attempt: a pooled one, or a fresh one.
+    fn checkout(&self) -> Replayer {
+        lock_ok(&self.replayers).pop().unwrap_or_default()
+    }
+
+    /// Return an attempt's replayer to the pool.
+    fn checkin(&self, rp: Replayer) {
+        lock_ok(&self.replayers).push(rp);
+    }
+
     /// Count one replay about to start, passing through its input (the
     /// trace or the recorder).
     fn counted<T>(&self, input: T) -> T {
@@ -1269,6 +1286,7 @@ impl ReplayMemo {
     /// totals-only recorder unless `key` is already known.
     fn runtime(
         &self,
+        rp: &mut Replayer,
         key: (usize, usize, usize),
         trace: &Trace,
         platform: &Platform,
@@ -1276,7 +1294,8 @@ impl ReplayMemo {
         if let Some(&t) = lock_ok(&self.runtimes).get(&key) {
             return Ok(t);
         }
-        let t = replay_scale(self.counted(trace), platform)?
+        let t = rp
+            .replay_scale(self.counted(trace), platform)?
             .runtime
             .as_secs();
         lock_ok(&self.runtimes).entry(key).or_insert(t);
@@ -1434,8 +1453,8 @@ impl PointReplay {
     /// The three-variant replay. A plain point needs only the runtimes,
     /// so it takes them from the sweep's [`ReplayMemo`]; a probed or
     /// critpath point replays all three variants itself, because each
-    /// recorder must observe its own replay.
-    fn simulate(&self) -> Result<SimNumbers, String> {
+    /// recorder must observe its own replay. Every replay runs on `rp`.
+    fn simulate(&self, rp: &mut Replayer) -> Result<SimNumbers, String> {
         let bundle = &*self.combo.bundle;
         let platform = &self.platform;
         let window = self.probe_window_us.map(Time::micros);
@@ -1443,22 +1462,25 @@ impl PointReplay {
         let critpath_of =
             |c: CritPathRecorder| -> Result<CritPath, SimError> { Ok(c.into_critpath()) };
         let replayed = match (window, self.critpath) {
-            (None, false) => return self.runtimes().map_err(|e| e.to_string()),
-            (Some(w), false) => run_variants(
+            (None, false) => return self.runtimes(rp).map_err(|e| e.to_string()),
+            (Some(w), false) => run_variants_on(
+                rp,
                 bundle,
                 platform,
                 || self.memo.counted(WindowedRecorder::new(w)),
                 metrics,
             )
             .map(|(sim, m)| (sim, Some(m), None)),
-            (None, true) => run_variants(
+            (None, true) => run_variants_on(
+                rp,
                 bundle,
                 platform,
                 || self.memo.counted(CritPathRecorder::new()),
                 critpath_of,
             )
             .map(|(sim, c)| (sim, None, Some(c))),
-            (Some(w), true) => run_variants(
+            (Some(w), true) => run_variants_on(
+                rp,
                 bundle,
                 platform,
                 || {
@@ -1484,12 +1506,12 @@ impl PointReplay {
 
     /// The runtimes of the three variants, each replayed at most once
     /// per sweep and platform.
-    fn runtimes(&self) -> Result<SimNumbers, SimError> {
+    fn runtimes(&self, rp: &mut Replayer) -> Result<SimNumbers, SimError> {
         let mut t = [0.0; 3];
         let traces = variant_traces(&self.combo.bundle);
         for ((slot, trace), id) in t.iter_mut().zip(traces).zip(self.combo.ids) {
             let key = (self.point.app, id, self.point.platform);
-            *slot = self.memo.runtime(key, trace, &self.platform)?;
+            *slot = self.memo.runtime(rp, key, trace, &self.platform)?;
         }
         let [t_original, t_overlapped, t_ideal] = t;
         Ok(SimNumbers {
@@ -1503,28 +1525,36 @@ impl PointReplay {
 }
 
 /// One isolated attempt at a point: chaos action (if armed), then the
-/// replay, under `catch_unwind` and — when `deadline` is set — a
-/// wall-clock watchdog on a detached thread. The watchdog cannot kill
-/// a runaway computation, only stop waiting for it: an overrunning
-/// attempt is abandoned and its eventual result sent into a closed
-/// channel.
+/// replay on a replayer from the sweep's pool, under `catch_unwind` and
+/// — when `deadline` is set — a wall-clock watchdog on a detached
+/// thread. The watchdog cannot kill a runaway computation, only stop
+/// waiting for it: an overrunning attempt is abandoned and its eventual
+/// result, replayer included, sent into a closed channel. Only an
+/// attempt that returned (with a result or a simulation error) checks
+/// its replayer back in.
 fn run_attempt(
     replay: PointReplay,
     action: Option<chaos::ChaosAction>,
     deadline: Option<Duration>,
 ) -> Result<SimNumbers, (FailKind, String)> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    let memo = Arc::clone(&replay.memo);
     let work = move || {
         match action {
             Some(chaos::ChaosAction::Panic) => panic!("chaos: injected point panic"),
             Some(chaos::ChaosAction::Stall(pause)) => std::thread::sleep(pause),
             None => {}
         }
-        replay.simulate()
+        let mut rp = replay.memo.checkout();
+        let outcome = replay.simulate(&mut rp);
+        (outcome, rp)
     };
-    let settle = |outcome: Result<Result<SimNumbers, String>, String>| match outcome {
-        Ok(Ok(sim)) => Ok(sim),
-        Ok(Err(e)) => Err((FailKind::Sim, format!("simulation failed: {e}"))),
+    type Attempt = Result<(Result<SimNumbers, String>, Replayer), String>;
+    let settle = |attempt: Attempt| match attempt {
+        Ok((outcome, rp)) => {
+            memo.checkin(rp);
+            outcome.map_err(|e| (FailKind::Sim, format!("simulation failed: {e}")))
+        }
         Err(msg) => Err((FailKind::Panic, format!("point panicked: {msg}"))),
     };
     match deadline {

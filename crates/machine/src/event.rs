@@ -167,6 +167,21 @@ impl EventQueue {
         EventQueue::default()
     }
 
+    /// Empty the queue and zero its counters, keeping its blocks on the
+    /// free list for the next replay.
+    pub(crate) fn reset(&mut self) {
+        let mut blocks = std::mem::take(&mut self.blocks);
+        let n = blocks.len();
+        for (i, b) in blocks.iter_mut().enumerate() {
+            b.next = if i + 1 < n { (i + 1) as u32 } else { NIL };
+        }
+        *self = EventQueue {
+            free: if n > 0 { 0 } else { NIL },
+            blocks,
+            ..EventQueue::default()
+        };
+    }
+
     /// Schedule `event` at `at`. Panics if `at` is earlier than the
     /// last popped time: replay time never goes backwards.
     pub fn push(&mut self, at: Time, event: Event) {

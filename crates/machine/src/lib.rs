@@ -56,8 +56,8 @@ pub use probe::{
 /// sources took separate paths; kept for callers outside the workspace.
 pub use replay::simulate as simulate_source;
 pub use replay::{
-    render_exact, replay_scale, simulate, simulate_probed, NetworkStats, ScaleReport, SimError,
-    SimResult,
+    render_exact, replay_scale, simulate, simulate_probed, NetworkStats, Replayer, ScaleReport,
+    SimError, SimResult,
 };
 pub use time::Time;
 pub use timeline::{CommRecord, Interval, State, StateTotals, Timeline};
@@ -71,6 +71,8 @@ const _: () = {
     assert_send_sync::<Platform>();
     assert_send_sync::<SimResult>();
     assert_send_sync::<SimError>();
+    // a sweep attempt moves its replayer onto a watchdog thread
+    assert_send_sync::<crate::Replayer>();
     assert_send_sync::<Timeline>();
     assert_send_sync::<ovlp_trace::Trace>();
     assert_send_sync::<ovlp_trace::AccessDb>();

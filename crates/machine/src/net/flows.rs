@@ -204,6 +204,10 @@ pub struct FlowNet {
     busy_since: Vec<Time>,
     active: Vec<u32>,
     peak_flows: Vec<u32>,
+    /// Links whose per-link state left its fresh value (they carried a
+    /// flow or a fault touched them), each once: what [`FlowNet::reset`]
+    /// must restore.
+    touched: Vec<u32>,
 }
 
 impl FlowNet {
@@ -247,7 +251,65 @@ impl FlowNet {
             busy_since: vec![Time::ZERO; n],
             active: vec![0; n],
             peak_flows: vec![0; n],
+            touched: Vec::new(),
             graph,
+        }
+    }
+
+    /// Return this net to the state [`FlowNet::new_shared`] builds on
+    /// the same graph, keeping its storage, for another replay with the
+    /// reference solver or without. Only the links the last replay
+    /// touched are reset. The interned routes are kept unless a fault
+    /// was applied: a kill or restore reroutes, so routes interned
+    /// since then may avoid links that are alive again.
+    pub(crate) fn reset(&mut self, reference: bool) {
+        let links = self.graph.links();
+        for &l in &self.touched {
+            let i = l as usize;
+            self.caps[i] = links[i].capacity;
+            self.link_pos[i] = 0;
+            self.dead[i] = false;
+            self.link_faults[i] = 0;
+            self.bytes[i] = 0.0;
+            self.busy_secs[i] = 0.0;
+            self.busy_since[i] = Time::ZERO;
+            self.active[i] = 0;
+            self.peak_flows[i] = 0;
+        }
+        self.touched.clear();
+        if self.faults_applied > 0 {
+            self.route_cache.clear();
+            self.arena.clear();
+        }
+        self.slots.clear();
+        self.free.clear();
+        self.slot_of.clear();
+        self.flows.clear();
+        self.sorted = true;
+        self.active_links.clear();
+        self.shared_links = 0;
+        self.classes.clear();
+        self.classes_synced = false;
+        self.reference = reference;
+        self.next_epoch = 1;
+        self.reshares = 0;
+        self.visits = 0;
+        self.dead_count = 0;
+        self.faults_applied = 0;
+        self.flows_rerouted = 0;
+        self.reroute_reshares = 0;
+    }
+
+    /// The compiled topology this net runs on.
+    pub(crate) fn graph(&self) -> &LinkGraph {
+        &self.graph
+    }
+
+    /// Record that link `i` is about to leave its fresh state, unless it
+    /// already has.
+    fn touch(&mut self, i: usize) {
+        if self.peak_flows[i] == 0 && self.link_faults[i] == 0 {
+            self.touched.push(i as u32);
         }
     }
 
@@ -394,6 +456,7 @@ impl FlowNet {
             FaultAction::Degrade { factor } => {
                 for l in links {
                     let i = l.idx();
+                    self.touch(i);
                     self.link_faults[i] += 1;
                     self.caps[i] = self.graph.links()[i].capacity * factor;
                 }
@@ -401,6 +464,7 @@ impl FlowNet {
             FaultAction::Restore => {
                 for l in links {
                     let i = l.idx();
+                    self.touch(i);
                     self.link_faults[i] += 1;
                     if self.dead[i] {
                         self.dead[i] = false;
@@ -414,6 +478,7 @@ impl FlowNet {
             FaultAction::Kill => {
                 for l in links {
                     let i = l.idx();
+                    self.touch(i);
                     self.link_faults[i] += 1;
                     if !self.dead[i] {
                         self.dead[i] = true;
@@ -609,6 +674,7 @@ impl FlowNet {
         for k in off..off + len {
             let i = self.arena[k as usize].idx();
             if self.active[i] == 0 {
+                self.touch(i);
                 self.link_pos[i] = self.active_links.len() as u32;
                 self.active_links.push(i as u32);
                 self.busy_since[i] = now;

@@ -34,7 +34,7 @@ use crate::event::{Event, EventQueue};
 use crate::fx::FxBuildHasher;
 use crate::net::fault::{AppliedFault, Partition, ResolvedFault};
 use crate::net::flows::{FlowEvent, FlowNet};
-use crate::net::{ContentionModel, LinkGraph, LinkUsage};
+use crate::net::{ContentionModel, LinkGraph, LinkUsage, Topology};
 use crate::platform::Platform;
 use crate::probe::{EventKind, NoopSink, ProbeSink, TeeSink, WaitEdge};
 use crate::resources::{Pool, Resources, Unit, WaitLists};
@@ -210,9 +210,10 @@ impl SimResult {
 /// expanding collectives into point-to-point transfers inline (per the
 /// platform's [`CollectiveAlgo`](crate::CollectiveAlgo)). A
 /// [`Trace`](ovlp_trace::Trace) coerces to a source; a generator is
-/// never materialized.
+/// never materialized. This is [`Replayer::simulate`] on a fresh
+/// [`Replayer`].
 pub fn simulate(source: &dyn TraceSource, platform: &Platform) -> Result<SimResult, SimError> {
-    simulate_probed(source, platform, &mut NoopSink)
+    Replayer::new().simulate(source, platform)
 }
 
 /// Simulate `source` on `platform`, streaming observability callbacks
@@ -228,7 +229,7 @@ pub fn simulate_probed<P: ProbeSink>(
     platform: &Platform,
     probe: &mut P,
 ) -> Result<SimResult, SimError> {
-    simulate_with(source, platform, probe, false)
+    Replayer::new().simulate_probed(source, platform, probe)
 }
 
 /// [`simulate`], but forcing the from-scratch max-min solver instead of
@@ -240,18 +241,7 @@ pub fn simulate_reference(
     source: &dyn TraceSource,
     platform: &Platform,
 ) -> Result<SimResult, SimError> {
-    simulate_with(source, platform, &mut NoopSink, true)
-}
-
-fn simulate_with<P: ProbeSink>(
-    source: &dyn TraceSource,
-    platform: &Platform,
-    probe: &mut P,
-    reference: bool,
-) -> Result<SimResult, SimError> {
-    let mut sinks = TeeSink(ResultRecorder::default(), probe);
-    let outcome = replay(source, platform, &mut sinks, reference)?;
-    Ok(sinks.0.finish(outcome, platform))
+    Replayer::new().simulate_with(source, platform, &mut NoopSink, true)
 }
 
 /// Aggregate outcome of a [`replay_scale`] replay: the aggregate
@@ -303,7 +293,8 @@ impl ScaleReport {
 /// that builds timelines and communication records. Engine state is
 /// recycled on every replay, so live memory is O(in-flight traffic),
 /// not O(total transfers); this is the 100k–1M-rank path, on any
-/// contention model.
+/// contention model. This is [`Replayer::replay_scale`] on a fresh
+/// [`Replayer`].
 ///
 /// `runtime`, `events_processed` and `transfers` are bit-identical to
 /// [`simulate`] (pinned by the scale cross-check test); the state
@@ -313,12 +304,172 @@ pub fn replay_scale(
     source: &dyn TraceSource,
     platform: &Platform,
 ) -> Result<ScaleReport, SimError> {
-    let mut totals = TotalsRecorder::default();
-    let report = replay(source, platform, &mut totals, false)?.report;
-    Ok(ScaleReport {
-        totals: totals.sum(),
-        ..report
-    })
+    Replayer::new().replay_scale(source, platform)
+}
+
+/// The replay engine's state that outlives one replay, for callers that
+/// replay many traces or platforms in turn (a sweep's variants, a
+/// bandwidth search's steps).
+///
+/// It owns the event queue's blocks, the rank, message, request and
+/// channel tables, the wait lists and, per link graph, the flow
+/// network with its interned routes. Each replay starts by resetting
+/// what the last one left, whether it finished, failed or panicked, so
+/// every replay is bit-identical to one on a fresh `Replayer` (which is
+/// what [`simulate`], [`simulate_probed`] and [`replay_scale`] use).
+/// Callers that catch a replay's panic should still drop its
+/// `Replayer`, as the sweep does, rather than rely on that.
+#[derive(Default)]
+pub struct Replayer {
+    /// Lent to each replay's engine rather than moved: it is the one
+    /// table with a large inline part (its bucket heads).
+    queue: EventQueue,
+    tables: Tables,
+    /// Flow networks by link graph, most recently used last.
+    nets: Vec<KeptNet>,
+}
+
+/// A flow network with the key of its link graph.
+type KeptNet = (GraphKey, FlowNet);
+
+/// What a compiled link graph is built from: topology, node count and
+/// bandwidth bits (the key of [`LinkGraph::cached`]).
+type GraphKey = (Topology, usize, u64);
+
+/// Flow networks a [`Replayer`] keeps. A sweep's platforms use a few
+/// graphs; a bandwidth search on a fabric makes a new one per step.
+const NETS_KEPT: usize = 8;
+
+impl Replayer {
+    /// A replayer with no state yet: its first replay costs what a
+    /// [`simulate`] call does.
+    pub fn new() -> Replayer {
+        Replayer::default()
+    }
+
+    /// [`simulate`] on this replayer's state.
+    pub fn simulate(
+        &mut self,
+        source: &dyn TraceSource,
+        platform: &Platform,
+    ) -> Result<SimResult, SimError> {
+        self.simulate_with(source, platform, &mut NoopSink, false)
+    }
+
+    /// [`simulate_probed`] on this replayer's state.
+    pub fn simulate_probed<P: ProbeSink>(
+        &mut self,
+        source: &dyn TraceSource,
+        platform: &Platform,
+        probe: &mut P,
+    ) -> Result<SimResult, SimError> {
+        self.simulate_with(source, platform, probe, false)
+    }
+
+    /// [`replay_scale`] on this replayer's state.
+    pub fn replay_scale(
+        &mut self,
+        source: &dyn TraceSource,
+        platform: &Platform,
+    ) -> Result<ScaleReport, SimError> {
+        let mut totals = TotalsRecorder::default();
+        let report = self
+            .replay(source, platform, &mut totals, false, false)?
+            .report;
+        Ok(ScaleReport {
+            totals: totals.sum(),
+            ..report
+        })
+    }
+
+    fn simulate_with<P: ProbeSink>(
+        &mut self,
+        source: &dyn TraceSource,
+        platform: &Platform,
+        probe: &mut P,
+        reference: bool,
+    ) -> Result<SimResult, SimError> {
+        let mut sinks = TeeSink(ResultRecorder::default(), probe);
+        let outcome = self.replay(source, platform, &mut sinks, reference, true)?;
+        Ok(sinks.0.finish(outcome, platform))
+    }
+
+    /// Run the engine over `source` with `probe` as its only recorder;
+    /// `links` asks for the per-link usage.
+    fn replay<P: ProbeSink>(
+        &mut self,
+        source: &dyn TraceSource,
+        platform: &Platform,
+        probe: &mut P,
+        reference: bool,
+        links: bool,
+    ) -> Result<Outcome, SimError> {
+        platform.check().map_err(SimError::BadPlatform)?;
+        let nranks = source.nranks();
+        let (net, faults) = self.take_net(nranks, platform, reference)?;
+        let (key, flownet) = net.unzip();
+        self.queue.reset();
+        let mut tables = std::mem::take(&mut self.tables);
+        tables.reset(nranks);
+        let mut engine = Engine::new(
+            Supply::new(source, platform.collective),
+            platform,
+            flownet,
+            faults,
+            probe,
+            &mut self.queue,
+            tables,
+        );
+        let outcome = engine.run(links);
+        let (tables, flownet) = engine.into_parts();
+        self.tables = tables;
+        if let (Some(key), Some(net)) = (key, flownet) {
+            if self.nets.len() == NETS_KEPT {
+                self.nets.remove(0);
+            }
+            self.nets.push((key, net));
+        }
+        outcome
+    }
+
+    /// The flow network for a replay of `nranks` ranks on `platform`,
+    /// reset, with its graph's key (nothing under the bus model), and
+    /// the platform's fault schedule resolved on its graph. The net is
+    /// taken out of this replayer while the replay runs.
+    fn take_net(
+        &mut self,
+        nranks: usize,
+        platform: &Platform,
+        reference: bool,
+    ) -> Result<(Option<KeptNet>, Vec<ResolvedFault>), SimError> {
+        let ContentionModel::Flow(topo) = &platform.contention else {
+            return Ok((None, Vec::new()));
+        };
+        let (nodes, bw) = (platform.nodes(nranks), platform.bandwidth_mbs);
+        let kept = self
+            .nets
+            .iter()
+            .position(|((t, n, b), _)| t == topo && *n == nodes && *b == bw.to_bits());
+        let (key, mut net) = match kept {
+            Some(i) => self.nets.remove(i),
+            None => {
+                // sweeps replay thousands of traces on the same
+                // platform: share the compiled topology across replayers
+                // (and threads)
+                let graph = LinkGraph::cached(topo, nodes, bw).map_err(SimError::BadPlatform)?;
+                (
+                    (topo.clone(), nodes, bw.to_bits()),
+                    FlowNet::new_shared(graph),
+                )
+            }
+        };
+        net.reset(reference);
+        let faults = platform
+            .faults
+            .resolve(net.graph())
+            .map_err(SimError::BadPlatform)?;
+        Ok((Some((key, net)), faults))
+    }
 }
 
 /// Builds a [`SimResult`]'s artifacts from the probe hooks: per-rank
@@ -422,58 +573,6 @@ impl ProbeSink for TotalsRecorder {
             State::Done => {}
         }
     }
-}
-
-/// Build the flow-level network state (and resolved fault schedule)
-/// for one replay, or nothing under the bus model. The compiled
-/// topology is cached across replays of the same platform.
-fn net_setup(
-    nranks: usize,
-    platform: &Platform,
-    reference: bool,
-) -> Result<(Option<FlowNet>, Vec<ResolvedFault>), SimError> {
-    match &platform.contention {
-        ContentionModel::Bus => Ok((None, Vec::new())),
-        ContentionModel::Flow(topo) => {
-            let nodes = platform.nodes(nranks);
-            // sweeps replay thousands of traces on the same platform:
-            // reuse the compiled topology across replays (and threads)
-            let graph = LinkGraph::cached(topo, nodes, platform.bandwidth_mbs)
-                .map_err(SimError::BadPlatform)?;
-            let faults = platform
-                .faults
-                .resolve(&graph)
-                .map_err(SimError::BadPlatform)?;
-            let net = FlowNet::new_shared(graph);
-            Ok((
-                Some(if reference {
-                    net.with_reference_solver()
-                } else {
-                    net
-                }),
-                faults,
-            ))
-        }
-    }
-}
-
-/// Run the engine over `source` with `probe` as its only recorder.
-fn replay<P: ProbeSink>(
-    source: &dyn TraceSource,
-    platform: &Platform,
-    probe: &mut P,
-    reference: bool,
-) -> Result<Outcome, SimError> {
-    platform.check().map_err(SimError::BadPlatform)?;
-    let (flownet, faults) = net_setup(source.nranks(), platform, reference)?;
-    Engine::new(
-        Supply::new(source, platform.collective),
-        platform,
-        flownet,
-        faults,
-        probe,
-    )
-    .run()
 }
 
 /// Ranks from which the engine prefetches ahead of each event. Below
@@ -683,6 +782,29 @@ struct RankState {
     reqs: ReqTable,
 }
 
+impl RankState {
+    fn new() -> RankState {
+        RankState {
+            pc: 0,
+            clock: Time::ZERO,
+            blocked: Blocked::None,
+            reqs: ReqTable::default(),
+        }
+    }
+
+    /// Back to a fresh rank, keeping the request table's storage.
+    fn reset(&mut self) {
+        let mut reqs = std::mem::take(&mut self.reqs);
+        reqs.window.clear();
+        reqs.sparse.clear();
+        reqs.base = 0;
+        *self = RankState {
+            reqs,
+            ..RankState::new()
+        };
+    }
+}
+
 /// The key of a `(src, dst, tag)` matching channel.
 type ChanKey = (u32, u32, u32);
 
@@ -740,6 +862,39 @@ struct Outcome {
     network: NetworkStats,
 }
 
+/// The engine's tables, kept by a [`Replayer`] between replays so their
+/// storage is reused; see [`Engine`] for what each holds.
+#[derive(Default)]
+struct Tables {
+    ranks: Vec<RankState>,
+    msgs: Vec<Msg>,
+    recv_reqs: Vec<RecvReq>,
+    recv_req_tags: Vec<Tag>,
+    chans: HashMap<ChanKey, ChanQ, FxBuildHasher>,
+    waits: WaitLists,
+    msg_free: Vec<usize>,
+    req_free: Vec<usize>,
+    flow_scratch: Vec<FlowEvent>,
+}
+
+impl Tables {
+    /// Empty every table for a replay of `nranks` ranks, whatever the
+    /// last replay left in them.
+    fn reset(&mut self, nranks: usize) {
+        self.ranks.truncate(nranks);
+        self.ranks.iter_mut().for_each(RankState::reset);
+        self.ranks.resize_with(nranks, RankState::new);
+        self.msgs.clear();
+        self.recv_reqs.clear();
+        self.recv_req_tags.clear();
+        self.chans.clear();
+        self.waits.reset(nranks);
+        self.msg_free.clear();
+        self.req_free.clear();
+        self.flow_scratch.clear();
+    }
+}
+
 /// One replay in flight. Message and receive-request slots are
 /// recycled as soon as nothing can reference them again, and a channel
 /// is dropped once it drains, so live state is O(in-flight traffic)
@@ -749,7 +904,7 @@ struct Outcome {
 struct Engine<'a, P: ProbeSink> {
     supply: Supply<'a>,
     platform: &'a Platform,
-    queue: EventQueue,
+    queue: &'a mut EventQueue,
     ranks: Vec<RankState>,
     msgs: Vec<Msg>,
     recv_reqs: Vec<RecvReq>,
@@ -797,35 +952,45 @@ enum Flow {
 }
 
 impl<'a, P: ProbeSink> Engine<'a, P> {
+    /// An engine over `queue` and `tables`, which must be empty and
+    /// sized for the supply's ranks ([`EventQueue::reset`],
+    /// [`Tables::reset`]).
     fn new(
         supply: Supply<'a>,
         platform: &'a Platform,
         flownet: Option<FlowNet>,
         faults: Vec<ResolvedFault>,
         probe: &'a mut P,
+        queue: &'a mut EventQueue,
+        tables: Tables,
     ) -> Engine<'a, P> {
         let n = supply.nranks();
+        debug_assert_eq!(tables.ranks.len(), n);
         // In flow mode the topology itself is the contention: the global
         // bus limit is ignored (0 = unlimited), ports still gate each
         // endpoint's injection/extraction concurrency.
         let buses = if flownet.is_some() { 0 } else { platform.buses };
+        let Tables {
+            ranks,
+            msgs,
+            recv_reqs,
+            recv_req_tags,
+            chans,
+            waits,
+            msg_free,
+            req_free,
+            flow_scratch,
+        } = tables;
         Engine {
             supply,
             platform,
-            queue: EventQueue::new(),
-            ranks: (0..n)
-                .map(|_| RankState {
-                    pc: 0,
-                    clock: Time::ZERO,
-                    blocked: Blocked::None,
-                    reqs: ReqTable::default(),
-                })
-                .collect(),
-            msgs: Vec::new(),
-            recv_reqs: Vec::new(),
-            chans: HashMap::default(),
+            queue,
+            ranks,
+            msgs,
+            recv_reqs,
+            chans,
             chans_peak: 0,
-            recv_req_tags: Vec::new(),
+            recv_req_tags,
             resources: Resources::with_wan(
                 n,
                 buses,
@@ -833,18 +998,34 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 platform.output_ports,
                 platform.wan_links,
             ),
-            waits: WaitLists::new(n),
+            waits,
             flownet,
             faults,
             fault_log: Vec::new(),
-            flow_scratch: Vec::new(),
+            flow_scratch,
             probe,
             in_flight: 0,
             stale_popped: 0,
-            msg_free: Vec::new(),
-            req_free: Vec::new(),
+            msg_free,
+            req_free,
             transfers_total: 0,
         }
+    }
+
+    /// The tables and the flow network, for the next replay.
+    fn into_parts(self) -> (Tables, Option<FlowNet>) {
+        let tables = Tables {
+            ranks: self.ranks,
+            msgs: self.msgs,
+            recv_reqs: self.recv_reqs,
+            recv_req_tags: self.recv_req_tags,
+            chans: self.chans,
+            waits: self.waits,
+            msg_free: self.msg_free,
+            req_free: self.req_free,
+            flow_scratch: self.flow_scratch,
+        };
+        (tables, self.flownet)
     }
 
     /// Post `item` on channel `key` from one side (`sends`): take the
@@ -938,7 +1119,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
         }
     }
 
-    fn run(mut self) -> Result<Outcome, SimError> {
+    /// Run the replay to its end; `links` asks for the per-link usage.
+    fn run(&mut self, links: bool) -> Result<Outcome, SimError> {
         self.begin();
         let prefetch = self.ranks.len() >= PREFETCH_MIN_RANKS;
         while let Some((t, ev)) = self.queue.pop() {
@@ -947,7 +1129,7 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
             }
             self.dispatch(t, ev)?;
         }
-        self.finish()
+        self.finish(links)
     }
 
     /// Start loading the state the next events will touch while this
@@ -1042,8 +1224,8 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
 
     /// Drained-queue epilogue: deadlock check, the records of the
     /// messages still live in initiation order, then the engine's own
-    /// counters.
-    fn finish(mut self) -> Result<Outcome, SimError> {
+    /// counters (with the per-link usage when `links`).
+    fn finish(&mut self, links: bool) -> Result<Outcome, SimError> {
         self.check_stuck()?;
         let runtime = self.final_runtime();
         // the messages that never retired, reported in initiation order
@@ -1087,8 +1269,11 @@ impl<'a, P: ProbeSink> Engine<'a, P> {
                 totals: StateTotals::default(),
             },
             stale_events: self.stale_popped,
-            fault_log: self.fault_log,
-            links: self.flownet.as_ref().map(|n| n.usage()).unwrap_or_default(),
+            fault_log: std::mem::take(&mut self.fault_log),
+            links: match &self.flownet {
+                Some(n) if links => n.usage(),
+                _ => Vec::new(),
+            },
             network,
         })
     }
@@ -2380,12 +2565,17 @@ mod tests {
         let t = Trace::new(2);
         let p = plat();
         let mut probe = NoopSink;
+        let mut tables = Tables::default();
+        tables.reset(t.nranks());
+        let mut queue = EventQueue::new();
         let mut e = Engine::new(
             Supply::new(&t, p.collective),
             &p,
             None,
             Vec::new(),
             &mut probe,
+            &mut queue,
+            tables,
         );
         let key = (0, 1, Tag::user(0).0);
         for sends in [true, false] {

@@ -9,6 +9,12 @@
 //! holding at most one collective's expansion, so the resident record
 //! footprint is O(ranks) for any source.
 //!
+//! A cursor reads its rank through the source's [`RankRecords`]: a
+//! materialized trace's records in place (the sweep's case, with no
+//! virtual call per record), or a generator's boxed iterator. The two
+//! arms differ only in where the records live; fetching, expansion and
+//! the footprint counters are the same code.
+//!
 //! Collectives expand *inside the cursor* through the same
 //! [`collective::expand_one`] the eager rewriter
 //! ([`collective::expand_collectives`]) uses, with the same rank-local
@@ -17,7 +23,7 @@
 
 use crate::collective;
 use crate::platform::CollectiveAlgo;
-use ovlp_trace::source::TraceSource;
+use ovlp_trace::source::{RankRecords, TraceSource};
 use ovlp_trace::{Rank, Record};
 
 /// Per-rank forward cursors over a [`TraceSource`].
@@ -32,7 +38,7 @@ pub(crate) struct Supply<'a> {
 }
 
 struct RankCursor<'a> {
-    iter: Box<dyn Iterator<Item = Record> + 'a>,
+    iter: RankRecords<'a>,
     /// Steps of the collective last pulled from `iter` (≤ 2·(P−1), ≤
     /// 2·log₂P for trees); `buf[next..]` are not yet handed out.
     buf: Vec<Record>,
@@ -114,14 +120,22 @@ impl<'a> Supply<'a> {
     }
 
     /// Hint the cache to load `rank`'s cursor ahead of a fetch, and
-    /// with `deep` what it points to (which reads the cursor): the
-    /// source iterator and the next buffered expansion step.
+    /// with `deep` what it points to (which reads the cursor): the next
+    /// record of a slice or the generator object of a stream, and the
+    /// next buffered expansion step.
     #[inline]
     pub(crate) fn prefetch(&self, rank: usize, deep: bool) {
         let c = &self.cursors[rank];
         super::prefetch(c);
         if deep {
-            super::prefetch(&*c.iter);
+            match &c.iter {
+                RankRecords::Slice(records) => {
+                    if let Some(rec) = records.as_slice().first() {
+                        super::prefetch(rec);
+                    }
+                }
+                RankRecords::Stream(iter) => super::prefetch(&**iter),
+            }
             if let Some(step) = c.buf.get(c.next) {
                 super::prefetch(step);
             }

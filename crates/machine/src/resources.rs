@@ -182,12 +182,18 @@ pub(crate) struct WaitLists {
 }
 
 impl WaitLists {
-    pub(crate) fn new(nranks: usize) -> WaitLists {
-        WaitLists {
-            out: (0..nranks).map(|_| Waiters::new()).collect(),
-            inp: (0..nranks).map(|_| Waiters::new()).collect(),
-            ..WaitLists::default()
+    /// Empty every list for a replay of `nranks` endpoints and zero the
+    /// high-water mark, keeping the lists' storage.
+    pub(crate) fn reset(&mut self, nranks: usize) {
+        self.bus.clear();
+        self.wan.clear();
+        for lists in [&mut self.out, &mut self.inp] {
+            lists.truncate(nranks);
+            lists.iter_mut().for_each(Waiters::clear);
+            lists.resize_with(nranks, Waiters::new);
         }
+        self.parked = 0;
+        self.peak = 0;
     }
 
     fn list(&mut self, unit: Unit) -> &mut Waiters {
@@ -304,7 +310,8 @@ mod tests {
 
     #[test]
     fn wait_lists_pop_in_sequence_order_per_unit() {
-        let mut w = WaitLists::new(2);
+        let mut w = WaitLists::default();
+        w.reset(2);
         w.park(Unit::Out(1), 7, 70);
         w.park(Unit::Out(1), 3, 30);
         w.park(Unit::Pool(Pool::Bus), 5, 50);

@@ -40,7 +40,7 @@ pub use access::{AccessDb, ConsumptionLog, ProductionLog, RankAccessLog, Stamp};
 pub use ids::{ChunkId, CollOp, Rank, ReqId, Tag, TransferId};
 pub use mlgen::{MlAllreduce, MlConfig};
 pub use record::{Marker, Record, SendMode};
-pub use source::{RankTiled, TraceSource};
+pub use source::{RankRecords, RankTiled, TraceSource};
 pub use stats::TraceStats;
 pub use trace::{RankTrace, Trace};
 pub use units::{Bytes, Instructions};

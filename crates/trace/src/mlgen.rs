@@ -25,7 +25,7 @@
 
 use crate::ids::{CollOp, Rank, ReqId, Tag, TransferId};
 use crate::record::{Marker, Record, SendMode};
-use crate::source::TraceSource;
+use crate::source::{RankRecords, TraceSource};
 use crate::units::{Bytes, Instructions};
 use std::collections::BTreeMap;
 
@@ -130,8 +130,8 @@ impl TraceSource for MlAllreduce {
         self.cfg.ranks
     }
 
-    fn rank_records(&self, rank: usize) -> Box<dyn Iterator<Item = Record> + '_> {
-        Box::new(RankProgram::new(self.cfg, rank as u32))
+    fn rank_records(&self, rank: usize) -> RankRecords<'_> {
+        RankRecords::stream(RankProgram::new(self.cfg, rank as u32))
     }
 
     fn meta(&self) -> BTreeMap<String, String> {

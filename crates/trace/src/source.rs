@@ -11,6 +11,10 @@
 //! resident footprint is O(ranks) cursors rather than O(ranks ×
 //! records) vectors.
 //!
+//! A rank's stream is a [`RankRecords`]: a materialized trace hands out
+//! a cursor over its record vector (no virtual call per record), a
+//! generator a boxed iterator.
+//!
 //! Contract: for any source that can afford [`materialize`], streaming
 //! the iterators and replaying the materialized trace must describe the
 //! *same program* — `ovlp-machine` pins byte-identical `SimResult`s
@@ -35,7 +39,7 @@ pub trait TraceSource: Send + Sync {
     fn nranks(&self) -> usize;
 
     /// Rank `rank`'s record stream, in program order.
-    fn rank_records(&self, rank: usize) -> Box<dyn Iterator<Item = Record> + '_>;
+    fn rank_records(&self, rank: usize) -> RankRecords<'_>;
 
     /// Trace metadata describing this source (application name,
     /// generator parameters); attached to materialized traces.
@@ -58,13 +62,48 @@ pub trait TraceSource: Send + Sync {
     }
 }
 
+/// One rank's record stream: records that already live in memory, or
+/// records a generator synthesizes as the cursor advances.
+pub enum RankRecords<'a> {
+    /// A materialized rank's records, read in place.
+    Slice(std::slice::Iter<'a, Record>),
+    /// A generated stream.
+    Stream(Box<dyn Iterator<Item = Record> + 'a>),
+}
+
+impl<'a> RankRecords<'a> {
+    /// A generated stream.
+    pub fn stream(iter: impl Iterator<Item = Record> + 'a) -> RankRecords<'a> {
+        RankRecords::Stream(Box::new(iter))
+    }
+}
+
+impl Iterator for RankRecords<'_> {
+    type Item = Record;
+
+    #[inline]
+    fn next(&mut self) -> Option<Record> {
+        match self {
+            RankRecords::Slice(records) => records.next().copied(),
+            RankRecords::Stream(iter) => iter.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            RankRecords::Slice(records) => records.size_hint(),
+            RankRecords::Stream(iter) => iter.size_hint(),
+        }
+    }
+}
+
 impl TraceSource for Trace {
     fn nranks(&self) -> usize {
         Trace::nranks(self)
     }
 
-    fn rank_records(&self, rank: usize) -> Box<dyn Iterator<Item = Record> + '_> {
-        Box::new(self.ranks[rank].records.iter().copied())
+    fn rank_records(&self, rank: usize) -> RankRecords<'_> {
+        RankRecords::Slice(self.ranks[rank].records.iter())
     }
 
     fn meta(&self) -> BTreeMap<String, String> {
@@ -197,10 +236,10 @@ impl TraceSource for RankTiled {
         self.base.nranks() * self.copies
     }
 
-    fn rank_records(&self, rank: usize) -> Box<dyn Iterator<Item = Record> + '_> {
+    fn rank_records(&self, rank: usize) -> RankRecords<'_> {
         let n = self.base.nranks();
         let off = (rank / n * n) as u32;
-        Box::new(
+        RankRecords::stream(
             self.base.ranks[rank % n]
                 .records
                 .iter()

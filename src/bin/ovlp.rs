@@ -971,6 +971,10 @@ fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
     // bus topology; no fault scenarios).
     let mut spec = SweepSpec::new(app, ranks_n);
     spec.jobs = match parse_flag(rest, "--jobs", 1usize) {
+        // the daemon's reason for the same job spec
+        Ok(0) => {
+            return fail_usage("bad --jobs value `0`: `jobs` must be a positive integer".into())
+        }
         Ok(v) => v,
         Err(e) => return fail_usage(e),
     };

@@ -48,6 +48,11 @@ fn usage_and_parse_errors_exit_two() {
     assert_usage_error(&["sweep", "nas-cg", "4", "--chunks", "0"], "--chunks");
     assert_usage_error(&["sweep", "nas-cg", "4", "--engine", "warp"], "--engine");
     assert_usage_error(&["sweep", "nas-cg", "4", "--bw"], "--bw");
+    // refused as the daemon refuses `"jobs": 0`, not run on one worker
+    assert_usage_error(
+        &["sweep", "nas-cg", "4", "--jobs", "0"],
+        "`jobs` must be a positive integer",
+    );
     // platform numbers outside their documented ranges are refused
     // with the range, before any tracing or replay
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/nas_cg_8r.trf");

@@ -8,14 +8,16 @@
 //! `expand_collectives` rewrite (which the benchmark harness times as
 //! its own layer), and a generator must replay exactly as its
 //! materialization, on every topology, with and without fault
-//! schedules. `render_exact` round-trips every float, so string
-//! equality is bit equality.
+//! schedules. The supply reads a materialized trace in place and a
+//! generator through a boxed iterator; both arms must replay a traced
+//! program identically. `render_exact` round-trips every float, so
+//! string equality is bit equality.
 
 use overlap_sim::machine::{
     expand_collectives, render_exact, replay_scale, simulate, Platform, Topology,
 };
 use overlap_sim::trace::mlgen::{MlAllreduce, MlConfig};
-use overlap_sim::trace::{synth, text, Trace, TraceSource};
+use overlap_sim::trace::{synth, text, RankTiled, Trace, TraceSource};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> Trace {
@@ -103,6 +105,42 @@ fn streamed_matches_materialized_under_faults() {
         .with_topology(Topology::Crossbar)
         .with_faults(schedule);
     assert_stream_identity("faults", &trace, &platform);
+}
+
+/// The supply's `Slice` arm (a trace's records read in place) against
+/// its `Stream` arm (the same records through a boxed iterator: a
+/// one-copy `RankTiled` re-emits its base unchanged) on one (trace,
+/// platform).
+fn assert_arms_agree(label: &str, trace: &Trace, platform: &Platform) {
+    let slice = simulate(trace, platform);
+    let stream = simulate(&RankTiled::new(trace.clone(), 1), platform);
+    assert_eq!(
+        render_exact(&stream),
+        render_exact(&slice),
+        "{label}: the stream arm diverged from the slice arm"
+    );
+}
+
+#[test]
+fn slice_and_stream_arms_replay_identically() {
+    let mut traces: Vec<(String, Trace)> = ["sweep3d_4r.trf", "nas_cg_8r.trf"]
+        .into_iter()
+        .map(|name| (name.to_string(), fixture(name)))
+        .collect();
+    traces.extend((0..10u64).map(|seed| (format!("synth-{seed}"), synth::generate(seed))));
+    // link 0 exists on every fabric; the degrade lands mid-traffic on
+    // some inputs and on an idle link on others
+    let schedule: overlap_sim::machine::FaultSchedule =
+        "degrade=0.5@1ms:link:0;restore@3ms:link:0".parse().unwrap();
+    for (name, trace) in &traces {
+        assert_arms_agree(&format!("{name}/bus"), trace, &Platform::default());
+        for (topo_name, topo) in topologies(trace.nranks()) {
+            let platform = Platform::default().with_topology(topo);
+            assert_arms_agree(&format!("{name}/{topo_name}"), trace, &platform);
+            let faulted = platform.with_faults(schedule.clone());
+            assert_arms_agree(&format!("{name}/{topo_name}/faults"), trace, &faulted);
+        }
+    }
 }
 
 #[test]
