@@ -10,4 +10,4 @@ pub use bandwidth::{
     EquivalentBandwidth,
 };
 pub use chunks::{chunk_search, default_candidates, ChunkPoint, ChunkSearch};
-pub use speedup::{run_variants, SpeedupResult, Variants};
+pub use speedup::{recorded, recorders, run_variants, Recorders, SpeedupResult, Variants};

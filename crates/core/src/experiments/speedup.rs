@@ -1,7 +1,10 @@
 //! Figure 6(a): speedup of the overlapped executions over the original.
 
 use crate::pipeline::VariantBundle;
-use ovlp_machine::{Platform, ProbeSink, Replayer, SimError, SimResult};
+use ovlp_machine::{
+    CritPath, CritPathRecorder, Metrics, Platform, ProbeSink, Replayer, SimError, SimResult,
+    TeeSink, Time, TooManyWindows, WindowedRecorder,
+};
 use ovlp_trace::Trace;
 
 /// Simulated runtimes of all three variants on one platform.
@@ -65,6 +68,42 @@ impl<A, B> Variants<(A, B)> {
             },
         )
     }
+}
+
+impl<T> Variants<Option<T>> {
+    /// The three values, if every variant has one.
+    pub fn transpose(self) -> Option<Variants<T>> {
+        Some(Variants {
+            original: self.original?,
+            overlapped: self.overlapped?,
+            ideal: self.ideal?,
+        })
+    }
+}
+
+/// The recorders of a probed replay: windowed metrics when a window is
+/// set, the critical path when asked for.
+pub type Recorders = TeeSink<Option<WindowedRecorder>, Option<CritPathRecorder>>;
+
+/// What a probed replay records: windowed metrics of width `window`,
+/// and the critical path under `critpath`. A plain replay runs no
+/// recorders at all (`NoopSink`), not this with neither.
+pub fn recorders(window: Option<Time>, critpath: bool) -> Recorders {
+    TeeSink(
+        window.map(WindowedRecorder::new),
+        critpath.then(CritPathRecorder::new),
+    )
+}
+
+/// The documents [`recorders`] recorded; a run past the window ceiling
+/// fails like the replay.
+pub fn recorded(
+    TeeSink(windowed, critpath): Recorders,
+) -> Result<(Option<Metrics>, Option<CritPath>), TooManyWindows> {
+    Ok((
+        windowed.map(WindowedRecorder::into_metrics).transpose()?,
+        critpath.map(CritPathRecorder::into_critpath),
+    ))
 }
 
 /// Simulate all three variants of `bundle` on `platform`, each observed

@@ -30,13 +30,10 @@ pub mod scheduler;
 pub mod store;
 
 use crate::chunk::ChunkPolicy;
-use crate::experiments::speedup::{run_variants_on, Variants};
+use crate::experiments::speedup::{recorded, recorders, run_variants_on, Variants};
 use crate::pipeline::{build_variants, VariantBundle};
 use ovlp_instr::TraceRun;
-use ovlp_machine::{
-    CritPath, CritPathRecorder, Metrics, Platform, Replayer, SimError, TeeSink, Time,
-    WindowedRecorder,
-};
+use ovlp_machine::{CritPath, Metrics, Platform, Replayer, SimError, Time};
 use ovlp_trace::record::SendMode;
 use ovlp_trace::{text, Stamp, Trace};
 use std::collections::HashMap;
@@ -771,8 +768,6 @@ fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub struct SweepConfig {
     /// Worker threads for grid evaluation.
     pub jobs: usize,
-    /// Bounded work-queue depth (items in flight beyond running ones).
-    pub queue_depth: usize,
     /// When set, every point is replayed with a
     /// [`WindowedRecorder`](ovlp_machine::WindowedRecorder) of this
     /// width (microseconds) and its result carries
@@ -808,10 +803,8 @@ impl Default for SweepConfig {
 
 impl SweepConfig {
     pub fn with_jobs(jobs: usize) -> SweepConfig {
-        let jobs = jobs.max(1);
         SweepConfig {
-            jobs,
-            queue_depth: 2 * jobs,
+            jobs: jobs.max(1),
             probe_window_us: None,
             critpath: false,
             guard: None,
@@ -1109,11 +1102,8 @@ pub fn sweep_observed(
     let memo = Arc::new(ReplayMemo::default());
 
     let points = grid.points();
-    let outcomes: Vec<PointOutcome> = scheduler::run_indexed(
-        points.clone(),
-        config.jobs,
-        config.queue_depth,
-        |i, point| {
+    let outcomes: Vec<PointOutcome> =
+        scheduler::run_indexed(points.clone(), config.jobs, |i, point| {
             let cancelled = config
                 .cancel
                 .as_ref()
@@ -1129,28 +1119,27 @@ pub fn sweep_observed(
             };
             observe(i, &outcome);
             outcome
-        },
-    )
-    .into_iter()
-    .zip(&points)
-    .enumerate()
-    .map(|(i, (slot, &point))| match slot {
-        Ok(outcome) => outcome,
-        // A panic that escaped evaluate_point (possible only outside
-        // the per-attempt and per-bundle catch_unwind, e.g. in cache
-        // claiming): report it on the point. The observer never heard
-        // about this point from a worker, so tell it here.
-        Err(message) => {
-            let outcome = Err(PointError {
-                point,
-                kind: FailKind::Panic,
-                message,
-            });
-            observe(i, &outcome);
-            outcome
-        }
-    })
-    .collect();
+        })
+        .into_iter()
+        .zip(&points)
+        .enumerate()
+        .map(|(i, (slot, &point))| match slot {
+            Ok(outcome) => outcome,
+            // A panic that escaped evaluate_point (possible only outside
+            // the per-attempt and per-bundle catch_unwind, e.g. in cache
+            // claiming): report it on the point. The observer never heard
+            // about this point from a worker, so tell it here.
+            Err(message) => {
+                let outcome = Err(PointError {
+                    point,
+                    kind: FailKind::Panic,
+                    message,
+                });
+                observe(i, &outcome);
+                outcome
+            }
+        })
+        .collect();
 
     let (hits1, misses1) = cache.stats();
     SweepReport {
@@ -1455,52 +1444,22 @@ impl PointReplay {
     /// critpath point replays all three variants itself, because each
     /// recorder must observe its own replay. Every replay runs on `rp`.
     fn simulate(&self, rp: &mut Replayer) -> Result<SimNumbers, String> {
-        let bundle = &*self.combo.bundle;
-        let platform = &self.platform;
         let window = self.probe_window_us.map(Time::micros);
-        let metrics = |w: WindowedRecorder| -> Result<Metrics, SimError> { Ok(w.into_metrics()?) };
-        let critpath_of =
-            |c: CritPathRecorder| -> Result<CritPath, SimError> { Ok(c.into_critpath()) };
-        let replayed = match (window, self.critpath) {
-            (None, false) => return self.runtimes(rp).map_err(|e| e.to_string()),
-            (Some(w), false) => run_variants_on(
-                rp,
-                bundle,
-                platform,
-                || self.memo.counted(WindowedRecorder::new(w)),
-                metrics,
-            )
-            .map(|(sim, m)| (sim, Some(m), None)),
-            (None, true) => run_variants_on(
-                rp,
-                bundle,
-                platform,
-                || self.memo.counted(CritPathRecorder::new()),
-                critpath_of,
-            )
-            .map(|(sim, c)| (sim, None, Some(c))),
-            (Some(w), true) => run_variants_on(
-                rp,
-                bundle,
-                platform,
-                || {
-                    self.memo
-                        .counted(TeeSink(WindowedRecorder::new(w), CritPathRecorder::new()))
-                },
-                |TeeSink(w, c)| Ok((metrics(w)?, critpath_of(c)?)),
-            )
-            .map(|(sim, both)| {
-                let (m, c) = both.unzip();
-                (sim, Some(m), Some(c))
-            }),
-        };
-        let (sim, metrics, critpaths) = replayed.map_err(|e| e.to_string())?;
+        if window.is_none() && !self.critpath {
+            return self.runtimes(rp).map_err(|e| e.to_string());
+        }
+        let sink = || self.memo.counted(recorders(window, self.critpath));
+        let (sim, recorded) = run_variants_on(rp, &self.combo.bundle, &self.platform, sink, |r| {
+            Ok(recorded(r)?)
+        })
+        .map_err(|e| e.to_string())?;
+        let (metrics, critpaths) = recorded.unzip();
         Ok(SimNumbers {
             t_original: sim.original.runtime(),
             t_overlapped: sim.overlapped.runtime(),
             t_ideal: sim.ideal.runtime(),
-            metrics: metrics.map(Arc::new),
-            critpaths: critpaths.map(Arc::new),
+            metrics: metrics.transpose().map(Arc::new),
+            critpaths: critpaths.transpose().map(Arc::new),
         })
     }
 

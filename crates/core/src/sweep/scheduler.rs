@@ -1,41 +1,31 @@
 //! Work-pool scheduler for sweep execution.
 //!
 //! Fans an indexed list of items over `jobs` worker threads
-//! (`std::thread` + bounded channels only — no external crates) and
-//! returns results **slotted by input index**, so the output order is
-//! independent of worker count and scheduling interleavings. Each item
-//! runs under `catch_unwind`: a panicking item produces an
-//! `Err(description)` in its slot instead of killing the sweep.
+//! (`std::thread` only — no external crates): each worker pulls the
+//! next `(index, item)` when it is free. Results come back **slotted by
+//! input index**, so the output order is independent of worker count
+//! and scheduling interleavings. Each item runs under `catch_unwind`: a
+//! panicking item produces an `Err(description)` in its slot instead of
+//! killing the sweep.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Run `f(index, item)` for every item, using up to `jobs` worker
-/// threads fed from a bounded queue of depth `queue_depth`. Returns one
-/// slot per input item, in input order; a panic inside `f` yields
-/// `Err(panic message)` for that slot only.
+/// threads. Returns one slot per input item, in input order; a panic
+/// inside `f` yields `Err(panic message)` for that slot only.
 ///
 /// Determinism contract: when `f` is a pure function of `(index, item)`,
 /// the returned vector is identical for every `jobs` value — the worker
 /// pool only changes *when* items run, never *what* they compute or
 /// where the result lands.
-pub fn run_indexed<I, R, F>(
-    items: Vec<I>,
-    jobs: usize,
-    queue_depth: usize,
-    f: F,
-) -> Vec<Result<R, String>>
+pub fn run_indexed<I, R, F>(items: Vec<I>, jobs: usize, f: F) -> Vec<Result<R, String>>
 where
     I: Send,
     R: Send,
     F: Fn(usize, I) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-
     // Single-job fast path: no threads, same catch_unwind semantics.
     if jobs <= 1 {
         return items
@@ -45,50 +35,30 @@ where
             .collect();
     }
 
-    let workers = jobs.min(n);
-    let depth = queue_depth.max(1);
+    let next = Mutex::new(items.into_iter().enumerate());
     let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-
     std::thread::scope(|scope| {
-        // Bounded work queue: the feeder blocks when workers fall
-        // behind, keeping at most `depth` items in flight beyond the
-        // ones being executed.
-        let (work_tx, work_rx) = mpsc::sync_channel::<(usize, I)>(depth);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        // Results flow back unbounded (at most `n` entries ever) so a
-        // full result pipe can never deadlock against the work queue.
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<R, String>)>();
-
-        for _ in 0..workers {
-            let work_rx = Arc::clone(&work_rx);
-            let done_tx = done_tx.clone();
-            let f = &f;
-            scope.spawn(move || loop {
-                let next = {
-                    let guard = work_rx.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.recv()
-                };
-                let Ok((i, item)) = next else { break };
-                // The receiving end only disappears if the parent scope
-                // is already unwinding; nothing left to report to.
-                if done_tx.send((i, run_one(f, i, item))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(done_tx);
-
-        for pair in items.into_iter().enumerate() {
-            work_tx.send(pair).expect("sweep workers died");
-        }
-        drop(work_tx); // lets idle workers exit
-
-        for _ in 0..n {
-            let (i, r) = done_rx.recv().expect("sweep worker pool lost results");
-            slots[i] = Some(r);
+        let workers: Vec<_> = (0..jobs.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // the lock is released before the item runs
+                        let pulled = next.lock().unwrap_or_else(|e| e.into_inner()).next();
+                        let Some((i, item)) = pulled else { break };
+                        done.push((i, run_one(&f, i, item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            // items cannot panic out of `run_one`
+            for (i, r) in worker.join().expect("sweep worker died") {
+                slots[i] = Some(r);
+            }
         }
     });
-
     slots
         .into_iter()
         .map(|s| s.expect("scheduler filled every slot"))
@@ -119,7 +89,7 @@ mod tests {
     fn results_are_input_ordered() {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 2, 4, 9] {
-            let out = run_indexed(items.clone(), jobs, 4, |i, x| {
+            let out = run_indexed(items.clone(), jobs, |i, x| {
                 assert_eq!(i as u64, x);
                 x * x
             });
@@ -131,7 +101,7 @@ mod tests {
     #[test]
     fn panic_is_isolated_to_its_slot() {
         for jobs in [1, 3] {
-            let out = run_indexed(vec![1u32, 2, 3, 4], jobs, 2, |_i, x| {
+            let out = run_indexed(vec![1u32, 2, 3, 4], jobs, |_i, x| {
                 if x == 3 {
                     panic!("boom on {x}");
                 }
@@ -146,24 +116,22 @@ mod tests {
 
     #[test]
     fn more_jobs_than_items_is_fine() {
-        let out = run_indexed(vec![5u32], 16, 1, |_i, x| x + 1);
+        let out = run_indexed(vec![5u32], 16, |_i, x| x + 1);
         assert_eq!(out, vec![Ok(6)]);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<Result<u32, String>> = run_indexed(Vec::<u32>::new(), 4, 2, |_i, x| x);
+        let out: Vec<Result<u32, String>> = run_indexed(Vec::<u32>::new(), 4, |_i, x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn identical_results_across_worker_counts() {
         let items: Vec<u64> = (0..64).collect();
-        let baseline = run_indexed(items.clone(), 1, 1, |i, x| {
-            (i as u64).wrapping_mul(x) ^ 0xabcd
-        });
+        let baseline = run_indexed(items.clone(), 1, |i, x| (i as u64).wrapping_mul(x) ^ 0xabcd);
         for jobs in [2, 4, 8] {
-            let out = run_indexed(items.clone(), jobs, 3, |i, x| {
+            let out = run_indexed(items.clone(), jobs, |i, x| {
                 (i as u64).wrapping_mul(x) ^ 0xabcd
             });
             assert_eq!(out, baseline, "jobs={jobs}");

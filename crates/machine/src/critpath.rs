@@ -149,16 +149,6 @@ impl CritPath {
         self.class_totals[blame.idx()]
     }
 
-    /// Seconds of critical path that are communication-caused
-    /// (everything but compute).
-    pub fn comm_total(&self) -> f64 {
-        Blame::ALL
-            .iter()
-            .filter(|b| **b != Blame::Compute)
-            .map(|b| self.total(*b))
-            .sum()
-    }
-
     /// Stable JSON rendering of the path (embedded as the `critpath`
     /// member of `ovlp.metrics.v2`, and reusable standalone).
     pub fn to_json(&self) -> String {

@@ -207,35 +207,36 @@ pub trait ProbeSink {
 }
 
 /// Implements every [`ProbeSink`] hook by calling it on each `$sink` in
-/// turn; `$me` names the receiver for the sink expressions.
+/// turn, where each `$sink` is an `Option<&mut impl ProbeSink>`; `$me`
+/// names the receiver for the sink expressions.
 macro_rules! forward_hooks {
     ($me:ident => $($sink:expr),+) => {
         fn on_begin(&mut $me, nranks: usize, links: &[Link]) {
-            $($sink.on_begin(nranks, links);)+
+            $(if let Some(s) = $sink { s.on_begin(nranks, links) })+
         }
         fn on_state(&mut $me, rank: usize, start: Time, end: Time, state: State) {
-            $($sink.on_state(rank, start, end, state);)+
+            $(if let Some(s) = $sink { s.on_state(rank, start, end, state) })+
         }
         fn on_event(&mut $me, at: Time, kind: EventKind, queue_depth: usize) {
-            $($sink.on_event(at, kind, queue_depth);)+
+            $(if let Some(s) = $sink { s.on_event(at, kind, queue_depth) })+
         }
         fn on_transfer_start(&mut $me, at: Time, in_flight: u32, buses: u32, ports: u32) {
-            $($sink.on_transfer_start(at, in_flight, buses, ports);)+
+            $(if let Some(s) = $sink { s.on_transfer_start(at, in_flight, buses, ports) })+
         }
         fn on_transfer_done(&mut $me, at: Time, in_flight: u32, buses: u32, ports: u32) {
-            $($sink.on_transfer_done(at, in_flight, buses, ports);)+
+            $(if let Some(s) = $sink { s.on_transfer_done(at, in_flight, buses, ports) })+
         }
         fn on_injected(&mut $me, rank: usize, at: Time, bytes: u64) {
-            $($sink.on_injected(rank, at, bytes);)+
+            $(if let Some(s) = $sink { s.on_injected(rank, at, bytes) })+
         }
         fn on_link_traffic(&mut $me, link: usize, t0: Time, t1: Time, bytes: f64) {
-            $($sink.on_link_traffic(link, t0, t1, bytes);)+
+            $(if let Some(s) = $sink { s.on_link_traffic(link, t0, t1, bytes) })+
         }
         fn on_reshare(&mut $me, at: Time, active_flows: usize) {
-            $($sink.on_reshare(at, active_flows);)+
+            $(if let Some(s) = $sink { s.on_reshare(at, active_flows) })+
         }
         fn on_stale_flow_done(&mut $me, at: Time) {
-            $($sink.on_stale_flow_done(at);)+
+            $(if let Some(s) = $sink { s.on_stale_flow_done(at) })+
         }
         fn on_fault(
             &mut $me,
@@ -245,7 +246,7 @@ macro_rules! forward_hooks {
             rerouted: u32,
             reshared: bool,
         ) {
-            $($sink.on_fault(at, links, action, rerouted, reshared);)+
+            $(if let Some(s) = $sink { s.on_fault(at, links, action, rerouted, reshared) })+
         }
         fn on_send_posted(
             &mut $me,
@@ -257,7 +258,9 @@ macro_rules! forward_hooks {
             rendezvous: bool,
             at: Time,
         ) {
-            $($sink.on_send_posted(msg, src, dst, tag, bytes, rendezvous, at);)+
+            $(if let Some(s) = $sink {
+                s.on_send_posted(msg, src, dst, tag, bytes, rendezvous, at)
+            })+
         }
         fn on_transfer_granted(
             &mut $me,
@@ -266,28 +269,30 @@ macro_rules! forward_hooks {
             latency: Time,
             uncontended_arrival: Option<Time>,
         ) {
-            $($sink.on_transfer_granted(msg, at, latency, uncontended_arrival);)+
+            $(if let Some(s) = $sink {
+                s.on_transfer_granted(msg, at, latency, uncontended_arrival)
+            })+
         }
         fn on_flow_path(&mut $me, msg: usize, uncontended_eta: Time) {
-            $($sink.on_flow_path(msg, uncontended_eta);)+
+            $(if let Some(s) = $sink { s.on_flow_path(msg, uncontended_eta) })+
         }
         fn on_flow_rerouted(&mut $me, msg: usize) {
-            $($sink.on_flow_rerouted(msg);)+
+            $(if let Some(s) = $sink { s.on_flow_rerouted(msg) })+
         }
         fn on_wait_edge(&mut $me, rank: usize, since: Time, until: Time, msg: usize, edge: WaitEdge) {
-            $($sink.on_wait_edge(rank, since, until, msg, edge);)+
+            $(if let Some(s) = $sink { s.on_wait_edge(rank, since, until, msg, edge) })+
         }
         fn on_marker(&mut $me, rank: usize, marker: Marker, at: Time) {
-            $($sink.on_marker(rank, marker, at);)+
+            $(if let Some(s) = $sink { s.on_marker(rank, marker, at) })+
         }
         fn on_comm(&mut $me, msg: usize, comm: &CommRecord) {
-            $($sink.on_comm(msg, comm);)+
+            $(if let Some(s) = $sink { s.on_comm(msg, comm) })+
         }
         fn on_records_peak(&mut $me, peak: u64) {
-            $($sink.on_records_peak(peak);)+
+            $(if let Some(s) = $sink { s.on_records_peak(peak) })+
         }
         fn on_end(&mut $me, runtime: Time, queue_peak: usize) {
-            $($sink.on_end(runtime, queue_peak);)+
+            $(if let Some(s) = $sink { s.on_end(runtime, queue_peak) })+
         }
     };
 }
@@ -302,14 +307,22 @@ pub struct TeeSink<A, B>(pub A, pub B);
 
 impl<A: ProbeSink, B: ProbeSink> ProbeSink for TeeSink<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
-    forward_hooks!(self => self.0, self.1);
+    forward_hooks!(self => Some(&mut self.0), Some(&mut self.1));
 }
 
 /// A borrowed sink observes like the sink itself, so a caller's probe
 /// can be teed with a recorder it does not own.
 impl<P: ProbeSink + ?Sized> ProbeSink for &mut P {
     const ENABLED: bool = P::ENABLED;
-    forward_hooks!(self => (**self));
+    forward_hooks!(self => Some(&mut **self));
+}
+
+/// An optional sink observes when present, so a replay can run one
+/// sink type whichever recorders a caller asked for (`None` records
+/// nothing and costs a branch per hook).
+impl<P: ProbeSink> ProbeSink for Option<P> {
+    const ENABLED: bool = P::ENABLED;
+    forward_hooks!(self => self.as_mut());
 }
 
 /// The do-nothing sink: what a caller of
@@ -1028,6 +1041,9 @@ const _: () = {
     // live side turns every hook on.
     assert!(!<TeeSink<NoopSink, NoopSink>>::ENABLED);
     assert!(<TeeSink<NoopSink, WindowedRecorder>>::ENABLED);
+    // an optional sink is enabled as its sink is
+    assert!(!<Option<NoopSink>>::ENABLED);
+    assert!(<Option<WindowedRecorder>>::ENABLED);
 };
 
 #[cfg(test)]
@@ -1048,6 +1064,21 @@ mod tests {
         assert!((occ[1][0] - 1.0).abs() < 1e-12);
         assert!((occ[2][0] - 0.25).abs() < 1e-12);
         assert_eq!(occ[0][1], 0.0);
+    }
+
+    #[test]
+    fn an_optional_recorder_records_only_when_present() {
+        let mut absent: Option<WindowedRecorder> = None;
+        let mut present = Some(WindowedRecorder::new(Time::secs(1.0)));
+        for sink in [&mut absent, &mut present] {
+            sink.on_begin(1, &[]);
+            sink.on_state(0, Time::secs(0.5), Time::secs(2.25), State::Compute);
+            sink.on_end(Time::secs(2.25), 0);
+        }
+        assert!(absent.is_none());
+        let m = present.unwrap().into_metrics().unwrap();
+        assert_eq!(m.windows, 3);
+        assert!((m.ranks[0].occupancy[1][0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

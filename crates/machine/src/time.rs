@@ -38,11 +38,6 @@ impl Time {
     }
 
     #[inline]
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
-    #[inline]
     pub fn max(self, other: Time) -> Time {
         if self >= other {
             self

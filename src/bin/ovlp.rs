@@ -1,27 +1,33 @@
 //! `ovlp` — command-line front end for the overlap-analysis framework.
 //!
-//! Run `ovlp help` for the subcommand list; it is generated from the
-//! [`COMMANDS`] table, which is also the dispatch source of truth, so
-//! the help text cannot drift from what the binary accepts.
+//! Run `ovlp help` for the subcommand list. It is rendered from the
+//! [`COMMANDS`] table, which also declares each command's positionals
+//! and flags for the one parser and names the function that runs it,
+//! so the help text cannot drift from what the binary accepts.
 
+use overlap_sim::apps::AppEntry;
 use overlap_sim::core::chunk::ChunkPolicy;
-use overlap_sim::core::experiments::run_variants;
-use overlap_sim::core::patterns::{consumption_stats, production_stats};
+use overlap_sim::core::double_buffer_demand;
+use overlap_sim::core::experiments::{recorded, recorders, run_variants, SpeedupResult, Variants};
+use overlap_sim::core::patterns::{consumption_stats, mean_independent_tail, production_stats};
 use overlap_sim::core::pipeline::{build_variants, VariantBundle};
 use overlap_sim::core::presets::marenostrum_for;
 use overlap_sim::core::report::{pct, table2a, table2b};
-use overlap_sim::instr::TraceOptions;
+use overlap_sim::instr::{TraceOptions, TraceRun};
+use overlap_sim::machine::chanstat::render_top;
 use overlap_sim::machine::{
-    replay_scale, simulate, simulate_probed, ContentionModel, CritPathRecorder, FaultSchedule,
-    Metrics, NoopSink, Platform, SimError, TeeSink, Time, WindowedRecorder,
+    replay_scale, simulate, simulate_probed, ContentionModel, CritPath, FaultSchedule, Metrics,
+    NoopSink, Platform, SimError, SimResult, Time,
 };
 use overlap_sim::trace::access_text::{self, AccessErrorKind};
-use overlap_sim::trace::{text, TraceSource};
+use overlap_sim::trace::{text, Trace, TraceSource};
 use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
+use std::fmt::Display;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// `print!` for command output. A closed stdout means the reader has
 /// all it wants (`ovlp ... | head -1`), so the command ends quietly
@@ -49,114 +55,201 @@ fn write_stdout(args: std::fmt::Arguments) {
     }
 }
 
-/// One `ovlp` subcommand. The usage text shown by `ovlp help` (and on
-/// bad invocations) is rendered from this table.
+/// How a flag takes its argument.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// `--flag value`
+    Value,
+    /// `--flag a,b,..`
+    List,
+    /// `--flag` alone
+    Switch,
+}
+use Kind::{List, Switch, Value};
+
+/// One flag a command accepts: its name, how it takes its argument,
+/// and what the help calls that argument.
+struct Flag(&'static str, Kind, &'static str);
+
+/// One `ovlp` subcommand: what `ovlp help` shows, what [`parse`]
+/// accepts, and the function that runs it.
 struct Cmd {
     name: &'static str,
-    args: &'static str,
+    /// Positionals as the help shows them: the required `<x>` ones,
+    /// then the optional `[x]` ones.
+    pos: &'static [&'static str],
+    flags: &'static [Flag],
     about: &'static str,
+    run: fn(&Args) -> CliResult,
 }
+
+const APP_RANKS: &[&str] = &["<app>", "<ranks>"];
+const TOPOLOGY: Flag = Flag("--topology", Value, "T");
+const PROBE_WINDOW: Flag = Flag("--probe-window", Value, "us");
+const CRITPATH: Flag = Flag("--critpath", Switch, "");
 
 const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "list",
-        args: "",
+        pos: &[],
+        flags: &[],
         about: "list the application pool",
+        run: list_cmd,
     },
     Cmd {
         name: "analyze",
-        args: "<app> <ranks>",
+        pos: APP_RANKS,
+        flags: &[],
         about: "full pipeline report (patterns + benefits)",
+        run: analyze_cmd,
     },
     Cmd {
         name: "trace",
-        args: "<app> <ranks> <outdir>",
+        pos: &["<app>", "<ranks>", "<outdir>"],
+        flags: &[],
         about: "write .trf traces + the .acc access log",
+        run: trace_cmd,
     },
     Cmd {
         name: "transform",
-        args: "<trace.trf> <log.acc>",
+        pos: &["<trace.trf>", "<log.acc>"],
+        flags: &[],
         about: "rewrite a trace offline (stdout)",
+        run: transform_cmd,
     },
     Cmd {
         name: "simulate",
-        args: "<trace.trf|app> [bw] [buses] [--ranks N] [--topology T] \
-               [--faults SPEC] [--metrics out.json] [--probe-window us] [--critpath]",
+        pos: &["<trace.trf|app>", "[bw]", "[buses]"],
+        flags: &[
+            Flag("--ranks", Value, "N"),
+            TOPOLOGY,
+            Flag("--faults", Value, "SPEC"),
+            Flag("--metrics", Value, "out.json"),
+            PROBE_WINDOW,
+            CRITPATH,
+        ],
         about: "replay a trace file or pool app on a platform",
+        run: simulate_cmd,
     },
     Cmd {
         name: "scale",
-        args: "<app> <ranks> [bw] [buses]",
+        pos: &["<app>", "<ranks>", "[bw]", "[buses]"],
+        flags: &[],
         about: "streamed O(active-state) weak-scaling replay summary",
+        run: scale_cmd,
     },
     Cmd {
         name: "stats",
-        args: "<trace.trf>",
+        pos: &["<trace.trf>"],
+        flags: &[],
         about: "structural statistics of a trace file",
+        run: stats_cmd,
     },
     Cmd {
         name: "gantt",
-        args: "<app> <ranks>",
+        pos: APP_RANKS,
+        flags: &[],
         about: "original vs overlapped ASCII timelines",
+        run: gantt_cmd,
     },
     Cmd {
         name: "waits",
-        args: "<app> <ranks>",
+        pos: APP_RANKS,
+        flags: &[],
         about: "wait-duration histograms (both variants)",
+        run: waits_cmd,
     },
     Cmd {
         name: "chunks",
-        args: "<app> <ranks>",
+        pos: APP_RANKS,
+        flags: &[],
         about: "find the best chunk count",
+        run: chunks_cmd,
     },
     Cmd {
         name: "advise",
-        args: "<app> <ranks>",
+        pos: APP_RANKS,
+        flags: &[],
         about: "per-transfer restructuring advice",
+        run: advise_cmd,
     },
     Cmd {
         name: "report",
-        args: "<app> <ranks> <out.html> [--topology T] [--probe-window us] [--critpath]",
+        pos: &["<app>", "<ranks>", "<out.html>"],
+        flags: &[TOPOLOGY, PROBE_WINDOW, CRITPATH],
         about: "self-contained HTML analysis report",
+        run: report_cmd,
     },
     Cmd {
         name: "paraver",
-        args: "<app> <ranks> <outdir> [--topology T] [--probe-window us]",
+        pos: &["<app>", "<ranks>", "<outdir>"],
+        flags: &[TOPOLOGY, PROBE_WINDOW],
         about: "Paraver .prv/.pcf/.row (with counters) + SVG for both variants",
+        run: paraver_cmd,
     },
     Cmd {
         name: "sweep",
-        args: "<app> <ranks> [--jobs N] [--chunks a,b,..] [--bw a,b,..] [--buses a,b,..] \
-               [--topology t1,t2,..] [--faults f1,f2,..] [--store dir] [--metrics dir] \
-               [--probe-window us] [--critpath]",
+        pos: APP_RANKS,
+        flags: &[
+            Flag("--jobs", Value, "N"),
+            Flag("--chunks", List, "a,b,.."),
+            Flag("--bw", List, "a,b,.."),
+            Flag("--buses", List, "a,b,.."),
+            Flag("--topology", List, "t1,t2,.."),
+            Flag("--faults", List, "f1,f2,.."),
+            Flag("--store", Value, "dir"),
+            Flag("--metrics", Value, "dir"),
+            PROBE_WINDOW,
+            CRITPATH,
+        ],
         about: "parallel parameter sweep over platforms x policies",
+        run: sweep_cmd,
     },
     Cmd {
         name: "serve",
-        args: "[--addr host:port] [--store dir] [--max-running N] [--max-conn N] \
-               [--point-deadline s] [--retries N] [--backoff-ms ms] [--drain-grace s]",
+        pos: &[],
+        flags: &[
+            Flag("--addr", Value, "host:port"),
+            Flag("--store", Value, "dir"),
+            Flag("--max-running", Value, "N"),
+            Flag("--max-conn", Value, "N"),
+            Flag("--point-deadline", Value, "s"),
+            Flag("--retries", Value, "N"),
+            Flag("--backoff-ms", Value, "ms"),
+            Flag("--drain-grace", Value, "s"),
+        ],
         about: "sweep-as-a-service HTTP daemon over the persistent result store",
+        run: serve_cmd,
     },
     Cmd {
         name: "paper",
-        args: "[--jobs N] [--out DIR]",
+        pos: &[],
+        flags: &[Flag("--jobs", Value, "N"), Flag("--out", Value, "DIR")],
         about: "the paper's evaluation: Tables I-II, Figs. 4-6, SC'06 model, ablations",
+        run: paper_cmd,
     },
     Cmd {
         name: "help",
-        args: "",
+        pos: &[],
+        flags: &[],
         about: "show this help",
+        run: help_cmd,
     },
 ];
 
 fn usage() -> String {
     let mut s = String::from("usage: ovlp <command> [args]\n\ncommands:\n");
     for c in COMMANDS {
-        let head = if c.args.is_empty() {
-            c.name.to_string()
-        } else {
-            format!("{} {}", c.name, c.args)
-        };
+        let mut head = c.name.to_string();
+        for p in c.pos {
+            head = format!("{head} {p}");
+        }
+        for Flag(name, kind, meta) in c.flags {
+            head = match kind {
+                Switch => format!("{head} [{name}]"),
+                _ => format!("{head} [{name} {meta}]"),
+            };
+        }
         if head.len() <= 38 {
             s.push_str(&format!("  {head:<38} {}\n", c.about));
         } else {
@@ -176,65 +269,225 @@ fn usage() -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let strs: Vec<&str> = args.iter().map(String::as_str).collect();
-    match strs.as_slice() {
-        ["list"] => {
-            for e in overlap_sim::apps::paper_pool() {
-                let kind = if e.is_generated() {
-                    "generated; weak-scales via --ranks / ovlp scale"
-                } else {
-                    "traced"
-                };
-                outln!("{:<12} (default {} ranks, {kind})", e.name, e.ranks);
-            }
-            ExitCode::SUCCESS
-        }
-        ["analyze", app, ranks] => analyze(app, ranks),
-        ["trace", app, ranks, outdir] => trace_cmd(app, ranks, outdir),
-        ["transform", trf, acc] => transform_cmd(trf, acc),
-        ["simulate", path, rest @ ..] => simulate_cmd(path, rest),
-        ["scale", app, ranks, rest @ ..] => scale_cmd(app, ranks, rest),
-        ["stats", path] => stats_cmd(path),
-        ["gantt", app, ranks] => gantt_cmd(app, ranks),
-        ["waits", app, ranks] => waits_cmd(app, ranks),
-        ["chunks", app, ranks] => chunks_cmd(app, ranks),
-        ["advise", app, ranks] => advise_cmd(app, ranks),
-        ["report", app, ranks, out, rest @ ..] => report_cmd(app, ranks, out, rest),
-        ["paraver", app, ranks, outdir, rest @ ..] => paraver_cmd(app, ranks, outdir, rest),
-        ["sweep", app, ranks, rest @ ..] => sweep_cmd(app, ranks, rest),
-        ["serve", rest @ ..] => serve_cmd(rest),
-        ["paper", rest @ ..] => paper_cmd(rest),
-        ["help"] | ["--help"] | ["-h"] => {
-            out!("{}", usage());
-            ExitCode::SUCCESS
-        }
-        _ => {
-            eprint!("{}", usage());
-            usage_error()
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (code, msg) = match parse(&argv).and_then(|args| (args.cmd.run)(&args)) {
+        Ok(code) => return code,
+        Err(CliError::Invocation) => (2, usage()),
+        Err(CliError::Usage(m)) => (2, format!("error: {m}\n")),
+        Err(CliError::Run(m)) => (1, format!("error: {m}\n")),
+    };
+    eprint!("{msg}");
+    ExitCode::from(code)
 }
 
-/// Exit code for usage and parse errors (bad flags, malformed specs):
-/// distinct from 1, which means the inputs were well-formed but the
-/// run itself failed (I/O, simulation error, failed sweep points).
-fn usage_error() -> ExitCode {
-    ExitCode::from(2)
-}
+type CliResult<T = ExitCode> = Result<T, CliError>;
 
-/// CLI failure, classified for the exit code: `Usage` exits 2,
-/// `Run` exits 1.
+/// CLI failure, classified for the exit code: `Invocation` (no command
+/// matches; the usage text is shown) and `Usage` exit 2, `Run` exits 1.
 enum CliError {
+    Invocation,
     Usage(String),
     Run(String),
 }
 
-fn bail(e: CliError) -> ExitCode {
-    match e {
-        CliError::Usage(m) => fail_usage(m),
-        CliError::Run(m) => fail(m),
+/// Errors of running a command (I/O, simulation, probes) exit 1; usage
+/// errors are raised explicitly with [`usage_err`].
+impl<E: std::error::Error> From<E> for CliError {
+    fn from(e: E) -> CliError {
+        CliError::Run(e.to_string())
     }
+}
+
+fn usage_err(msg: impl Display) -> CliError {
+    CliError::Usage(msg.to_string())
+}
+
+fn run_err(msg: impl Display) -> CliError {
+    CliError::Run(msg.to_string())
+}
+
+/// A command line, checked against its command's declaration.
+struct Args<'a> {
+    cmd: &'static Cmd,
+    /// The required positionals.
+    pos: Vec<&'a str>,
+    /// The optional positionals given.
+    extra: Vec<&'a str>,
+    /// Each flag given, with its value (`None` for a switch, or when the
+    /// line ends first); the first of a repeated flag wins.
+    flags: Vec<(&'static Flag, Option<&'a str>)>,
+}
+
+/// Match `argv` to a command in one walk. The required positionals come
+/// first, in order; after them any token naming one of the command's
+/// flags is that flag (taking the next token as its value unless it is
+/// a switch), and any other token fills the next optional positional.
+/// An unknown `--token`, or a positional past the declared ones, is a
+/// usage error that names it — a misspelled flag must not silently fall
+/// back to a default. A command without flags or optional positionals
+/// shows the usage text instead.
+fn parse(argv: &[String]) -> CliResult<Args<'_>> {
+    let (name, rest) = argv.split_first().ok_or(CliError::Invocation)?;
+    let name = if name == "--help" || name == "-h" {
+        "help"
+    } else {
+        name
+    };
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or(CliError::Invocation)?;
+    let required = cmd.pos.iter().filter(|p| p.starts_with('<')).count();
+    let fixed = cmd.flags.is_empty() && cmd.pos.len() == required;
+    if rest.len() < required || (fixed && rest.len() > required) {
+        return Err(CliError::Invocation);
+    }
+    let mut args = Args {
+        cmd,
+        pos: rest[..required].iter().map(String::as_str).collect(),
+        extra: Vec::new(),
+        flags: Vec::new(),
+    };
+    let mut tokens = rest[required..].iter().map(String::as_str);
+    while let Some(tok) = tokens.next() {
+        match cmd.flags.iter().find(|f| f.0 == tok) {
+            Some(f @ Flag(_, Switch, _)) => args.flags.push((f, None)),
+            Some(f) => args.flags.push((f, tokens.next())),
+            None if !tok.starts_with("--") && required + args.extra.len() < cmd.pos.len() => {
+                args.extra.push(tok)
+            }
+            None => return Err(usage_err(format!("unknown `{name}` argument `{tok}`"))),
+        }
+    }
+    Ok(args)
+}
+
+impl<'a> Args<'a> {
+    /// Whether switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f.0 == name)
+    }
+
+    /// The text after flag `name`, if the flag was given.
+    fn raw(&self, name: &str) -> CliResult<Option<&'a str>> {
+        match self.flags.iter().find(|(f, _)| f.0 == name) {
+            None => Ok(None),
+            Some((_, Some(v))) => Ok(Some(v)),
+            Some((Flag(_, List, _), None)) => {
+                Err(usage_err(format!("{name} needs a comma-separated list")))
+            }
+            Some(_) => Err(usage_err(format!("{name} needs a value"))),
+        }
+    }
+
+    /// `--flag value`, parsed.
+    fn value<T: FromStr>(&self, name: &str) -> CliResult<Option<T>>
+    where
+        T::Err: Display,
+    {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|e| usage_err(format!("bad {name} value `{v}`: {e}")))
+        };
+        self.raw(name)?.map(parse).transpose()
+    }
+
+    /// `--flag a,b,c`, each entry parsed; empty when the flag is absent.
+    fn list<T: FromStr>(&self, name: &str) -> CliResult<Vec<T>>
+    where
+        T::Err: Display,
+    {
+        let Some(v) = self.raw(name)? else {
+            return Ok(Vec::new());
+        };
+        v.split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .map_err(|e| usage_err(format!("bad {name} entry `{s}`: {e}")))
+            })
+            .collect()
+    }
+}
+
+/// The command line's amendments to a base platform: `--topology`,
+/// `--faults` and the optional `[bw] [buses]` positionals, where the
+/// command takes them. The flags are parsed here, before any input is
+/// read; the positionals when the platform is built.
+struct Net<'a> {
+    topology: Option<ContentionModel>,
+    faults: Option<FaultSchedule>,
+    bw_buses: &'a [&'a str],
+}
+
+impl<'a> Net<'a> {
+    fn parse(args: &'a Args) -> CliResult<Net<'a>> {
+        Ok(Net {
+            topology: args.value("--topology")?,
+            faults: args.value("--faults")?,
+            bw_buses: &args.extra,
+        })
+    }
+
+    /// `base` as amended, refused when a number is outside its accepted
+    /// range or the fabric is too small for `nranks` ranks, or far too
+    /// large — before anything is compiled or traced.
+    fn platform(self, mut base: Platform, nranks: usize) -> CliResult<Platform> {
+        if let Some(model) = self.topology {
+            base = base.with_contention(model);
+        }
+        if let Some(f) = self.faults {
+            base = base.with_faults(f);
+        }
+        if let Some(bw) = self.bw_buses.first() {
+            base.bandwidth_mbs = bw
+                .parse()
+                .map_err(|e| usage_err(format!("bad bandwidth: {e}")))?;
+        }
+        if let Some(buses) = self.bw_buses.get(1) {
+            base.buses = buses
+                .parse()
+                .map_err(|e| usage_err(format!("bad bus count: {e}")))?;
+        }
+        base.check_ranges().map_err(CliError::Usage)?;
+        if let ContentionModel::Flow(topo) = &base.contention {
+            topo.check_size(base.nodes(nranks))
+                .map_err(CliError::Usage)?;
+        }
+        Ok(base)
+    }
+}
+
+/// The pool app `name` (`ovlp list`) at `ranks` ranks (its default count
+/// when `None`) on its calibrated Table I platform as `net` amends it.
+/// Every usage error is found here, before anything is traced.
+fn pool_app(name: &str, ranks: Option<usize>, net: Net) -> CliResult<(AppEntry, usize, Platform)> {
+    let entry = overlap_sim::apps::registry::by_name(name)
+        .ok_or_else(|| usage_err(format!("unknown app `{name}` (try `ovlp list`)")))?;
+    let ranks = ranks.unwrap_or(entry.ranks);
+    // Rank-count violations (odd counts on XOR apps, counts past the
+    // thread-per-rank cap) are the caller's mistake: exit 2, not 1.
+    entry.validate_ranks(ranks).map_err(CliError::Usage)?;
+    let platform = net.platform(marenostrum_for(entry.name), ranks)?;
+    Ok((entry, ranks, platform))
+}
+
+/// [`pool_app`] for the `<app> <ranks>` positionals.
+fn app_args(args: &Args) -> CliResult<(AppEntry, usize, Platform)> {
+    let net = Net::parse(args)?;
+    let ranks = rank_count(args.pos[1])?;
+    pool_app(args.pos[0], Some(ranks), net)
+}
+
+fn rank_count(s: &str) -> CliResult<usize> {
+    s.parse()
+        .map_err(|e| usage_err(format!("bad rank count: {e}")))
+}
+
+/// Read and parse the `.trf` file at `path`; failures name the file.
+fn load_trace(path: &str) -> CliResult<Trace> {
+    let content = fs::read_to_string(path).map_err(|e| run_err(format!("{path}: {e}")))?;
+    text::parse(&content).map_err(|e| run_err(format!("{path}: {e}")))
 }
 
 /// Whether a command reads the Figure-5 access scatter (`access.acc`
@@ -245,39 +498,9 @@ enum Scatter {
     Skip,
 }
 
-/// Trace `app_name` at `ranks` and build its variants, with the app's
-/// platform on `topology` when one is given. Every usage error, a
-/// fabric that cannot hold the ranks included, is found before the
-/// trace runs.
-fn prepare(
-    app_name: &str,
-    ranks: &str,
-    scatter: Scatter,
-    topology: Option<ContentionModel>,
-) -> Result<
-    (
-        overlap_sim::core::pipeline::VariantBundle,
-        overlap_sim::instr::TraceRun,
-        Platform,
-    ),
-    CliError,
-> {
-    let ranks: usize = ranks
-        .parse()
-        .map_err(|e| CliError::Usage(format!("bad rank count: {e}")))?;
-    let entry = overlap_sim::apps::registry::by_name(app_name)
-        .ok_or_else(|| CliError::Usage(format!("unknown app `{app_name}` (try `ovlp list`)")))?;
-    // Rank-count violations (odd counts on XOR apps, counts past the
-    // thread-per-rank cap) are the caller's mistake: exit 2, not 1.
-    entry.validate_ranks(ranks).map_err(CliError::Usage)?;
-    let mut platform = marenostrum_for(entry.name);
-    if let Some(model) = topology {
-        platform = platform.with_contention(model);
-    }
-    if let ContentionModel::Flow(topo) = &platform.contention {
-        topo.check_size(platform.nodes(ranks))
-            .map_err(CliError::Usage)?;
-    }
+/// Trace the `<app> <ranks>` of `args` and build its variants.
+fn prepare(args: &Args, scatter: Scatter) -> CliResult<(VariantBundle, TraceRun, Platform)> {
+    let (entry, ranks, platform) = app_args(args)?;
     let run = match scatter {
         Scatter::Capture => entry.trace_run_with(ranks, &TraceOptions::default()),
         Scatter::Skip => entry.trace_run(ranks),
@@ -287,343 +510,270 @@ fn prepare(
     Ok((bundle, run, platform))
 }
 
-/// Runtime failure (exit 1): I/O, tracing, or simulation errors.
-fn fail(msg: String) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+/// The three variants' plain replays.
+fn replay(bundle: &VariantBundle, platform: &Platform) -> Result<SpeedupResult, SimError> {
+    Ok(run_variants(bundle, platform, || NoopSink, |_| Ok(()))?.0)
 }
 
-/// Usage or parse failure (exit 2): malformed flags, specs, or values.
-fn fail_usage(msg: String) -> ExitCode {
-    eprintln!("error: {msg}");
-    usage_error()
+/// `--probe-window`, in microseconds, refused unless positive.
+fn window_flag(args: &Args) -> CliResult<Option<f64>> {
+    match args.value::<f64>("--probe-window")? {
+        Some(us) if us > 0.0 => Ok(Some(us)),
+        Some(us) => Err(usage_err(format!(
+            "bad --probe-window value `{us}`: must be positive"
+        ))),
+        None => Ok(None),
+    }
 }
 
-fn analyze(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, run, platform) = match prepare(app, ranks, Scatter::Capture, None) {
-        Ok(v) => v,
-        Err(e) => return bail(e),
-    };
+/// The probe window: `us` microseconds when given, else 1/256 of the
+/// runtime of `base`, an extra (cheap, deterministic) unprobed replay,
+/// so every run gets a usefully dense timeline whatever its scale (a
+/// floor of 1ns for degenerate runs).
+fn probe_window(
+    us: Option<f64>,
+    base: impl FnOnce() -> Result<SimResult, SimError>,
+) -> Result<Time, SimError> {
+    if let Some(us) = us {
+        return Ok(Time::micros(us));
+    }
+    let w = base()?.runtime() / 256.0;
+    Ok(Time::secs(if w > 0.0 { w } else { 1e-9 }))
+}
+
+/// What [`recorders`] keep of each variant.
+type Recorded = (Option<Metrics>, Option<CritPath>);
+
+/// Trace the `<app> <ranks>` of `args` and replay its variants probed:
+/// windowed metrics always, the critical path under `--critpath`.
+fn replay_probed(
+    args: &Args,
+    scatter: Scatter,
+) -> CliResult<(TraceRun, Platform, SpeedupResult, Variants<Recorded>)> {
+    let us = window_flag(args)?;
+    let (bundle, run, platform) = prepare(args, scatter)?;
+    let window = probe_window(us, || simulate(&bundle.original, &platform))?;
+    let critpath = args.switch("--critpath");
+    let (r, recorded) = run_variants(
+        &bundle,
+        &platform,
+        || recorders(Some(window), critpath),
+        |rec| Ok(recorded(rec)?),
+    )?;
+    Ok((run, platform, r, recorded))
+}
+
+/// Per-transfer restructuring advice for the paper's chunk policy.
+fn advice(run: &TraceRun, platform: &Platform) -> String {
+    let policy = ChunkPolicy::paper_default();
+    overlap_sim::core::advisor::advise(&run.trace, &run.access, platform, &policy).render()
+}
+
+/// A state total in seconds for printing. A state a rank never entered
+/// sums an empty series, which `f64` makes `-0.0`; adding `+0.0` turns
+/// it into `0.0` (and leaves every other value as it is), so the line
+/// never reads `-0.000`.
+fn unsigned(t: Time) -> f64 {
+    t.as_secs() + 0.0
+}
+
+fn list_cmd(_: &Args) -> CliResult {
+    for e in overlap_sim::apps::paper_pool() {
+        let kind = if e.is_generated() {
+            "generated; weak-scales via --ranks / ovlp scale"
+        } else {
+            "traced"
+        };
+        outln!("{:<12} (default {} ranks, {kind})", e.name, e.ranks);
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn help_cmd(_: &Args) -> CliResult {
+    out!("{}", usage());
+    Ok(ExitCode::SUCCESS)
+}
+
+fn analyze_cmd(args: &Args) -> CliResult {
+    let app = args.pos[0];
+    let (bundle, run, platform) = prepare(args, Scatter::Capture)?;
     let p = production_stats(&run.access);
     let c = consumption_stats(&run.access);
     outln!("{}", table2a(&[(app.to_string(), p)]));
     outln!("{}", table2b(&[(app.to_string(), c)]));
-    match run_variants(&bundle, &platform, || NoopSink, |_| Ok(())) {
-        Ok((r, _)) => {
-            outln!(
-                "runtime: original {:.4}s  overlapped {:.4}s (x{:.3})  ideal {:.4}s (x{:.3})",
-                r.original.runtime(),
-                r.overlapped.runtime(),
-                r.speedup_real(),
-                r.ideal.runtime(),
-                r.speedup_ideal()
-            );
-            outln!(
-                "wait/rank: original {:.1}us  overlapped {:.1}us",
-                r.original.total_wait() * 1e6 / r.original.totals.len() as f64,
-                r.overlapped.total_wait() * 1e6 / r.overlapped.totals.len() as f64,
-            );
-            let demand = overlap_sim::core::double_buffer_demand(&r.overlapped);
-            outln!(
-                "double-buffering demand: {} of {} candidate transfers ({})",
-                demand.early_arrivals,
-                demand.candidates,
-                pct(Some(100.0 * demand.fraction()))
-            );
-            // the paper's §VII future work, quantified: how much more
-            // postponement would phase-level reordering expose?
-            match overlap_sim::core::patterns::mean_independent_tail(&run.access) {
-                Some(tail) => outln!(
-                    "phase-reorder potential (mean independent tail): {}",
-                    pct(Some(100.0 * tail))
-                ),
-                None => outln!("phase-reorder potential: n/a (scatter capture off)"),
-            }
-            outln!("\nheaviest channels (original execution):");
-            out!(
-                "{}",
-                overlap_sim::machine::chanstat::render_top(&r.original, 8)
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(e.to_string()),
+    let r = replay(&bundle, &platform)?;
+    outln!(
+        "runtime: original {:.4}s  overlapped {:.4}s (x{:.3})  ideal {:.4}s (x{:.3})",
+        r.original.runtime(),
+        r.overlapped.runtime(),
+        r.speedup_real(),
+        r.ideal.runtime(),
+        r.speedup_ideal()
+    );
+    outln!(
+        "wait/rank: original {:.1}us  overlapped {:.1}us",
+        r.original.total_wait() * 1e6 / r.original.totals.len() as f64,
+        r.overlapped.total_wait() * 1e6 / r.overlapped.totals.len() as f64,
+    );
+    let demand = double_buffer_demand(&r.overlapped);
+    outln!(
+        "double-buffering demand: {} of {} candidate transfers ({})",
+        demand.early_arrivals,
+        demand.candidates,
+        pct(Some(100.0 * demand.fraction()))
+    );
+    // the paper's §VII future work, quantified: how much more
+    // postponement would phase-level reordering expose?
+    match mean_independent_tail(&run.access) {
+        Some(tail) => outln!(
+            "phase-reorder potential (mean independent tail): {}",
+            pct(Some(100.0 * tail))
+        ),
+        None => outln!("phase-reorder potential: n/a (scatter capture off)"),
     }
+    outln!("\nheaviest channels (original execution):");
+    out!("{}", render_top(&r.original, 8));
+    Ok(ExitCode::SUCCESS)
 }
 
-fn trace_cmd(app: &str, ranks: &str, outdir: &str) -> ExitCode {
-    let (bundle, run, _) = match prepare(app, ranks, Scatter::Capture, None) {
-        Ok(v) => v,
-        Err(e) => return bail(e),
-    };
-    let dir = Path::new(outdir);
-    if let Err(e) = fs::create_dir_all(dir) {
-        return fail(e.to_string());
-    }
+fn trace_cmd(args: &Args) -> CliResult {
+    let (bundle, run, _) = prepare(args, Scatter::Capture)?;
+    let dir = Path::new(args.pos[2]);
+    fs::create_dir_all(dir)?;
     for (name, body) in [
         ("original.trf", text::emit(&bundle.original)),
         ("overlapped.trf", text::emit(&bundle.overlapped)),
         ("ideal.trf", text::emit(&bundle.ideal)),
     ] {
         let path = dir.join(name);
-        if let Err(e) = fs::write(&path, body) {
-            return fail(e.to_string());
-        }
+        fs::write(&path, body)?;
         outln!("wrote {}", path.display());
     }
     // the access log runs to gigabytes at a few hundred ranks: stream it
     let path = dir.join("access.acc");
-    if let Err(e) = fs::File::create(&path).and_then(|f| access_text::emit(&run.access, f)) {
-        return fail(format!("{}: {e}", path.display()));
-    }
+    fs::File::create(&path)
+        .and_then(|f| access_text::emit(&run.access, f))
+        .map_err(|e| run_err(format!("{}: {e}", path.display())))?;
     outln!("wrote {}", path.display());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Offline transformation: the paper's §III-C generation step applied
 /// to artifacts on disk.
-fn transform_cmd(trf: &str, acc: &str) -> ExitCode {
-    let trace = match fs::read_to_string(trf)
-        .map_err(|e| e.to_string())
-        .and_then(|c| text::parse(&c).map_err(|e| e.to_string()))
-    {
-        Ok(t) => t,
-        Err(e) => return fail(format!("{trf}: {e}")),
-    };
-    let access = match fs::File::open(acc)
-        .map_err(|e| CliError::Run(e.to_string()))
-        .and_then(|f| {
-            access_text::parse(std::io::BufReader::new(f)).map_err(|e| match e.kind {
-                AccessErrorKind::Inconsistent => CliError::Usage(e.to_string()),
-                AccessErrorKind::Malformed => CliError::Run(e.to_string()),
-            })
-        }) {
-        Ok(a) => a,
-        Err(CliError::Usage(e)) => return fail_usage(format!("{acc}: {e}")),
-        Err(CliError::Run(e)) => return fail(format!("{acc}: {e}")),
-    };
+fn transform_cmd(args: &Args) -> CliResult {
+    let (trf, acc) = (args.pos[0], args.pos[1]);
+    let trace = load_trace(trf)?;
+    let file = fs::File::open(acc).map_err(|e| run_err(format!("{acc}: {e}")))?;
+    let access = access_text::parse(std::io::BufReader::new(file)).map_err(|e| match e.kind {
+        AccessErrorKind::Inconsistent => usage_err(format!("{acc}: {e}")),
+        AccessErrorKind::Malformed => run_err(format!("{acc}: {e}")),
+    })?;
     // logs that contradict the trace would make the rewrite panic
-    if let Err(e) = overlap_sim::core::check_intervals(&trace, &access) {
-        return fail_usage(format!("{acc} does not fit {trf}: {e}"));
-    }
+    overlap_sim::core::check_intervals(&trace, &access)
+        .map_err(|e| usage_err(format!("{acc} does not fit {trf}: {e}")))?;
     let out = overlap_sim::core::transform(&trace, &access, &ChunkPolicy::paper_default());
     out!("{}", text::emit(&out));
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn stats_cmd(path: &str) -> ExitCode {
-    let trace = match fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|c| text::parse(&c).map_err(|e| e.to_string()))
-    {
-        Ok(t) => t,
-        Err(e) => return fail(format!("{path}: {e}")),
-    };
+fn stats_cmd(args: &Args) -> CliResult {
+    let trace = load_trace(args.pos[0])?;
     outln!("{}", overlap_sim::trace::TraceStats::of(&trace));
     let errs = overlap_sim::trace::validate(&trace);
     if errs.is_empty() {
         outln!("validation:       ok");
-        ExitCode::SUCCESS
-    } else {
-        outln!("validation:       {} problems", errs.len());
-        for e in errs.iter().take(10) {
-            outln!("  - {e}");
-        }
-        ExitCode::FAILURE
+        return Ok(ExitCode::SUCCESS);
     }
+    outln!("validation:       {} problems", errs.len());
+    for e in errs.iter().take(10) {
+        outln!("  - {e}");
+    }
+    Ok(ExitCode::FAILURE)
 }
 
-fn waits_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip, None) {
-        Ok(v) => v,
-        Err(e) => return bail(e),
-    };
-    match run_variants(&bundle, &platform, || NoopSink, |_| Ok(())) {
-        Ok((r, _)) => {
-            outln!("== non-overlapped ==");
-            outln!("{}", overlap_sim::viz::wait_report(&r.original, 48));
-            outln!("== overlapped ==");
-            outln!("{}", overlap_sim::viz::wait_report(&r.overlapped, 48));
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(e.to_string()),
-    }
+fn waits_cmd(args: &Args) -> CliResult {
+    let (bundle, _, platform) = prepare(args, Scatter::Skip)?;
+    let r = replay(&bundle, &platform)?;
+    outln!("== non-overlapped ==");
+    outln!("{}", overlap_sim::viz::wait_report(&r.original, 48));
+    outln!("== overlapped ==");
+    outln!("{}", overlap_sim::viz::wait_report(&r.overlapped, 48));
+    Ok(ExitCode::SUCCESS)
 }
 
-fn chunks_cmd(app: &str, ranks: &str) -> ExitCode {
+fn chunks_cmd(args: &Args) -> CliResult {
     use overlap_sim::core::experiments::{chunk_search, default_candidates};
-    let ranks_n: usize = match ranks.parse() {
-        Ok(n) => n,
-        Err(e) => return fail_usage(format!("bad rank count: {e}")),
-    };
-    let entry = match overlap_sim::apps::registry::by_name(app) {
-        Some(e) => e,
-        None => return fail_usage(format!("unknown app `{app}`")),
-    };
-    if let Err(e) = entry.validate_ranks(ranks_n) {
-        return fail_usage(e);
+    let (_, run, platform) = prepare(args, Scatter::Skip)?;
+    let s = chunk_search(&run, &platform, &default_candidates())?;
+    outln!("original runtime: {:.4}s", s.original_runtime);
+    for p in &s.points {
+        let marker = if p.chunks == s.best.chunks {
+            "  <= best"
+        } else {
+            ""
+        };
+        outln!(
+            "{:>3} chunks: {:.4}s (x{:.3}){}",
+            p.chunks,
+            p.runtime,
+            p.speedup_vs_original,
+            marker
+        );
     }
-    let run = match entry.trace_run(ranks_n) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    let platform = marenostrum_for(entry.name);
-    match chunk_search(&run, &platform, &default_candidates()) {
-        Ok(s) => {
-            outln!("original runtime: {:.4}s", s.original_runtime);
-            for p in &s.points {
-                let marker = if p.chunks == s.best.chunks {
-                    "  <= best"
-                } else {
-                    ""
-                };
-                outln!(
-                    "{:>3} chunks: {:.4}s (x{:.3}){}",
-                    p.chunks,
-                    p.runtime,
-                    p.speedup_vs_original,
-                    marker
-                );
-            }
-            outln!(
-                "recommendation: {} chunks (the paper fixes 4)",
-                s.best.chunks
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(e.to_string()),
-    }
+    outln!(
+        "recommendation: {} chunks (the paper fixes 4)",
+        s.best.chunks
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
+fn simulate_cmd(args: &Args) -> CliResult {
     // Flags are parsed before the trace is read, so malformed flags
     // are reported as usage errors (exit 2) even when the file is also
     // missing or unreadable (exit 1).
-    let flags = (|| -> Result<_, String> {
-        Ok((
-            positionals(
-                "simulate",
-                rest,
-                &[
-                    "--topology",
-                    "--faults",
-                    "--metrics",
-                    "--probe-window",
-                    "--ranks",
-                ],
-                &["--critpath"],
-                2,
-            )?,
-            parse_flag(rest, "--topology", ContentionModel::Bus)?,
-            parse_opt_flag::<String>(rest, "--metrics")?,
-            parse_opt_flag::<f64>(rest, "--probe-window")?,
-            parse_opt_flag::<FaultSchedule>(rest, "--faults")?,
-            parse_opt_flag::<usize>(rest, "--ranks")?,
-        ))
-    })();
-    let (pos, topology, metrics_out, window_us, faults, ranks_flag) = match flags {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let want_critpath = rest.contains(&"--critpath");
+    let path = args.pos[0];
+    let net = Net::parse(args)?;
+    let metrics_out: Option<String> = args.value("--metrics")?;
+    let window_us = window_flag(args)?;
+    let ranks: Option<usize> = args.value("--ranks")?;
+    let critpath = args.switch("--critpath");
     // The positional either names a trace file on disk or a pool app
     // (`ovlp list`); files win when both exist. Pool apps replay their
     // registry source (the lean trace of a traced app, or the generator
     // itself, never materialized) on their calibrated Table I platform;
     // trace files keep the historical default platform.
     let app = overlap_sim::apps::registry::by_name(path).filter(|_| !Path::new(path).exists());
-    let (input, base): (Box<dyn TraceSource>, Platform) = if let Some(entry) = app {
-        let ranks = ranks_flag.unwrap_or(entry.ranks);
-        if let Err(e) = entry.validate_ranks(ranks) {
-            return fail_usage(e);
+    let (input, platform): (Box<dyn TraceSource>, Platform) = match app {
+        Some(_) => {
+            let (entry, ranks, platform) = pool_app(path, ranks, net)?;
+            (entry.source(ranks).map_err(CliError::Run)?, platform)
         }
-        match entry.source(ranks) {
-            Ok(s) => (s, marenostrum_for(entry.name)),
-            Err(e) => return fail(e),
-        }
-    } else {
-        if ranks_flag.is_some() {
-            return fail_usage(format!(
+        None if ranks.is_some() => {
+            return Err(usage_err(format!(
                 "--ranks applies to pool apps, but `{path}` is a trace file \
                  (rank count comes from the trace)"
-            ));
+            )))
         }
-        let content = match fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => return fail(format!("{path}: {e}")),
-        };
-        match text::parse(&content) {
-            Ok(t) => (Box::new(t), Platform::default()),
-            Err(e) => return fail(e.to_string()),
+        None => {
+            let trace = load_trace(path)?;
+            let platform = net.platform(Platform::default(), trace.nranks())?;
+            (Box::new(trace), platform)
         }
     };
     let input = input.as_ref();
-    let mut platform = base.with_contention(topology);
-    if let Some(f) = faults {
-        platform = platform.with_faults(f);
-    }
-    if let Err(e) = set_bw_buses(&mut platform, &pos) {
-        return fail_usage(e);
-    }
-    // refuse a fabric too small for the ranks, or far too large,
-    // before compiling it
-    if let ContentionModel::Flow(topo) = &platform.contention {
-        if let Err(e) = topo.check_size(platform.nodes(input.nranks())) {
-            return fail_usage(e);
-        }
-    }
     // Probing is on when either metrics flag is given; the replay
     // results are bit-identical with and without it (and with or
     // without --critpath — probes observe, never influence).
     let probing = metrics_out.is_some() || window_us.is_some();
-    let window = if probing {
-        match window_us {
-            Some(us) if us > 0.0 => Some(Time::micros(us)),
-            Some(us) => {
-                return fail_usage(format!("bad --probe-window value `{us}`: must be positive"))
-            }
-            None => {
-                // auto window: 1/256 of this trace's runtime, measured
-                // by an extra (cheap, deterministic) unprobed replay
-                let base = match simulate(input, &platform) {
-                    Ok(r) => r,
-                    Err(e) => return fail(e.to_string()),
-                };
-                Some(auto_window(base.runtime()))
-            }
-        }
+    let window = probing
+        .then(|| probe_window(window_us, || simulate(input, &platform)))
+        .transpose()?;
+    let (r, (metrics, critpath)) = if window.is_none() && !critpath {
+        (simulate(input, &platform)?, (None, None))
     } else {
-        None
-    };
-    // the recorders the flags asked for: windowed metrics when a window
-    // is set, the critical path under --critpath
-    let replayed = (|| -> Result<_, Box<dyn std::error::Error>> {
-        Ok(match (window, want_critpath) {
-            (None, false) => (simulate(input, &platform)?, None, None),
-            (Some(w), false) => {
-                let mut rec = WindowedRecorder::new(w);
-                let r = simulate_probed(input, &platform, &mut rec)?;
-                (r, Some(rec.into_metrics()?), None)
-            }
-            (None, true) => {
-                let mut rec = CritPathRecorder::new();
-                let r = simulate_probed(input, &platform, &mut rec)?;
-                (r, None, Some(rec.into_critpath()))
-            }
-            (Some(w), true) => {
-                let mut tee = TeeSink(WindowedRecorder::new(w), CritPathRecorder::new());
-                let r = simulate_probed(input, &platform, &mut tee)?;
-                let TeeSink(windowed, crit) = tee;
-                (
-                    r,
-                    Some(windowed.into_metrics()?),
-                    Some(crit.into_critpath()),
-                )
-            }
-        })
-    })();
-    let (r, metrics, critpath) = match replayed {
-        Ok(v) => v,
-        Err(e) => return fail(e.to_string()),
+        let mut rec = recorders(window, critpath);
+        let r = simulate_probed(input, &platform, &mut rec)?;
+        (r, recorded(rec)?)
     };
     outln!(
         "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
@@ -660,233 +810,114 @@ fn simulate_cmd(path: &str, rest: &[&str]) -> ExitCode {
     if let Some(cp) = &critpath {
         out!("{}", overlap_sim::viz::critpath_report(cp));
     }
-    if let Some(m) = &metrics {
-        let e = &m.engine;
-        outln!(
-            "probe: {} windows of {:.1}us; events resume {} / transfer {} / flow {} / fault {}; \
-             reshares {}; queue peak {}; records peak {}; in-flight peak {}",
-            m.windows,
-            m.window_s * 1e6,
-            e.events_by_kind[0],
-            e.events_by_kind[1],
-            e.events_by_kind[2],
-            e.events_by_kind[3],
-            e.reshares,
-            e.queue_peak,
-            e.records_peak,
-            e.max_in_flight
-        );
-        let heat = link_heatmap_ascii(m, 100, r.runtime, 12);
-        if !heat.is_empty() {
-            outln!("link utilization over time:");
-            out!("{heat}");
-        }
-        if let Some(out) = &metrics_out {
-            // with --critpath the document upgrades to ovlp.metrics.v2:
-            // the full v1 payload plus the critpath section
-            let doc = match &critpath {
-                Some(cp) => m.to_json_v2(cp),
-                None => m.to_json(),
-            };
-            if let Err(e) = fs::write(out, doc) {
-                return fail(e.to_string());
-            }
-            outln!("wrote {out}");
-        }
+    let Some(m) = &metrics else {
+        return Ok(ExitCode::SUCCESS);
+    };
+    let e = &m.engine;
+    outln!(
+        "probe: {} windows of {:.1}us; events resume {} / transfer {} / flow {} / fault {}; \
+         reshares {}; queue peak {}; records peak {}; in-flight peak {}",
+        m.windows,
+        m.window_s * 1e6,
+        e.events_by_kind[0],
+        e.events_by_kind[1],
+        e.events_by_kind[2],
+        e.events_by_kind[3],
+        e.reshares,
+        e.queue_peak,
+        e.records_peak,
+        e.max_in_flight
+    );
+    let heat = link_heatmap_ascii(m, 100, r.runtime, 12);
+    if !heat.is_empty() {
+        outln!("link utilization over time:");
+        out!("{heat}");
     }
-    ExitCode::SUCCESS
+    if let Some(out) = &metrics_out {
+        // with --critpath the document upgrades to ovlp.metrics.v2:
+        // the full v1 payload plus the critpath section
+        let doc = match &critpath {
+            Some(cp) => m.to_json_v2(cp),
+            None => m.to_json(),
+        };
+        fs::write(out, doc)?;
+        outln!("wrote {out}");
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `ovlp scale`: streamed totals-only replay for weak-scaling studies.
 /// It keeps no timelines or comm records, so memory stays O(active
 /// ranks + in-flight traffic) and generated apps run at 100k–1M ranks
 /// where `simulate` would exhaust the machine.
-fn scale_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
-    let pos = match positionals("scale", rest, &[], &[], 2) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let ranks_n: usize = match ranks.parse() {
-        Ok(n) => n,
-        Err(e) => return fail_usage(format!("bad rank count: {e}")),
-    };
-    let entry = match overlap_sim::apps::registry::by_name(app) {
-        Some(e) => e,
-        None => return fail_usage(format!("unknown app `{app}` (try `ovlp list`)")),
-    };
-    if let Err(e) = entry.validate_ranks(ranks_n) {
-        return fail_usage(e);
-    }
-    let mut platform = marenostrum_for(entry.name);
-    if let Err(e) = set_bw_buses(&mut platform, &pos) {
-        return fail_usage(e);
-    }
-    let source = match entry.source(ranks_n) {
-        Ok(s) => s,
-        Err(e) => return fail(e),
-    };
-    match replay_scale(source.as_ref(), &platform) {
-        Ok(rep) => {
-            outln!(
-                "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
-                rep.runtime.as_secs(),
-                rep.nranks,
-                rep.events_processed,
-                100.0 * rep.efficiency()
-            );
-            outln!(
-                "transfers {}  records streamed {}",
-                rep.transfers,
-                rep.records_streamed
-            );
-            outln!(
-                "high-water marks: records resident {}  queue {}  msg slots {}  \
-                 req slots {}  chan slots {}  blocked transfers {}",
-                rep.records_peak,
-                rep.queue_peak,
-                rep.msg_slots,
-                rep.req_slots,
-                rep.chan_slots,
-                rep.waiters_peak
-            );
-            outln!(
-                "state totals: compute {:.3}s  wait-recv {:.3}s  wait-send {:.3}s  \
-                 collective {:.3}s",
-                unsigned(rep.totals.compute),
-                unsigned(rep.totals.wait_recv),
-                unsigned(rep.totals.wait_send),
-                unsigned(rep.totals.collective)
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(e.to_string()),
-    }
-}
-
-/// The optional `[bw] [buses]` positionals of `simulate` and `scale`.
-fn set_bw_buses(platform: &mut Platform, pos: &[&str]) -> Result<(), String> {
-    if let Some(bw) = pos.first() {
-        platform.bandwidth_mbs = bw.parse().map_err(|e| format!("bad bandwidth: {e}"))?;
-    }
-    if let Some(buses) = pos.get(1) {
-        platform.buses = buses.parse().map_err(|e| format!("bad bus count: {e}"))?;
-    }
-    platform.check_ranges()
-}
-
-/// A state total in seconds for printing. A state a rank never entered
-/// sums an empty series, which `f64` makes `-0.0`; adding `+0.0` turns
-/// it into `0.0` (and leaves every other value as it is), so the line
-/// never reads `-0.000`.
-fn unsigned(t: Time) -> f64 {
-    t.as_secs() + 0.0
-}
-
-/// Probe window for commands without an explicit `--probe-window`:
-/// 1/256 of the run's span, so every trace gets a usefully dense
-/// timeline regardless of scale (floor of 1ns for degenerate runs).
-fn auto_window(runtime_s: f64) -> Time {
-    let w = runtime_s / 256.0;
-    if w > 0.0 {
-        Time::secs(w)
-    } else {
-        Time::secs(1e-9)
-    }
-}
-
-fn gantt_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip, None) {
-        Ok(v) => v,
-        Err(e) => return bail(e),
-    };
-    match run_variants(&bundle, &platform, || NoopSink, |_| Ok(())) {
-        Ok((r, _)) => {
-            outln!(
-                "{}",
-                gantt_comparison(
-                    "non-overlapped",
-                    &r.original,
-                    "overlapped",
-                    &r.overlapped,
-                    100
-                )
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(e.to_string()),
-    }
-}
-
-fn advise_cmd(app: &str, ranks: &str) -> ExitCode {
-    let (_, run, platform) = match prepare(app, ranks, Scatter::Skip, None) {
-        Ok(v) => v,
-        Err(e) => return bail(e),
-    };
-    let advice = overlap_sim::core::advisor::advise(
-        &run.trace,
-        &run.access,
-        &platform,
-        &ChunkPolicy::paper_default(),
+fn scale_cmd(args: &Args) -> CliResult {
+    let (entry, ranks, platform) = app_args(args)?;
+    let source = entry.source(ranks).map_err(CliError::Run)?;
+    let rep = replay_scale(source.as_ref(), &platform)?;
+    outln!(
+        "runtime {:.6}s  ({} ranks, {} events, efficiency {:.1}%)",
+        rep.runtime.as_secs(),
+        rep.nranks,
+        rep.events_processed,
+        100.0 * rep.efficiency()
     );
-    out!("{}", advice.render());
-    ExitCode::SUCCESS
+    outln!(
+        "transfers {}  records streamed {}",
+        rep.transfers,
+        rep.records_streamed
+    );
+    outln!(
+        "high-water marks: records resident {}  queue {}  msg slots {}  \
+         req slots {}  chan slots {}  blocked transfers {}",
+        rep.records_peak,
+        rep.queue_peak,
+        rep.msg_slots,
+        rep.req_slots,
+        rep.chan_slots,
+        rep.waiters_peak
+    );
+    outln!(
+        "state totals: compute {:.3}s  wait-recv {:.3}s  wait-send {:.3}s  \
+         collective {:.3}s",
+        unsigned(rep.totals.compute),
+        unsigned(rep.totals.wait_recv),
+        unsigned(rep.totals.wait_send),
+        unsigned(rep.totals.collective)
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
-    if let Err(e) = positionals(
-        "report",
-        rest,
-        &["--topology", "--probe-window"],
-        &["--critpath"],
-        0,
-    ) {
-        return fail_usage(e);
-    }
-    let topology = match parse_opt_flag::<ContentionModel>(rest, "--topology") {
-        Ok(t) => t,
-        Err(e) => return fail_usage(e),
-    };
-    let (bundle, run, platform) = match prepare(app, ranks, Scatter::Capture, topology) {
-        Ok(v) => v,
-        Err(e) => return bail(e),
-    };
-    let window = match probe_window_arg(rest, &bundle, &platform) {
-        Ok(w) => w,
-        Err(e) => return bail(e),
-    };
-    // each variant's windowed metrics, and its critical path under
-    // --critpath
-    let replayed = if rest.contains(&"--critpath") {
-        let tee = || TeeSink(WindowedRecorder::new(window), CritPathRecorder::new());
-        run_variants(&bundle, &platform, tee, |TeeSink(w, c)| {
-            Ok((metrics_of(w)?, Some(c.into_critpath())))
-        })
-    } else {
-        let windowed = || WindowedRecorder::new(window);
-        run_variants(&bundle, &platform, windowed, |w| Ok((metrics_of(w)?, None)))
-    };
-    let (r, recorded) = match replayed {
-        Ok(v) => v,
-        Err(e) => return fail(e.to_string()),
-    };
+fn gantt_cmd(args: &Args) -> CliResult {
+    let (bundle, _, platform) = prepare(args, Scatter::Skip)?;
+    let r = replay(&bundle, &platform)?;
+    let (o, v) = (&r.original, &r.overlapped);
+    outln!(
+        "{}",
+        gantt_comparison("non-overlapped", o, "overlapped", v, 100)
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn advise_cmd(args: &Args) -> CliResult {
+    let (_, run, platform) = prepare(args, Scatter::Skip)?;
+    out!("{}", advice(&run, &platform));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn report_cmd(args: &Args) -> CliResult {
+    let (app, out) = (args.pos[0], args.pos[2]);
+    let (run, platform, r, recorded) = replay_probed(args, Scatter::Capture)?;
     let mut tables = table2a(&[(app.to_string(), production_stats(&run.access))]);
     tables.push('\n');
     tables.push_str(&table2b(&[(
         app.to_string(),
         consumption_stats(&run.access),
     )]));
-    let advice = overlap_sim::core::advisor::advise(
-        &run.trace,
-        &run.access,
-        &platform,
-        &ChunkPolicy::paper_default(),
-    )
-    .render();
     let mut notes = vec![format!(
         "double-buffering demand: {:.1}% of candidate transfers",
-        100.0 * overlap_sim::core::double_buffer_demand(&r.overlapped).fraction()
+        100.0 * double_buffer_demand(&r.overlapped).fraction()
     )];
-    if let Some(tail) = overlap_sim::core::patterns::mean_independent_tail(&run.access) {
+    if let Some(tail) = mean_independent_tail(&run.access) {
         notes.push(format!(
             "phase-reorder potential (mean independent tail): {:.1}%",
             100.0 * tail
@@ -900,38 +931,46 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
             platform.bandwidth_mbs, platform.latency_us, platform.buses
         ),
         pattern_tables: tables,
-        advice,
+        advice: advice(&run, &platform),
         notes,
     };
-    let (o, v, i) = (&recorded.original, &recorded.overlapped, &recorded.ideal);
     let html = overlap_sim::viz::report_full(
         &inputs,
         &[
-            (
-                "non-overlapped (original)",
-                &r.original,
-                Some(&o.0),
-                o.1.as_ref(),
-            ),
+            ("non-overlapped (original)", &r.original, &recorded.original),
             (
                 "overlapped (measured patterns)",
                 &r.overlapped,
-                Some(&v.0),
-                v.1.as_ref(),
+                &recorded.overlapped,
             ),
-            (
-                "overlapped (ideal patterns)",
-                &r.ideal,
-                Some(&i.0),
-                i.1.as_ref(),
-            ),
-        ],
+            ("overlapped (ideal patterns)", &r.ideal, &recorded.ideal),
+        ]
+        .map(|(label, sim, (m, c))| (label, sim, m.as_ref(), c.as_ref())),
     );
-    if let Err(e) = fs::write(out, html) {
-        return fail(e.to_string());
-    }
+    fs::write(out, html)?;
     outln!("wrote {out}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn paraver_cmd(args: &Args) -> CliResult {
+    let app = args.pos[0];
+    let (_, _, r, recorded) = replay_probed(args, Scatter::Skip)?;
+    let dir = Path::new(args.pos[2]);
+    fs::create_dir_all(dir)?;
+    let span = r.original.runtime.max(r.overlapped.runtime);
+    for (label, sim, (m, _)) in [
+        ("original", &r.original, &recorded.original),
+        ("overlapped", &r.overlapped, &recorded.overlapped),
+    ] {
+        let e = paraver::export_with_metrics(&format!("{app}-{label}"), sim, m.as_ref());
+        for (ext, body) in [("prv", e.prv), ("pcf", e.pcf), ("row", e.row)] {
+            fs::write(dir.join(format!("{app}-{label}.{ext}")), body)?;
+        }
+        let svg = timeline_svg(&format!("{app} {label}"), sim, 1200, span);
+        fs::write(dir.join(format!("{app}-{label}.svg")), svg)?;
+    }
+    outln!("wrote Paraver + SVG artifacts to {}", dir.display());
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `ovlp sweep`: evaluate the app on a grid of platforms x chunk
@@ -939,252 +978,133 @@ fn report_cmd(app: &str, ranks: &str, out: &str, rest: &[&str]) -> ExitCode {
 /// for any `--jobs` value, and — via the shared [`SweepSpec`] grid
 /// builder — byte-identical to what the `ovlp serve` daemon computes
 /// for the same axes.
-fn sweep_cmd(app: &str, ranks: &str, rest: &[&str]) -> ExitCode {
+fn sweep_cmd(args: &Args) -> CliResult {
     use overlap_sim::core::sweep::{sweep, SweepCache};
     use overlap_sim::serve::{SpecError, SweepSpec};
 
-    if let Err(e) = positionals(
-        "sweep",
-        rest,
-        &[
-            "--jobs",
-            "--chunks",
-            "--bw",
-            "--buses",
-            "--topology",
-            "--faults",
-            "--store",
-            "--metrics",
-            "--probe-window",
-        ],
-        &["--critpath"],
-        0,
-    ) {
-        return fail_usage(e);
-    }
-    let ranks_n: usize = match ranks.parse() {
-        Ok(n) => n,
-        Err(e) => return fail_usage(format!("bad rank count: {e}")),
-    };
     // Empty axis lists mean "use the spec's defaults", which are the
     // historical CLI defaults (chunks 1,2,4,8; 250 MB/s; preset buses;
     // bus topology; no fault scenarios).
-    let mut spec = SweepSpec::new(app, ranks_n);
-    spec.jobs = match parse_flag(rest, "--jobs", 1usize) {
+    let mut spec = SweepSpec::new(args.pos[0], rank_count(args.pos[1])?);
+    spec.jobs = match args.value("--jobs")? {
         // the daemon's reason for the same job spec
-        Ok(0) => {
-            return fail_usage("bad --jobs value `0`: `jobs` must be a positive integer".into())
+        Some(0) => {
+            return Err(usage_err(
+                "bad --jobs value `0`: `jobs` must be a positive integer",
+            ))
         }
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
+        jobs => jobs.unwrap_or(1),
     };
-    spec.chunks = match parse_list_flag(rest, "--chunks", Vec::new()) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    spec.bandwidths = match parse_list_flag(rest, "--bw", Vec::new()) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    spec.buses = match parse_list_flag(rest, "--buses", Vec::new()) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    spec.topologies = match parse_list_flag(rest, "--topology", Vec::new()) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    spec.faults = match parse_list_flag::<FaultSchedule>(rest, "--faults", Vec::new()) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let (grid, mut config) = match spec.build() {
-        Ok(v) => v,
-        Err(SpecError::Usage(m)) => return fail_usage(m),
-        Err(SpecError::Trace(m)) => return fail(m),
-    };
-    let metrics_dir = match parse_opt_flag::<String>(rest, "--metrics") {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    let window_us = match parse_opt_flag::<f64>(rest, "--probe-window") {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
-    if let Some(us) = window_us {
-        if us <= 0.0 {
-            return fail_usage(format!("bad --probe-window value `{us}`: must be positive"));
-        }
-    }
+    spec.chunks = args.list("--chunks")?;
+    spec.bandwidths = args.list("--bw")?;
+    spec.buses = args.list("--buses")?;
+    spec.topologies = args.list("--topology")?;
+    spec.faults = args.list("--faults")?;
+    let (grid, mut config) = spec.build().map_err(|e| match e {
+        SpecError::Usage(m) => CliError::Usage(m),
+        SpecError::Trace(m) => CliError::Run(m),
+    })?;
+    let metrics_dir: Option<String> = args.value("--metrics")?;
     // --metrics alone probes at the 100us default window; probed points
     // bypass the cache, so runtimes still replay deterministically.
-    config.probe_window_us = match (&metrics_dir, window_us) {
-        (_, Some(us)) => Some(us),
-        (Some(_), None) => Some(100.0),
-        (None, None) => None,
-    };
-    config.critpath = rest.contains(&"--critpath");
-    let store_dir = match parse_opt_flag::<String>(rest, "--store") {
-        Ok(v) => v,
-        Err(e) => return fail_usage(e),
-    };
+    config.probe_window_us = window_flag(args)?.or(metrics_dir.as_ref().map(|_| 100.0));
+    config.critpath = args.switch("--critpath");
+    let store_dir: Option<String> = args.value("--store")?;
     let cache = match &store_dir {
-        Some(dir) => match SweepCache::persistent(dir) {
-            Ok(c) => c,
-            Err(e) => return fail(format!("--store {dir}: {e}")),
-        },
+        Some(dir) => {
+            SweepCache::persistent(dir).map_err(|e| run_err(format!("--store {dir}: {e}")))?
+        }
         None => SweepCache::new(),
     };
 
     let report = sweep(&grid, &config, &cache);
     out!("{}", report.render_full(&grid));
-    let jobs = config.jobs;
-    if config.probe_window_us.is_some() || config.critpath {
-        eprintln!(
-            "({} points in {:.2}s with {} jobs; probed, cache bypassed; {} replays)",
-            report.outcomes.len(),
-            report.elapsed.as_secs_f64(),
-            jobs,
-            report.replays,
-        );
-    } else if let Some(dir) = &store_dir {
-        let disk = cache.disk().map(|d| d.stats()).unwrap_or_default();
-        eprintln!(
-            "({} points in {:.2}s with {} jobs; {} simulated, {} from cache; \
-             store {dir}: {} hits, {} misses; {} replays)",
-            report.outcomes.len(),
-            report.elapsed.as_secs_f64(),
-            jobs,
-            report.cache_misses,
-            report.cache_hits,
-            disk.hits,
-            disk.misses,
-            report.replays,
-        );
+    let detail = if config.probe_window_us.is_some() || config.critpath {
+        "probed, cache bypassed".to_string()
     } else {
-        eprintln!(
-            "({} points in {:.2}s with {} jobs; {} simulated, {} from cache; {} replays)",
-            report.outcomes.len(),
-            report.elapsed.as_secs_f64(),
-            jobs,
-            report.cache_misses,
-            report.cache_hits,
-            report.replays,
+        let mut d = format!(
+            "{} simulated, {} from cache",
+            report.cache_misses, report.cache_hits
         );
-    }
+        if let Some(dir) = &store_dir {
+            let disk = cache.disk().map(|d| d.stats()).unwrap_or_default();
+            d += &format!("; store {dir}: {} hits, {} misses", disk.hits, disk.misses);
+        }
+        d
+    };
+    eprintln!(
+        "({} points in {:.2}s with {} jobs; {detail}; {} replays)",
+        report.outcomes.len(),
+        report.elapsed.as_secs_f64(),
+        config.jobs,
+        report.replays,
+    );
     if let Some(dirname) = &metrics_dir {
         let dir = Path::new(dirname);
-        if let Err(e) = fs::create_dir_all(dir) {
-            return fail(e.to_string());
-        }
+        fs::create_dir_all(dir)?;
         let mut written = 0usize;
         for p in report.outcomes.iter().flatten() {
-            if let Some(m) = &p.metrics {
-                for (label, doc) in m.labelled() {
-                    let name = format!(
-                        "{}-p{}c{}-{label}.json",
-                        p.app, p.point.platform, p.point.policy
-                    );
-                    if let Err(e) = fs::write(dir.join(&name), doc.to_json()) {
-                        return fail(e.to_string());
-                    }
-                    written += 1;
-                }
+            for (label, doc) in p.metrics.iter().flat_map(|m| m.labelled()) {
+                let name = format!(
+                    "{}-p{}c{}-{label}.json",
+                    p.app, p.point.platform, p.point.policy
+                );
+                fs::write(dir.join(&name), doc.to_json())?;
+                written += 1;
             }
         }
         eprintln!("wrote {written} metric documents to {}", dir.display());
     }
-    if report.err_count() == 0 {
+    Ok(if report.err_count() == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// `ovlp serve`: run the sweep-as-a-service HTTP daemon (see
 /// `docs/serving.md` for the protocol). With `--store`, results are
 /// shared with `ovlp sweep --store` and survive restarts.
-fn serve_cmd(rest: &[&str]) -> ExitCode {
+fn serve_cmd(args: &Args) -> CliResult {
     use overlap_sim::serve::server::install_termination_handler;
     use overlap_sim::serve::{ServeConfig, Server};
     use std::time::Duration;
 
-    if let Err(e) = positionals(
-        "serve",
-        rest,
-        &[
-            "--addr",
-            "--store",
-            "--max-running",
-            "--max-conn",
-            "--point-deadline",
-            "--retries",
-            "--backoff-ms",
-            "--drain-grace",
-        ],
-        &[],
-        0,
-    ) {
-        return fail_usage(e);
-    }
     let defaults = ServeConfig::default();
     let default_deadline_s = defaults.point_deadline.map(|d| d.as_secs()).unwrap_or(0);
     let default_grace_s = defaults.drain_grace.as_secs();
     let config = ServeConfig {
-        addr: match parse_flag(rest, "--addr", defaults.addr) {
-            Ok(v) => v,
-            Err(e) => return fail_usage(e),
-        },
-        store_dir: match parse_opt_flag::<String>(rest, "--store") {
-            Ok(v) => v.map(std::path::PathBuf::from),
-            Err(e) => return fail_usage(e),
-        },
-        max_running: match parse_flag(rest, "--max-running", defaults.max_running) {
-            Ok(v) => v,
-            Err(e) => return fail_usage(e),
-        },
-        max_connections: match parse_flag(rest, "--max-conn", defaults.max_connections) {
-            Ok(v) => v,
-            Err(e) => return fail_usage(e),
-        },
+        addr: args.value("--addr")?.unwrap_or(defaults.addr),
+        store_dir: args.value("--store")?,
+        max_running: args.value("--max-running")?.unwrap_or(defaults.max_running),
+        max_connections: args
+            .value("--max-conn")?
+            .unwrap_or(defaults.max_connections),
         // Seconds; 0 disables the per-attempt watchdog.
-        point_deadline: match parse_flag(rest, "--point-deadline", default_deadline_s) {
-            Ok(0) => None,
-            Ok(s) => Some(Duration::from_secs(s)),
-            Err(e) => return fail_usage(e),
-        },
-        max_attempts: match parse_flag(rest, "--retries", defaults.max_attempts) {
-            Ok(v) => v,
-            Err(e) => return fail_usage(e),
-        },
-        backoff_ms: match parse_flag(rest, "--backoff-ms", defaults.backoff_ms) {
-            Ok(v) => v,
-            Err(e) => return fail_usage(e),
-        },
-        drain_grace: match parse_flag(rest, "--drain-grace", default_grace_s) {
-            Ok(s) => Duration::from_secs(s),
-            Err(e) => return fail_usage(e),
-        },
+        point_deadline: Some(Duration::from_secs(
+            args.value("--point-deadline")?
+                .unwrap_or(default_deadline_s),
+        ))
+        .filter(|d| !d.is_zero()),
+        max_attempts: args.value("--retries")?.unwrap_or(defaults.max_attempts),
+        backoff_ms: args.value("--backoff-ms")?.unwrap_or(defaults.backoff_ms),
+        drain_grace: Duration::from_secs(args.value("--drain-grace")?.unwrap_or(default_grace_s)),
         chaos: std::env::var("OVLP_CHAOS").ok().filter(|s| !s.is_empty()),
     };
     if config.max_running == 0 {
-        return fail_usage("--max-running must be at least 1".to_string());
+        return Err(usage_err("--max-running must be at least 1"));
     }
     if config.max_connections == 0 {
-        return fail_usage("--max-conn must be at least 1".to_string());
+        return Err(usage_err("--max-conn must be at least 1"));
     }
     if config.max_attempts == 0 {
-        return fail_usage("--retries must be at least 1 (it counts total attempts)".to_string());
+        return Err(usage_err(
+            "--retries must be at least 1 (it counts total attempts)",
+        ));
     }
     let addr = config.addr.clone();
-    let server = match Server::bind(config.clone()) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("bind {addr}: {e}")),
-    };
-    match server.local_addr() {
-        Ok(bound) => outln!("ovlp serve listening on http://{bound}"),
-        Err(e) => return fail(e.to_string()),
-    }
+    let server = Server::bind(config.clone()).map_err(|e| run_err(format!("bind {addr}: {e}")))?;
+    outln!("ovlp serve listening on http://{}", server.local_addr()?);
     match &config.store_dir {
         Some(dir) => outln!("store: {}", dir.display()),
         None => outln!("store: in-memory (gone on exit; pass --store dir to persist)"),
@@ -1200,10 +1120,7 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
     // watcher thread notices it and runs the bounded drain, so the
     // daemon always exits 0 with a flushed journal.
     let term = install_termination_handler();
-    let handle = match server.handle() {
-        Ok(h) => h,
-        Err(e) => return fail(e.to_string()),
-    };
+    let handle = server.handle()?;
     let grace = config.drain_grace;
     std::thread::spawn(move || {
         while !term.load(std::sync::atomic::Ordering::SeqCst) {
@@ -1212,207 +1129,32 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
         eprintln!("ovlp serve: termination signal, draining (grace {grace:?})");
         handle.drain(grace);
     });
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(e.to_string()),
-    }
+    server.run()?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `ovlp paper`: print the evaluation document; with `--out DIR`, also
 /// write its Fig. 4 timelines and Paraver traces and its CSV series
 /// there. The document is identical for any `--jobs` value.
-fn paper_cmd(rest: &[&str]) -> ExitCode {
-    if let Err(e) = positionals("paper", rest, &["--jobs", "--out"], &[], 0) {
-        return fail_usage(e);
-    }
-    let jobs = match parse_flag(rest, "--jobs", 1usize) {
-        Ok(0) => return fail_usage("bad --jobs value `0`: must be at least 1".into()),
-        Ok(n) => n,
-        Err(e) => return fail_usage(e),
+fn paper_cmd(args: &Args) -> CliResult {
+    let jobs = match args.value("--jobs")? {
+        Some(0) => return Err(usage_err("bad --jobs value `0`: must be at least 1")),
+        jobs => jobs.unwrap_or(1),
     };
-    let out_dir = match parse_opt_flag::<String>(rest, "--out") {
-        Ok(d) => d,
-        Err(e) => return fail_usage(e),
-    };
+    let out_dir: Option<String> = args.value("--out")?;
     // an unusable output directory fails before the evaluation runs
     if let Some(dir) = &out_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            return fail(format!("{dir}: {e}"));
-        }
+        fs::create_dir_all(dir).map_err(|e| run_err(format!("{dir}: {e}")))?;
     }
-    let paper = match overlap_sim::paper::render(jobs) {
-        Ok(p) => p,
-        Err(e) => return fail(e.to_string()),
-    };
+    let paper = overlap_sim::paper::render(jobs).map_err(run_err)?;
     if let Some(dir) = out_dir {
         let dir = Path::new(&dir);
         for (name, body) in &paper.files {
             let path = dir.join(name);
-            if let Err(e) = fs::write(&path, body) {
-                return fail(format!("{}: {e}", path.display()));
-            }
+            fs::write(&path, body).map_err(|e| run_err(format!("{}: {e}", path.display())))?;
         }
         eprintln!("wrote {} files to {}", paper.files.len(), dir.display());
     }
     out!("{}", paper.text);
-    ExitCode::SUCCESS
-}
-
-/// Check a subcommand's trailing arguments and return its positionals.
-/// `values` are the flags that take a value, `switches` those that take
-/// none; any other `--token`, and any positional past the first `max`,
-/// is a usage error that names the token — a misspelled flag must not
-/// silently fall back to a default.
-fn positionals<'a>(
-    cmd: &str,
-    rest: &[&'a str],
-    values: &[&str],
-    switches: &[&str],
-    max: usize,
-) -> Result<Vec<&'a str>, String> {
-    let mut pos = Vec::new();
-    let mut args = rest.iter();
-    while let Some(&a) = args.next() {
-        if values.contains(&a) {
-            // a missing value is reported by the flag's own parser
-            args.next();
-        } else if !switches.contains(&a) {
-            if a.starts_with("--") || pos.len() == max {
-                return Err(format!("unknown `{cmd}` argument `{a}`"));
-            }
-            pos.push(a);
-        }
-    }
-    Ok(pos)
-}
-
-/// `--flag value` lookup with a default.
-fn parse_flag<T: std::str::FromStr>(args: &[&str], flag: &str, default: T) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match args.iter().position(|a| *a == flag) {
-        None => Ok(default),
-        Some(i) => match args.get(i + 1) {
-            None => Err(format!("{flag} needs a value")),
-            Some(v) => v
-                .parse()
-                .map_err(|e| format!("bad {flag} value `{v}`: {e}")),
-        },
-    }
-}
-
-/// `--flag value` lookup returning `None` when the flag is absent.
-fn parse_opt_flag<T: std::str::FromStr>(args: &[&str], flag: &str) -> Result<Option<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match args.iter().position(|a| *a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            None => Err(format!("{flag} needs a value")),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|e| format!("bad {flag} value `{v}`: {e}")),
-        },
-    }
-}
-
-/// `--flag a,b,c` lookup with a default list.
-fn parse_list_flag<T: std::str::FromStr>(
-    args: &[&str],
-    flag: &str,
-    default: Vec<T>,
-) -> Result<Vec<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match args.iter().position(|a| *a == flag) {
-        None => Ok(default),
-        Some(i) => match args.get(i + 1) {
-            None => Err(format!("{flag} needs a comma-separated list")),
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|e| format!("bad {flag} entry `{s}`: {e}"))
-                })
-                .collect(),
-        },
-    }
-}
-
-fn paraver_cmd(app: &str, ranks: &str, outdir: &str, rest: &[&str]) -> ExitCode {
-    if let Err(e) = positionals("paraver", rest, &["--topology", "--probe-window"], &[], 0) {
-        return fail_usage(e);
-    }
-    let topology = match parse_opt_flag::<ContentionModel>(rest, "--topology") {
-        Ok(t) => t,
-        Err(e) => return fail_usage(e),
-    };
-    let (bundle, _, platform) = match prepare(app, ranks, Scatter::Skip, topology) {
-        Ok(v) => v,
-        Err(e) => return bail(e),
-    };
-    let window = match probe_window_arg(rest, &bundle, &platform) {
-        Ok(w) => w,
-        Err(e) => return bail(e),
-    };
-    let windowed = || WindowedRecorder::new(window);
-    let (r, metrics) = match run_variants(&bundle, &platform, windowed, metrics_of) {
-        Ok(v) => v,
-        Err(e) => return fail(e.to_string()),
-    };
-    let dir = Path::new(outdir);
-    if let Err(e) = fs::create_dir_all(dir) {
-        return fail(e.to_string());
-    }
-    let span = r.original.runtime.max(r.overlapped.runtime);
-    for (label, sim, m) in [
-        ("original", &r.original, &metrics.original),
-        ("overlapped", &r.overlapped, &metrics.overlapped),
-    ] {
-        let e = paraver::export_with_metrics(&format!("{app}-{label}"), sim, Some(m));
-        for (ext, body) in [("prv", e.prv), ("pcf", e.pcf), ("row", e.row)] {
-            let path = dir.join(format!("{app}-{label}.{ext}"));
-            if let Err(err) = fs::write(&path, body) {
-                return fail(err.to_string());
-            }
-        }
-        let svg = timeline_svg(&format!("{app} {label}"), sim, 1200, span);
-        if let Err(err) = fs::write(dir.join(format!("{app}-{label}.svg")), svg) {
-            return fail(err.to_string());
-        }
-    }
-    outln!("wrote Paraver + SVG artifacts to {}", dir.display());
-    ExitCode::SUCCESS
-}
-
-/// A windowed recorder's document; a run past its window ceiling fails
-/// like the replay.
-fn metrics_of(w: WindowedRecorder) -> Result<Metrics, SimError> {
-    Ok(w.into_metrics()?)
-}
-
-/// Resolve `--probe-window` for the app-level commands: explicit value
-/// in microseconds, else 1/256 of the original variant's runtime
-/// (one extra unprobed replay to measure it).
-fn probe_window_arg(
-    rest: &[&str],
-    bundle: &VariantBundle,
-    platform: &Platform,
-) -> Result<Time, CliError> {
-    match parse_opt_flag::<f64>(rest, "--probe-window").map_err(CliError::Usage)? {
-        Some(us) if us > 0.0 => Ok(Time::micros(us)),
-        Some(us) => Err(CliError::Usage(format!(
-            "bad --probe-window value `{us}`: must be positive"
-        ))),
-        None => {
-            let base =
-                simulate(&bundle.original, platform).map_err(|e| CliError::Run(e.to_string()))?;
-            Ok(auto_window(base.runtime()))
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }

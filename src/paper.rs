@@ -88,7 +88,7 @@ pub fn render(jobs: usize) -> Result<Paper, Error> {
         .map(|e| e.name)
         .collect();
     let jobs = jobs.clamp(1, names.len());
-    let apps = scheduler::run_indexed(names, jobs, 2 * jobs, |_i, name| evaluate(name))
+    let apps = scheduler::run_indexed(names, jobs, |_i, name| evaluate(name))
         .into_iter()
         .map(|slot| slot?)
         .collect::<Result<Vec<_>, Error>>()?;

@@ -76,6 +76,18 @@ fn usage_and_parse_errors_exit_two() {
     );
     assert_usage_error(&["chunks", "nas-cg", "bogus"], "bad rank count");
     assert_usage_error(&["analyze", "no-such-app", "4"], "unknown app");
+    // every `<app> <ranks>` command points at the pool the same way
+    let hint = "unknown app `no-such-app` (try `ovlp list`)";
+    let out = format!("{}/no-such-app-out", env!("CARGO_TARGET_TMPDIR"));
+    assert_usage_error(&["analyze", "no-such-app", "4"], hint);
+    assert_usage_error(&["trace", "no-such-app", "4", &out], hint);
+    assert_usage_error(&["chunks", "no-such-app", "4"], hint);
+    assert_usage_error(&["gantt", "no-such-app", "4"], hint);
+    assert_usage_error(&["waits", "no-such-app", "4"], hint);
+    assert_usage_error(&["advise", "no-such-app", "4"], hint);
+    assert_usage_error(&["scale", "no-such-app", "4"], hint);
+    assert_usage_error(&["report", "no-such-app", "4", &out], hint);
+    assert_usage_error(&["paraver", "no-such-app", "4", &out], hint);
     assert_usage_error(&["simulate", "trace.trf", "--engine", "warp"], "--engine");
     assert_usage_error(&["serve", "--max-running", "0"], "--max-running");
     assert_usage_error(&["serve", "positional"], "unknown `serve` argument");
