@@ -1,9 +1,9 @@
 //! `ovlp` — command-line front end for the overlap-analysis framework.
 //!
 //! Run `ovlp help` for the subcommand list. It is rendered from the
-//! [`COMMANDS`] table, which also declares each command's positionals
-//! and flags for the one parser and names the function that runs it,
-//! so the help text cannot drift from what the binary accepts.
+//! [`COMMANDS`] table, which also declares each command's positional
+//! arguments and flags for the one parser and names the function that
+//! runs it, so the help text cannot drift from what the binary accepts.
 
 use overlap_sim::apps::AppEntry;
 use overlap_sim::core::chunk::ChunkPolicy;
@@ -309,23 +309,24 @@ fn run_err(msg: impl Display) -> CliError {
 /// A command line, checked against its command's declaration.
 struct Args<'a> {
     cmd: &'static Cmd,
-    /// The required positionals.
+    /// The required positional arguments.
     pos: Vec<&'a str>,
-    /// The optional positionals given.
+    /// The optional positional arguments given.
     extra: Vec<&'a str>,
     /// Each flag given, with its value (`None` for a switch, or when the
     /// line ends first); the first of a repeated flag wins.
     flags: Vec<(&'static Flag, Option<&'a str>)>,
 }
 
-/// Match `argv` to a command in one walk. The required positionals come
-/// first, in order; after them any token naming one of the command's
-/// flags is that flag (taking the next token as its value unless it is
-/// a switch), and any other token fills the next optional positional.
-/// An unknown `--token`, or a positional past the declared ones, is a
-/// usage error that names it — a misspelled flag must not silently fall
-/// back to a default. A command without flags or optional positionals
-/// shows the usage text instead.
+/// Match `argv` to a command in one walk. The required positional
+/// arguments come first, in order; after them any token naming one of
+/// the command's flags is that flag (taking the next token as its value
+/// unless it is a switch), and any other token fills the next optional
+/// positional argument. An unknown `--token`, or a positional argument
+/// past the declared ones, is a usage error that names it — a
+/// misspelled flag must not silently fall back to a default. A command
+/// without flags or optional positional arguments shows the usage text
+/// instead.
 fn parse(argv: &[String]) -> CliResult<Args<'_>> {
     let (name, rest) = argv.split_first().ok_or(CliError::Invocation)?;
     let name = if name == "--help" || name == "-h" {
@@ -411,9 +412,9 @@ impl<'a> Args<'a> {
 }
 
 /// The command line's amendments to a base platform: `--topology`,
-/// `--faults` and the optional `[bw] [buses]` positionals, where the
-/// command takes them. The flags are parsed here, before any input is
-/// read; the positionals when the platform is built.
+/// `--faults` and the optional `[bw] [buses]` positional arguments,
+/// where the command takes them. The flags are parsed here, before any
+/// input is read; `[bw] [buses]` when the platform is built.
 struct Net<'a> {
     topology: Option<ContentionModel>,
     faults: Option<FaultSchedule>,
@@ -472,7 +473,7 @@ fn pool_app(name: &str, ranks: Option<usize>, net: Net) -> CliResult<(AppEntry, 
     Ok((entry, ranks, platform))
 }
 
-/// [`pool_app`] for the `<app> <ranks>` positionals.
+/// [`pool_app`] for the `<app> <ranks>` positional arguments.
 fn app_args(args: &Args) -> CliResult<(AppEntry, usize, Platform)> {
     let net = Net::parse(args)?;
     let ranks = rank_count(args.pos[1])?;

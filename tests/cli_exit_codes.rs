@@ -70,6 +70,11 @@ fn usage_and_parse_errors_exit_two() {
         &["sweep", "nas-cg", "4", "--probe-window", "-5"],
         "--probe-window",
     );
+    // refused like `simulate`'s, not handed to the points' recorders
+    assert_usage_error(
+        &["sweep", "nas-cg", "4", "--probe-window", "NaN"],
+        "must be positive",
+    );
     assert_usage_error(
         &["sweep", "nas-cg", "4", "--topology", "hypercube"],
         "--topology",
