@@ -1,5 +1,6 @@
-//! Absolute anchors for the `ovlp` front end: what `help`, a probed
-//! `simulate`, a probed `sweep`, `report` and `paraver` produce, pinned
+//! Absolute anchors for the `ovlp` front end: what `help`, the analysis
+//! views, a probed `simulate`, a probed `sweep`, `report` and `paraver`
+//! produce, pinned
 //! under `tests/fixtures/cli/`. Printed reports are pinned as text;
 //! written files as one FNV-1a digest per file. The stderr timing line
 //! of `sweep` and the `wrote <path>` lines, which name a temporary
@@ -73,6 +74,16 @@ fn check(name: &str, body: &str) {
 #[test]
 fn help_is_pinned() {
     check("help.txt", &ovlp(&["help"]));
+}
+
+#[test]
+fn analysis_views_are_pinned() {
+    for cmd in ["analyze", "gantt", "waits", "chunks", "advise"] {
+        check(
+            &format!("{cmd}_nas-cg_8r.txt"),
+            &ovlp(&[cmd, "nas-cg", "8"]),
+        );
+    }
 }
 
 #[test]
