@@ -5,7 +5,7 @@
 //! input/output ports, and the CPU speed used to scale instruction
 //! counts into time.
 
-use crate::net::{ContentionModel, FaultSchedule, Topology};
+use crate::net::{ContentionModel, FaultAction, FaultSchedule, Topology};
 use crate::time::Time;
 use ovlp_trace::{Bytes, Instructions};
 
@@ -337,7 +337,9 @@ impl Platform {
 
     /// Refuse a requested bandwidth, latency or CPU speed that is not
     /// finite or lies outside [`BANDWIDTH_RANGE_MBS`],
-    /// [`LATENCY_RANGE_US`] or [`MIPS_RANGE`], with the reason. Input
+    /// [`LATENCY_RANGE_US`] or [`MIPS_RANGE`], and a fault schedule
+    /// whose smallest degrade factor takes the bandwidth below the
+    /// range's floor, with the reason. Input
     /// layers (CLI arguments, sweep job specs) call this; [`check`]
     /// stays the engine's looser consistency check.
     ///
@@ -355,6 +357,22 @@ impl Platform {
                     range.end()
                 ));
             }
+        }
+        // a degrade scales the healthy capacity, so the smallest factor
+        // gives the slowest a link can get
+        let factor = (self.faults.events.iter())
+            .filter_map(|ev| match ev.action {
+                FaultAction::Degrade { factor } => Some(factor),
+                _ => None,
+            })
+            .fold(1.0, f64::min);
+        let (degraded, floor) = (factor * self.bandwidth_mbs, *BANDWIDTH_RANGE_MBS.start());
+        if degraded < floor {
+            return Err(format!(
+                "degrade factor {factor:?} leaves {degraded:e} MB/s of the {} MB/s \
+                 bandwidth, below the accepted floor {floor:e} MB/s",
+                self.bandwidth_mbs
+            ));
         }
         Ok(())
     }
@@ -427,6 +445,16 @@ mod tests {
             ..p.clone()
         };
         assert!(fast.check_ranges().unwrap_err().contains("mips"));
+        // a degraded link is held to the same floor as the bandwidth
+        let flow = p.with_topology(Topology::Crossbar);
+        let degrade = |spec: &str| flow.with_faults(spec.parse().unwrap()).check_ranges();
+        assert!(degrade("degrade=0.5@1ms:n0->sw;kill@2ms:n1->sw").is_ok());
+        assert!(degrade("degrade=1e-5@1ms:n0->sw").is_ok());
+        let e = degrade("degrade=0.5@1ms:n0->sw;degrade=1e-300@2ms:n1->sw").unwrap_err();
+        assert!(
+            e.contains("degrade factor 1e-300") && e.contains("floor 1e-3"),
+            "{e}"
+        );
         // the engine still replays an infinitely fast network
         assert!(p.with_bandwidth(f64::INFINITY).check().is_ok());
     }

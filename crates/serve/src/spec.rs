@@ -280,6 +280,11 @@ impl SweepSpec {
             requested
                 .check_ranges()
                 .map_err(|e| usage(format!("bad --bw entry: {e}")))?;
+            // each scenario's degrades against each bandwidth
+            for f in &self.faults {
+                (requested.with_faults(f.clone()).check_ranges())
+                    .map_err(|e| usage(format!("bad --faults entry: {e}")))?;
+            }
         }
         let bus_counts = if self.buses.is_empty() {
             vec![base.buses]
@@ -491,6 +496,16 @@ mod tests {
             assert!(matches!(e, SpecError::Usage(_)), "{bw}");
             assert!(e.to_string().contains("accepted range"), "{bw}: {e}");
         }
+        // a degrade is held to the floor at every bandwidth of the grid
+        let mut s = SweepSpec::new("nas-cg", 4);
+        s.topologies = vec!["fat-tree:16".parse().unwrap()];
+        s.faults = vec!["degrade=1e-4@1ms:uplink:*".parse().unwrap()];
+        s.bandwidths = vec![250.0];
+        assert!(s.build().is_ok());
+        s.bandwidths = vec![250.0, 1.0];
+        let e = s.build().unwrap_err();
+        assert!(matches!(e, SpecError::Usage(_)), "{e}");
+        assert!(e.to_string().contains("below the accepted floor"), "{e}");
     }
 
     #[test]

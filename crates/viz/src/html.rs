@@ -30,30 +30,14 @@ fn esc(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Build the report. `variants` pairs a label with its simulation; the
-/// first entry is the baseline for speedup computation.
-pub fn report(inputs: &ReportInputs, variants: &[(&str, &SimResult)]) -> String {
-    let with_metrics: Vec<(&str, &SimResult, Option<&Metrics>)> =
-        variants.iter().map(|&(l, s)| (l, s, None)).collect();
-    report_with_metrics(inputs, &with_metrics)
-}
-
-/// [`report`] with optional windowed metrics per variant: each variant
-/// carrying metrics gets a link-utilization heatmap panel directly
-/// under its timeline (shared time axis), and a per-link report table
-/// when the replay used flow-level contention.
-pub fn report_with_metrics(
-    inputs: &ReportInputs,
-    variants: &[(&str, &SimResult, Option<&Metrics>)],
-) -> String {
-    let full: Vec<(&str, &SimResult, Option<&Metrics>, Option<&CritPath>)> =
-        variants.iter().map(|&(l, s, m)| (l, s, m, None)).collect();
-    report_full(inputs, &full)
-}
-
-/// [`report_with_metrics`] with optional critical paths per variant:
-/// each variant carrying one gets its path segments outlined on the
-/// timeline Gantt and a blame-attribution section at the end.
+/// Build the report. `variants` pairs a label with its simulation and,
+/// optionally, its windowed metrics and critical path; the first entry
+/// is the baseline for speedup computation. A variant carrying metrics
+/// gets a link-utilization heatmap panel directly under its timeline
+/// (shared time axis), and a per-link report table when the replay used
+/// flow-level contention; one carrying a critical path gets its path
+/// segments outlined on the timeline Gantt and a blame-attribution
+/// section at the end.
 pub fn report_full(
     inputs: &ReportInputs,
     variants: &[(&str, &SimResult, Option<&Metrics>, Option<&CritPath>)],
@@ -220,7 +204,10 @@ mod tests {
     #[test]
     fn report_is_self_contained_html() {
         let s = sim();
-        let html = report(&inputs(), &[("original", &s), ("overlapped", &s)]);
+        let html = report_full(
+            &inputs(),
+            &[("original", &s, None, None), ("overlapped", &s, None, None)],
+        );
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.ends_with("</body></html>"));
         assert!(html.contains("<svg"), "embedded timelines");
@@ -231,7 +218,7 @@ mod tests {
     #[test]
     fn content_is_escaped() {
         let s = sim();
-        let html = report(&inputs(), &[("orig<inal", &s)]);
+        let html = report_full(&inputs(), &[("orig<inal", &s, None, None)]);
         assert!(html.contains("demo &lt;app&gt;"));
         assert!(html.contains("orig&lt;inal"));
         assert!(html.contains("a &amp; b"));
@@ -258,7 +245,7 @@ mod tests {
         let mut rec = WindowedRecorder::new(Time::micros(500.0));
         let s = simulate_probed(&t, &p, &mut rec).unwrap();
         let m = rec.into_metrics().unwrap();
-        let html = report_with_metrics(&inputs(), &[("original", &s, Some(&m))]);
+        let html = report_full(&inputs(), &[("original", &s, Some(&m), None)]);
         assert!(html.contains("link utilization"), "heatmap panel");
         assert_eq!(html.matches("<svg").count(), 2, "timeline + heatmap");
         assert!(html.contains("Link usage"), "link report section");
@@ -268,14 +255,14 @@ mod tests {
     #[test]
     fn empty_sections_are_omitted() {
         let s = sim();
-        let html = report(
+        let html = report_full(
             &ReportInputs {
                 app: "x".into(),
                 ranks: 2,
                 platform: "p".into(),
                 ..ReportInputs::default()
             },
-            &[("only", &s)],
+            &[("only", &s, None, None)],
         );
         assert!(!html.contains("Restructuring advice"));
         assert!(!html.contains("<ul>"));

@@ -30,7 +30,7 @@ pub use ascii::{gantt, gantt_comparison};
 pub use critpath::{critpath_report, timeline_svg_critpath};
 pub use heatmap::{link_heatmap_ascii, link_heatmap_svg};
 pub use histogram::{duration_histogram, wait_report, DurationHistogram};
-pub use html::{report as html_report, report_full, report_with_metrics, ReportInputs};
+pub use html::{report_full, ReportInputs};
 pub use links::link_report;
 pub use paraver::ParaverExport;
 pub use scatter::scatter_ascii;

@@ -8,7 +8,9 @@
 use overlap_sim::apps::AppEntry;
 use overlap_sim::core::chunk::ChunkPolicy;
 use overlap_sim::core::double_buffer_demand;
-use overlap_sim::core::experiments::{recorded, recorders, run_variants, SpeedupResult, Variants};
+use overlap_sim::core::experiments::{
+    chunk_search, default_candidates, recorded, recorders, run_variants, SpeedupResult, Variants,
+};
 use overlap_sim::core::patterns::{consumption_stats, mean_independent_tail, production_stats};
 use overlap_sim::core::pipeline::{build_variants, VariantBundle};
 use overlap_sim::core::presets::marenostrum_for;
@@ -21,7 +23,7 @@ use overlap_sim::machine::{
 };
 use overlap_sim::trace::access_text::{self, AccessErrorKind};
 use overlap_sim::trace::{text, Trace, TraceSource};
-use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg};
+use overlap_sim::viz::{gantt_comparison, link_heatmap_ascii, paraver, timeline_svg, wait_report};
 use std::fmt::Display;
 use std::fs;
 use std::io::Write;
@@ -100,7 +102,7 @@ const COMMANDS: &[Cmd] = &[
         name: "analyze",
         pos: APP_RANKS,
         flags: &[],
-        about: "full pipeline report (patterns + benefits)",
+        about: "patterns, benefits, timelines, waits, chunks, advice",
         run: analyze_cmd,
     },
     Cmd {
@@ -144,34 +146,6 @@ const COMMANDS: &[Cmd] = &[
         flags: &[],
         about: "structural statistics of a trace file",
         run: stats_cmd,
-    },
-    Cmd {
-        name: "gantt",
-        pos: APP_RANKS,
-        flags: &[],
-        about: "original vs overlapped ASCII timelines",
-        run: gantt_cmd,
-    },
-    Cmd {
-        name: "waits",
-        pos: APP_RANKS,
-        flags: &[],
-        about: "wait-duration histograms (both variants)",
-        run: waits_cmd,
-    },
-    Cmd {
-        name: "chunks",
-        pos: APP_RANKS,
-        flags: &[],
-        about: "find the best chunk count",
-        run: chunks_cmd,
-    },
-    Cmd {
-        name: "advise",
-        pos: APP_RANKS,
-        flags: &[],
-        about: "per-transfer restructuring advice",
-        run: advise_cmd,
     },
     Cmd {
         name: "report",
@@ -313,8 +287,8 @@ struct Args<'a> {
     pos: Vec<&'a str>,
     /// The optional positional arguments given.
     extra: Vec<&'a str>,
-    /// Each flag given, with its value (`None` for a switch, or when the
-    /// line ends first); the first of a repeated flag wins.
+    /// Each flag given once, with its value (`None` for a switch, or
+    /// when the line ends first).
     flags: Vec<(&'static Flag, Option<&'a str>)>,
 }
 
@@ -322,11 +296,12 @@ struct Args<'a> {
 /// arguments come first, in order; after them any token naming one of
 /// the command's flags is that flag (taking the next token as its value
 /// unless it is a switch), and any other token fills the next optional
-/// positional argument. An unknown `--token`, or a positional argument
-/// past the declared ones, is a usage error that names it — a
-/// misspelled flag must not silently fall back to a default. A command
-/// without flags or optional positional arguments shows the usage text
-/// instead.
+/// positional argument. An unknown `--token`, a `--token` where a
+/// required positional argument goes, a flag given twice, or a
+/// positional argument past the declared ones, is a usage error that
+/// names it — a misspelled or repeated flag must not silently fall
+/// back to a default or lose its value. A command without flags or
+/// optional positional arguments shows the usage text instead.
 fn parse(argv: &[String]) -> CliResult<Args<'_>> {
     let (name, rest) = argv.split_first().ok_or(CliError::Invocation)?;
     let name = if name == "--help" || name == "-h" {
@@ -349,9 +324,18 @@ fn parse(argv: &[String]) -> CliResult<Args<'_>> {
         extra: Vec::new(),
         flags: Vec::new(),
     };
+    if let Some(tok) = args.pos.iter().find(|t| t.starts_with("--")) {
+        return Err(usage_err(format!(
+            "`{name}` takes {} first, not the flag `{tok}`",
+            cmd.pos[..required].join(" ")
+        )));
+    }
     let mut tokens = rest[required..].iter().map(String::as_str);
     while let Some(tok) = tokens.next() {
         match cmd.flags.iter().find(|f| f.0 == tok) {
+            Some(_) if args.flags.iter().any(|(f, _)| f.0 == tok) => {
+                return Err(usage_err(format!("`{name}` flag `{tok}` given twice")))
+            }
             Some(f @ Flag(_, Switch, _)) => args.flags.push((f, None)),
             Some(f) => args.flags.push((f, tokens.next())),
             None if !tok.starts_with("--") && required + args.extra.len() < cmd.pos.len() => {
@@ -511,17 +495,12 @@ fn prepare(args: &Args, scatter: Scatter) -> CliResult<(VariantBundle, TraceRun,
     Ok((bundle, run, platform))
 }
 
-/// The three variants' plain replays.
-fn replay(bundle: &VariantBundle, platform: &Platform) -> Result<SpeedupResult, SimError> {
-    Ok(run_variants(bundle, platform, || NoopSink, |_| Ok(()))?.0)
-}
-
-/// `--probe-window`, in microseconds, refused unless positive.
+/// `--probe-window`, in microseconds, refused unless positive and finite.
 fn window_flag(args: &Args) -> CliResult<Option<f64>> {
     match args.value::<f64>("--probe-window")? {
-        Some(us) if us > 0.0 => Ok(Some(us)),
+        Some(us) if us.is_finite() && us > 0.0 => Ok(Some(us)),
         Some(us) => Err(usage_err(format!(
-            "bad --probe-window value `{us}`: must be positive"
+            "bad --probe-window value `{us}`: must be positive and finite"
         ))),
         None => Ok(None),
     }
@@ -564,10 +543,106 @@ fn replay_probed(
     Ok((run, platform, r, recorded))
 }
 
+/// Table II(a) and II(b) for `app`, a blank line apart.
+fn pattern_tables(app: &str, run: &TraceRun) -> String {
+    let a = table2a(&[(app.to_string(), production_stats(&run.access))]);
+    let b = table2b(&[(app.to_string(), consumption_stats(&run.access))]);
+    format!("{a}\n{b}")
+}
+
 /// Per-transfer restructuring advice for the paper's chunk policy.
 fn advice(run: &TraceRun, platform: &Platform) -> String {
     let policy = ChunkPolicy::paper_default();
     overlap_sim::core::advisor::advise(&run.trace, &run.access, platform, &policy).render()
+}
+
+/// The sections of `ovlp analyze`, in order: each name and the text
+/// printed under its `## <name>` heading. `r` is the plain replay of
+/// the variants of `run` on `platform`; only the chunk search replays
+/// again. `report` renders [`pattern_tables`] and [`advice`] too.
+fn analysis(
+    app: &str,
+    run: &TraceRun,
+    platform: &Platform,
+    r: &SpeedupResult,
+) -> CliResult<Vec<(&'static str, String)>> {
+    let (o, v) = (&r.original, &r.overlapped);
+    let demand = double_buffer_demand(v);
+    // the paper's §VII future work, quantified: how much more
+    // postponement would phase-level reordering expose?
+    let tail = match mean_independent_tail(&run.access) {
+        Some(tail) => format!(
+            "phase-reorder potential (mean independent tail): {}",
+            pct(Some(100.0 * tail))
+        ),
+        None => "phase-reorder potential: n/a (scatter capture off)".to_string(),
+    };
+    let s = chunk_search(run, platform, &default_candidates())?;
+    let points: String = s
+        .points
+        .iter()
+        .map(|p| {
+            let (c, t, x) = (p.chunks, p.runtime, p.speedup_vs_original);
+            let best = if c == s.best.chunks { "  <= best" } else { "" };
+            format!("{c:>3} chunks: {t:.4}s (x{x:.3}){best}\n")
+        })
+        .collect();
+    Ok(vec![
+        ("patterns", format!("{}\n", pattern_tables(app, run))),
+        (
+            "runtimes",
+            format!(
+                "runtime: original {:.4}s  overlapped {:.4}s (x{:.3})  ideal {:.4}s (x{:.3})\n\
+                 wait/rank: original {:.1}us  overlapped {:.1}us\n",
+                o.runtime(),
+                v.runtime(),
+                r.speedup_real(),
+                r.ideal.runtime(),
+                r.speedup_ideal(),
+                o.total_wait() * 1e6 / o.totals.len() as f64,
+                v.total_wait() * 1e6 / v.totals.len() as f64,
+            ),
+        ),
+        (
+            "double-buffering",
+            format!(
+                "double-buffering demand: {} of {} candidate transfers ({})\n{tail}\n\n",
+                demand.early_arrivals,
+                demand.candidates,
+                pct(Some(100.0 * demand.fraction()))
+            ),
+        ),
+        (
+            "channels",
+            format!(
+                "heaviest channels (original execution):\n{}",
+                render_top(o, 8)
+            ),
+        ),
+        (
+            "gantt",
+            format!(
+                "{}\n",
+                gantt_comparison("non-overlapped", o, "overlapped", v, 100)
+            ),
+        ),
+        (
+            "waits",
+            format!(
+                "== non-overlapped ==\n{}\n== overlapped ==\n{}\n",
+                wait_report(o, 48),
+                wait_report(v, 48)
+            ),
+        ),
+        (
+            "chunks",
+            format!(
+                "original runtime: {:.4}s\n{points}recommendation: {} chunks (the paper fixes 4)\n",
+                s.original_runtime, s.best.chunks
+            ),
+        ),
+        ("advice", advice(run, platform)),
+    ])
 }
 
 /// A state total in seconds for printing. A state a rank never entered
@@ -595,45 +670,14 @@ fn help_cmd(_: &Args) -> CliResult {
     Ok(ExitCode::SUCCESS)
 }
 
+/// `ovlp analyze`: trace the app once, replay its three variants once,
+/// and print every section of [`analysis`].
 fn analyze_cmd(args: &Args) -> CliResult {
-    let app = args.pos[0];
     let (bundle, run, platform) = prepare(args, Scatter::Capture)?;
-    let p = production_stats(&run.access);
-    let c = consumption_stats(&run.access);
-    outln!("{}", table2a(&[(app.to_string(), p)]));
-    outln!("{}", table2b(&[(app.to_string(), c)]));
-    let r = replay(&bundle, &platform)?;
-    outln!(
-        "runtime: original {:.4}s  overlapped {:.4}s (x{:.3})  ideal {:.4}s (x{:.3})",
-        r.original.runtime(),
-        r.overlapped.runtime(),
-        r.speedup_real(),
-        r.ideal.runtime(),
-        r.speedup_ideal()
-    );
-    outln!(
-        "wait/rank: original {:.1}us  overlapped {:.1}us",
-        r.original.total_wait() * 1e6 / r.original.totals.len() as f64,
-        r.overlapped.total_wait() * 1e6 / r.overlapped.totals.len() as f64,
-    );
-    let demand = double_buffer_demand(&r.overlapped);
-    outln!(
-        "double-buffering demand: {} of {} candidate transfers ({})",
-        demand.early_arrivals,
-        demand.candidates,
-        pct(Some(100.0 * demand.fraction()))
-    );
-    // the paper's §VII future work, quantified: how much more
-    // postponement would phase-level reordering expose?
-    match mean_independent_tail(&run.access) {
-        Some(tail) => outln!(
-            "phase-reorder potential (mean independent tail): {}",
-            pct(Some(100.0 * tail))
-        ),
-        None => outln!("phase-reorder potential: n/a (scatter capture off)"),
+    let (r, _) = run_variants(&bundle, &platform, || NoopSink, |_| Ok(()))?;
+    for (name, body) in analysis(args.pos[0], &run, &platform, &r)? {
+        out!("## {name}\n{body}");
     }
-    outln!("\nheaviest channels (original execution):");
-    out!("{}", render_top(&r.original, 8));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -690,42 +734,6 @@ fn stats_cmd(args: &Args) -> CliResult {
         outln!("  - {e}");
     }
     Ok(ExitCode::FAILURE)
-}
-
-fn waits_cmd(args: &Args) -> CliResult {
-    let (bundle, _, platform) = prepare(args, Scatter::Skip)?;
-    let r = replay(&bundle, &platform)?;
-    outln!("== non-overlapped ==");
-    outln!("{}", overlap_sim::viz::wait_report(&r.original, 48));
-    outln!("== overlapped ==");
-    outln!("{}", overlap_sim::viz::wait_report(&r.overlapped, 48));
-    Ok(ExitCode::SUCCESS)
-}
-
-fn chunks_cmd(args: &Args) -> CliResult {
-    use overlap_sim::core::experiments::{chunk_search, default_candidates};
-    let (_, run, platform) = prepare(args, Scatter::Skip)?;
-    let s = chunk_search(&run, &platform, &default_candidates())?;
-    outln!("original runtime: {:.4}s", s.original_runtime);
-    for p in &s.points {
-        let marker = if p.chunks == s.best.chunks {
-            "  <= best"
-        } else {
-            ""
-        };
-        outln!(
-            "{:>3} chunks: {:.4}s (x{:.3}){}",
-            p.chunks,
-            p.runtime,
-            p.speedup_vs_original,
-            marker
-        );
-    }
-    outln!(
-        "recommendation: {} chunks (the paper fixes 4)",
-        s.best.chunks
-    );
-    Ok(ExitCode::SUCCESS)
 }
 
 fn simulate_cmd(args: &Args) -> CliResult {
@@ -888,32 +896,9 @@ fn scale_cmd(args: &Args) -> CliResult {
     Ok(ExitCode::SUCCESS)
 }
 
-fn gantt_cmd(args: &Args) -> CliResult {
-    let (bundle, _, platform) = prepare(args, Scatter::Skip)?;
-    let r = replay(&bundle, &platform)?;
-    let (o, v) = (&r.original, &r.overlapped);
-    outln!(
-        "{}",
-        gantt_comparison("non-overlapped", o, "overlapped", v, 100)
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn advise_cmd(args: &Args) -> CliResult {
-    let (_, run, platform) = prepare(args, Scatter::Skip)?;
-    out!("{}", advice(&run, &platform));
-    Ok(ExitCode::SUCCESS)
-}
-
 fn report_cmd(args: &Args) -> CliResult {
     let (app, out) = (args.pos[0], args.pos[2]);
     let (run, platform, r, recorded) = replay_probed(args, Scatter::Capture)?;
-    let mut tables = table2a(&[(app.to_string(), production_stats(&run.access))]);
-    tables.push('\n');
-    tables.push_str(&table2b(&[(
-        app.to_string(),
-        consumption_stats(&run.access),
-    )]));
     let mut notes = vec![format!(
         "double-buffering demand: {:.1}% of candidate transfers",
         100.0 * double_buffer_demand(&r.overlapped).fraction()
@@ -931,7 +916,7 @@ fn report_cmd(args: &Args) -> CliResult {
             "{} MB/s, {} us latency, {} buses, 4 chunks",
             platform.bandwidth_mbs, platform.latency_us, platform.buses
         ),
-        pattern_tables: tables,
+        pattern_tables: pattern_tables(app, &run),
         advice: advice(&run, &platform),
         notes,
     };

@@ -62,6 +62,33 @@ fn usage_and_parse_errors_exit_two() {
     assert_usage_error(&["sweep", "nas-cg", "4", "--bw", "0"], "accepted range");
     assert_usage_error(&["sweep", "nas-cg", "8", "--bw", "250,1e10"], "1e-3..=1e9");
     assert_usage_error(&["scale", "ml-allreduce", "64", "1e-300"], "accepted range");
+    // a degraded link is held to the bandwidth's floor too
+    let degrade = "degrade=1e-300@1us:uplink:*";
+    assert_usage_error(
+        &[
+            "simulate",
+            fixture,
+            "--topology",
+            "fat-tree:4",
+            "--faults",
+            degrade,
+        ],
+        "below the accepted floor",
+    );
+    assert_usage_error(
+        &[
+            "sweep",
+            "nas-cg",
+            "8",
+            "--chunks",
+            "1",
+            "--topology",
+            "fat-tree:16",
+            "--faults",
+            degrade,
+        ],
+        "below the accepted floor",
+    );
     // the evaluation runs on at least one worker, never on a fallback
     assert_usage_error(&["paper", "--jobs", "0"], "--jobs");
     assert_usage_error(&["paper", "--jobs", "x"], "--jobs");
@@ -75,26 +102,33 @@ fn usage_and_parse_errors_exit_two() {
         &["sweep", "nas-cg", "4", "--probe-window", "NaN"],
         "must be positive",
     );
+    // an infinite window would reach the recorders as a non-finite time
+    assert_usage_error(
+        &["simulate", fixture, "--probe-window", "inf"],
+        "must be positive and finite",
+    );
+    assert_usage_error(
+        &["sweep", "nas-cg", "4", "--probe-window", "inf"],
+        "must be positive and finite",
+    );
     assert_usage_error(
         &["sweep", "nas-cg", "4", "--topology", "hypercube"],
         "--topology",
     );
-    assert_usage_error(&["chunks", "nas-cg", "bogus"], "bad rank count");
+    assert_usage_error(&["analyze", "nas-cg", "bogus"], "bad rank count");
     assert_usage_error(&["analyze", "no-such-app", "4"], "unknown app");
     // every `<app> <ranks>` command points at the pool the same way
     let hint = "unknown app `no-such-app` (try `ovlp list`)";
     let out = format!("{}/no-such-app-out", env!("CARGO_TARGET_TMPDIR"));
     assert_usage_error(&["analyze", "no-such-app", "4"], hint);
     assert_usage_error(&["trace", "no-such-app", "4", &out], hint);
-    assert_usage_error(&["chunks", "no-such-app", "4"], hint);
-    assert_usage_error(&["gantt", "no-such-app", "4"], hint);
-    assert_usage_error(&["waits", "no-such-app", "4"], hint);
-    assert_usage_error(&["advise", "no-such-app", "4"], hint);
     assert_usage_error(&["scale", "no-such-app", "4"], hint);
     assert_usage_error(&["report", "no-such-app", "4", &out], hint);
     assert_usage_error(&["paraver", "no-such-app", "4", &out], hint);
     assert_usage_error(&["simulate", "trace.trf", "--engine", "warp"], "--engine");
     assert_usage_error(&["serve", "--max-running", "0"], "--max-running");
+    // the views `analyze` prints are no longer commands of their own
+    assert_usage_error(&["gantt", "nas-cg", "8"], "analyze <app> <ranks>");
     assert_usage_error(&["serve", "positional"], "unknown `serve` argument");
     assert_usage_error(
         &[
@@ -179,7 +213,7 @@ fn rank_overrides_are_validated_as_usage_errors() {
     // untileable rank counts are the caller's mistake, caught before
     // any tracing or streaming work starts: exit 2, never a panic
     assert_usage_error(&["analyze", "nas-cg", "5"], "even");
-    assert_usage_error(&["chunks", "specfem3d", "7"], "even");
+    assert_usage_error(&["analyze", "specfem3d", "7"], "even");
     assert_usage_error(&["analyze", "pop", "1"], "at least 2");
     assert_usage_error(&["analyze", "pop", "5000"], "cap");
     assert_usage_error(&["sweep", "nas-cg", "5", "--chunks", "1"], "even");
@@ -234,6 +268,19 @@ fn unknown_flags_and_surplus_arguments_exit_two() {
     assert_usage_error(&["paraver", "nas-cg", "4", "/tmp/prv", "extra"], "`extra`");
     assert_usage_error(&["paper", "extra"], "`extra`");
     assert_usage_error(&["paper", "--jobs", "2", "--quick"], "`--quick`");
+    // a repeated flag must not lose its second value
+    assert_usage_error(
+        &[
+            "sweep", "nas-cg", "4", "--chunks", "1", "--bw", "25", "--bw", "250",
+        ],
+        "`--bw` given twice",
+    );
+    // a flag where a required positional argument goes is a usage
+    // mistake, not a trace file that cannot be read
+    assert_usage_error(
+        &["simulate", "--ranks", "16", "ml-allreduce"],
+        "not the flag `--ranks`",
+    );
 }
 
 #[test]
