@@ -77,11 +77,11 @@ fn help_is_pinned() {
 }
 
 /// `ovlp analyze` prints one `## <name>` heading per section. Without
-/// them it is, byte for byte, what the five analysis commands printed
-/// before their views were folded into its sections: `analyze` (the
-/// patterns, runtimes, double-buffering and channels sections),
-/// `gantt`, `waits`, `chunks` and `advise`. Those fixtures are not
-/// re-blessed.
+/// them it is, byte for byte, the five views pinned as
+/// `<view>_nas-cg_8r.txt`: `analyze` (the patterns, runtimes,
+/// double-buffering and channels sections), `gantt`, `waits`, `chunks`
+/// and `advise`. They were blessed from separate commands and are never
+/// re-blessed, so a section cannot drift unnoticed.
 #[test]
 fn analyze_prints_the_pinned_views_as_sections() {
     let stdout = ovlp(&["analyze", "nas-cg", "8"]);
