@@ -31,6 +31,12 @@ pub const TRACED_RANK_CAP: usize = 4096;
 /// which streams (`ovlp scale`, `ovlp simulate <app> --ranks N`).
 pub const GENERATED_MATERIALIZE_CAP: usize = 16_384;
 
+/// Generated apps build per-rank state before the first record, so an
+/// absurd rank count would abort on allocation. The cap sits above the
+/// 1M-rank top of the `ovlp scale` ladder (and equals the trace
+/// readers' `ranks` ceiling, 2^20).
+pub const GENERATED_RANK_CAP: usize = 1 << 20;
+
 /// Fixed seed for the registry's generated workloads: lookups by name
 /// must be deterministic so sweep fingerprints and goldens are stable.
 const ML_SEED: u64 = 0x6d6c_6172; // "mlar"
@@ -68,6 +74,13 @@ pub struct AppEntry {
     pub ranks: usize,
     /// Trace provenance and rank constraints.
     pub kind: AppKind,
+    /// The app's `TRACE_GEN`: part of the key its stored trace
+    /// fingerprints live under (`ovlp_core::sweep::trace_key`). Bump it
+    /// with any change that moves the app's traced run, or a warm store
+    /// keeps answering for the old run until a point misses and the
+    /// re-trace disagrees. `tests/fingerprint_golden.rs` pins it next
+    /// to each fingerprint and names the app whose run moved.
+    pub trace_gen: u32,
 }
 
 impl AppEntry {
@@ -113,6 +126,11 @@ impl AppEntry {
                 }
                 Ok(())
             }
+            AppKind::Generated { .. } if ranks > GENERATED_RANK_CAP => Err(format!(
+                "bad rank count {ranks} for `{}`: generated apps are capped at \
+                 {GENERATED_RANK_CAP} ranks",
+                self.name
+            )),
             // Generated rank rules live in the generator config; build
             // (and discard) the source to surface them.
             AppKind::Generated { make } => make(ranks).map(|_| ()),
@@ -195,6 +213,7 @@ pub fn paper_pool() -> Vec<AppEntry> {
                 app: Box::new(sweep3d::Sweep3dApp::default()),
                 rule: RankRule::Any,
             },
+            trace_gen: 1,
         },
         AppEntry {
             name: "pop",
@@ -203,6 +222,7 @@ pub fn paper_pool() -> Vec<AppEntry> {
                 app: Box::new(pop::PopApp::default()),
                 rule: RankRule::Any,
             },
+            trace_gen: 1,
         },
         AppEntry {
             name: "alya",
@@ -211,6 +231,7 @@ pub fn paper_pool() -> Vec<AppEntry> {
                 app: Box::new(alya::AlyaApp::default()),
                 rule: RankRule::Any,
             },
+            trace_gen: 1,
         },
         AppEntry {
             name: "specfem3d",
@@ -219,6 +240,7 @@ pub fn paper_pool() -> Vec<AppEntry> {
                 app: Box::new(specfem3d::Specfem3dApp::default()),
                 rule: RankRule::Even,
             },
+            trace_gen: 1,
         },
         AppEntry {
             name: "nas-bt",
@@ -227,6 +249,7 @@ pub fn paper_pool() -> Vec<AppEntry> {
                 app: Box::new(nas_bt::NasBtApp::default()),
                 rule: RankRule::Even,
             },
+            trace_gen: 1,
         },
         AppEntry {
             name: "nas-cg",
@@ -235,6 +258,7 @@ pub fn paper_pool() -> Vec<AppEntry> {
                 app: Box::new(nas_cg::NasCgApp::default()),
                 rule: RankRule::Even,
             },
+            trace_gen: 1,
         },
         AppEntry {
             name: "ml-allreduce",
@@ -242,6 +266,7 @@ pub fn paper_pool() -> Vec<AppEntry> {
             kind: AppKind::Generated {
                 make: ml_allreduce_source,
             },
+            trace_gen: 1,
         },
     ]
 }
@@ -317,6 +342,11 @@ mod tests {
         assert!(ml.validate_ranks(8).is_ok());
         assert!(ml.validate_ranks(100_000).is_ok());
         assert!(ml.validate_ranks(100_001).is_err());
+        // the scale ladder's top passes; far beyond it is refused
+        // before the generator allocates anything
+        assert!(ml.validate_ranks(1_000_000).is_ok());
+        let msg = ml.validate_ranks(1_000_000_000).unwrap_err();
+        assert!(msg.contains("capped"), "{msg}");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! technique and try to fix them", §I).
 
 use crate::chunk::ChunkPolicy;
+use crate::experiments::SpeedupResult;
 use crate::transform::transform;
 use ovlp_instr::TraceRun;
-use ovlp_machine::{simulate, Platform, SimError};
+use ovlp_machine::{Platform, Replayer, SimError};
 
 /// One point of the chunk-count sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,19 +31,31 @@ pub struct ChunkSearch {
 }
 
 /// Evaluate the overlapped runtime for each chunk count in
-/// `candidates` and report the best.
+/// `candidates` and report the best. `known` is the replay of `run`'s
+/// variants under [`ChunkPolicy::paper_default`] on `platform` (what
+/// `build_variants` and `run_variants` give): its original runtime and
+/// its overlapped one, the paper's chunk count, are taken as they are.
+/// Every other candidate is transformed and replayed once, on one
+/// [`Replayer`] and keeping only the runtime.
 pub fn chunk_search(
     run: &TraceRun,
     platform: &Platform,
     candidates: &[u32],
+    known: &SpeedupResult,
 ) -> Result<ChunkSearch, SimError> {
     assert!(!candidates.is_empty(), "need at least one candidate");
-    let original_runtime = simulate(&run.trace, platform)?.runtime();
+    let original_runtime = known.original.runtime();
+    let paper = ChunkPolicy::paper_default();
+    let mut rp = Replayer::new();
     let mut points = Vec::with_capacity(candidates.len());
     for &chunks in candidates {
         let policy = ChunkPolicy::with_chunks(chunks);
-        let t = transform(&run.trace, &run.access, &policy);
-        let runtime = simulate(&t, platform)?.runtime();
+        let runtime = if policy == paper {
+            known.overlapped.runtime()
+        } else {
+            let t = transform(&run.trace, &run.access, &policy);
+            rp.replay_scale(&t, platform)?.runtime.as_secs()
+        };
         points.push(ChunkPoint {
             chunks,
             runtime,
@@ -73,7 +86,17 @@ pub fn default_candidates() -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_variants;
+    use crate::pipeline::build_variants;
     use ovlp_instr::trace_app;
+    use ovlp_machine::{simulate, NoopSink};
+
+    /// [`chunk_search`] with its known replay made here.
+    fn search(run: &TraceRun, platform: &Platform, candidates: &[u32]) -> ChunkSearch {
+        let bundle = build_variants(run, &ChunkPolicy::paper_default());
+        let (known, _) = run_variants(&bundle, platform, || NoopSink, |_| Ok(())).unwrap();
+        chunk_search(run, platform, candidates, &known).unwrap()
+    }
 
     fn linear_run() -> TraceRun {
         use ovlp_apps_shim::*;
@@ -124,7 +147,7 @@ mod tests {
     fn search_finds_an_improvement_on_linear_patterns() {
         let run = linear_run();
         let platform = Platform::marenostrum(0);
-        let s = chunk_search(&run, &platform, &default_candidates()).unwrap();
+        let s = search(&run, &platform, &default_candidates());
         assert_eq!(s.points.len(), 7);
         assert!(s.best.runtime <= s.original_runtime);
         assert!(
@@ -135,13 +158,24 @@ mod tests {
         // the best is at least as good as the paper's fixed 4
         let four = s.points.iter().find(|p| p.chunks == 4).unwrap();
         assert!(s.best.runtime <= four.runtime + 1e-15);
+        // every runtime, the reused ones too, is a plain replay's bits
+        assert_eq!(
+            s.original_runtime,
+            simulate(&run.trace, &platform).unwrap().runtime()
+        );
+        for p in &s.points {
+            let policy = ChunkPolicy::with_chunks(p.chunks);
+            let t = transform(&run.trace, &run.access, &policy);
+            let want = simulate(&t, &platform).unwrap().runtime();
+            assert_eq!(p.runtime.to_bits(), want.to_bits(), "{} chunks", p.chunks);
+        }
     }
 
     #[test]
     fn ties_prefer_fewer_chunks() {
         let run = linear_run();
         let platform = Platform::marenostrum(0);
-        let s = chunk_search(&run, &platform, &[4, 4]).unwrap();
+        let s = search(&run, &platform, &[4, 4]);
         assert_eq!(s.best.chunks, 4);
     }
 
@@ -149,6 +183,6 @@ mod tests {
     #[should_panic(expected = "at least one candidate")]
     fn empty_candidates_rejected() {
         let run = linear_run();
-        let _ = chunk_search(&run, &Platform::marenostrum(0), &[]);
+        let _ = search(&run, &Platform::marenostrum(0), &[]);
     }
 }

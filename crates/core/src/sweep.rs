@@ -250,6 +250,25 @@ pub fn point_key(trace_fp: u64, platform: &Platform, policy: &ChunkPolicy) -> Po
     )
 }
 
+/// Key of a trace-fingerprint entry: what determines one traced run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TraceKey(pub u64);
+
+/// The [`TraceKey`] of `app` (its canonical name) traced at `ranks`
+/// ranks under the app's trace generation `generation` (the registry's
+/// `TRACE_GEN`). [`TRACE_FINGERPRINT_GEN`] is hashed too, so a new
+/// fingerprint definition orphans every stored fingerprint.
+pub fn trace_key(app: &str, ranks: usize, generation: u32) -> TraceKey {
+    TraceKey(
+        Fnv::new()
+            .str(TRACE_FINGERPRINT_GEN)
+            .str(app)
+            .u64(ranks as u64)
+            .u32(generation)
+            .finish(),
+    )
+}
+
 // ---------------------------------------------------------------------
 // Grid
 // ---------------------------------------------------------------------
@@ -279,7 +298,7 @@ impl SweepApp {
             name: name.into(),
             run: Arc::new(AppRun {
                 run: OnceLock::from(Ok(run)),
-                retrace: None,
+                deferred: None,
             }),
             fingerprint,
         }
@@ -296,11 +315,24 @@ impl SweepApp {
         fingerprint: u64,
         retrace: impl Fn() -> Result<TraceRun, String> + Send + Sync + 'static,
     ) -> SweepApp {
+        SweepApp::deferred_from(name, fingerprint, Box::new(retrace), None)
+    }
+
+    fn deferred_from(
+        name: impl Into<String>,
+        fingerprint: u64,
+        retrace: Retrace,
+        entry: Option<(TraceKey, Arc<TraceTier>)>,
+    ) -> SweepApp {
         SweepApp {
             name: name.into(),
             run: Arc::new(AppRun {
                 run: OnceLock::new(),
-                retrace: Some((fingerprint, Box::new(retrace))),
+                deferred: Some(Deferred {
+                    expected: fingerprint,
+                    retrace,
+                    entry,
+                }),
             }),
             fingerprint,
         }
@@ -308,6 +340,12 @@ impl SweepApp {
 
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Whether the fingerprint was known without a trace (the run is
+    /// re-traced only if a point needs it).
+    pub fn is_deferred(&self) -> bool {
+        self.run.deferred.is_some()
     }
 }
 
@@ -317,31 +355,50 @@ type Retrace = Box<dyn Fn() -> Result<TraceRun, String> + Send + Sync>;
 /// once on first use and checked against the expected fingerprint.
 pub struct AppRun {
     run: OnceLock<Result<TraceRun, String>>,
-    /// Deferred apps only: the fingerprint the re-trace must reproduce,
-    /// and how to re-trace.
-    retrace: Option<(u64, Retrace)>,
+    deferred: Option<Deferred>,
+}
+
+/// A deferred app's fingerprint, how to re-trace it, and the cache
+/// entry the fingerprint came from (replaced when the re-trace
+/// disagrees).
+struct Deferred {
+    expected: u64,
+    retrace: Retrace,
+    entry: Option<(TraceKey, Arc<TraceTier>)>,
 }
 
 impl AppRun {
     /// The materialized run. A deferred run is re-traced on the first
     /// call (concurrent callers wait for it) and never again; a failed
-    /// or mismatching re-trace is remembered as the error.
+    /// or mismatching re-trace is remembered as the error. A mismatch
+    /// against a cache entry replaces the entry with the new
+    /// fingerprint, so a stale entry fails one sweep, not every sweep.
     pub(crate) fn get(&self) -> Result<&TraceRun, &str> {
         self.run
             .get_or_init(|| {
-                let (expected, retrace) = self
-                    .retrace
+                let d = self
+                    .deferred
                     .as_ref()
                     .expect("an eager run is set at construction");
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(retrace))
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&d.retrace))
                     .map_err(|p| format!("re-trace panicked: {}", panic_message(p)))??;
-                let got = trace_fingerprint(&run);
-                if got != *expected {
-                    return Err(format!(
-                        "trace fingerprint mismatch: expected {expected:016x}, re-trace gave {got:016x}"
-                    ));
+                let (expected, got) = (d.expected, trace_fingerprint(&run));
+                if got == expected {
+                    return Ok(run);
                 }
-                Ok(run)
+                Err(match &d.entry {
+                    Some((key, tier)) => {
+                        tier.put(*key, got);
+                        format!(
+                            "trace fingerprint mismatch: {} held {expected:016x}, \
+                             re-trace gave {got:016x} (entry replaced)",
+                            tier.describe(*key)
+                        )
+                    }
+                    None => format!(
+                        "trace fingerprint mismatch: expected {expected:016x}, re-trace gave {got:016x}"
+                    ),
+                })
             })
             .as_ref()
             .map_err(String::as_str)
@@ -350,7 +407,7 @@ impl AppRun {
     /// For a deferred run whose re-trace was attempted, its outcome;
     /// `None` for an eager run or one never needed.
     pub fn retraced(&self) -> Option<Result<(), &str>> {
-        self.retrace.as_ref()?;
+        self.deferred.as_ref()?;
         let outcome = self.run.get()?;
         Some(outcome.as_ref().map(|_| ()).map_err(String::as_str))
     }
@@ -368,7 +425,7 @@ impl std::ops::Deref for AppRun {
 impl std::fmt::Debug for AppRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppRun")
-            .field("deferred", &self.retrace.is_some())
+            .field("deferred", &self.deferred.is_some())
             .field("materialized", &self.run.get().map(Result::is_ok))
             .finish()
     }
@@ -546,14 +603,70 @@ pub type PointOutcome = Result<PointResult, PointError>;
 ///    finishes instead of duplicating the work (counted in
 ///    [`SweepCache::coalesced`]). If the computing thread fails or
 ///    panics, its claim is released and one waiter takes over.
+///
+/// Beside the points it keeps a trace tier: the fingerprint of each
+/// traced run it has seen, by [`TraceKey`], in memory and (when
+/// persistent) as `.trace` store entries. [`SweepCache::app`] reads it
+/// so a sweep whose points all hit never traces. Its lookups are not
+/// counted in [`SweepCache::stats`], which counts points only.
 #[derive(Debug, Default)]
 pub struct SweepCache {
     map: Mutex<HashMap<PointKey, PointResult>>,
     inflight: Mutex<HashMap<PointKey, Arc<Inflight>>>,
-    disk: Option<store::DiskStore>,
+    disk: Option<Arc<store::DiskStore>>,
+    traces: Arc<TraceTier>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
+}
+
+/// Where [`SweepCache::app`] found an app's trace fingerprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FingerprintFrom {
+    /// Nowhere: the app was traced now, and the entry written.
+    Trace,
+    /// This process's memory tier.
+    Memory,
+    /// A verified `.trace` entry of the persistent store.
+    Store,
+}
+
+/// The trace tier of a [`SweepCache`]: fingerprints by [`TraceKey`].
+/// One `u64` per traced `(app, ranks)` pair, so it needs no eviction.
+/// Traces themselves are never kept: they are tens of MB at 32 ranks.
+#[derive(Debug, Default)]
+struct TraceTier {
+    memo: Mutex<HashMap<TraceKey, u64>>,
+    disk: Option<Arc<store::DiskStore>>,
+}
+
+impl TraceTier {
+    fn get(&self, key: TraceKey) -> Option<(u64, FingerprintFrom)> {
+        if let Some(&fp) = lock_ok(&self.memo).get(&key) {
+            return Some((fp, FingerprintFrom::Memory));
+        }
+        let fp = self.disk.as_ref()?.get_trace(key)?;
+        lock_ok(&self.memo).insert(key, fp);
+        Some((fp, FingerprintFrom::Store))
+    }
+
+    /// Record (or replace) `key`'s fingerprint in every tier. The disk
+    /// write is best effort, like a point's.
+    fn put(&self, key: TraceKey, fingerprint: u64) {
+        if let Some(disk) = &self.disk {
+            let _ = disk.put_trace(key, fingerprint);
+        }
+        lock_ok(&self.memo).insert(key, fingerprint);
+    }
+
+    /// The entry `key` names, for messages: its store path, or the
+    /// memory entry when nothing is persisted.
+    fn describe(&self, key: TraceKey) -> String {
+        match &self.disk {
+            Some(disk) => format!("store entry {}", disk.trace_path(key).display()),
+            None => format!("trace entry {:016x}", key.0),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -623,15 +736,42 @@ impl SweepCache {
     /// the process, and every process (or daemon) opened on the same
     /// directory shares results.
     pub fn persistent(dir: impl Into<std::path::PathBuf>) -> std::io::Result<SweepCache> {
+        let disk = Arc::new(store::DiskStore::open(dir)?);
         Ok(SweepCache {
-            disk: Some(store::DiskStore::open(dir)?),
+            disk: Some(Arc::clone(&disk)),
+            traces: Arc::new(TraceTier {
+                disk: Some(disk),
+                ..TraceTier::default()
+            }),
             ..SweepCache::default()
         })
     }
 
     /// The disk tier, when this cache is persistent.
     pub fn disk(&self) -> Option<&store::DiskStore> {
-        self.disk.as_ref()
+        self.disk.as_deref()
+    }
+
+    /// The sweep app named `name` for the run `key` identifies. When
+    /// the trace tier knows its fingerprint (memory, then the store's
+    /// `.trace` entry), the app is deferred: `trace` runs only if a
+    /// point misses, and a re-trace whose fingerprint differs fails
+    /// the points that needed it and replaces the entry. Otherwise
+    /// `trace` runs now and its fingerprint is recorded in every tier.
+    pub fn app(
+        &self,
+        name: &str,
+        key: TraceKey,
+        trace: impl Fn() -> Result<TraceRun, String> + Send + Sync + 'static,
+    ) -> Result<(SweepApp, FingerprintFrom), String> {
+        if let Some((fingerprint, from)) = self.traces.get(key) {
+            let entry = Some((key, Arc::clone(&self.traces)));
+            let app = SweepApp::deferred_from(name, fingerprint, Box::new(trace), entry);
+            return Ok((app, from));
+        }
+        let app = SweepApp::new(name, trace()?);
+        self.traces.put(key, app.fingerprint());
+        Ok((app, FingerprintFrom::Trace))
     }
 
     /// Resolve `key`: a result from memory or (verified) disk, a
@@ -1924,6 +2064,44 @@ mod tests {
         assert_eq!(warm.cache_hits, grid.len() as u64);
         assert_eq!(warm.bundles_built, 0);
         assert!(deferred.apps[0].run.retraced().is_none(), "maker never ran");
+    }
+
+    #[test]
+    fn cache_app_defers_a_known_fingerprint_and_replaces_a_stale_one() {
+        let cache = SweepCache::new();
+        let key = trace_key("pattern-linear", 4, 1);
+        let trace = || trace_app(&pattern(2), 4).map_err(|e| e.to_string());
+        let (cold, from) = cache.app("pattern-linear", key, trace).unwrap();
+        assert_eq!(from, FingerprintFrom::Trace);
+        assert!(!cold.is_deferred());
+        let (warm, from) = cache
+            .app("pattern-linear", key, || {
+                panic!("a known fingerprint defers")
+            })
+            .unwrap();
+        assert_eq!(from, FingerprintFrom::Memory);
+        assert!(warm.is_deferred());
+        assert_eq!(warm.fingerprint(), cold.fingerprint());
+        // another generation is another entry
+        let (_, from) = cache
+            .app("pattern-linear", trace_key("pattern-linear", 4, 2), trace)
+            .unwrap();
+        assert_eq!(from, FingerprintFrom::Trace);
+
+        // the app's run moved under the same key: the re-trace
+        // disagrees, fails, and replaces the entry
+        let moved = || trace_app(&pattern(3), 4).map_err(|e| e.to_string());
+        let (stale, _) = cache.app("pattern-linear", key, moved).unwrap();
+        let e = stale.run.get().unwrap_err();
+        assert!(
+            e.contains("fingerprint mismatch") && e.contains("entry replaced"),
+            "{e}"
+        );
+        let (fresh, from) = cache.app("pattern-linear", key, moved).unwrap();
+        assert_eq!(from, FingerprintFrom::Memory);
+        assert_eq!(fresh.fingerprint(), trace_fingerprint(&moved().unwrap()));
+        assert_eq!(fresh.run.get().map(|_| ()), Ok(()));
+        assert!(cache.is_empty(), "trace entries are not points");
     }
 
     #[test]

@@ -24,9 +24,15 @@
 //!
 //! Layout: `<root>/<first 2 hex digits of key>/<16 hex digits>.point`,
 //! with temp files named `.<key>.<pid>.<seq>.tmp` alongside.
+//!
+//! A second entry kind, `<16 hex digits>.trace` in the same layout,
+//! holds the trace fingerprint of one `(app, ranks)` pair under its
+//! [`TraceKey`] (see [`super::trace_key`]), in the same framing with a
+//! single `fingerprint` field. It lets a warm store answer a sweep
+//! without running the instrumented application at all.
 
 use super::chaos::ChaosPolicy;
-use super::PointKey;
+use super::{PointKey, TraceKey};
 use crate::sweep::Fnv;
 use std::fs;
 use std::io;
@@ -54,46 +60,65 @@ pub struct StoredPoint {
 impl StoredPoint {
     /// Canonical text encoding: versioned, line-based, self-checking.
     pub fn encode(&self, key: PointKey) -> String {
-        let body = format!(
-            "{STORE_FORMAT}\nkey {:016x}\nt_original {:016x}\nt_overlapped {:016x}\nt_ideal {:016x}\n",
+        encode_entry(
             key.0,
-            self.t_original.to_bits(),
-            self.t_overlapped.to_bits(),
-            self.t_ideal.to_bits(),
-        );
-        let check = Fnv::new().str(&body).finish();
-        format!("{body}check {check:016x}\n")
+            &[
+                ("t_original", self.t_original.to_bits()),
+                ("t_overlapped", self.t_overlapped.to_bits()),
+                ("t_ideal", self.t_ideal.to_bits()),
+            ],
+        )
     }
 
     /// Parse and verify an entry. Returns `None` for anything that is
     /// not a bit-exact, correctly-checked entry for `key`.
     pub fn decode(content: &str, key: PointKey) -> Option<StoredPoint> {
-        let (body, check_line) = content.rsplit_once("check ")?;
-        let claimed = u64::from_str_radix(check_line.trim(), 16).ok()?;
-        if Fnv::new().str(body).finish() != claimed {
-            return None;
-        }
-        let mut lines = body.lines();
-        if lines.next()? != STORE_FORMAT {
-            return None;
-        }
-        let field = |line: &str, name: &str| -> Option<u64> {
-            let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
-            u64::from_str_radix(rest, 16).ok()
-        };
-        if field(lines.next()?, "key")? != key.0 {
-            return None;
-        }
-        let point = StoredPoint {
-            t_original: f64::from_bits(field(lines.next()?, "t_original")?),
-            t_overlapped: f64::from_bits(field(lines.next()?, "t_overlapped")?),
-            t_ideal: f64::from_bits(field(lines.next()?, "t_ideal")?),
-        };
-        if lines.next().is_some() {
-            return None;
-        }
-        Some(point)
+        let [o, v, i] = decode_entry(content, key.0, ["t_original", "t_overlapped", "t_ideal"])?;
+        Some(StoredPoint {
+            t_original: f64::from_bits(o),
+            t_overlapped: f64::from_bits(v),
+            t_ideal: f64::from_bits(i),
+        })
     }
+}
+
+/// The framing every entry kind shares: [`STORE_FORMAT`], the key the
+/// entry claims to store, one `<name> <16 hex>` line per field, and an
+/// FNV-1a check of all of it.
+fn encode_entry(key: u64, fields: &[(&str, u64)]) -> String {
+    let mut body = format!("{STORE_FORMAT}\nkey {key:016x}\n");
+    for (name, value) in fields {
+        body += &format!("{name} {value:016x}\n");
+    }
+    let check = Fnv::new().str(&body).finish();
+    format!("{body}check {check:016x}\n")
+}
+
+/// The fields `names` of an [`encode_entry`] entry for `key`, or `None`
+/// unless the check, the key, the field names and their count all
+/// verify.
+fn decode_entry<const N: usize>(content: &str, key: u64, names: [&str; N]) -> Option<[u64; N]> {
+    let (body, check_line) = content.rsplit_once("check ")?;
+    let claimed = u64::from_str_radix(check_line.trim(), 16).ok()?;
+    if Fnv::new().str(body).finish() != claimed {
+        return None;
+    }
+    let mut lines = body.lines();
+    if lines.next()? != STORE_FORMAT {
+        return None;
+    }
+    let field = |line: &str, name: &str| -> Option<u64> {
+        let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
+        u64::from_str_radix(rest, 16).ok()
+    };
+    if field(lines.next()?, "key")? != key {
+        return None;
+    }
+    let mut values = [0; N];
+    for (value, name) in values.iter_mut().zip(names) {
+        *value = field(lines.next()?, name)?;
+    }
+    lines.next().is_none().then_some(values)
 }
 
 /// Counters of one [`DiskStore`] since it was opened.
@@ -184,8 +209,17 @@ impl DiskStore {
 
     /// Path of the entry for `key`.
     pub fn entry_path(&self, key: PointKey) -> PathBuf {
-        let hex = format!("{:016x}", key.0);
-        self.root.join(&hex[..2]).join(format!("{hex}.point"))
+        self.path_of(key.0, "point")
+    }
+
+    /// Path of the trace-fingerprint entry for `key`.
+    pub fn trace_path(&self, key: TraceKey) -> PathBuf {
+        self.path_of(key.0, "trace")
+    }
+
+    fn path_of(&self, key: u64, kind: &str) -> PathBuf {
+        let hex = format!("{key:016x}");
+        self.root.join(&hex[..2]).join(format!("{hex}.{kind}"))
     }
 
     /// Verified read. Any failure — missing file, bad check, wrong key,
@@ -197,8 +231,7 @@ impl DiskStore {
             self.corrupt.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let path = self.entry_path(key);
-        let content = match fs::read_to_string(&path) {
+        let content = match fs::read_to_string(self.entry_path(key)) {
             Ok(c) => c,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -230,28 +263,28 @@ impl DiskStore {
         if self.chaos_write_fails() {
             return Err(io::Error::other("chaos: injected store write failure"));
         }
-        let path = self.entry_path(key);
-        let dir = path.parent().expect("entry path always has a parent");
-        fs::create_dir_all(dir)?;
         let body = point.encode(key);
-        let tmp = dir.join(format!(
-            ".{:016x}.{}.{}.tmp",
-            key.0,
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        fs::write(&tmp, &body)?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => {
-                self.bytes_written
-                    .fetch_add(body.len() as u64, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_atomic(&self.entry_path(key), key.0, &body)?;
+        self.bytes_written
+            .fetch_add(body.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The trace fingerprint stored for `key`, verified like a point
+    /// entry. A missing, truncated, bit-flipped or misfiled entry is a
+    /// miss. Trace entries stay out of [`DiskStats`], which counts
+    /// points only, and out of fault injection.
+    pub fn get_trace(&self, key: TraceKey) -> Option<u64> {
+        let content = fs::read_to_string(self.trace_path(key)).ok()?;
+        let [fingerprint] = decode_entry(&content, key.0, ["fingerprint"])?;
+        Some(fingerprint)
+    }
+
+    /// Write (or replace) the trace-fingerprint entry for `key`, with
+    /// [`DiskStore::put`]'s atomic rename.
+    pub fn put_trace(&self, key: TraceKey, fingerprint: u64) -> io::Result<()> {
+        let body = encode_entry(key.0, &[("fingerprint", fingerprint)]);
+        write_atomic(&self.trace_path(key), key.0, &body)
     }
 
     /// Number of entry files currently on disk (walks the two-level
@@ -282,6 +315,22 @@ impl DiskStore {
             orphans_removed: self.orphans_removed,
         }
     }
+}
+
+/// Write `body` to `path` through a temp file in its directory and a
+/// rename, so a reader sees the old entry or the new one, never a part.
+fn write_atomic(path: &Path, key: u64, body: &str) -> io::Result<()> {
+    let dir = path.parent().expect("entry path always has a parent");
+    fs::create_dir_all(dir)?;
+    let tmp = dir.join(format!(
+        ".{key:016x}.{}.{}.tmp",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed),
+    ));
+    fs::write(&tmp, body)?;
+    fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
 }
 
 /// Delete temp files whose writer is dead; returns how many went.

@@ -388,11 +388,18 @@ pub struct TooManyWindows {
 
 impl std::fmt::Display for TooManyWindows {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Shortest round-trip digits either way; a window far from a
+        // microsecond (`1e-300`) in exponent form, not as 300 digits.
+        let us = self.window_s * 1e6;
+        let us = if (1e-4..1e15).contains(&us.abs()) {
+            format!("{us}")
+        } else {
+            format!("{us:e}")
+        };
         write!(
             f,
-            "a probe window of {}us needs more than {} windows to cover the run; \
+            "a probe window of {us}us needs more than {} windows to cover the run; \
              choose a wider window",
-            self.window_s * 1e6,
             self.max_windows
         )
     }

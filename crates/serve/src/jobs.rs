@@ -23,9 +23,11 @@
 
 use crate::journal::{JobEnd, Journal};
 use crate::json::{Obj, Value};
-use crate::spec::{SpecError, SweepSpec, TraceKey};
+use crate::spec::{SpecError, SweepSpec};
 use ovlp_core::sweep::guard::PointGuard;
-use ovlp_core::sweep::{sweep_observed, PointOutcome, SweepCache, SweepConfig, SweepGrid};
+use ovlp_core::sweep::{
+    sweep_observed, FingerprintFrom, PointOutcome, SweepCache, SweepConfig, SweepGrid,
+};
 use ovlp_machine::Blame;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -291,21 +293,14 @@ pub struct DaemonMetrics {
     /// Trace supplies (instrumented runs or generator
     /// materializations), at submission or deferred into a runner.
     pub traces: AtomicU64,
-    /// Submissions that reused a memoized trace fingerprint instead of
-    /// tracing.
+    /// Submissions whose trace fingerprint came from the cache's trace
+    /// tier (memory or a `.trace` store entry) instead of a trace.
     pub trace_memo_hits: AtomicU64,
     /// Variant bundles built by job sweeps.
     pub variant_bundles_built: AtomicU64,
     /// Engine replays run by job sweeps.
     pub replays: AtomicU64,
 }
-
-/// Trace fingerprints of every `(app, ranks)` pair this daemon traced
-/// successfully. One `u64` per validated pair, so the memo is bounded
-/// by the app pool times the rank caps (`TRACED_RANK_CAP`,
-/// `GENERATED_MATERIALIZE_CAP`) and needs no eviction. Traces
-/// themselves are never kept: they are tens of MB at 32 ranks.
-type TraceMemo = Mutex<HashMap<TraceKey, u64>>;
 
 /// The daemon's job table: submission, lookup, bounded execution.
 pub struct Registry {
@@ -318,7 +313,6 @@ pub struct Registry {
     guard: Arc<PointGuard>,
     journal: Option<Arc<Journal>>,
     draining: AtomicBool,
-    trace_memo: Arc<TraceMemo>,
 }
 
 impl Registry {
@@ -335,7 +329,6 @@ impl Registry {
             guard: Arc::new(PointGuard::default()),
             journal: None,
             draining: AtomicBool::new(false),
-            trace_memo: Arc::default(),
         }
     }
 
@@ -438,27 +431,19 @@ impl Registry {
         (resumed, replayed)
     }
 
-    /// Validate `spec` and build its grid. A spec whose trace key is
-    /// memoized gets a deferred app and is not traced here; otherwise
-    /// the app is traced now (a failure is the caller's HTTP 500) and
-    /// its fingerprint memoized.
+    /// Validate `spec` and build its grid through the shared cache: a
+    /// spec whose trace fingerprint the cache knows gets a deferred app
+    /// and is not traced here; otherwise the app is traced now (a
+    /// failure is the caller's HTTP 500).
     fn build(&self, spec: &SweepSpec) -> Result<(SweepGrid, SweepConfig), SpecError> {
-        let key = spec.trace_key();
-        let memoized = key.and_then(|k| lock_ok(&self.trace_memo).get(&k).copied());
-        if let Some(fingerprint) = memoized {
-            let built = spec.build_deferred(fingerprint)?;
-            self.metrics.trace_memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(built);
-        }
-        let built = spec.build();
-        if matches!(built, Ok(_) | Err(SpecError::Trace(_))) {
-            self.metrics.traces.fetch_add(1, Ordering::Relaxed);
-        }
-        let (grid, config) = built?;
-        if let Some(key) = key {
-            lock_ok(&self.trace_memo).insert(key, grid.apps[0].fingerprint());
-        }
-        Ok((grid, config))
+        let built = spec.build_cached(&self.cache);
+        let counter = match &built {
+            Ok((_, _, FingerprintFrom::Trace)) | Err(SpecError::Trace(_)) => &self.metrics.traces,
+            Ok(_) => &self.metrics.trace_memo_hits,
+            Err(SpecError::Usage(_)) => return built.map(|(g, c, _)| (g, c)),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        built.map(|(grid, config, _)| (grid, config))
     }
 
     fn register(&self, spec: SweepSpec, resume_id: Option<String>) -> Result<Arc<Job>, SpecError> {
@@ -497,7 +482,6 @@ impl Registry {
             gate: Arc::clone(&self.gate),
             metrics: Arc::clone(&self.metrics),
             journal: self.journal.clone(),
-            memo: Arc::clone(&self.trace_memo),
         };
         let running = Arc::clone(&job);
         std::thread::spawn(move || run_job(running, grid, config, runner));
@@ -511,7 +495,6 @@ struct Runner {
     gate: Arc<Gate>,
     metrics: Arc<DaemonMetrics>,
     journal: Option<Arc<Journal>>,
-    memo: Arc<TraceMemo>,
 }
 
 fn run_job(job: Arc<Job>, grid: SweepGrid, config: SweepConfig, runner: Runner) {
@@ -520,7 +503,6 @@ fn run_job(job: Arc<Job>, grid: SweepGrid, config: SweepConfig, runner: Runner) 
         gate,
         metrics,
         journal,
-        memo,
     } = runner;
     gate.acquire();
     metrics.jobs_running.fetch_add(1, Ordering::Relaxed);
@@ -543,23 +525,13 @@ fn run_job(job: Arc<Job>, grid: SweepGrid, config: SweepConfig, runner: Runner) 
         .variant_bundles_built
         .fetch_add(report.bundles_built, Ordering::Relaxed);
     metrics.replays.fetch_add(report.replays, Ordering::Relaxed);
-    for app in &grid.apps {
-        let Some(retraced) = app.run.retraced() else {
-            continue;
-        };
-        metrics.traces.fetch_add(1, Ordering::Relaxed);
-        if retraced.is_err() {
-            // The re-trace failed or no longer matches the memoized
-            // fingerprint (its points failed, nothing was stored):
-            // forget it, so the next submission traces afresh.
-            if let Some(key) = job.spec.trace_key() {
-                let mut memo = lock_ok(&memo);
-                if memo.get(&key) == Some(&app.fingerprint()) {
-                    memo.remove(&key);
-                }
-            }
-        }
-    }
+    // A deferred app traced because a point missed. A re-trace that
+    // disagreed with the cache's entry has failed its points and
+    // replaced the entry already.
+    let retraced = grid.apps.iter().filter(|a| a.run.retraced().is_some());
+    metrics
+        .traces
+        .fetch_add(retraced.count() as u64, Ordering::Relaxed);
     let rendered = report.render_full(&grid);
     // Seal the journal and counters *before* publishing the report:
     // anyone woken by `done` (summaries, drains, tests) then sees the
@@ -673,25 +645,44 @@ mod tests {
     }
 
     #[test]
-    fn mismatching_memo_entry_fails_its_misses_and_is_dropped() {
-        let registry = Registry::new(Arc::new(SweepCache::new()), 2);
-        let key = quick_spec().trace_key().unwrap();
-        lock_ok(&registry.trace_memo).insert(key, 0xdead_beef);
+    fn stale_trace_entry_fails_its_misses_and_is_replaced() {
+        let dir = std::env::temp_dir().join(format!("ovlp-jobs-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(SweepCache::persistent(&dir).unwrap());
+        let gen = ovlp_apps::registry::by_name("nas-cg").unwrap().trace_gen;
+        let key = ovlp_core::sweep::trace_key("nas-cg", 4, gen);
+        let disk = cache.disk().unwrap();
+        disk.put_trace(key, 0xdead_beef).unwrap();
+        let registry = Registry::new(Arc::clone(&cache), 2);
         let job = registry.submit(quick_spec()).unwrap();
         for i in 0..job.points() {
             let e = job.wait_point(i).unwrap_err();
             assert_eq!(e.kind, ovlp_core::sweep::FailKind::Transform);
             assert!(e.message.contains("fingerprint mismatch"), "{}", e.message);
+            let path = disk.trace_path(key);
+            assert!(
+                e.message.contains(&*path.to_string_lossy()),
+                "{}",
+                e.message
+            );
         }
         job.wait_report();
         assert!(registry.cache().is_empty(), "nothing stored");
-        assert!(!lock_ok(&registry.trace_memo).contains_key(&key));
+        let replaced = disk.get_trace(key).unwrap();
+        assert_ne!(replaced, 0xdead_beef, "the entry holds the re-trace's");
 
-        // the next submission traces afresh and succeeds
+        // the next submission takes the replaced entry and succeeds
         let again = registry.submit(quick_spec()).unwrap();
         assert!(again.wait_report().contains("2 points (2 ok, 0 failed)"));
-        assert_eq!(registry.metrics().traces.load(Ordering::Relaxed), 2);
-        assert_ne!(lock_ok(&registry.trace_memo).get(&key), Some(&0xdead_beef));
+        let m = registry.metrics();
+        assert_eq!(
+            m.traces.load(Ordering::Relaxed),
+            2,
+            "two deferred re-traces"
+        );
+        assert_eq!(m.trace_memo_hits.load(Ordering::Relaxed), 2);
+        assert_eq!(disk.get_trace(key), Some(replaced));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

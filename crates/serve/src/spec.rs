@@ -10,15 +10,11 @@
 //! `docs/serving.md`); the CLI form is the `ovlp sweep` flag set.
 
 use crate::json::{self, Obj, Value};
-use ovlp_apps::registry::AppEntry;
 use ovlp_core::chunk::ChunkPolicy;
 use ovlp_core::presets::marenostrum_for;
-use ovlp_core::sweep::{SweepApp, SweepConfig, SweepGrid};
+use ovlp_core::sweep::{trace_key, FingerprintFrom, SweepCache, SweepConfig, SweepGrid};
 use ovlp_machine::{ContentionModel, FaultSchedule, Platform};
 use ovlp_trace::Tag;
-
-/// What determines a spec's trace: `(canonical app name, ranks)`.
-pub type TraceKey = (&'static str, usize);
 
 /// Wire schema identifier of the request document.
 pub const JOB_SCHEMA: &str = "ovlp.sweep-job.v1";
@@ -209,47 +205,28 @@ impl SweepSpec {
         Value::Obj(o).to_string()
     }
 
-    /// The fields of this spec that determine its trace: the canonical
-    /// app name and the rank count (`None` for an unknown app). Two
-    /// specs with the same key trace to the same run, which is what
-    /// lets the daemon memoize trace fingerprints under this key; a
-    /// field that ever changes the traced run must join the key.
-    pub fn trace_key(&self) -> Option<TraceKey> {
-        let entry = ovlp_apps::registry::by_name(&self.app)?;
-        Some((entry.name, self.ranks))
-    }
-
-    /// Validate the spec, trace the application, and build the grid in
-    /// canonical order: platforms are `bw × buses × topology`, each
-    /// expanded as (fault-free baseline, then one platform per fault
-    /// scenario); policies follow the chunk list as given.
+    /// [`SweepSpec::build_cached`] on a memory-only cache: the app is
+    /// always traced.
     pub fn build(&self) -> Result<(SweepGrid, SweepConfig), SpecError> {
-        self.build_with(|entry| {
-            let run = entry.trace_run(self.ranks).map_err(SpecError::Trace)?;
-            Ok(SweepApp::new(entry.name, run))
-        })
+        let (grid, config, _) = self.build_cached(&SweepCache::new())?;
+        Ok((grid, config))
     }
 
-    /// [`SweepSpec::build`] for a spec whose trace fingerprint is
-    /// already known: the same validation and the same grid, but the
-    /// app enters it deferred ([`SweepApp::deferred`]) and is traced
-    /// only if some point misses the result cache.
-    pub fn build_deferred(&self, fingerprint: u64) -> Result<(SweepGrid, SweepConfig), SpecError> {
-        let ranks = self.ranks;
-        self.build_with(|entry| {
-            let name = entry.name;
-            Ok(SweepApp::deferred(name, fingerprint, move || {
-                ovlp_apps::registry::by_name(name)
-                    .expect("a canonical app name resolves")
-                    .trace_run(ranks)
-            }))
-        })
-    }
-
-    fn build_with(
+    /// Validate the spec and build the grid in canonical order:
+    /// platforms are `bw × buses × topology`, each expanded as
+    /// (fault-free baseline, then one platform per fault scenario);
+    /// policies follow the chunk list as given.
+    ///
+    /// The app's trace fingerprint comes from `cache`
+    /// ([`SweepCache::app`]), keyed by the canonical app name, the rank
+    /// count and the app's `TRACE_GEN`. On a hit the app is deferred
+    /// and traced only if a point misses; otherwise it is traced now
+    /// (a failure is [`SpecError::Trace`]) and the entry written. The
+    /// CLI and the daemon both build through here.
+    pub fn build_cached(
         &self,
-        app: impl FnOnce(&AppEntry) -> Result<SweepApp, SpecError>,
-    ) -> Result<(SweepGrid, SweepConfig), SpecError> {
+        cache: &SweepCache,
+    ) -> Result<(SweepGrid, SweepConfig, FingerprintFrom), SpecError> {
         if self.ranks == 0 {
             return Err(usage("bad rank count: must be at least 1"));
         }
@@ -325,8 +302,16 @@ impl SweepSpec {
         }
 
         entry.validate_ranks(self.ranks).map_err(usage)?;
+        let (name, ranks) = (entry.name, self.ranks);
+        let (app, from) = cache
+            .app(name, trace_key(name, ranks, entry.trace_gen), move || {
+                ovlp_apps::registry::by_name(name)
+                    .expect("a canonical app name resolves")
+                    .trace_run(ranks)
+            })
+            .map_err(SpecError::Trace)?;
         let grid = SweepGrid {
-            apps: vec![app(&entry)?],
+            apps: vec![app],
             platforms: bandwidths
                 .iter()
                 .flat_map(|&bw| {
@@ -358,7 +343,7 @@ impl SweepSpec {
         };
         let mut config = SweepConfig::with_jobs(self.jobs);
         config.critpath = self.critpath;
-        Ok((grid, config))
+        Ok((grid, config, from))
     }
 }
 
@@ -506,18 +491,32 @@ mod tests {
         let e = s.build().unwrap_err();
         assert!(matches!(e, SpecError::Usage(_)), "{e}");
         assert!(e.to_string().contains("below the accepted floor"), "{e}");
+        // a generated app's rank count is capped before its generator
+        // allocates per-rank state
+        let e = SweepSpec::new("ml-allreduce", 1_000_000_000)
+            .build()
+            .unwrap_err();
+        assert!(matches!(e, SpecError::Usage(_)), "{e}");
+        assert!(e.to_string().contains("capped"), "{e}");
     }
 
     #[test]
-    fn deferred_build_validates_and_keys_like_build() {
+    fn cached_build_defers_a_known_fingerprint_and_keys_like_build() {
         let spec = SweepSpec::from_json(
             r#"{"schema":"ovlp.sweep-job.v1","app":"cg","ranks":4,"chunks":[1,4],"bw":[100,250]}"#,
         )
         .unwrap();
-        assert_eq!(spec.trace_key(), Some(("nas-cg", 4)));
-        let (eager, _) = spec.build().unwrap();
+        let cache = SweepCache::new();
+        let (eager, _, from) = spec.build_cached(&cache).unwrap();
+        assert_eq!(from, FingerprintFrom::Trace);
+        assert!(!eager.apps[0].is_deferred());
         let fp = eager.apps[0].fingerprint();
-        let (deferred, _) = spec.build_deferred(fp).unwrap();
+        // the alias and the canonical name share one trace entry
+        let mut canonical = spec.clone();
+        canonical.app = "nas-cg".to_string();
+        let (deferred, _, from) = canonical.build_cached(&cache).unwrap();
+        assert_eq!(from, FingerprintFrom::Memory);
+        assert!(deferred.apps[0].is_deferred());
         assert_eq!(deferred.apps[0].fingerprint(), fp);
         assert_eq!(deferred.apps[0].name, eager.apps[0].name);
         assert_eq!(deferred.points(), eager.points());
@@ -525,14 +524,20 @@ mod tests {
         // the re-trace reproduces the eager run
         assert_eq!(deferred.apps[0].run.trace, eager.apps[0].run.trace);
         assert_eq!(deferred.apps[0].run.retraced(), Some(Ok(())));
+        // another rank count is another entry
+        let mut wider = spec.clone();
+        wider.ranks = 8;
+        assert_eq!(
+            wider.build_cached(&cache).unwrap().2,
+            FingerprintFrom::Trace
+        );
 
         let mut bad = spec.clone();
         bad.chunks = vec![0];
         assert_eq!(
-            bad.build_deferred(fp).unwrap_err(),
+            bad.build_cached(&cache).unwrap_err(),
             bad.build().unwrap_err()
         );
-        assert_eq!(SweepSpec::new("no-such-app", 4).trace_key(), None);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! ```
 
 use overlap_sim::core::advisor::advise;
-use overlap_sim::core::experiments::{chunk_search, default_candidates};
+use overlap_sim::core::experiments::{chunk_search, default_candidates, run_variants};
+use overlap_sim::core::pipeline::build_variants;
+use overlap_sim::machine::NoopSink;
 use overlap_sim::prelude::*;
 
 fn main() {
@@ -32,7 +34,11 @@ fn main() {
     print!("{}", advice.render());
 
     // 2. whatever the patterns allow, which chunk count extracts it?
-    let search = chunk_search(&run, &platform, &default_candidates()).expect("search failed");
+    let bundle = build_variants(&run, &ChunkPolicy::paper_default());
+    let (known, _) =
+        run_variants(&bundle, &platform, || NoopSink, |_| Ok(())).expect("replay failed");
+    let search =
+        chunk_search(&run, &platform, &default_candidates(), &known).expect("search failed");
     println!("\nchunk-count sweep (simulated overlapped runtime):");
     for p in &search.points {
         println!(

@@ -559,7 +559,8 @@ fn advice(run: &TraceRun, platform: &Platform) -> String {
 /// The sections of `ovlp analyze`, in order: each name and the text
 /// printed under its `## <name>` heading. `r` is the plain replay of
 /// the variants of `run` on `platform`; only the chunk search replays
-/// again. `report` renders [`pattern_tables`] and [`advice`] too.
+/// again, once per chunk count other than the paper's 4. `report`
+/// renders [`pattern_tables`] and [`advice`] too.
 fn analysis(
     app: &str,
     run: &TraceRun,
@@ -577,7 +578,7 @@ fn analysis(
         ),
         None => "phase-reorder potential: n/a (scatter capture off)".to_string(),
     };
-    let s = chunk_search(run, platform, &default_candidates())?;
+    let s = chunk_search(run, platform, &default_candidates(), r)?;
     let points: String = s
         .points
         .iter()
@@ -965,7 +966,7 @@ fn paraver_cmd(args: &Args) -> CliResult {
 /// builder — byte-identical to what the `ovlp serve` daemon computes
 /// for the same axes.
 fn sweep_cmd(args: &Args) -> CliResult {
-    use overlap_sim::core::sweep::{sweep, SweepCache};
+    use overlap_sim::core::sweep::{sweep, FingerprintFrom, SweepCache};
     use overlap_sim::serve::{SpecError, SweepSpec};
 
     // Empty axis lists mean "use the spec's defaults", which are the
@@ -986,15 +987,11 @@ fn sweep_cmd(args: &Args) -> CliResult {
     spec.buses = args.list("--buses")?;
     spec.topologies = args.list("--topology")?;
     spec.faults = args.list("--faults")?;
-    let (grid, mut config) = spec.build().map_err(|e| match e {
-        SpecError::Usage(m) => CliError::Usage(m),
-        SpecError::Trace(m) => CliError::Run(m),
-    })?;
     let metrics_dir: Option<String> = args.value("--metrics")?;
-    // --metrics alone probes at the 100us default window; probed points
-    // bypass the cache, so runtimes still replay deterministically.
-    config.probe_window_us = window_flag(args)?.or(metrics_dir.as_ref().map(|_| 100.0));
-    config.critpath = args.switch("--critpath");
+    let window = window_flag(args)?;
+    let critpath = args.switch("--critpath");
+    // The store is opened first: a stored trace fingerprint lets the
+    // build skip the instrumented run.
     let store_dir: Option<String> = args.value("--store")?;
     let cache = match &store_dir {
         Some(dir) => {
@@ -1002,6 +999,14 @@ fn sweep_cmd(args: &Args) -> CliResult {
         }
         None => SweepCache::new(),
     };
+    let (grid, mut config, from) = spec.build_cached(&cache).map_err(|e| match e {
+        SpecError::Usage(m) => CliError::Usage(m),
+        SpecError::Trace(m) => CliError::Run(m),
+    })?;
+    // --metrics alone probes at the 100us default window; probed points
+    // bypass the cache, so runtimes still replay deterministically.
+    config.probe_window_us = window.or(metrics_dir.as_ref().map(|_| 100.0));
+    config.critpath = critpath;
 
     let report = sweep(&grid, &config, &cache);
     out!("{}", report.render_full(&grid));
@@ -1017,6 +1022,10 @@ fn sweep_cmd(args: &Args) -> CliResult {
             d += &format!("; store {dir}: {} hits, {} misses", disk.hits, disk.misses);
         }
         d
+    };
+    let detail = match from {
+        FingerprintFrom::Store => format!("{detail}; trace fingerprint from the store"),
+        FingerprintFrom::Trace | FingerprintFrom::Memory => detail,
     };
     eprintln!(
         "({} points in {:.2}s with {} jobs; {detail}; {} replays)",

@@ -218,6 +218,12 @@ fn rank_overrides_are_validated_as_usage_errors() {
     assert_usage_error(&["analyze", "pop", "5000"], "cap");
     assert_usage_error(&["sweep", "nas-cg", "5", "--chunks", "1"], "even");
     assert_usage_error(&["scale", "ml-allreduce", "100001"], "multiple");
+    // a generated app is capped above the 1M-rank scale ladder, before
+    // its generator allocates per-rank state
+    assert_usage_error(
+        &["simulate", "ml-allreduce", "--ranks", "1000000000"],
+        "capped at 1048576 ranks",
+    );
     assert_usage_error(&["scale", "no-such-app", "64"], "unknown app");
     assert_usage_error(&["scale", "ml-allreduce", "sixty-four"], "bad rank count");
     assert_usage_error(
@@ -415,6 +421,12 @@ fn runtime_failures_exit_one() {
     let stderr = String::from_utf8(narrow.stderr).unwrap();
     assert!(stderr.contains("wider window"), "{stderr}");
     assert!(narrow.stdout.is_empty(), "no partial report on stdout");
+    // a vanishing window is named in exponent form, not 300 digits
+    let tiny = ovlp(&["simulate", fixture, "--probe-window", "1e-300"]);
+    assert_eq!(tiny.status.code(), Some(1), "{tiny:?}");
+    let stderr = String::from_utf8(tiny.stderr).unwrap();
+    assert!(stderr.contains("1e-300us"), "{stderr}");
+    assert!(stderr.len() < 200, "{} bytes: {stderr}", stderr.len());
     // 10us windows over a 0.23 s run are 23k windows, fewer than
     // MAX_WINDOWS, but 4096 ranks of them exceed the recorder's cell
     // budget, which lowers the ceiling to 4096 windows

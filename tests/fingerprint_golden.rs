@@ -8,6 +8,13 @@
 //! diff of that file. Re-bless after a deliberate key move with
 //! `OVLP_BLESS=1 cargo test --test fingerprint_golden`.
 //!
+//! Each line also pins the app's `TRACE_GEN` (the registry's
+//! `trace_gen`), which keys the store's `.trace` entries: a warm store
+//! answers a sweep from the stored fingerprint without tracing. A
+//! fingerprint that moves under an unchanged generation would leave
+//! those entries naming the old run, so the test then asks for the
+//! generation bump by app name before any re-bless.
+//!
 //! Replay-only callers (`AppEntry::trace_run`, `AppEntry::source`) trace
 //! without the Figure-5 scatter. The second test pins that this drops
 //! only the scatter: the trace and every last-store/first-load stamp
@@ -27,13 +34,15 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fingerprints.txt")
 }
 
-/// `<app> <trace_fingerprint as 16 hex digits>` per paper app at 16
-/// ranks, one line each.
+/// `<app> <TRACE_GEN> <trace_fingerprint as 16 hex digits>` per paper
+/// app at 16 ranks, one line each.
 fn fingerprint_table() -> String {
     APPS.iter()
         .map(|name| {
-            let run = registry::by_name(name).unwrap().trace_run(RANKS).unwrap();
-            format!("{name} {:016x}\n", trace_fingerprint(&run))
+            let entry = registry::by_name(name).unwrap();
+            let run = entry.trace_run(RANKS).unwrap();
+            let fp = trace_fingerprint(&run);
+            format!("{name} {} {fp:016x}\n", entry.trace_gen)
         })
         .collect()
 }
@@ -49,10 +58,28 @@ fn paper_app_fingerprints_are_pinned() {
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{}: {e}; run OVLP_BLESS=1 to create", path.display()));
+    for line in table.lines() {
+        let [app, generation, fp] = fields(line);
+        let pinned = golden.lines().map(fields).find(|g| g[0] == app);
+        if let Some([_, pinned_gen, pinned_fp]) = pinned {
+            assert!(
+                fp == pinned_fp || generation != pinned_gen,
+                "bump `TRACE_GEN` for {app}: its fingerprint moved from {pinned_fp} to {fp} \
+                 under generation {generation}, so stored `.trace` entries would keep \
+                 naming the old run; then re-bless with OVLP_BLESS=1"
+            );
+        }
+    }
     assert_eq!(
         table, golden,
-        "trace fingerprints moved; if intentional, re-bless with OVLP_BLESS=1"
+        "trace fingerprints or generations moved; if intentional, re-bless with OVLP_BLESS=1"
     );
+}
+
+/// The three fields of a fixture line (empty when missing).
+fn fields(line: &str) -> [&str; 3] {
+    let mut it = line.split_whitespace();
+    std::array::from_fn(|_| it.next().unwrap_or(""))
 }
 
 #[test]

@@ -203,7 +203,8 @@ fn resubmission_is_served_entirely_from_the_store() {
     handle.shutdown();
 
     // A restarted daemon on the same store directory: the points come
-    // back from disk (cross-process persistence), still byte-identical.
+    // back from disk (cross-process persistence), still byte-identical,
+    // and so does the trace fingerprint, so nothing is traced.
     let (addr, handle) = start(Some(store.clone()), 2);
     let third = submit(addr);
     let summary = wait_summary(addr, &third);
@@ -211,6 +212,10 @@ fn resubmission_is_served_entirely_from_the_store() {
     assert_eq!(json_u64(&summary, "store_misses"), 0);
     let (_, third_stream) = http(addr, "GET", &format!("/v1/sweeps/{third}"), "");
     assert_eq!(first_stream, third_stream);
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "ovlp_traces_total"), 0, "{metrics}");
+    assert_eq!(metric(&metrics, "ovlp_trace_memo_hits_total"), 1);
+    assert_eq!(metric(&metrics, "ovlp_variant_bundles_built_total"), 0);
     let (_, stats) = http(addr, "GET", "/v1/store/stats", "");
     assert!(
         stats.contains("\"schema\":\"ovlp.store-stats.v1\""),

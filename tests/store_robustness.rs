@@ -2,9 +2,16 @@
 //! corruption (truncation, bit flips) is detected and healed, racing
 //! writers converge on one valid entry, and the store is shared
 //! bit-exactly between the `ovlp` CLI process and in-process callers.
+//! The same holds for the `.trace` entries that let a warm store skip
+//! the instrumented run, and a stale one fails only the points that
+//! needed a re-trace, then is replaced.
 
+use overlap_sim::apps::registry;
 use overlap_sim::core::sweep::store::{DiskStore, StoredPoint};
-use overlap_sim::core::sweep::{sweep, PointKey, SweepCache, SweepConfig, SweepGrid};
+use overlap_sim::core::sweep::{
+    sweep, trace_key, FailKind, FingerprintFrom, PointKey, SweepCache, SweepConfig, SweepGrid,
+    TraceKey,
+};
 use overlap_sim::serve::SweepSpec;
 use std::path::PathBuf;
 use std::process::Command;
@@ -19,10 +26,127 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// 100,250` evaluates, built through the shared spec so the point
 /// keys are guaranteed to match the CLI's.
 fn small_grid() -> SweepGrid {
+    small_spec().build().unwrap().0
+}
+
+fn small_spec() -> SweepSpec {
     let mut spec = SweepSpec::new("nas-cg", 4);
     spec.chunks = vec![1, 4];
     spec.bandwidths = vec![100.0, 250.0];
-    spec.build().unwrap().0
+    spec
+}
+
+/// The `.trace` entry key of nas-cg at `ranks` ranks, `generations`
+/// after the registry's current one.
+fn nas_cg_key(ranks: usize, generations: u32) -> TraceKey {
+    let trace_gen = registry::by_name("nas-cg").unwrap().trace_gen;
+    trace_key("nas-cg", ranks, trace_gen + generations)
+}
+
+#[test]
+fn damaged_trace_entries_are_a_miss_that_traces_and_rewrites() {
+    let dir = temp_dir("trace-entry");
+    let spec = small_spec();
+    let cold = SweepCache::persistent(&dir).unwrap();
+    let (grid, _, from) = spec.build_cached(&cold).unwrap();
+    assert_eq!(from, FingerprintFrom::Trace);
+    let fp = grid.apps[0].fingerprint();
+    let disk = cold.disk().unwrap();
+    let (key, path) = (nas_cg_key(4, 0), disk.trace_path(nas_cg_key(4, 0)));
+    let pristine = std::fs::read(&path).unwrap();
+    assert_eq!(disk.entries(), 0, "a trace entry is not a point");
+
+    // valid entries of other keys: another rank count, another generation
+    disk.put_trace(nas_cg_key(8, 0), fp).unwrap();
+    disk.put_trace(nas_cg_key(4, 1), fp).unwrap();
+    let misfiled = std::fs::read(disk.trace_path(nas_cg_key(8, 0))).unwrap();
+    let other_gen = std::fs::read(disk.trace_path(nas_cg_key(4, 1))).unwrap();
+    let mut rows: Vec<(String, Option<Vec<u8>>)> = vec![
+        (
+            "truncated".into(),
+            Some(pristine[..pristine.len() / 2].to_vec()),
+        ),
+        ("misfiled".into(), Some(misfiled)),
+        ("other-generation copy".into(), Some(other_gen)),
+        // only the other generation's own entry exists
+        ("other-generation entry".into(), None),
+    ];
+    for offset in (0..pristine.len()).step_by(9) {
+        let mut bytes = pristine.clone();
+        bytes[offset] ^= 0x08;
+        rows.push((format!("bit flip at {offset}"), Some(bytes)));
+    }
+    for (row, bytes) in rows {
+        match bytes {
+            Some(bytes) => std::fs::write(&path, bytes).unwrap(),
+            None => std::fs::remove_file(&path).unwrap(),
+        }
+        let reopened = SweepCache::persistent(&dir).unwrap();
+        let (grid, _, from) = spec.build_cached(&reopened).unwrap();
+        assert_eq!(from, FingerprintFrom::Trace, "{row}: served a bad entry");
+        assert_eq!(grid.apps[0].fingerprint(), fp, "{row}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            pristine,
+            "{row}: not rewritten"
+        );
+        let stats = reopened.disk().unwrap().stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.corrupt),
+            (0, 0, 0),
+            "{row}"
+        );
+    }
+
+    // the rewritten entry is served, and a warm build traces nothing
+    let warm = SweepCache::persistent(&dir).unwrap();
+    let (grid, _, from) = spec.build_cached(&warm).unwrap();
+    assert_eq!(from, FingerprintFrom::Store);
+    assert!(grid.apps[0].is_deferred());
+    assert_eq!(warm.disk().unwrap().get_trace(key), Some(fp));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stale_trace_entry_fails_the_points_that_miss_and_is_replaced() {
+    let dir = temp_dir("stale-trace");
+    let spec = small_spec();
+    let cold = SweepCache::persistent(&dir).unwrap();
+    let (grid, config, _) = spec.build_cached(&cold).unwrap();
+    let first = sweep(&grid, &config, &cold);
+    assert_eq!(first.err_count(), 0);
+    let fp = grid.apps[0].fingerprint();
+
+    // a well-formed entry holding another run's fingerprint
+    let key = nas_cg_key(4, 0);
+    let disk = cold.disk().unwrap();
+    disk.put_trace(key, fp ^ 1).unwrap();
+    let stale = SweepCache::persistent(&dir).unwrap();
+    let (grid, config, from) = spec.build_cached(&stale).unwrap();
+    assert_eq!(from, FingerprintFrom::Store);
+    let failed = sweep(&grid, &config, &stale);
+    assert_eq!(failed.err_count(), grid.len(), "no stale key hits");
+    let path = disk.trace_path(key).display().to_string();
+    for outcome in &failed.outcomes {
+        let e = outcome.as_ref().unwrap_err();
+        assert_eq!(e.kind, FailKind::Transform);
+        assert!(
+            e.message.contains("fingerprint mismatch") && e.message.contains(&path),
+            "{}",
+            e.message
+        );
+    }
+    assert_eq!(disk.get_trace(key), Some(fp), "entry replaced");
+
+    // the next run takes the replaced entry: all hits, the first bits
+    let healed = SweepCache::persistent(&dir).unwrap();
+    let (grid, config, from) = spec.build_cached(&healed).unwrap();
+    assert_eq!(from, FingerprintFrom::Store);
+    let again = sweep(&grid, &config, &healed);
+    assert_eq!(again.cache_hits, grid.len() as u64);
+    assert_eq!(again.render(&grid), first.render(&grid));
+    assert!(grid.apps[0].run.retraced().is_none(), "nothing traced");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -163,6 +287,7 @@ fn store_is_shared_between_cli_and_in_process_callers() {
     assert!(out.status.success(), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("4 misses"), "cold store summary: {stderr}");
+    assert!(!stderr.contains("fingerprint from the store"), "{stderr}");
 
     // Resweep from the CLI: everything is served from the store.
     let again = Command::new(env!("CARGO_BIN_EXE_ovlp"))
@@ -177,15 +302,22 @@ fn store_is_shared_between_cli_and_in_process_callers() {
         stderr.contains("0 simulated, 4 from cache") && stderr.contains("4 hits, 0 misses"),
         "warm store summary: {stderr}"
     );
+    // ...and so is the trace fingerprint: no instrumented run
+    assert!(
+        stderr.contains("trace fingerprint from the store"),
+        "{stderr}"
+    );
     assert_eq!(out.stdout, again.stdout, "sweep output changed across runs");
 
     // And the same grid, swept in-process against the same directory,
     // is served from disk bit-identically.
-    let grid = small_grid();
     let cache = SweepCache::persistent(&dir).unwrap();
+    let (grid, _, from) = small_spec().build_cached(&cache).unwrap();
+    assert_eq!(from, FingerprintFrom::Store);
     let report = sweep(&grid, &SweepConfig::with_jobs(1), &cache);
     assert_eq!(report.cache_hits, grid.len() as u64);
     assert_eq!(report.cache_misses, 0);
+    assert!(grid.apps[0].run.retraced().is_none(), "nothing traced");
     let rendered = report.render(&grid);
     let cli_stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
