@@ -341,12 +341,6 @@ impl SweepApp {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// Whether the fingerprint was known without a trace (the run is
-    /// re-traced only if a point needs it).
-    pub fn is_deferred(&self) -> bool {
-        self.run.deferred.is_some()
-    }
 }
 
 type Retrace = Box<dyn Fn() -> Result<TraceRun, String> + Send + Sync>;
@@ -2073,14 +2067,12 @@ mod tests {
         let trace = || trace_app(&pattern(2), 4).map_err(|e| e.to_string());
         let (cold, from) = cache.app("pattern-linear", key, trace).unwrap();
         assert_eq!(from, FingerprintFrom::Trace);
-        assert!(!cold.is_deferred());
         let (warm, from) = cache
             .app("pattern-linear", key, || {
                 panic!("a known fingerprint defers")
             })
             .unwrap();
         assert_eq!(from, FingerprintFrom::Memory);
-        assert!(warm.is_deferred());
         assert_eq!(warm.fingerprint(), cold.fingerprint());
         // another generation is another entry
         let (_, from) = cache

@@ -14,9 +14,10 @@
 //! and identical points of *concurrently running* jobs coalesce onto a
 //! single in-flight computation.
 //!
-//! The registry also remembers each trace's fingerprint: the first job
-//! for an `(app, ranks)` pair traces at submission, and later jobs for
-//! it get a deferred app ([`SweepSpec::build_deferred`]) that is
+//! The same cache keeps each trace's fingerprint
+//! ([`SweepSpec::build_cached`]): the first job for an `(app, ranks)`
+//! pair on a cold store traces at submission, and later jobs for it
+//! (on this daemon or a restarted one) get a deferred app that is
 //! re-traced inside the gated runner only if one of its points misses
 //! the cache. A job whose every point is stored therefore costs no
 //! trace and no transform.

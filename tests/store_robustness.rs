@@ -102,7 +102,7 @@ fn damaged_trace_entries_are_a_miss_that_traces_and_rewrites() {
     let warm = SweepCache::persistent(&dir).unwrap();
     let (grid, _, from) = spec.build_cached(&warm).unwrap();
     assert_eq!(from, FingerprintFrom::Store);
-    assert!(grid.apps[0].is_deferred());
+    assert!(grid.apps[0].run.retraced().is_none(), "not traced");
     assert_eq!(warm.disk().unwrap().get_trace(key), Some(fp));
     let _ = std::fs::remove_dir_all(&dir);
 }
