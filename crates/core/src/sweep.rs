@@ -278,9 +278,9 @@ pub fn trace_key(app: &str, ranks: usize, generation: u32) -> TraceKey {
 /// by every grid point of this app.
 ///
 /// An app is either *eager* ([`SweepApp::new`]: the run is held from
-/// the start) or *deferred* ([`SweepApp::deferred`]: only the
-/// fingerprint is known, and the run is re-traced the first time a
-/// point misses the cache). Point keys need only the fingerprint, so a
+/// the start) or *deferred* ([`SweepCache::app`] on a known
+/// fingerprint: only the fingerprint is known, and the run is
+/// re-traced the first time a point misses the cache). Point keys need only the fingerprint, so a
 /// sweep whose every point hits never traces a deferred app.
 #[derive(Debug, Clone)]
 pub struct SweepApp {
@@ -304,21 +304,14 @@ impl SweepApp {
         }
     }
 
-    /// An app whose trace fingerprint is already known. `retrace`
-    /// reproduces the run; it is called at most once, and only when a
-    /// point needs a replay. Its output must fingerprint to
-    /// `fingerprint`, or every point that needs it fails with a
-    /// [`FailKind::Transform`] error (so a result is never stored
-    /// under a key that does not hash the trace it came from).
-    pub fn deferred(
-        name: impl Into<String>,
-        fingerprint: u64,
-        retrace: impl Fn() -> Result<TraceRun, String> + Send + Sync + 'static,
-    ) -> SweepApp {
-        SweepApp::deferred_from(name, fingerprint, Box::new(retrace), None)
-    }
-
-    fn deferred_from(
+    /// An app whose trace fingerprint is already known, from the cache
+    /// entry `entry` when there is one. `retrace` reproduces the run;
+    /// it is called at most once, and only when a point needs a
+    /// replay. Its output must fingerprint to `fingerprint`, or every
+    /// point that needs it fails with a [`FailKind::Transform`] error
+    /// (so a result is never stored under a key that does not hash the
+    /// trace it came from).
+    fn deferred(
         name: impl Into<String>,
         fingerprint: u64,
         retrace: Retrace,
@@ -760,7 +753,7 @@ impl SweepCache {
     ) -> Result<(SweepApp, FingerprintFrom), String> {
         if let Some((fingerprint, from)) = self.traces.get(key) {
             let entry = Some((key, Arc::clone(&self.traces)));
-            let app = SweepApp::deferred_from(name, fingerprint, Box::new(trace), entry);
+            let app = SweepApp::deferred(name, fingerprint, Box::new(trace), entry);
             return Ok((app, from));
         }
         let app = SweepApp::new(name, trace()?);
@@ -1708,7 +1701,8 @@ mod tests {
     fn deferred_tiny(
         retrace: impl Fn() -> Result<TraceRun, String> + Send + Sync + 'static,
     ) -> SweepApp {
-        SweepApp::deferred("pattern-linear", tiny_app().fingerprint(), retrace)
+        let fingerprint = tiny_app().fingerprint();
+        SweepApp::deferred("pattern-linear", fingerprint, Box::new(retrace), None)
     }
 
     fn tiny_grid() -> SweepGrid {

@@ -453,6 +453,18 @@ mod tests {
         assert_eq!(store.stats().corrupt, 1);
         store.put(key, &sample()).unwrap();
         assert_eq!(store.get(key), Some(sample()));
+
+        // a trace entry under the same number is another file and kind,
+        // uncounted; a point entry moved over it does not verify
+        let tkey = TraceKey(key.0);
+        assert_eq!(store.get_trace(tkey), None);
+        store.put_trace(tkey, 0xfeed).unwrap();
+        assert_eq!(store.get_trace(tkey), Some(0xfeed));
+        assert_eq!(store.get(key), Some(sample()));
+        assert_eq!(store.entries(), 1, "points only");
+        fs::copy(store.entry_path(key), store.trace_path(tkey)).unwrap();
+        assert_eq!(store.get_trace(tkey), None);
+        assert_eq!(store.stats().corrupt, 1, "trace reads are not counted");
         let _ = fs::remove_dir_all(&dir);
     }
 

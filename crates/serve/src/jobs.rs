@@ -439,11 +439,15 @@ impl Registry {
     fn build(&self, spec: &SweepSpec) -> Result<(SweepGrid, SweepConfig), SpecError> {
         let built = spec.build_cached(&self.cache);
         let counter = match &built {
-            Ok((_, _, FingerprintFrom::Trace)) | Err(SpecError::Trace(_)) => &self.metrics.traces,
-            Ok(_) => &self.metrics.trace_memo_hits,
-            Err(SpecError::Usage(_)) => return built.map(|(g, c, _)| (g, c)),
+            Ok((_, _, FingerprintFrom::Trace)) | Err(SpecError::Trace(_)) => {
+                Some(&self.metrics.traces)
+            }
+            Ok(_) => Some(&self.metrics.trace_memo_hits),
+            Err(SpecError::Usage(_)) => None,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
         built.map(|(grid, config, _)| (grid, config))
     }
 
